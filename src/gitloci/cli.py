@@ -496,7 +496,7 @@ def _cmd_svg(spec: LoadedSpec, args) -> str:
     if spec.group is not None:
         cone = admissible_cone(spec.group, spec.action.rank)
     betas = None
-    if spec.action.rank == 2 and len(spec.action.distinct_segre_weights()) <= 14:
+    if spec.action.rank == 2:
         betas = [b.beta for b in beta_index_set(spec.action)]
     return svg_weight_diagram(spec.action, cone=cone, betas=betas)
 

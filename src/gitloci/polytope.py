@@ -4,8 +4,11 @@ Hull membership distinguishes Outside / Boundary / Interior, where Interior
 means interior in the ambient space: a hull of less than full dimension never
 returns Interior.  (A relative-interior reading is available behind a flag
 for experiments.)  The minimum-norm point is computed by Wolfe's algorithm
-over exact rationals, with an exponential face-enumeration oracle kept as an
-independent test path.
+over exact rationals.  An independent path enumerates corrals: affinely
+independent subsets of at most dim + 1 points whose affine minimum-norm point
+lies in their hull.  By Caratheodory every minimum-norm point of a subset is
+one of these, so the enumeration (polynomial, O(n^(dim+1)) subsets) serves
+both as the test oracle for Wolfe and as the stratum index set.
 
 Dimensions 1 and 2 use direct orientation predicates on integers (after
 clearing denominators); higher dimensions fall back to exact simplex solves.
@@ -17,17 +20,13 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .linprog import OPTIMAL, lp_feasible, lp_maximize_free, solve_lp
-from .qpoly import InnerProduct, RationalVector
+from .qpoly import InnerProduct, RationalVector, row_reduce
 
 
 class DimensionMismatch(ValueError):
-    pass
-
-
-class TooLarge(ValueError):
     pass
 
 
@@ -99,7 +98,8 @@ def hull_membership(
         lo, hi = vals[0], vals[-1]
         if lo > 0 or hi < 0:
             return HullPosition.OUTSIDE
-        if lo < 0 < hi:
+        if lo < 0 < hi or (relative and lo == hi):
+            # a point hull at q is its own relative interior
             return HullPosition.INTERIOR
         return HullPosition.BOUNDARY
     if S.dim == 2:
@@ -170,33 +170,9 @@ def _hull_membership_lp(
         return HullPosition.BOUNDARY
     if relative:
         return HullPosition.INTERIOR
-    return (
-        HullPosition.INTERIOR
-        if _affine_rank(diffs) == dim
-        else HullPosition.BOUNDARY
-    )
-
-
-def _affine_rank(points: Sequence[RationalVector]) -> int:
-    """Dimension of the affine hull (rank of the difference space)."""
-    if len(points) < 2:
-        return 0
-    base = points[0]
-    rows = [list((p - base).entries) for p in points[1:]]
-    rank = 0
-    ncols = len(rows[0])
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] * inv
-                rows[i] = [a - f * v for a, v in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    # interior in the ambient space needs a full-dimensional affine hull
+    _, pivots, _ = row_reduce([(d - diffs[0]).entries for d in diffs[1:]])
+    return HullPosition.INTERIOR if len(pivots) == dim else HullPosition.BOUNDARY
 
 
 def convex_hull_2d_int(points: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -253,39 +229,24 @@ class LinAlgError(ValueError):
     pass
 
 
-def _solve_linear(
-    M: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction]:
-    n = len(M)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(M)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise LinAlgError("singular system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * v for a, v in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def _affine_min_norm(
     pts: Sequence[RationalVector], ip: InnerProduct
 ) -> tuple[RationalVector, list[Fraction]]:
     """Min-norm point of the affine hull of affinely independent points.
 
-    Solves the KKT system [[G, 1], [1^T, 0]] [a; nu] = [0; 1] exactly.
+    Solves the KKT system [[G, 1], [1^T, 0]] [a; nu] = [0; 1] exactly.  The
+    system is singular exactly when the points are affinely dependent (a
+    kernel vector (a, nu) has sum(a) = 0 and |sum a_i p_i|^2 = 0), which
+    raises LinAlgError.
     """
     k = len(pts)
-    G = [[ip.pairing(pts[i], pts[j]) for j in range(k)] for i in range(k)]
-    M = [G[i] + [Fraction(1)] for i in range(k)]
-    M.append([Fraction(1)] * k + [Fraction(0)])
-    rhs = [Fraction(0)] * k + [Fraction(1)]
-    sol = _solve_linear(M, rhs)
-    coeffs = sol[:k]
+    one, zero = Fraction(1), Fraction(0)
+    rows = [[ip.pairing(p, q) for q in pts] + [one, zero] for p in pts]
+    rows.append([one] * k + [zero, one])
+    reduced, _, det = row_reduce(rows)
+    if det == 0:
+        raise LinAlgError("affinely dependent points")
+    coeffs = [row[-1] for row in reduced[:k]]
     y = RationalVector.zero(pts[0].dim)
     for a, p in zip(coeffs, pts):
         y = y + p.scale(a)
@@ -341,28 +302,32 @@ def min_norm_point(S: PointSet, ip: InnerProduct) -> RationalVector:
                 x = x + p.scale(w)
 
 
-def min_norm_point_oracle(S: PointSet, ip: InnerProduct) -> RationalVector:
-    """Independent test oracle: project the origin onto the affine hull of
-    every affinely independent subset, keep candidates lying in the subset's
-    convex hull, and return the overall minimum.  Exponential; |S| <= 16.
+def corral_points(
+    points: Sequence[RationalVector], ip: InnerProduct
+) -> Iterator[RationalVector]:
+    """The affine minimum-norm point of every affinely independent subset of
+    at most dim + 1 of the (distinct) points whose KKT coefficients are all
+    nonnegative; smaller subsets first, each size in combinations order.
+
+    Each yield is the minimum-norm point of its subset's hull; conversely
+    the minimum-norm point of any subset lies in the relative interior of a
+    face, hence (Caratheodory) of such a subset.  So these are exactly the
+    minimum-norm points of all nonempty subsets, repeats included, from
+    O(n^(dim+1)) small solves.
     """
-    pts = S.deduplicated()
-    if len(pts) > 16:
-        raise TooLarge("oracle face sweep limited to 16 distinct points")
-    best: Optional[RationalVector] = None
-    best_norm: Optional[Fraction] = None
-    for size in range(1, min(len(pts), S.dim + 1) + 1):
-        for subset in itertools.combinations(pts, size):
-            if _affine_rank(subset) != size - 1:
+    for size in range(1, min(len(points), points[0].dim + 1) + 1):
+        for subset in itertools.combinations(points, size):
+            try:
+                y, coeffs = _affine_min_norm(subset, ip)
+            except LinAlgError:
                 continue
-            y, coeffs = _affine_min_norm(list(subset), ip)
-            if any(a < 0 for a in coeffs):
-                continue
-            norm = ip.norm_sq(y)
-            if best_norm is None or norm < best_norm:
-                best, best_norm = y, norm
-    assert best is not None
-    return best
+            if all(a >= 0 for a in coeffs):
+                yield y
+
+
+def min_norm_point_oracle(S: PointSet, ip: InnerProduct) -> RationalVector:
+    """Independent test oracle for Wolfe: the least-norm corral point."""
+    return min(corral_points(S.deduplicated(), ip), key=ip.norm_sq)
 
 
 def facet_normal_candidates(points: Sequence[RationalVector]) -> list[RationalVector]:
@@ -411,10 +376,6 @@ class Halfspace:
     normal: RationalVector
     offset: Fraction
     strict: bool
-
-    def satisfied(self, x: RationalVector) -> bool:
-        v = self.normal.dot(x)
-        return v > self.offset if self.strict else v >= self.offset
 
 
 @dataclass(frozen=True)
@@ -563,12 +524,6 @@ class Decomposition:
 
     def vertices(self) -> list[Face]:
         return [f for f in self.faces if f.kind == "vertex"]
-
-    def face_by_signs(self, signs: tuple[int, ...]) -> Optional[Face]:
-        for f in self.faces:
-            if f.signs == signs:
-                return f
-        return None
 
 
 def _line_region_base(

@@ -146,7 +146,7 @@ class InnerProduct:
                     raise ValueError("gram matrix must be symmetric")
         for k in range(1, n + 1):
             minor = [[Fraction(rows[i][j]) for j in range(k)] for i in range(k)]
-            if _det(minor) <= 0:
+            if row_reduce(minor)[2] <= 0:
                 raise ValueError("gram matrix must be positive definite")
         object.__setattr__(self, "gram", rows)
         object.__setattr__(
@@ -186,29 +186,53 @@ class InnerProduct:
         return self.pairing(v, v)
 
 
-def _det(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [a - f * bv for a, bv in zip(m[r], m[col])]
-    return det
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def row_reduce(
+    matrix: Sequence[Sequence[Fraction]],
+) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Gauss-Jordan elimination over Q: the one exact row reduction behind
+    linear solves, ranks, kernel vectors and determinants.
+
+    Returns the reduced row echelon form (each pivot 1 and alone in its
+    column, zero rows last), the pivot columns in order, and the determinant
+    of the leading square block, which is 0 when that block is singular
+    (meaningful when there are at least as many columns as rows).  A pivot
+    row is zero left of its pivot, so each step touches only the columns
+    from the pivot rightwards.
+    """
+    rows = [list(r) for r in matrix]
+    n = len(rows)
+    pivots: list[int] = []
+    det = _ONE
+    swaps = 0
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == n:
+            break
+        p = next((i for i in range(r, n) if rows[i][col] != 0), None)
+        if p is None:
+            det = _ZERO
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            swaps += 1
+        top = rows[r]
+        det *= top[col]
+        inv = 1 / top[col]
+        top[col:] = [_ONE] + [v * inv for v in top[col + 1 :]]
+        tail = top[col + 1 :]
+        for i in range(n):
+            row = rows[i]
+            f = row[col]
+            if i != r and f != 0:
+                row[col:] = [_ZERO] + [
+                    a - f * v for a, v in zip(row[col + 1 :], tail)
+                ]
+        pivots.append(col)
+    return rows, pivots, -det if swaps % 2 else det
 
 
 # ---------------------------------------------------------------------------

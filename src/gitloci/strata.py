@@ -2,9 +2,8 @@
 
 Every support determines beta = the closest point to the origin of its
 twisted weight hull; the strata are indexed by the distinct values.  For a
-torus all of weight space counts as the positive chamber, so the index sweep
-has no Weyl-group restriction (an optional cone hook is kept for callers
-that intend one).
+torus all of weight space counts as the positive chamber, so the index set
+has no Weyl-group restriction.
 
 The geometry of a stratum lives on the affine hyperplane through beta
 perpendicular to it (perpendicular in the sense of the action's inner
@@ -18,16 +17,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .action import SupportPoint, TorusAction
-from .polytope import Cone, HullPosition, PointSet, hull_membership, min_norm_point
+from .polytope import (
+    HullPosition,
+    PointSet,
+    corral_points,
+    hull_membership,
+    min_norm_point,
+)
 from .qpoly import RationalVector
 from .stability import OneParamSubgroup, TorusStatus, torus_status
-
-
-class TooManyWeights(ValueError):
-    pass
 
 
 class NotInY(ValueError):
@@ -45,57 +46,30 @@ class BetaIndex:
     beta: RationalVector
     norm_sq: Fraction
     lambda_beta: Optional[OneParamSubgroup]
-    generating_subset: frozenset[int]  # indices into the distinct twisted weights
 
     @staticmethod
-    def from_beta(
-        a: TorusAction, beta: RationalVector, generating: Iterable[int]
-    ) -> "BetaIndex":
+    def from_beta(a: TorusAction, beta: RationalVector) -> "BetaIndex":
         lam = None if beta.is_zero() else OneParamSubgroup.from_vector(beta)
-        return BetaIndex(
-            beta, a.ip.norm_sq(beta), lam, frozenset(generating)
-        )
+        return BetaIndex(beta, a.ip.norm_sq(beta), lam)
 
 
-def beta_index_set(
-    a: TorusAction, chamber: Optional[Cone] = None
-) -> list[BetaIndex]:
+def beta_index_set(a: TorusAction) -> list[BetaIndex]:
     """All distinct minimum-norm points over nonempty subsets of the distinct
-    twisted weights (every subset is the state set of some ambient point).
+    twisted weights (every subset is the state set of some ambient point),
+    sorted by entries.
 
-    The sweep is 2^n over distinct weights, capped at 14.  The optional cone
-    intersects the index set with a chamber, for callers modelling a Weyl
-    group; for a torus it is a no-op left unset.
+    These are the corral points of the distinct twisted weights: the affine
+    minimum-norm points of affinely independent subsets of at most rank + 1
+    weights that lie in their subset's hull, O(n^(rank+1)) small solves.
     """
     weights = a.distinct_segre_weights(twisted=True)
-    n = len(weights)
-    if n > 14:
-        raise TooManyWeights(f"{n} distinct weights exceed the 2^n sweep cap of 14")
-    found: dict[tuple[Fraction, ...], BetaIndex] = {}
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            beta = min_norm_point(PointSet([weights[i] for i in combo]), a.ip)
-            if chamber is not None and not chamber.contains(beta):
-                continue
-            if beta.entries not in found:
-                found[beta.entries] = BetaIndex.from_beta(a, beta, combo)
-    return [found[k] for k in sorted(found)]
+    found = {beta.entries: beta for beta in corral_points(weights, a.ip)}
+    return [BetaIndex.from_beta(a, found[k]) for k in sorted(found)]
 
 
 def _support_beta(a: TorusAction, x: SupportPoint) -> RationalVector:
     pts = PointSet(a.segre_weights(x, twisted=True))
     return min_norm_point(pts, a.ip)
-
-
-def _beta_index_for_support(
-    a: TorusAction, x: SupportPoint, beta: RationalVector
-) -> BetaIndex:
-    distinct = a.distinct_segre_weights(twisted=True)
-    index_of = {w.entries: i for i, w in enumerate(distinct)}
-    generating = {
-        index_of[w.entries] for w in a.segre_weights(x, twisted=True)
-    }
-    return BetaIndex.from_beta(a, beta, generating)
 
 
 @dataclass(frozen=True)
@@ -172,7 +146,7 @@ def stratum_of(a: TorusAction, x: SupportPoint) -> StratumLabel:
     """
     a.validate_support(x)
     beta = _support_beta(a, x)
-    bi = _beta_index_for_support(a, x, beta)
+    bi = BetaIndex.from_beta(a, beta)
     if beta.is_zero():
         return StratumLabel(bi, in_Z(a, x, beta), True, True)
     return StratumLabel(bi, in_Z(a, x, beta), in_Y(a, x, beta), True)
@@ -241,7 +215,7 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
         key = beta.entries
         sizes[key] = sizes.get(key, 0) + 1
         if key not in betas:
-            betas[key] = _beta_index_for_support(a, sp, beta)
+            betas[key] = BetaIndex.from_beta(a, beta)
 
     # (ii) closure order under sub-supports
     for sp in supports:

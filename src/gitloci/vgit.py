@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .action import (
-    SupportPoint,
     TorusAction,
     build_double_extension,
     build_external_extension,
@@ -34,6 +33,7 @@ from .polytope import (
     convex_hull_2d,
     hull_membership,
 )
+from .qpoly import row_reduce
 from .stability import RankUnsupported
 
 
@@ -47,13 +47,6 @@ class NotAdjacent(ValueError):
 
 class DegenerateWeights(ValueError):
     pass
-
-
-SupportKey = frozenset
-
-
-def _support_key(x: SupportPoint) -> frozenset[int]:
-    return x.support
 
 
 @dataclass(frozen=True)
@@ -88,23 +81,20 @@ def git_class(a: TorusAction, chi: RationalVector) -> frozenset[frozenset[int]]:
     weight hull contains it.  Families are the GIT-equivalence invariants."""
     if chi.dim != a.rank:
         raise RankUnsupported("twist dimension differs from rank")
-    family = set()
-    for sp in a.iter_supports():
-        pts = PointSet(a.segre_weights(sp))
-        if hull_membership(pts, chi) is not HullPosition.OUTSIDE:
-            family.add(_support_key(sp))
+    family = _family_at(a, chi)
     if not family:
         raise IneffectiveTwist(f"no support is semistable at twist {chi!r}")
-    return frozenset(family)
+    return family
 
 
-def _git_class_or_none(
-    a: TorusAction, chi: RationalVector
-) -> Optional[frozenset[frozenset[int]]]:
-    try:
-        return git_class(a, chi)
-    except IneffectiveTwist:
-        return None
+def _family_at(a: TorusAction, chi: RationalVector) -> frozenset[frozenset[int]]:
+    """The semistable support family at a twist, empty when ineffective."""
+    return frozenset(
+        sp.support
+        for sp in a.iter_supports()
+        if hull_membership(PointSet(a.segre_weights(sp)), chi)
+        is not HullPosition.OUTSIDE
+    )
 
 
 class _FamilyOracle:
@@ -123,7 +113,7 @@ class _FamilyOracle:
                 hull = [RationalVector([vals[0]]), RationalVector([vals[-1]])]
             else:
                 hull = convex_hull_2d(a.segre_weights(sp))
-            self.entries.append((_support_key(sp), hull))
+            self.entries.append((sp.support, hull))
 
     def family(self, chi: RationalVector) -> Optional[frozenset[frozenset[int]]]:
         out = set()
@@ -236,9 +226,17 @@ def wall_hyperplane_candidates(
         ]
     seen: dict[tuple, tuple[RationalVector, Fraction]] = {}
     for combo in itertools.combinations(weights, a.rank):
-        normal = _affine_normal(combo)
-        if normal is None:
+        # the normal spans the kernel of the difference rows; affinely
+        # dependent points leave a kernel of dimension >= 2
+        rows, pivots, _ = row_reduce([(p - combo[0]).entries for p in combo[1:]])
+        free = [c for c in range(a.rank) if c not in pivots]
+        if len(free) != 1:
             continue
+        entries = [Fraction(0)] * a.rank
+        entries[free[0]] = Fraction(1)
+        for row, pc in zip(rows, pivots):
+            entries[pc] = -row[free[0]]
+        normal = RationalVector(entries)
         offset = normal.dot(combo[0])
         triple = RationalVector(list(normal.entries) + [offset]).primitive_integral()
         lead = next(v for v in triple.entries[:-1] if v != 0)
@@ -249,42 +247,6 @@ def wall_hyperplane_candidates(
             key, (RationalVector(triple.entries[:-1]), triple.entries[-1])
         )
     return [seen[k] for k in sorted(seen)]
-
-
-def _affine_normal(points: Sequence[RationalVector]) -> Optional[RationalVector]:
-    """A normal of the affine hyperplane through rank points, or None when
-    they are affinely dependent (kernel vector of the difference matrix)."""
-    base = points[0]
-    rows = [list((p - base).entries) for p in points[1:]]
-    n = base.dim
-    # eliminate to find a kernel vector of the (rank-1) x rank system
-    cols = list(range(n))
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    if r != len(rows):
-        return None  # affinely dependent
-    free = [c for c in cols if c not in pivots]
-    if len(free) != 1:
-        return None
-    fc = free[0]
-    normal = [Fraction(0)] * n
-    normal[fc] = Fraction(1)
-    for i, pc in enumerate(pivots):
-        normal[pc] = -rows[i][fc]
-    return RationalVector(normal)
 
 
 def _rank1_complex(a: TorusAction) -> ChamberComplex:
@@ -572,15 +534,6 @@ class ExternalChangeReport:
         return self.lambda_check and self.mu_check
 
 
-def _semistable_family(a: TorusAction) -> frozenset[frozenset[int]]:
-    family = set()
-    for sp in a.iter_supports():
-        pts = PointSet(a.segre_weights(sp))
-        if hull_membership(pts, a.twist) is not HullPosition.OUTSIDE:
-            family.add(_support_key(sp))
-    return frozenset(family)
-
-
 def _restrict_family(
     family: Iterable[frozenset[int]], keep_below: int, line_block: Sequence[int]
 ) -> frozenset[frozenset[int]]:
@@ -629,10 +582,10 @@ def verify_external_change(
     if twist_mu_override is not None:
         twist_m = twist_mu_override
 
-    fam_single_l = _semistable_family(ext_l)
-    fam_single_m = _semistable_family(ext_m)
-    fam_double_l = _semistable_family(double.with_twist(double.twist + twist_l))
-    fam_double_m = _semistable_family(double.with_twist(double.twist + twist_m))
+    fam_single_l = _family_at(ext_l, ext_l.twist)
+    fam_single_m = _family_at(ext_m, ext_m.twist)
+    fam_double_l = _family_at(double, double.twist + twist_l)
+    fam_double_m = _family_at(double, double.twist + twist_m)
 
     n = a.num_coords
     lambda_block = list(range(n, n + 2))

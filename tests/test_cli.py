@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -7,6 +9,7 @@ import pytest
 from jsonschema import Draft7Validator
 
 from gitloci.cli import load_spec, run
+from gitloci.strata import beta_index_set
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -145,6 +148,23 @@ def test_svg_rank2_deterministic(tmp_path):
     assert first.count("<circle") >= 13  # 12 weights + origin
 
 
+def test_svg_rings_every_beta_beyond_fourteen_weights(tmp_path):
+    # 16 distinct rank-2 weights: a 4 x 4 grid, shifted off the origin
+    grid = [[x - 1, y + 1] for x in range(4) for y in range(4)]
+    spec = {
+        "name": "grid",
+        "rank": 2,
+        "inner_product": [[1, 0], [0, 1]],
+        "factors": [{"name": "P15", "weights": grid}],
+    }
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(spec))
+    _, text = _run(["svg", "--input", str(path)], tmp_path, "grid.svg")
+    betas = beta_index_set(load_spec(str(path)).action)
+    assert len(betas) > 1
+    assert text.count('stroke="#aa2288"') == len(betas)
+
+
 def test_svg_rank1_unsupported(tmp_path):
     code = run(["svg", "--input", str(CORPUS / "ex1_7.json")])
     assert code == 2
@@ -200,3 +220,26 @@ def test_svg_module_feeds_nothing_back():
         assert "svg" not in path.read_text(), path.name
     init_text = (src / "__init__.py").read_text()
     assert "from .svg" not in init_text
+
+
+def test_benchmark_entry_points_exist():
+    # the benchmark traces these functions by name and checks reports with
+    # the oracle and git_class; a rename would break it without an import
+    # error here, so read its table as data
+    tree = ast.parse((REPO / "perfbench" / "spans.py").read_text())
+    tables = {
+        target.id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    names = [(layer, fn) for layer, fns in tables["SPANNED"].items() for fn in fns]
+    names += [("polytope", "min_norm_point_oracle"), ("vgit", "git_class")]
+    for layer, fn in names:
+        assert callable(getattr(importlib.import_module(f"gitloci.{layer}"), fn, None)), (
+            f"{layer}.{fn}"
+        )
+    torus_action = importlib.import_module("gitloci.action").TorusAction
+    for method in tables["COUNTED_METHODS"]:
+        assert method in vars(torus_action), method

@@ -11,7 +11,6 @@ from gitloci.polytope import (
     HullPosition,
     Line2D,
     PointSet,
-    TooLarge,
     chamber_decomposition_2d,
     convex_hull_2d,
     facet_normal_candidates,
@@ -69,10 +68,6 @@ def test_min_norm_oracle_examples():
     assert min_norm_point_oracle(
         PointSet([V([1, 2]), V([2, 1]), V([3, 3])]), IP2
     ) == V([Fraction(3, 2), Fraction(3, 2)])
-    with pytest.raises(TooLarge):
-        min_norm_point_oracle(
-            PointSet([V([i, 0]) for i in range(20)]), IP2
-        )
 
 
 def test_wolfe_equals_oracle_randomised():
@@ -230,9 +225,21 @@ def test_convex_hull_2d_strict_vertices():
 
 
 def test_hull_membership_2d_fast_path_agrees_with_lp():
-    # the orientation predicates are an optimisation over the simplex route;
-    # the two must classify identically
+    # the orientation predicates (rank 2) and the interval test (rank 1) are
+    # optimisations over the simplex route; they must classify identically
     from gitloci.polytope import _hull_membership_2d, _hull_membership_lp
+
+    rng = random.Random(314159)
+    cases = [([V([3])], V([3])), ([V([3]), V([3])], V([3])), ([V([1]), V([3])], V([3]))]
+    for _ in range(150):
+        pts = [V([rng.randint(-4, 4)]) for _ in range(rng.randint(1, 4))]
+        cases.append((pts, V([Fraction(rng.randint(-9, 9), 2)])))
+    for pts, q in cases:
+        diffs = [p - q for p in PointSet(pts).deduplicated()]
+        for relative in (False, True):
+            assert hull_membership(
+                PointSet(pts), q, relative=relative
+            ) == _hull_membership_lp(diffs, 1, relative), (pts, q, relative)
 
     rng = random.Random(271828)
     for _ in range(150):

@@ -19,6 +19,7 @@ from gitloci.qpoly import (
     poly_is_zero,
     rational_roots,
     resultant,
+    row_reduce,
 )
 
 B = BiPoly.var("b")
@@ -221,3 +222,36 @@ def test_vector_primitive_integral():
     assert w.primitive_integral().entries == (-2, 3)
     with pytest.raises(ValueError):
         RationalVector([0, 0]).primitive_integral()
+
+
+def _leibniz_det(m):
+    n = len(m)
+    if n == 0:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * m[0][j] * _leibniz_det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(n)
+    )
+
+
+def test_row_reduce_solve_rank_kernel_det():
+    rng = random.Random(61)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        cols = n + rng.randint(0, 2)
+        m = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(cols)] for _ in range(n)]
+        rows, pivots, det = row_reduce(m)
+        assert det == _leibniz_det([row[:n] for row in m])
+        assert len(pivots) == len({c for c in pivots})
+        for i, c in enumerate(pivots):
+            assert [row[c] for row in rows] == [int(k == i) for k in range(n)]
+        assert all(not any(row) for row in rows[len(pivots) :])
+        # every reduced row is a combination of the input rows: the kernel
+        # read off the free columns annihilates the input
+        for free in (c for c in range(cols) if c not in pivots):
+            v = [Fraction(0)] * cols
+            v[free] = Fraction(1)
+            for i, c in enumerate(pivots):
+                v[c] = -rows[i][free]
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m)
+    assert row_reduce([]) == ([], [], 1)

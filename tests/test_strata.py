@@ -1,15 +1,16 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from gitloci.action import SupportPoint, TorusAction, build_product_action
-from gitloci.polytope import Cone
+from gitloci.polytope import PointSet, min_norm_point
 from gitloci.qpoly import InnerProduct, RationalVector
 from gitloci.stability import TorusStatus, destabilising_beta, torus_status
 from gitloci.strata import (
     NotInY,
     NotInZ,
-    TooManyWeights,
     beta_index_set,
     in_Y,
     in_Z,
@@ -54,17 +55,45 @@ def test_beta_index_set_trivial_cases():
     assert Fraction(0) in {b.beta.entries[0] for b in beta_index_set(with_zero)}
 
 
-def test_beta_index_set_weight_cap():
-    a = TorusAction(1, [V([i]) for i in range(15)], IP1)
-    with pytest.raises(TooManyWeights):
-        beta_index_set(a)
+def test_beta_index_set_many_weights():
+    # every weight of a rank-1 line is the minimum-norm point of itself,
+    # and every subset's minimum is one of its weights or 0
+    a = TorusAction(1, [V([i]) for i in range(20)], IP1)
+    assert [b.beta.entries[0] for b in beta_index_set(a)] == list(range(20))
+    # twisted weights -19/2, ..., 19/2 straddle the origin: 0 joins them
+    shifted = a.with_twist(V([Fraction(19, 2)]))
+    expected = sorted([Fraction(2 * i - 19, 2) for i in range(20)] + [0])
+    assert [b.beta.entries[0] for b in beta_index_set(shifted)] == expected
 
 
-def test_beta_index_set_chamber_hook():
-    a = _a1()
-    positive = Cone([(V([1]), True)])
-    betas = beta_index_set(a, chamber=positive)
-    assert sorted(b.beta.entries[0] for b in betas) == [2]
+def _wolfe_subset_sweep(a):
+    """Reference index set: Wolfe on all 2^n subsets of the distinct twisted
+    weights, sorted by entries."""
+    weights = a.distinct_segre_weights(twisted=True)
+    found = set()
+    for size in range(1, len(weights) + 1):
+        for combo in itertools.combinations(weights, size):
+            found.add(min_norm_point(PointSet(combo), a.ip).entries)
+    return sorted(found)
+
+
+def test_beta_index_set_matches_wolfe_subset_sweep(ex1_7, sec7_1, external_toy):
+    rng = random.Random(2024)
+    forms = {1: [IP1], 2: [IP2, InnerProduct([[2, 1], [1, 3]])], 3: [InnerProduct.identity(3)]}
+    actions = [spec.action for spec in (ex1_7, sec7_1, external_toy)]
+    for rank in (1, 2, 3):
+        for _ in range(5):
+            weights = [
+                V([rng.randint(-4, 4) for _ in range(rank)])
+                for _ in range(rng.randint(1, 10))
+            ]
+            twist = V([Fraction(rng.randint(-3, 3), 2) for _ in range(rank)])
+            actions.append(
+                TorusAction(rank, weights, rng.choice(forms[rank]), twist)
+            )
+    for a in actions:
+        got = [b.beta.entries for b in beta_index_set(a)]
+        assert got == _wolfe_subset_sweep(a), a.weights
 
 
 def test_stratum_of_examples():
@@ -101,7 +130,7 @@ def test_p_beta_examples():
     assert beta == V([0, 1])
     from gitloci.strata import BetaIndex
 
-    bi = BetaIndex.from_beta(a2, beta, [0])
+    bi = BetaIndex.from_beta(a2, beta)
     assert p_beta(a2, SupportPoint([0, 1, 2]), bi).support == {0, 2}
 
 
@@ -125,7 +154,7 @@ def _realized_betas(a):
     for sp in a.iter_supports():
         beta, _ = destabilising_beta(a, sp)
         if beta.entries not in seen:
-            seen[beta.entries] = BetaIndex.from_beta(a, beta, [])
+            seen[beta.entries] = BetaIndex.from_beta(a, beta)
     return list(seen.values())
 
 
@@ -141,11 +170,11 @@ def test_z_ss_check_examples():
     assert beta == V([1, 1])
     from gitloci.strata import BetaIndex
 
-    bi = BetaIndex.from_beta(a2, beta, [0])
+    bi = BetaIndex.from_beta(a2, beta)
     # support {1, 2} lies on the line <v, beta> = 2 but its hull misses beta
     assert in_Z(a2, SupportPoint([1, 2]), beta) is False  # pairings 4, 6
     b_high, _ = destabilising_beta(a2, SupportPoint([1]))
-    assert z_ss_check(a2, SupportPoint([1]), BetaIndex.from_beta(a2, b_high, [1]))
+    assert z_ss_check(a2, SupportPoint([1]), BetaIndex.from_beta(a2, b_high))
 
 
 def test_verify_stratification_rank1():
