@@ -579,6 +579,15 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
     Faces partition the region: open 2-cells (chambers), open 1-cells on the
     lines (cells/walls), and vertices.  Every face carries an interior
     rational sample point and its sign vector over the arrangement lines.
+
+    The lines are distinct loci (`Line2D` is stored primitively).  Each cell
+    on line idx is sampled at the midpoint of its interval; one pass over the
+    lines and region halfspaces gives the gaps offset_j - <n_j, sample>, whose
+    signs are the cell's.  Its chambers are sampled by stepping off the line
+    along +/- n_idx by half the distance to the nearest crossing, which is
+    gap_j / (side * <n_j, n_idx>) minimised over the positive values.  That
+    step crosses nothing, so a chamber's signs are its cell's with the zero at
+    idx set to the side; no chamber sample is evaluated against the lines.
     """
     region = list(arr.region)
     if region_interior_point(region, 2) is None:
@@ -616,42 +625,41 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
     for pt in vertex_points.values():
         faces.append(Face("vertex", pt, signs_at(pt)))
 
-    # 1-cells per line, then chambers sampled from both sides of each cell
+    # 1-cells per line, then chambers sampled from both sides of each cell;
+    # planes are the lines followed by the region's halfspaces
+    planes = [(ln.normal, ln.offset) for ln in lines]
+    planes += [(hs.normal, hs.offset) for hs in region]
+    n_lines = len(lines)
     chamber_samples: dict[tuple[int, ...], RationalVector] = {}
     for idx in active:
         line = lines[idx]
         base = bases[idx]
         d = line.direction()
         lo, hi = _param_interval(base, d, region)
+        base_gaps = [off - normal.dot(base) for normal, off in planes]
+        slopes = [normal.dot(d) for normal, _ in planes]
+        rates = [normal.dot(line.normal) for normal, _ in planes]
         crossings: list[Fraction] = []
         for jdx in active:
-            if jdx == idx:
+            if jdx == idx or slopes[jdx] == 0:
                 continue
-            other = lines[jdx]
-            nd = other.normal.dot(d)
-            if nd == 0:
-                continue
-            t = (other.offset - other.normal.dot(base)) / nd
+            t = base_gaps[jdx] / slopes[jdx]
             if (lo is None or t > lo) and (hi is None or t < hi):
                 crossings.append(t)
         cuts = sorted(set(crossings))
-        bounds: list[tuple[Optional[Fraction], Optional[Fraction]]] = []
         edges: list[Optional[Fraction]] = [lo] + [Fraction(v) for v in cuts] + [hi]
-        for k in range(len(edges) - 1):
-            bounds.append((edges[k], edges[k + 1]))
-        for seg_lo, seg_hi in bounds:
+        for seg_lo, seg_hi in zip(edges, edges[1:]):
             t = _mid(seg_lo, seg_hi)
             sample = base + d.scale(t)
-            faces.append(
-                Face("cell", sample, signs_at(sample), idx, (seg_lo, seg_hi))
-            )
+            gaps = [g - t * s for g, s in zip(base_gaps, slopes)]
+            signs = tuple((g < 0) - (g > 0) for g in gaps[:n_lines])
+            faces.append(Face("cell", sample, signs, idx, (seg_lo, seg_hi)))
             for side in (1, -1):
-                off = _safe_offset(sample, line.normal.scale(side), lines, region)
-                cand = sample + line.normal.scale(side).scale(off)
-                sv = signs_at(cand)
-                if 0 in sv:
+                sv = signs[:idx] + (side,) + signs[idx + 1 :]
+                if sv in chamber_samples:
                     continue
-                chamber_samples.setdefault(sv, cand)
+                off = _safe_offset(gaps, rates, side)
+                chamber_samples[sv] = sample + line.normal.scale(side).scale(off)
     for sv, sample in sorted(
         chamber_samples.items(), key=lambda kv: tuple(kv[1].entries)
     ):
@@ -675,22 +683,16 @@ def _intersect(l1: Line2D, l2: Line2D) -> Optional[RationalVector]:
 
 
 def _safe_offset(
-    origin: RationalVector,
-    direction: RationalVector,
-    lines: Sequence[Line2D],
-    region: Sequence[Halfspace],
+    gaps: Sequence[Fraction], rates: Sequence[Fraction], side: int
 ) -> Fraction:
     """Half the distance (in parameter units) to the nearest crossing along
-    `direction`, so the offset point keeps all other predicates' signs."""
+    side * normal, from the gaps offset_j - <n_j, origin> and the rates
+    <n_j, normal>, so the offset point keeps all other predicates' signs."""
     best: Optional[Fraction] = None
-    planes: list[tuple[RationalVector, Fraction]] = [
-        (ln.normal, ln.offset) for ln in lines
-    ] + [(hs.normal, hs.offset) for hs in region]
-    for normal, offset in planes:
-        nd = normal.dot(direction)
-        if nd == 0:
+    for gap, rate in zip(gaps, rates):
+        if rate == 0:
             continue
-        t = (offset - normal.dot(origin)) / nd
+        t = gap / (side * rate)
         if t > 0 and (best is None or t < best):
             best = t
     return best / 2 if best is not None else Fraction(1)

@@ -7,6 +7,13 @@ and pruned post hoc by comparing the semistable support families of
 adjacent faces, which is exact: every strictly semistable twist lies on a
 pair line, and the family is constant on each face of the over-generated
 arrangement.
+
+Families are read off sign vectors, with no hull arithmetic per face.  Every
+edge of a support's weight hull joins two weights, so it lies on a pair line;
+a twist is in a polygon hull iff it is on no edge line's outer side.  A
+segment or point hull is cut out the same way by its own line and by pair
+lines through its endpoints to weights off it.  So each support is a short
+list of (line, forbidden sign) conditions, checked against a face's signs.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .action import (
 from .polytope import (
     Arrangement2D,
     Decomposition,
+    Face,
     Halfspace,
     HullPosition,
     Line2D,
@@ -97,53 +105,89 @@ def _family_at(a: TorusAction, chi: RationalVector) -> frozenset[frozenset[int]]
     )
 
 
-class _FamilyOracle:
-    """Support families over many twists, with per-support hulls cached.
+class _SignFamilies:
+    """Support families as a function of a face's sign vector.
 
-    For rank 2 each support's weight hull is computed once; membership of a
-    twist is then a point-in-convex-polygon test with exact cross products.
+    Each support's hull becomes a few conditions (index, forbidden sign): the
+    support is semistable on a face exactly when no condition's index carries
+    its forbidden sign there.  Per index and sign, the supports forbidding it
+    form one bitmask, so a family costs one OR per index.
     """
 
-    def __init__(self, a: TorusAction):
-        self.action = a
-        self.entries: list[tuple[frozenset[int], list[RationalVector]]] = []
-        for sp in a.iter_supports():
-            if a.rank == 1:
-                vals = sorted(w.entries[0] for w in a.segre_weights(sp))
-                hull = [RationalVector([vals[0]]), RationalVector([vals[-1]])]
-            else:
-                hull = convex_hull_2d(a.segre_weights(sp))
-            self.entries.append((sp.support, hull))
+    def __init__(
+        self,
+        keys: Sequence[frozenset[int]],
+        conditions: Sequence[Sequence[tuple[int, int]]],
+        width: int,
+    ):
+        self._keys = tuple(keys)
+        self._forbid = [[0, 0, 0] for _ in range(width)]  # by sign + 1
+        for bit, conds in enumerate(conditions):
+            for k, sign in conds:
+                self._forbid[k][sign + 1] |= 1 << bit
+        self._full = (1 << len(self._keys)) - 1
 
-    def family(self, chi: RationalVector) -> Optional[frozenset[frozenset[int]]]:
-        out = set()
-        for key, hull in self.entries:
-            if _hull_contains(hull, chi):
-                out.add(key)
-        return frozenset(out) if out else None
+    def family(self, signs: Sequence[int]) -> Optional[frozenset[frozenset[int]]]:
+        out = 0
+        for row, s in zip(self._forbid, signs):
+            out |= row[s + 1]
+        mask = self._full & ~out
+        if not mask:
+            return None
+        return frozenset(k for i, k in enumerate(self._keys) if mask >> i & 1)
 
 
-def _hull_contains(hull: Sequence[RationalVector], q: RationalVector) -> bool:
-    """Membership of q in a hull given by its CCW vertex list (dim <= 2)."""
-    if len(hull) == 1:
-        return hull[0].entries == q.entries
-    if q.dim == 1:
-        lo, hi = hull[0].entries[0], hull[1].entries[0]
-        return lo <= q.entries[0] <= hi
-    if len(hull) == 2:
-        p1, p2 = hull[0] - q, hull[1] - q
-        cross = p1.entries[0] * p2.entries[1] - p1.entries[1] * p2.entries[0]
-        if cross != 0:
-            return False
-        return p1.dot(p2) <= 0
-    qx, qy = q.entries
-    n = len(hull)
-    for i in range(n):
-        x1, y1 = hull[i].entries
-        x2, y2 = hull[(i + 1) % n].entries
-        if (x2 - x1) * (qy - y1) - (y2 - y1) * (qx - x1) < 0:
-            return False
-    return True
+def _rank1_families(a: TorusAction, values: Sequence[Fraction]) -> _SignFamilies:
+    """Families over the signs of q - v for the sorted distinct weight values
+    v: a support is semistable iff q >= its least and q <= its greatest."""
+    position = {v: i for i, v in enumerate(values)}
+    keys, conditions = [], []
+    for sp in a.iter_supports():
+        vals = [w.entries[0] for w in a.segre_weights(sp)]
+        keys.append(sp.support)
+        conditions.append([(position[min(vals)], -1), (position[max(vals)], 1)])
+    return _SignFamilies(keys, conditions, len(values))
+
+
+def _rank2_families(a: TorusAction, lines: Sequence[Line2D]) -> _SignFamilies:
+    """Families over the signs of the pair lines of the distinct weights.
+
+    A polygon hull forbids the outer side of each edge's line.  A segment
+    forbids both sides of its own line, and beyond each endpoint the far side
+    of a line through that endpoint and a weight off the segment.  A point
+    forbids both sides of two lines through it.  A weight off any line exists
+    because the weights of a rank-2 complex are not collinear.
+    """
+    index = {ln: i for i, ln in enumerate(lines)}
+    weights = a.distinct_segre_weights()
+
+    def off(ln: Line2D) -> RationalVector:
+        return next(w for w in weights if ln.side(w) != 0)
+
+    keys, conditions = [], []
+    for sp in a.iter_supports():
+        hull = convex_hull_2d(a.segre_weights(sp))
+        n = len(hull)
+        if n >= 3:
+            edges = [Line2D.through(hull[i], hull[(i + 1) % n]) for i in range(n)]
+            conds = [
+                (index[e], -e.side(hull[(i + 2) % n])) for i, e in enumerate(edges)
+            ]
+        elif n == 2:
+            p, q = hull
+            own = Line2D.through(p, q)
+            w = off(own)
+            tp, tq = Line2D.through(p, w), Line2D.through(q, w)
+            conds = [(index[own], 1), (index[own], -1)]
+            conds += [(index[tp], -tp.side(q)), (index[tq], -tq.side(p))]
+        else:
+            p = hull[0]
+            first = Line2D.through(p, next(w for w in weights if w != p))
+            second = Line2D.through(p, off(first))
+            conds = [(index[ln], s) for ln in (first, second) for s in (1, -1)]
+        keys.append(sp.support)
+        conditions.append(conds)
+    return _SignFamilies(keys, conditions, len(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -251,36 +295,31 @@ def wall_hyperplane_candidates(
 
 def _rank1_complex(a: TorusAction) -> ChamberComplex:
     eff = effective_cone(a)
-    oracle = _FamilyOracle(a)
     values = sorted({w.entries[0] for w in a.distinct_segre_weights()})
+    labels = _rank1_families(a, values)
+
+    def family(q: Fraction) -> Optional[frozenset[frozenset[int]]]:
+        return labels.family([(q > v) - (q < v) for v in values])
+
     # prune candidate walls whose family matches both neighbours
     walls: list[Wall] = []
     contributing: list[Fraction] = []
     for k, v in enumerate(values):
-        chi = RationalVector([v])
-        fam = oracle.family(chi)
-        left = (
-            oracle.family(RationalVector([(values[k - 1] + v) / 2]))
-            if k > 0
-            else None
-        )
-        right = (
-            oracle.family(RationalVector([(v + values[k + 1]) / 2]))
-            if k + 1 < len(values)
-            else None
-        )
+        fam = family(v)
+        left = family((values[k - 1] + v) / 2) if k > 0 else None
+        right = family((v + values[k + 1]) / 2) if k + 1 < len(values) else None
         if fam is not None and (fam != left or fam != right):
             contributing.append(v)
             walls.append(
                 Wall(
                     Line2D(RationalVector([1, 0]), v),
-                    (WallCell(chi, None, fam, (0,)),),
+                    (WallCell(RationalVector([v]), None, fam, (0,)),),
                 )
             )
     chambers = []
     for lo, hi in zip(contributing, contributing[1:]):
         mid = (lo + hi) / 2
-        fam = oracle.family(RationalVector([mid]))
+        fam = family(mid)
         if fam is not None:
             chambers.append(
                 Chamber(RationalVector([mid]), fam, (), (lo, hi))
@@ -299,17 +338,26 @@ def _rank2_complex(a: TorusAction) -> ChamberComplex:
             "all weights are collinear: the effective region has no interior"
         )
     region = _expanded_region(hull)
-    oracle = _FamilyOracle(a)
-    lines: list[Line2D] = []
-    for p, q in itertools.combinations(weights, 2):
-        lines.append(Line2D.through(p, q))
+    lines = [Line2D.through(p, q) for p, q in itertools.combinations(weights, 2)]
     dec = chamber_decomposition_2d(Arrangement2D(lines, region))
-    families = _label_faces(oracle, dec)
+    labels = _rank2_families(a, dec.lines)
+    families = {face.signs: labels.family(face.signs) for face in dec.faces}
     keep = _contributing_lines(dec, families)
     if len(keep) != len(dec.lines):
+        # a merged face may straddle pruned lines: label it by its sample's
+        # signs over the full pair-line list, of which the kept lines' are
+        # the face's own
+        first = dec.lines
         dec = chamber_decomposition_2d(Arrangement2D(keep, region))
-        families = _label_faces(oracle, dec)
-    return _assemble(a, dec, families, eff)
+        position = {ln: k for k, ln in enumerate(dec.lines)}
+        families = {}
+        for face in dec.faces:
+            signs = [
+                face.signs[position[ln]] if ln in position else ln.side(face.sample)
+                for ln in first
+            ]
+            families[face.signs] = labels.family(signs)
+    return _assemble(dec, families, eff)
 
 
 def _expanded_region(hull: Sequence[RationalVector]) -> list[Halfspace]:
@@ -327,58 +375,41 @@ def _expanded_region(hull: Sequence[RationalVector]) -> list[Halfspace]:
     return region
 
 
-def _label_faces(
-    oracle: _FamilyOracle, dec: Decomposition
-) -> dict[tuple[int, ...], Optional[frozenset[frozenset[int]]]]:
-    labels: dict[tuple[int, ...], Optional[frozenset[frozenset[int]]]] = {}
-    for face in dec.faces:
-        labels[face.signs] = oracle.family(face.sample)
-    return labels
+_Families = dict[tuple[int, ...], Optional[frozenset[frozenset[int]]]]
 
 
-def _contributing_lines(
-    dec: Decomposition,
-    families: dict[tuple[int, ...], Optional[frozenset[frozenset[int]]]],
-) -> list[Line2D]:
-    keep = []
-    for idx, line in enumerate(dec.lines):
-        contributes = False
-        for face in dec.cells():
-            if face.line_index != idx:
-                continue
-            fam = families[face.signs]
-            if fam is None:
-                continue
-            for side in (1, -1):
-                signs = list(face.signs)
-                signs[idx] = side
-                neighbour = families.get(tuple(signs))
-                if neighbour is not None and neighbour != fam:
-                    contributes = True
-            if fam is not None and all(
-                families.get(tuple(_flip(face.signs, idx, s))) is None
-                for s in (1, -1)
-            ):
-                # wall on the effective boundary with no effective neighbour
-                contributes = True
-            if contributes:
-                break
-        if contributes:
-            keep.append(line)
-    return keep
-
-
-def _flip(signs: tuple[int, ...], idx: int, side: int) -> list[int]:
-    out = list(signs)
-    out[idx] = side
+def _cells_by_line(dec: Decomposition) -> dict[int, list[Face]]:
+    out: dict[int, list[Face]] = {}
+    for face in dec.cells():
+        out.setdefault(face.line_index, []).append(face)
     return out
 
 
+def _contributing_lines(dec: Decomposition, families: _Families) -> list[Line2D]:
+    keep = []
+    cells = _cells_by_line(dec)
+    for idx, line in enumerate(dec.lines):
+        for face in cells.get(idx, ()):
+            fam = families[face.signs]
+            if fam is None:
+                continue
+            sides = [families.get(_flip(face.signs, idx, s)) for s in (1, -1)]
+            # a family change across the line, or a wall on the effective
+            # boundary with no effective neighbour
+            if all(f is None for f in sides) or any(
+                f is not None and f != fam for f in sides
+            ):
+                keep.append(line)
+                break
+    return keep
+
+
+def _flip(signs: tuple[int, ...], idx: int, side: int) -> tuple[int, ...]:
+    return signs[:idx] + (side,) + signs[idx + 1 :]
+
+
 def _assemble(
-    a: TorusAction,
-    dec: Decomposition,
-    families: dict[tuple[int, ...], Optional[frozenset[frozenset[int]]]],
-    eff: EffectiveRegion,
+    dec: Decomposition, families: _Families, eff: EffectiveRegion
 ) -> ChamberComplex:
     # a cell is a true wall piece only where crossing it or standing on it
     # changes the family; cells equal to both neighbours carry no strict
@@ -396,31 +427,25 @@ def _assemble(
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    surviving: list[Face] = []
-    for face in dec.cells():
-        fam = families[face.signs]
-        if fam is None:
-            continue
-        idx = face.line_index
-        left = tuple(_flip(face.signs, idx, 1))
-        right = tuple(_flip(face.signs, idx, -1))
-        lf, rf = families.get(left), families.get(right)
-        if lf is not None and rf is not None and lf == rf == fam:
-            union(left, right)
-        else:
-            surviving.append(face)
-
     walls = []
-    surviving_signs = {f.signs for f in surviving}
-    for idx, line in enumerate(dec.lines):
-        cells = [
-            WallCell(f.sample, f.interval, families[f.signs], f.signs)
-            for f in surviving
-            if f.line_index == idx
-        ]
-        if cells:
-            cells.sort(key=lambda c: c.sample.sort_key())
-            walls.append(Wall(line, tuple(cells)))
+    surviving_signs = set()
+    for idx, cells in sorted(_cells_by_line(dec).items()):
+        surviving = []
+        for face in cells:
+            fam = families[face.signs]
+            if fam is None:
+                continue
+            left = _flip(face.signs, idx, 1)
+            right = _flip(face.signs, idx, -1)
+            lf, rf = families.get(left), families.get(right)
+            if lf is not None and rf is not None and lf == rf == fam:
+                union(left, right)
+            else:
+                surviving.append(WallCell(face.sample, face.interval, fam, face.signs))
+                surviving_signs.add(face.signs)
+        if surviving:
+            surviving.sort(key=lambda c: c.sample.sort_key())
+            walls.append(Wall(dec.lines[idx], tuple(surviving)))
 
     groups: dict[tuple[int, ...], list[Face]] = {}
     for face in dec.chambers():
@@ -442,7 +467,7 @@ def _assemble(
             continue
         zero_at = [i for i, s in enumerate(face.signs) if s == 0]
         incident_survives = any(
-            tuple(_flip(face.signs, z, s)) in surviving_signs
+            _flip(face.signs, z, s) in surviving_signs
             for z in zero_at
             for s in (1, -1)
         )
@@ -504,10 +529,7 @@ def crossing_report(
         if len(zero_at) != 1:
             raise NotAdjacent("not a one-codimensional wall cell")
         idx = zero_at[0]
-        expect = {
-            tuple(_flip(wall_cell.signs, idx, 1)),
-            tuple(_flip(wall_cell.signs, idx, -1)),
-        }
+        expect = {_flip(wall_cell.signs, idx, 1), _flip(wall_cell.signs, idx, -1)}
         if {chamber_left.signs, chamber_right.signs} != expect:
             raise NotAdjacent("chambers are not the two sides of this cell")
     return _flip_families(

@@ -1,0 +1,35 @@
+"""Reports on the bundled corpus, byte for byte as committed in
+`tests/golden/`.
+
+Speed-ups must leave these reports unchanged.  A change that alters one on
+purpose (a defect fix) regenerates its file with the CLI and says so.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+from gitloci.cli import run
+
+HERE = Path(__file__).resolve().parent
+CORPUS = HERE.parent / "corpus"
+
+CASES = {
+    "chambers_ex1_7.json": ["chambers", "--input", "ex1_7.json"],
+    "chambers_external_toy.json": ["chambers", "--input", "external_toy.json"],
+    "chambers_sec7_1.json": ["chambers", "--input", "sec7_1.json"],
+    "fan_external_toy.json": ["fan", "--input", "external_toy.json"],
+    "fan_sec7_1.json": ["fan", "--input", "sec7_1.json"],
+    "fan_sec7_1_b0.json": ["fan", "--input", "sec7_1.json", "--variant", "b0"],
+}
+
+
+def test_reports_match_golden_files(tmp_path):
+    mismatched = []
+    for name, (command, flag, spec, *rest) in CASES.items():
+        out = tmp_path / name
+        argv = [command, flag, str(CORPUS / spec), *rest, "--output", str(out)]
+        assert run(argv) == 0, name
+        if out.read_bytes() != (HERE / "golden" / name).read_bytes():
+            mismatched.append(name)
+    assert not mismatched

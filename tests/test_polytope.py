@@ -5,6 +5,7 @@ import pytest
 
 from gitloci.polytope import (
     Arrangement2D,
+    Cone,
     DimensionMismatch,
     EmptyRegion,
     Halfspace,
@@ -253,3 +254,63 @@ def test_hull_membership_2d_fast_path_agrees_with_lp():
             assert _hull_membership_2d(diffs, relative) == _hull_membership_lp(
                 diffs, 2, relative
             )
+
+
+def _random_arrangement(rng, centre):
+    """Canonical lines: a pencil of three through `centre`, a parallel pair
+    on either side of it, and two random lines."""
+
+    def normal():
+        while True:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            if (a, b) != (0, 0):
+                return V([a, b])
+
+    pencil = set()
+    while len(pencil) < 3:
+        n = normal()
+        pencil.add(Line2D.canonical(n, n.dot(centre)))
+    n = normal()
+    lines = sorted(pencil, key=lambda ln: (ln.normal.entries, ln.offset))
+    lines += [Line2D.canonical(n, n.dot(centre) + k) for k in (-1, 1)]
+    for _ in range(2):
+        offset = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+        lines.append(Line2D.canonical(normal(), offset))
+    return lines
+
+
+def test_chamber_signs_reproduce_on_random_arrangements():
+    rng = random.Random(5762)
+    cone = Cone([(V([1, 0]), True), (V([1, 2]), False)])
+    for trial in range(16):
+        if trial % 2:
+            region = cone.to_region()
+            centre = V([rng.randint(1, 3), rng.randint(0, 2)])
+        else:
+            region = _square(3)
+            centre = V([rng.randint(-2, 2), rng.randint(-2, 2)])
+        lines = _random_arrangement(rng, centre)
+        dec = chamber_decomposition_2d(Arrangement2D(lines, region))
+        assert any(
+            f.kind == "vertex" and sum(s == 0 for s in f.signs) >= 3
+            for f in dec.faces
+        )
+        assert len({f.signs for f in dec.faces}) == len(dec.faces)
+        for f in dec.faces:
+            assert tuple(ln.side(f.sample) for ln in dec.lines) == f.signs, (trial, f)
+            assert all(hs.normal.dot(f.sample) > hs.offset for hs in region)
+        flipped = set()
+        for cell in dec.cells():
+            for side in (1, -1):
+                sv = list(cell.signs)
+                sv[cell.line_index] = side
+                flipped.add(tuple(sv))
+        assert {f.signs for f in dec.chambers()} == flipped
+        # oracle: sign vectors of grid points inside the region, off all lines
+        for i in range(-11, 12):
+            for j in range(-11, 12):
+                x = V([Fraction(i, 4), Fraction(j, 4)])
+                signs = tuple(ln.side(x) for ln in dec.lines)
+                inside = all(hs.normal.dot(x) > hs.offset for hs in region)
+                if inside and 0 not in signs:
+                    assert signs in flipped, (trial, x)

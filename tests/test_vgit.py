@@ -1,15 +1,26 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from gitloci.action import TorusAction, build_product_action
+from gitloci.polytope import (
+    Arrangement2D,
+    Line2D,
+    chamber_decomposition_2d,
+    convex_hull_2d,
+)
 from gitloci.qpoly import InnerProduct, RationalVector
 from gitloci.vgit import (
     DegenerateWeights,
     IneffectiveTwist,
     NotAdjacent,
+    _expanded_region,
+    _family_at,
     _flip_families,
+    _rank1_families,
+    _rank2_families,
     crossing_report,
     effective_cone,
     git_class,
@@ -334,3 +345,109 @@ def test_wall_hyperplane_candidates_any_rank():
     for normal, offset in planes:
         on = sum(1 for w in a3.weights if normal.dot(w) == offset)
         assert on == 3
+
+
+# ---------------------------------------------------------------------------
+# Sign-vector face labels against the hull-membership oracle
+# ---------------------------------------------------------------------------
+
+
+def _first_pass(a):
+    """The unpruned decomposition that `wall_chamber_decomposition` labels
+    first: all pair lines of the distinct weights in the expanded region."""
+    weights = a.distinct_segre_weights()
+    lines = [Line2D.through(p, q) for p, q in itertools.combinations(weights, 2)]
+    region = _expanded_region(effective_cone(a).vertices)
+    return chamber_decomposition_2d(Arrangement2D(lines, region))
+
+
+def _random_p2xp2(rng):
+    while True:
+        a = build_product_action(
+            [
+                TorusAction(
+                    2,
+                    [V([rng.randint(-2, 2), rng.randint(-2, 2)]) for _ in range(3)],
+                    IP2,
+                )
+                for _ in range(2)
+            ]
+        )
+        weights = a.distinct_segre_weights()
+        # at most 7 distinct weights keeps the oracle's face count small
+        if len(weights) <= 7 and len(convex_hull_2d(weights)) >= 3:
+            return a
+
+
+def _hull_shapes(a):
+    """Which hull kinds the supports of a rank-2 action exercise."""
+    shapes = set()
+    for sp in a.iter_supports():
+        weights = a.segre_weights(sp)
+        distinct = {w.entries for w in weights}
+        hull = convex_hull_2d(weights)
+        if len(distinct) < len(weights):
+            shapes.add("coinciding")
+        if len(hull) == 1:
+            shapes.add("point")
+        elif len(hull) == 2:
+            shapes.add("segment" if len(distinct) == 2 else "collinear3")
+        else:
+            shapes.add("polygon")
+    return shapes
+
+
+def test_sign_labels_match_family_oracle_rank2():
+    rng = random.Random(20260)
+    line = TorusAction(2, [V([0, 0]), V([1, 0]), V([2, 0])], IP2)
+    plane = TorusAction(2, [V([0, 0]), V([1, 0]), V([0, 1])], IP2)
+    actions = [
+        build_product_action([line, plane]),  # three collinear weights
+        build_product_action([plane, plane]),  # coinciding Segre weights
+    ]
+    actions += [_random_p2xp2(rng) for _ in range(10)]
+    shapes = set()
+    for a in actions:
+        shapes |= _hull_shapes(a)
+        dec = _first_pass(a)
+        labels = _rank2_families(a, dec.lines)
+        assert {f.kind for f in dec.faces} == {"chamber", "cell", "vertex"}
+        for face in dec.faces:
+            expected = _family_at(a, face.sample) or None
+            assert labels.family(face.signs) == expected, (a.weights, face)
+    assert shapes >= {"point", "segment", "collinear3", "polygon", "coinciding"}
+
+
+def test_sign_labels_match_family_oracle_sec71_sample():
+    a = _sec71()
+    dec = _first_pass(a)
+    labels = _rank2_families(a, dec.lines)
+    faces = random.Random(71).sample(list(dec.faces), 100)
+    assert {f.kind for f in faces} == {"chamber", "cell", "vertex"}
+    for face in faces:
+        expected = _family_at(a, face.sample) or None
+        assert labels.family(face.signs) == expected, face
+
+
+def test_sign_labels_match_family_oracle_rank1():
+    rng = random.Random(1712)
+    actions = [
+        _a1(),
+        TorusAction(1, [V([5])], IP1),
+        build_product_action([_a1(), TorusAction(1, [V([0]), V([0]), V([3])], IP1)]),
+    ]
+    for _ in range(6):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            weights = [V([rng.randint(-3, 3)]) for _ in range(rng.randint(1, 3))]
+            factors.append(TorusAction(1, weights, IP1))
+        actions.append(build_product_action(factors))
+    for a in actions:
+        values = sorted({w.entries[0] for w in a.distinct_segre_weights()})
+        labels = _rank1_families(a, values)
+        probes = set(values) | {values[0] - 1, values[-1] + 1}
+        probes |= {(lo + hi) / 2 for lo, hi in zip(values, values[1:])}
+        for q in sorted(probes):
+            signs = [(q > v) - (q < v) for v in values]
+            expected = _family_at(a, V([q])) or None
+            assert labels.family(signs) == expected, (a.weights, q)
