@@ -502,7 +502,12 @@ class Arrangement2D:
 
 @dataclass(frozen=True)
 class Face:
-    """One cell of the decomposition, carrying a certified sample point."""
+    """One cell of the decomposition, carrying a certified sample point.
+
+    A rank-2 cell's `interval` is in parameters t of base + t * direction()
+    along its line, from the line's axis intercept as base (None where the
+    cell is unbounded).
+    """
 
     kind: str  # "chamber" | "cell" | "vertex"
     sample: RationalVector
@@ -526,40 +531,35 @@ class Decomposition:
         return [f for f in self.faces if f.kind == "vertex"]
 
 
-def _line_region_base(
-    line: Line2D, region: Sequence[Halfspace]
-) -> Optional[RationalVector]:
-    """A point on the line strictly inside the region, or None."""
-    objective = [Fraction(0), Fraction(0), Fraction(1)]
-    eqs = [(list(line.normal.entries) + [Fraction(0)], line.offset)]
-    ges = []
-    for hs in region:
-        ges.append((list(hs.normal.entries) + [Fraction(-1)], hs.offset))
-    ges.append(([Fraction(0), Fraction(0), Fraction(-1)], Fraction(-1)))
-    ges.append(([Fraction(0), Fraction(0), Fraction(1)], Fraction(0)))
-    status, x, value = lp_maximize_free(objective, eqs, ges)
-    if status != OPTIMAL or value is None or value <= 0:
-        return None
-    return RationalVector(x[:2])
+def _axis_base(line: Line2D) -> RationalVector:
+    """The line's x-axis intercept, or its y-axis intercept if horizontal."""
+    a, b = line.normal.entries
+    if a != 0:
+        return RationalVector([line.offset / a, Fraction(0)])
+    return RationalVector([Fraction(0), line.offset / b])
 
 
-def _param_interval(
-    base: RationalVector,
-    direction: RationalVector,
-    region: Sequence[Halfspace],
-) -> tuple[Optional[Fraction], Optional[Fraction]]:
+def _clip(
+    gaps: Sequence[Fraction], slopes: Sequence[Fraction]
+) -> Optional[tuple[Optional[Fraction], Optional[Fraction]]]:
+    """The open parameter interval where base + t * direction satisfies every
+    halfspace strictly, from the gaps offset - <n, base> and the slopes
+    <n, direction>; None when it is empty.  A halfspace parallel to the line
+    holds strictly at the base or nowhere on the line."""
     lo: Optional[Fraction] = None
     hi: Optional[Fraction] = None
-    for hs in region:
-        nd = hs.normal.dot(direction)
-        gap = hs.offset - hs.normal.dot(base)
-        if nd == 0:
-            continue  # base is interior, so the constraint holds on the line
-        t = gap / nd
-        if nd > 0:
+    for gap, slope in zip(gaps, slopes):
+        if slope == 0:
+            if gap >= 0:
+                return None
+            continue
+        t = gap / slope
+        if slope > 0:
             lo = t if lo is None or t > lo else lo
         else:
             hi = t if hi is None or t < hi else hi
+    if lo is not None and hi is not None and lo >= hi:
+        return None
     return lo, hi
 
 
@@ -579,107 +579,86 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
     Faces partition the region: open 2-cells (chambers), open 1-cells on the
     lines (cells/walls), and vertices.  Every face carries an interior
     rational sample point and its sign vector over the arrangement lines.
+    Vertices come first, then each line's cells, then the chambers.
 
-    The lines are distinct loci (`Line2D` is stored primitively).  Each cell
-    on line idx is sampled at the midpoint of its interval; one pass over the
-    lines and region halfspaces gives the gaps offset_j - <n_j, sample>, whose
-    signs are the cell's.  Its chambers are sampled by stepping off the line
-    along +/- n_idx by half the distance to the nearest crossing, which is
-    gap_j / (side * <n_j, n_idx>) minimised over the positive values.  That
-    step crosses nothing, so a chamber's signs are its cell's with the zero at
-    idx set to the side; no chamber sample is evaluated against the lines.
+    The lines are distinct loci (`Line2D` is stored primitively).  Each line
+    is parametrised as base + t * direction from its axis intercept, and one
+    pass over the lines and region halfspaces gives the gaps
+    offset_j - <n_j, base> and the slopes <n_j, direction>.  The region's
+    halfspaces clip the line in closed form to an open interval of t; the
+    line is active when that interval is nonempty.  The other lines cut it at
+    gap_j / slope_j, and a cut by a later line is a vertex strictly inside
+    the region, whose signs are those of the gaps gap_j - t * slope_j there.
+    Each cell is sampled at the midpoint of its interval (a cut +/- 1 where
+    unbounded), and the gaps there give its signs.  Its chambers are sampled
+    by stepping off the line along +/- n_idx by half the distance to the
+    nearest crossing, which is gap_j / (side * <n_j, n_idx>) minimised over
+    the positive values.  That step crosses nothing, so a chamber's signs are
+    its cell's with the zero at idx set to the side.  An LP runs only when no
+    line is active, to find the region's one chamber or that it is empty.
     """
-    region = list(arr.region)
-    if region_interior_point(region, 2) is None:
-        raise EmptyRegion("region has no interior point")
-
-    bases: dict[int, RationalVector] = {}
-    active: list[int] = []
-    for i, line in enumerate(arr.lines):
-        base = _line_region_base(line, region)
-        if base is not None:
-            bases[i] = base
-            active.append(i)
-
     lines = arr.lines
-
-    def signs_at(x: RationalVector) -> tuple[int, ...]:
-        return tuple(line.side(x) for line in lines)
-
-    faces: list[Face] = []
-    if not active:
-        sample = region_interior_point(region, 2)
-        faces.append(Face("chamber", sample, signs_at(sample)))
-        return Decomposition(lines, tuple(faces))
-
-    # vertices: pairwise intersections strictly inside the region
-    vertex_points: dict[tuple[Fraction, Fraction], RationalVector] = {}
-    for ai in range(len(active)):
-        for bi in range(ai + 1, len(active)):
-            li, lj = lines[active[ai]], lines[active[bi]]
-            pt = _intersect(li, lj)
-            if pt is None:
-                continue
-            if _strictly_inside(pt, region):
-                vertex_points[pt.entries] = pt
-    for pt in vertex_points.values():
-        faces.append(Face("vertex", pt, signs_at(pt)))
-
-    # 1-cells per line, then chambers sampled from both sides of each cell;
+    region = list(arr.region)
     # planes are the lines followed by the region's halfspaces
     planes = [(ln.normal, ln.offset) for ln in lines]
     planes += [(hs.normal, hs.offset) for hs in region]
     n_lines = len(lines)
+    vertices: list[Face] = []
+    cells: list[Face] = []
     chamber_samples: dict[tuple[int, ...], RationalVector] = {}
-    for idx in active:
-        line = lines[idx]
-        base = bases[idx]
+    for idx, line in enumerate(lines):
+        base = _axis_base(line)
         d = line.direction()
-        lo, hi = _param_interval(base, d, region)
         base_gaps = [off - normal.dot(base) for normal, off in planes]
         slopes = [normal.dot(d) for normal, _ in planes]
+        interval = _clip(base_gaps[n_lines:], slopes[n_lines:])
+        if interval is None:
+            continue
+        lo, hi = interval
+        line_gaps = base_gaps[:n_lines]
         rates = [normal.dot(line.normal) for normal, _ in planes]
-        crossings: list[Fraction] = []
-        for jdx in active:
+        crossings: set[Fraction] = set()
+        for jdx in range(n_lines):
             if jdx == idx or slopes[jdx] == 0:
                 continue
             t = base_gaps[jdx] / slopes[jdx]
-            if (lo is None or t > lo) and (hi is None or t < hi):
-                crossings.append(t)
-        cuts = sorted(set(crossings))
-        edges: list[Optional[Fraction]] = [lo] + [Fraction(v) for v in cuts] + [hi]
+            if (lo is not None and t <= lo) or (hi is not None and t >= hi):
+                continue
+            if t in crossings:
+                continue
+            crossings.add(t)
+            # a cut first met at a later line is a vertex on no earlier
+            # line, so each vertex is emitted once, in (idx, partner) order
+            if jdx > idx:
+                signs = tuple(
+                    (g < t * s) - (g > t * s) for g, s in zip(line_gaps, slopes)
+                )
+                vertices.append(Face("vertex", base + d.scale(t), signs))
+        edges: list[Optional[Fraction]] = [lo, *sorted(crossings), hi]
         for seg_lo, seg_hi in zip(edges, edges[1:]):
             t = _mid(seg_lo, seg_hi)
             sample = base + d.scale(t)
             gaps = [g - t * s for g, s in zip(base_gaps, slopes)]
             signs = tuple((g < 0) - (g > 0) for g in gaps[:n_lines])
-            faces.append(Face("cell", sample, signs, idx, (seg_lo, seg_hi)))
+            cells.append(Face("cell", sample, signs, idx, (seg_lo, seg_hi)))
             for side in (1, -1):
                 sv = signs[:idx] + (side,) + signs[idx + 1 :]
                 if sv in chamber_samples:
                     continue
                 off = _safe_offset(gaps, rates, side)
                 chamber_samples[sv] = sample + line.normal.scale(side).scale(off)
-    for sv, sample in sorted(
-        chamber_samples.items(), key=lambda kv: tuple(kv[1].entries)
-    ):
-        faces.append(Face("chamber", sample, sv))
-    return Decomposition(lines, tuple(faces))
-
-
-def _strictly_inside(pt: RationalVector, region: Sequence[Halfspace]) -> bool:
-    return all(hs.normal.dot(pt) > hs.offset for hs in region)
-
-
-def _intersect(l1: Line2D, l2: Line2D) -> Optional[RationalVector]:
-    a1, b1 = l1.normal.entries
-    a2, b2 = l2.normal.entries
-    det = a1 * b2 - b1 * a2
-    if det == 0:
-        return None
-    x = (l1.offset * b2 - b1 * l2.offset) / det
-    y = (a1 * l2.offset - l1.offset * a2) / det
-    return RationalVector([x, y])
+    if not cells:
+        sample = region_interior_point(region, 2)
+        if sample is None:
+            raise EmptyRegion("region has no interior point")
+        chamber_samples[tuple(ln.side(sample) for ln in lines)] = sample
+    chambers = [
+        Face("chamber", sample, sv)
+        for sv, sample in sorted(
+            chamber_samples.items(), key=lambda kv: tuple(kv[1].entries)
+        )
+    ]
+    return Decomposition(lines, (*vertices, *cells, *chambers))
 
 
 def _safe_offset(

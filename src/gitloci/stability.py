@@ -31,6 +31,7 @@ from .polytope import (
     Arrangement2D,
     Cone,
     Decomposition,
+    EmptyRegion,
     Face,
     HullPosition,
     Line2D,
@@ -368,7 +369,7 @@ def cocharacter_fan(a: TorusAction, cone: Cone) -> CocharacterFan:
     arr = Arrangement2D(lines, cone.to_region())
     try:
         dec = chamber_decomposition_2d(arr)
-    except Exception as exc:  # EmptyRegion
+    except EmptyRegion as exc:
         raise EmptyCone(str(exc)) from exc
     pieces = []
     for face in dec.faces:

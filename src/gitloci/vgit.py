@@ -408,6 +408,13 @@ def _flip(signs: tuple[int, ...], idx: int, side: int) -> tuple[int, ...]:
     return signs[:idx] + (side,) + signs[idx + 1 :]
 
 
+def _incident(cell: tuple[int, ...], vertex: tuple[int, ...]) -> bool:
+    """Whether a vertex is an end of a cell: they agree wherever the vertex
+    is off a line (so the vertex is on the cell's line, and no line crosses
+    between them)."""
+    return all(v == 0 or v == c for c, v in zip(cell, vertex))
+
+
 def _assemble(
     dec: Decomposition, families: _Families, eff: EffectiveRegion
 ) -> ChamberComplex:
@@ -463,15 +470,9 @@ def _assemble(
     vertices = []
     for face in dec.vertices():
         fam = families[face.signs]
-        if fam is None:
-            continue
-        zero_at = [i for i, s in enumerate(face.signs) if s == 0]
-        incident_survives = any(
-            _flip(face.signs, z, s) in surviving_signs
-            for z in zero_at
-            for s in (1, -1)
-        )
-        if incident_survives:
+        if fam is not None and any(
+            _incident(cell, face.signs) for cell in surviving_signs
+        ):
             vertices.append(VertexFace(face.sample, fam, face.signs))
     vertices.sort(key=lambda v: v.point.sort_key())
     return ChamberComplex(2, tuple(walls), tuple(chambers), tuple(vertices), eff)

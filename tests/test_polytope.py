@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,8 +19,11 @@ from gitloci.polytope import (
     hull_membership,
     min_norm_point,
     min_norm_point_oracle,
+    region_interior_point,
 )
+from gitloci.linprog import OPTIMAL, lp_maximize_free
 from gitloci.qpoly import InnerProduct, RationalVector
+from gitloci.vgit import _expanded_region
 
 V = RationalVector
 IP2 = InnerProduct.identity(2)
@@ -211,12 +215,22 @@ def test_chamber_faces_disjoint_and_signs_reproduce():
 
 
 def test_empty_region_raises():
-    region = [
+    disjoint = [
         Halfspace(V([1, 0]), Fraction(1), True),
         Halfspace(V([-1, 0]), Fraction(0), True),
     ]
-    with pytest.raises(EmptyRegion):
-        chamber_decomposition_2d(Arrangement2D([], region))
+    # a line without interior: x >= 0 and -x >= 0
+    flat = [
+        Halfspace(V([1, 0]), Fraction(0), False),
+        Halfspace(V([-1, 0]), Fraction(0), False),
+    ]
+    # no lines; a line along the flat region; a line across it
+    axes = [Line2D.canonical(n, Fraction(0)) for n in (V([1, 0]), V([0, 1]))]
+    line_sets = [[], axes[:1], axes[1:]]
+    for region in (disjoint, flat):
+        for lines in line_sets:
+            with pytest.raises(EmptyRegion):
+                chamber_decomposition_2d(Arrangement2D(lines, region))
 
 
 def test_convex_hull_2d_strict_vertices():
@@ -314,3 +328,169 @@ def test_chamber_signs_reproduce_on_random_arrangements():
                 inside = all(hs.normal.dot(x) > hs.offset for hs in region)
                 if inside and 0 not in signs:
                     assert signs in flipped, (trial, x)
+
+
+def _reference_decomposition(lines, region):
+    """The decomposition by the earlier algorithm: a base point per line from
+    an LP for a point of the line strictly inside the region, vertices from
+    pairwise intersections tested against the region, and signs from
+    `Line2D.side`.  Faces are (kind, sample, signs, line_index, ends), with a
+    cell's interval as its two end points (None where unbounded)."""
+    if region_interior_point(region, 2) is None:
+        raise EmptyRegion("region has no interior point")
+
+    def signs_at(x):
+        return tuple(ln.side(x) for ln in lines)
+
+    bases = {}
+    for i, line in enumerate(lines):
+        eqs = [(list(line.normal.entries) + [0], line.offset)]
+        ges = [(list(hs.normal.entries) + [-1], hs.offset) for hs in region]
+        ges += [([0, 0, -1], -1), ([0, 0, 1], 0)]
+        status, x, value = lp_maximize_free([0, 0, 1], eqs, ges)
+        if status == OPTIMAL and value > 0:
+            bases[i] = V(x[:2])
+    if not bases:
+        sample = region_interior_point(region, 2)
+        return [("chamber", sample, signs_at(sample), None, None)]
+
+    faces = []
+    seen = set()
+    for i, j in itertools.combinations(bases, 2):
+        (a1, b1), (a2, b2) = lines[i].normal.entries, lines[j].normal.entries
+        c1, c2 = lines[i].offset, lines[j].offset
+        det = a1 * b2 - b1 * a2
+        if det == 0:
+            continue
+        pt = V([(c1 * b2 - b1 * c2) / det, (a1 * c2 - c1 * a2) / det])
+        inside = all(hs.normal.dot(pt) > hs.offset for hs in region)
+        if inside and pt.entries not in seen:
+            seen.add(pt.entries)
+            faces.append(("vertex", pt, signs_at(pt), None, None))
+
+    planes = [(ln.normal, ln.offset) for ln in lines]
+    planes += [(hs.normal, hs.offset) for hs in region]
+    chambers = {}
+    for i, base in bases.items():
+        line, d = lines[i], lines[i].direction()
+        lo = hi = None
+        for hs in region:
+            nd = hs.normal.dot(d)
+            if nd != 0:
+                t = (hs.offset - hs.normal.dot(base)) / nd
+                if nd > 0:
+                    lo = t if lo is None else max(lo, t)
+                else:
+                    hi = t if hi is None else min(hi, t)
+        cuts = set()
+        for j in bases:
+            nd = lines[j].normal.dot(d)
+            if j != i and nd != 0:
+                t = (lines[j].offset - lines[j].normal.dot(base)) / nd
+                if (lo is None or t > lo) and (hi is None or t < hi):
+                    cuts.add(t)
+        edges = [lo, *sorted(cuts), hi]
+        for a, b in zip(edges, edges[1:]):
+            if a is None and b is None:
+                t = Fraction(0)
+            else:
+                t = b - 1 if a is None else a + 1 if b is None else (a + b) / 2
+            sample = base + d.scale(t)
+            ends = tuple(None if e is None else base + d.scale(e) for e in (a, b))
+            signs = signs_at(sample)
+            faces.append(("cell", sample, signs, i, ends))
+            for side in (1, -1):
+                sv = signs[:i] + (side,) + signs[i + 1 :]
+                if sv in chambers:
+                    continue
+                # half the step along side * normal to the nearest crossing
+                steps = []
+                for normal, offset in planes:
+                    rate = side * normal.dot(line.normal)
+                    if rate != 0 and (offset - normal.dot(sample)) / rate > 0:
+                        steps.append((offset - normal.dot(sample)) / rate)
+                step = min(steps) / 2 if steps else Fraction(1)
+                chambers[sv] = sample + line.normal.scale(side * step)
+    for sv, sample in sorted(chambers.items(), key=lambda kv: kv[1].entries):
+        faces.append(("chamber", sample, sv, None, None))
+    return faces
+
+
+def _faces_with_ends(dec):
+    """Faces as in `_reference_decomposition`: a rank-2 cell's interval is in
+    parameters along the line's direction from its axis intercept."""
+    out = []
+    for f in dec.faces:
+        ends = None
+        if f.kind == "cell":
+            line = dec.lines[f.line_index]
+            a, b = line.normal.entries
+            base = V([line.offset / a, 0]) if a else V([0, line.offset / b])
+            d = line.direction()
+            ends = tuple(None if t is None else base + d.scale(t) for t in f.interval)
+        out.append((f.kind, f.sample, f.signs, f.line_index, ends))
+    return out
+
+
+def _differential_cases():
+    rng = random.Random(8128)
+
+    def normal():
+        while True:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            if (a, b) != (0, 0):
+                return V([a, b])
+
+    def point(span=4):
+        return V([rng.randint(-span, span), rng.randint(-span, span)])
+
+    for _ in range(8):  # bounded regions of the chamber complexes
+        while True:
+            weights = list({point().entries: None for _ in range(rng.randint(4, 6))})
+            hull = convex_hull_2d([V(w) for w in weights])
+            if len(hull) >= 3:
+                break
+        pairs = list(itertools.combinations([V(w) for w in weights], 2))
+        lines = [Line2D.through(p, q) for p, q in rng.sample(pairs, min(8, len(pairs)))]
+        yield "polygon", lines, _expanded_region(hull)
+    for _ in range(8):  # fans: lines through the apex of a cone
+        halfspaces = [(normal(), rng.random() < 0.5) for _ in range(rng.randint(1, 2))]
+        cone = Cone(halfspaces)
+        lines = [Line2D.canonical(normal(), Fraction(0)) for _ in range(4)]
+        lines.append(Line2D.canonical(normal(), Fraction(rng.randint(1, 3))))
+        yield "cone", lines, cone.to_region()
+    for _ in range(4):  # the full plane
+        centre = point(2)
+        yield "plane", [Line2D.canonical(normal(), Fraction(rng.randint(-3, 3)))], []
+        normals = [normal() for _ in range(3)]
+        pencil = {Line2D.canonical(n, n.dot(centre)) for n in normals}
+        yield "plane", sorted(pencil, key=lambda ln: ln.normal.entries), []
+    wedge = Cone([(V([1, 0]), True), (V([1, 2]), False)]).to_region()
+    for trial in range(8):  # pencils, parallel pairs and random lines
+        centre = point(2)
+        region = _square(3) if trial % 2 else wedge
+        yield "pencil", _random_arrangement(rng, centre), region
+    # halfspaces parallel to lines, which hold on them or drop them
+    region = _square(3)
+    parallel = [Line2D.canonical(V([0, 1]), Fraction(k)) for k in (-4, -3, 0, 2, 3)]
+    parallel += [Line2D.canonical(V([1, 0]), Fraction(k, 2)) for k in (-7, -6, 1)]
+    yield "parallel", parallel + [Line2D.canonical(V([1, 1]), Fraction(1))], region
+    # lines that miss the region, with and without one that meets it
+    miss = [Line2D.canonical(V([1, 1]), Fraction(k)) for k in (7, -9)]
+    miss.append(Line2D.canonical(V([1, -2]), Fraction(12)))
+    yield "miss", miss, region
+    yield "miss", miss + [Line2D.canonical(V([1, 2]), Fraction(1))], region
+
+
+def test_chamber_decomposition_matches_lp_reference():
+    kinds = set()
+    for kind, lines, region in _differential_cases():
+        dec = chamber_decomposition_2d(Arrangement2D(lines, region))
+        expected = _reference_decomposition(dec.lines, region)
+        assert _faces_with_ends(dec) == expected, (kind, lines, region)
+        kinds.add(kind)
+        if kind == "miss" and len(lines) == 3:
+            assert [f.kind for f in dec.faces] == ["chamber"]
+        if kind == "parallel":
+            assert {f.line_index for f in dec.cells()} == {2, 3, 7, 8}
+    assert kinds == {"polygon", "cone", "plane", "pencil", "parallel", "miss"}

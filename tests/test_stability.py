@@ -222,6 +222,26 @@ def test_fan_sec71_multiple_pieces():
     assert not res.unique
 
 
+def test_fan_rank2_cone_without_interior_raises_empty_cone():
+    prod, _ = _sec71()
+    ray = Cone([(V([1, -1]), False), (V([-1, 1]), False)])
+    with pytest.raises(EmptyCone):
+        cocharacter_fan(prod, ray)
+
+
+def test_fan_propagates_decomposition_defects(monkeypatch):
+    # only an empty region means an empty cone; any other error is a defect
+    import gitloci.stability as stability
+
+    def broken(arr):
+        raise ZeroDivisionError("defect")
+
+    monkeypatch.setattr(stability, "chamber_decomposition_2d", broken)
+    prod, g = _sec71()
+    with pytest.raises(ZeroDivisionError):
+        cocharacter_fan(prod, admissible_cone(g, 2))
+
+
 def test_universal_1ps_b0_variant_is_none():
     prod, _ = _sec71()
     g_b0 = GroupSpec([V([2, 1])], 0, [])

@@ -451,3 +451,85 @@ def test_sign_labels_match_family_oracle_rank1():
             signs = [(q > v) - (q < v) for v in values]
             expected = _family_at(a, V([q])) or None
             assert labels.family(signs) == expected, (a.weights, q)
+
+
+# ---------------------------------------------------------------------------
+# Vertices against a brute-force wall oracle
+# ---------------------------------------------------------------------------
+
+
+def _crossing(l1, l2):
+    (a1, b1), (a2, b2) = l1.normal.entries, l2.normal.entries
+    det = a1 * b2 - b1 * a2
+    if det == 0:
+        return None
+    c1, c2 = l1.offset, l2.offset
+    return V([(c1 * b2 - b1 * c2) / det, (a1 * c2 - c1 * a2) / det])
+
+
+def _half_step(lines, x, v):
+    """Half the least t > 0 at which x + t * v meets one of the lines (1 if
+    none), so that x + step * v lies on no line strictly between."""
+    ts = [
+        (ln.offset - ln.normal.dot(x)) / ln.normal.dot(v)
+        for ln in lines
+        if ln.normal.dot(v) != 0
+    ]
+    return min((t for t in ts if t > 0), default=Fraction(2)) / 2
+
+
+def _wall_vertices_oracle(a, cc):
+    """The crossings of the complex's wall lines inside the effective region
+    where a wall reaches: beside the crossing on some wall line through it,
+    the family there is nonempty and not the family on both sides off that
+    line.  Steps stay short of every pair line of the weights, on which all
+    family changes lie.  Families are from `git_class` (hull membership)."""
+    weights = a.distinct_segre_weights()
+    pair_lines = {Line2D.through(p, q) for p, q in itertools.combinations(weights, 2)}
+    crossings = {}
+    for w1, w2 in itertools.combinations(cc.walls, 2):
+        p = _crossing(w1.line, w2.line)
+        if p is not None and cc.effective.contains(p):
+            crossings[p.entries] = p
+
+    def wall_reaches(p):
+        for wall in cc.walls:
+            if wall.line.side(p) != 0:
+                continue
+            n, d = wall.line.normal, wall.line.direction()
+            for v in (d, -d):
+                x = p + v.scale(_half_step(pair_lines, p, v))
+                here = _family_at(a, x)
+                sides = [
+                    _family_at(a, x + m.scale(_half_step(pair_lines, x, m)))
+                    for m in (n, -n)
+                ]
+                if here and not sides[0] == sides[1] == here:
+                    return True
+        return False
+
+    out = {k: git_class(a, p) for k, p in crossings.items() if wall_reaches(p)}
+    return out, len(crossings)
+
+
+def test_vertices_match_wall_oracle():
+    rng = random.Random(4141)
+    partial_walls = build_product_action(
+        [
+            TorusAction(2, [V([3, 1]), V([0, 1]), V([3, -3])], IP2),
+            TorusAction(2, [V([-2, 2]), V([3, 0]), V([0, 2])], IP2),
+        ]
+    )
+    actions = [_sec71(), partial_walls] + [_random_p2xp2(rng) for _ in range(6)]
+    triple = partial = 0
+    for a in actions:
+        cc = wall_chamber_decomposition(a)
+        expected, crossings = _wall_vertices_oracle(a, cc)
+        assert {v.point.entries: v.family for v in cc.vertices} == expected
+        triple += sum(sum(s == 0 for s in v.signs) >= 3 for v in cc.vertices)
+        partial += crossings - len(expected)
+        if a is actions[0]:
+            assert len(cc.vertices) == 12  # sec7_1's triple points
+    # triple points of walls (lost before) and crossings of wall lines where
+    # no wall reaches both occur
+    assert triple and partial
