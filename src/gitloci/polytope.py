@@ -17,6 +17,7 @@ clearing denominators); higher dimensions fall back to exact simplex solves.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -71,18 +72,8 @@ def _clear_denominators(
     vectors: Sequence[RationalVector],
 ) -> list[tuple[int, ...]]:
     """Scale a family of vectors by one common denominator to integers."""
-    lcm = 1
-    for v in vectors:
-        for e in v.entries:
-            g = _gcd(lcm, e.denominator)
-            lcm = lcm // g * e.denominator
+    lcm = math.lcm(*(e.denominator for v in vectors for e in v.entries))
     return [tuple(int(e * lcm) for e in v.entries) for v in vectors]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def hull_membership(
@@ -488,15 +479,15 @@ class Line2D:
 
 @dataclass(frozen=True)
 class Arrangement2D:
+    """Distinct lines, each stored canonically (primitive and integral, with
+    a positive leading entry), in first-seen order, and an open region."""
+
     lines: tuple[Line2D, ...]
     region: tuple[Halfspace, ...]
 
     def __init__(self, lines: Iterable[Line2D], region: Iterable[Halfspace]):
-        seen = []
-        for ln in lines:
-            if ln not in seen:
-                seen.append(ln)
-        object.__setattr__(self, "lines", tuple(seen))
+        canonical = (Line2D.canonical(ln.normal, ln.offset) for ln in lines)
+        object.__setattr__(self, "lines", tuple(dict.fromkeys(canonical)))
         object.__setattr__(self, "region", tuple(region))
 
 
@@ -531,38 +522,6 @@ class Decomposition:
         return [f for f in self.faces if f.kind == "vertex"]
 
 
-def _axis_base(line: Line2D) -> RationalVector:
-    """The line's x-axis intercept, or its y-axis intercept if horizontal."""
-    a, b = line.normal.entries
-    if a != 0:
-        return RationalVector([line.offset / a, Fraction(0)])
-    return RationalVector([Fraction(0), line.offset / b])
-
-
-def _clip(
-    gaps: Sequence[Fraction], slopes: Sequence[Fraction]
-) -> Optional[tuple[Optional[Fraction], Optional[Fraction]]]:
-    """The open parameter interval where base + t * direction satisfies every
-    halfspace strictly, from the gaps offset - <n, base> and the slopes
-    <n, direction>; None when it is empty.  A halfspace parallel to the line
-    holds strictly at the base or nowhere on the line."""
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    for gap, slope in zip(gaps, slopes):
-        if slope == 0:
-            if gap >= 0:
-                return None
-            continue
-        t = gap / slope
-        if slope > 0:
-            lo = t if lo is None or t > lo else lo
-        else:
-            hi = t if hi is None or t < hi else hi
-    if lo is not None and hi is not None and lo >= hi:
-        return None
-    return lo, hi
-
-
 def _mid(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
     if lo is None and hi is None:
         return Fraction(0)
@@ -581,47 +540,84 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
     rational sample point and its sign vector over the arrangement lines.
     Vertices come first, then each line's cells, then the chambers.
 
-    The lines are distinct loci (`Line2D` is stored primitively).  Each line
-    is parametrised as base + t * direction from its axis intercept, and one
-    pass over the lines and region halfspaces gives the gaps
-    offset_j - <n_j, base> and the slopes <n_j, direction>.  The region's
-    halfspaces clip the line in closed form to an open interval of t; the
-    line is active when that interval is nonempty.  The other lines cut it at
-    gap_j / slope_j, and a cut by a later line is a vertex strictly inside
-    the region, whose signs are those of the gaps gap_j - t * slope_j there.
-    Each cell is sampled at the midpoint of its interval (a cut +/- 1 where
-    unbounded), and the gaps there give its signs.  Its chambers are sampled
-    by stepping off the line along +/- n_idx by half the distance to the
-    nearest crossing, which is gap_j / (side * <n_j, n_idx>) minimised over
-    the positive values.  That step crosses nothing, so a chamber's signs are
-    its cell's with the zero at idx set to the side.  An LP runs only when no
-    line is active, to find the region's one chamber or that it is empty.
+    Each line is parametrised as base + t * direction from its axis
+    intercept.  The region's halfspaces clip it in closed form to an open
+    interval of t; the line is active when that interval is nonempty.  The
+    other lines cut it, and a cut by a later line is a vertex strictly inside
+    the region.  Each cell is sampled at the midpoint of its interval (a cut
+    +/- 1 where unbounded).  Its chambers are sampled by stepping off the
+    line along +/- its normal by half the distance to the nearest crossing of
+    another line or the region's boundary.  That step crosses nothing, so a
+    chamber's signs are its cell's with the line's zero set to the side.  An
+    LP runs only when no line is active, to find the region's one chamber or
+    that it is empty.  All of it is integer arithmetic; see
+    `_restricted_decomposition`.
+    """
+    return _restricted_decomposition(arr, range(len(arr.lines)))[0]
+
+
+def _restricted_decomposition(
+    arr: Arrangement2D, keep: Iterable[int]
+) -> tuple[Decomposition, list[tuple[int, ...]]]:
+    """The decomposition of the kept lines (increasing indices into
+    arr.lines) in arr's region, exactly as `chamber_decomposition_2d` gives
+    it for an arrangement of those lines alone, and each face's signs over
+    all of arr.lines at its sample.
+
+    Every line and region halfspace is scaled to an integer triple
+    (n_j, o_j).  For the line idx with normal n = (a, b), offset c and
+    direction d = (-b, a), the base is (c/m, 0) with m = a, or (0, c/m) with
+    m = b when a = 0; m > 0 as the line is canonical.  Per plane j the
+    integers
+        E_j = m * (<n_j, base> - o_j),  S_j = <n_j, d>,  R_j = <n_j, n>
+    give <n_j, x> - o_j = w_j / (m * Q) at x = base + (P/Q) * d, with
+    w_j = E_j * Q + m * P * S_j.  So plane j meets the line at
+    t = -E_j / (m * S_j), and its sign at a sample is the sign of w_j.  A
+    step s along side * n changes w_j / (m * Q) by s * side * R_j, so the
+    nearest crossing is at the least |w_j| / (m * Q * |R_j|) over the planes
+    with w_j * side * R_j < 0, and the signs past a step on/od are those of
+    w_j * od + side * on * R_j * m * Q.  Only the kept lines cut the lines
+    and bound the step; all lines are signed.
     """
     lines = arr.lines
-    region = list(arr.region)
-    # planes are the lines followed by the region's halfspaces
-    planes = [(ln.normal, ln.offset) for ln in lines]
-    planes += [(hs.normal, hs.offset) for hs in region]
     n_lines = len(lines)
-    vertices: list[Face] = []
-    cells: list[Face] = []
-    chamber_samples: dict[tuple[int, ...], RationalVector] = {}
-    for idx, line in enumerate(lines):
-        base = _axis_base(line)
-        d = line.direction()
-        base_gaps = [off - normal.dot(base) for normal, off in planes]
-        slopes = [normal.dot(d) for normal, _ in planes]
-        interval = _clip(base_gaps[n_lines:], slopes[n_lines:])
-        if interval is None:
+    # a positive multiple of a plane keeps its signs and their ratios
+    planes = [
+        _clear_denominators([RationalVector([*pl.normal.entries, pl.offset])])[0]
+        for pl in (*lines, *arr.region)
+    ]
+    keep = list(keep)
+    restricted = len(keep) != n_lines
+    # the planes that bound a chamber sample's step: kept lines, then region
+    bounding = keep + list(range(n_lines, len(planes)))
+    vertices: list[tuple[Face, tuple[int, ...]]] = []
+    cells: list[tuple[Face, tuple[int, ...]]] = []
+    chambers: dict[tuple[int, ...], tuple[RationalVector, tuple[int, ...]]] = {}
+
+    def signed(values: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Signs over all lines, and over the kept ones."""
+        full = tuple((v > 0) - (v < 0) for v in values)
+        return full, tuple(full[k] for k in keep) if restricted else full
+
+    for pos, idx in enumerate(keep):
+        a, b, c = planes[idx]
+        m = a or b  # positive: a canonical line leads with a positive entry
+        E = [(p if a else q) * c - m * o for p, q, o in planes]
+        S = [q * a - p * b for p, q, _ in planes]
+        R = [p * a + q * b for p, q, _ in planes]
+        bx, by = (Fraction(c, a), 0) if a else (0, Fraction(c, b))
+        bounds = list(zip(E[n_lines:], S[n_lines:]))
+        if any(s == 0 and e <= 0 for e, s in bounds):
+            continue  # a parallel region boundary the line is not inside
+        lo = max((Fraction(-e, m * s) for e, s in bounds if s > 0), default=None)
+        hi = min((Fraction(-e, m * s) for e, s in bounds if s < 0), default=None)
+        if lo is not None and hi is not None and lo >= hi:
             continue
-        lo, hi = interval
-        line_gaps = base_gaps[:n_lines]
-        rates = [normal.dot(line.normal) for normal, _ in planes]
         crossings: set[Fraction] = set()
-        for jdx in range(n_lines):
-            if jdx == idx or slopes[jdx] == 0:
+        for jdx in keep:
+            if jdx == idx or S[jdx] == 0:
                 continue
-            t = base_gaps[jdx] / slopes[jdx]
+            t = Fraction(-E[jdx], m * S[jdx])
             if (lo is not None and t <= lo) or (hi is not None and t >= hi):
                 continue
             if t in crossings:
@@ -630,48 +626,47 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
             # a cut first met at a later line is a vertex on no earlier
             # line, so each vertex is emitted once, in (idx, partner) order
             if jdx > idx:
-                signs = tuple(
-                    (g < t * s) - (g > t * s) for g, s in zip(line_gaps, slopes)
-                )
-                vertices.append(Face("vertex", base + d.scale(t), signs))
+                Q, mP = t.denominator, m * t.numerator
+                full, signs = signed(e * Q + mP * s for e, s in zip(E[:n_lines], S))
+                sample = RationalVector([bx - b * t, by + a * t])
+                vertices.append((Face("vertex", sample, signs), full))
         edges: list[Optional[Fraction]] = [lo, *sorted(crossings), hi]
         for seg_lo, seg_hi in zip(edges, edges[1:]):
             t = _mid(seg_lo, seg_hi)
-            sample = base + d.scale(t)
-            gaps = [g - t * s for g, s in zip(base_gaps, slopes)]
-            signs = tuple((g < 0) - (g > 0) for g in gaps[:n_lines])
-            cells.append(Face("cell", sample, signs, idx, (seg_lo, seg_hi)))
+            Q, mP = t.denominator, m * t.numerator
+            w = [e * Q + mP * s for e, s in zip(E, S)]
+            full, signs = signed(w[:n_lines])
+            x, y = bx - b * t, by + a * t
+            face = Face("cell", RationalVector([x, y]), signs, pos, (seg_lo, seg_hi))
+            cells.append((face, full))
             for side in (1, -1):
-                sv = signs[:idx] + (side,) + signs[idx + 1 :]
-                if sv in chamber_samples:
+                sv = signs[:pos] + (side,) + signs[pos + 1 :]
+                if sv in chambers:
                     continue
-                off = _safe_offset(gaps, rates, side)
-                chamber_samples[sv] = sample + line.normal.scale(side).scale(off)
+                best: Optional[tuple[int, int]] = None  # least |w_j| / |R_j|
+                for j in bounding:
+                    if w[j] * side * R[j] >= 0:
+                        continue  # the step moves away from plane j
+                    v, r = abs(w[j]), abs(R[j])
+                    if best is None or v * best[1] < best[0] * r:
+                        best = v, r
+                on, od = (best[0], 2 * m * Q * best[1]) if best else (1, 1)
+                off = Fraction(on, od)
+                sample = RationalVector([x + side * a * off, y + side * b * off])
+                if restricted:
+                    shift = side * on * m * Q
+                    full, _ = signed(v * od + shift * r for v, r in zip(w[:n_lines], R))
+                else:
+                    full = sv
+                chambers[sv] = sample, full
     if not cells:
-        sample = region_interior_point(region, 2)
+        sample = region_interior_point(arr.region, 2)
         if sample is None:
             raise EmptyRegion("region has no interior point")
-        chamber_samples[tuple(ln.side(sample) for ln in lines)] = sample
-    chambers = [
-        Face("chamber", sample, sv)
-        for sv, sample in sorted(
-            chamber_samples.items(), key=lambda kv: tuple(kv[1].entries)
-        )
-    ]
-    return Decomposition(lines, (*vertices, *cells, *chambers))
-
-
-def _safe_offset(
-    gaps: Sequence[Fraction], rates: Sequence[Fraction], side: int
-) -> Fraction:
-    """Half the distance (in parameter units) to the nearest crossing along
-    side * normal, from the gaps offset_j - <n_j, origin> and the rates
-    <n_j, normal>, so the offset point keeps all other predicates' signs."""
-    best: Optional[Fraction] = None
-    for gap, rate in zip(gaps, rates):
-        if rate == 0:
-            continue
-        t = gap / (side * rate)
-        if t > 0 and (best is None or t < best):
-            best = t
-    return best / 2 if best is not None else Fraction(1)
+        full, signs = signed(ln.side(sample) for ln in lines)
+        chambers[signs] = sample, full
+    ordered = sorted(chambers.items(), key=lambda kv: kv[1][0].entries)
+    faces = vertices + cells
+    faces += [(Face("chamber", sample, sv), full) for sv, (sample, full) in ordered]
+    dec = Decomposition(tuple(lines[k] for k in keep), tuple(f for f, _ in faces))
+    return dec, [full for _, full in faces]

@@ -37,6 +37,7 @@ from .polytope import (
     Line2D,
     PointSet,
     RationalVector,
+    _restricted_decomposition,
     chamber_decomposition_2d,
     convex_hull_2d,
     hull_membership,
@@ -157,34 +158,40 @@ def _rank2_families(a: TorusAction, lines: Sequence[Line2D]) -> _SignFamilies:
     of a line through that endpoint and a weight off the segment.  A point
     forbids both sides of two lines through it.  A weight off any line exists
     because the weights of a rank-2 complex are not collinear.
-    """
-    index = {ln: i for i, ln in enumerate(lines)}
-    weights = a.distinct_segre_weights()
 
-    def off(ln: Line2D) -> RationalVector:
-        return next(w for w in weights if ln.side(w) != 0)
+    Every such line is one of `lines`: one table of each line's side of
+    every weight gives the line through each pair of weights.
+    """
+    weights = a.distinct_segre_weights()
+    position = {w.entries: k for k, w in enumerate(weights)}
+    sides = [[ln.side(w) for w in weights] for ln in lines]
+    through: dict[tuple[int, int], int] = {}
+    for i, row in enumerate(sides):
+        on = [k for k, s in enumerate(row) if s == 0]
+        for pair in itertools.permutations(on, 2):
+            through[pair] = i
+
+    def off(i: int) -> int:
+        return next(k for k, s in enumerate(sides[i]) if s != 0)
 
     keys, conditions = [], []
     for sp in a.iter_supports():
-        hull = convex_hull_2d(a.segre_weights(sp))
+        hull = [position[v.entries] for v in convex_hull_2d(a.segre_weights(sp))]
         n = len(hull)
         if n >= 3:
-            edges = [Line2D.through(hull[i], hull[(i + 1) % n]) for i in range(n)]
-            conds = [
-                (index[e], -e.side(hull[(i + 2) % n])) for i, e in enumerate(edges)
-            ]
+            edges = [through[hull[i], hull[(i + 1) % n]] for i in range(n)]
+            conds = [(e, -sides[e][hull[(i + 2) % n]]) for i, e in enumerate(edges)]
         elif n == 2:
             p, q = hull
-            own = Line2D.through(p, q)
+            own = through[p, q]
             w = off(own)
-            tp, tq = Line2D.through(p, w), Line2D.through(q, w)
-            conds = [(index[own], 1), (index[own], -1)]
-            conds += [(index[tp], -tp.side(q)), (index[tq], -tq.side(p))]
+            tp, tq = through[p, w], through[q, w]
+            conds = [(own, 1), (own, -1), (tp, -sides[tp][q]), (tq, -sides[tq][p])]
         else:
             p = hull[0]
-            first = Line2D.through(p, next(w for w in weights if w != p))
-            second = Line2D.through(p, off(first))
-            conds = [(index[ln], s) for ln in (first, second) for s in (1, -1)]
+            first = through[p, 0 if p else 1]
+            second = through[p, off(first)]
+            conds = [(i, s) for i in (first, second) for s in (1, -1)]
         keys.append(sp.support)
         conditions.append(conds)
     return _SignFamilies(keys, conditions, len(lines))
@@ -337,26 +344,19 @@ def _rank2_complex(a: TorusAction) -> ChamberComplex:
         raise DegenerateWeights(
             "all weights are collinear: the effective region has no interior"
         )
-    region = _expanded_region(hull)
     lines = [Line2D.through(p, q) for p, q in itertools.combinations(weights, 2)]
-    dec = chamber_decomposition_2d(Arrangement2D(lines, region))
+    arr = Arrangement2D(lines, _expanded_region(hull))
+    dec = chamber_decomposition_2d(arr)
     labels = _rank2_families(a, dec.lines)
     families = {face.signs: labels.family(face.signs) for face in dec.faces}
     keep = _contributing_lines(dec, families)
     if len(keep) != len(dec.lines):
         # a merged face may straddle pruned lines: label it by its sample's
-        # signs over the full pair-line list, of which the kept lines' are
-        # the face's own
-        first = dec.lines
-        dec = chamber_decomposition_2d(Arrangement2D(keep, region))
-        position = {ln: k for k, ln in enumerate(dec.lines)}
-        families = {}
-        for face in dec.faces:
-            signs = [
-                face.signs[position[ln]] if ln in position else ln.side(face.sample)
-                for ln in first
-            ]
-            families[face.signs] = labels.family(signs)
+        # signs over all the pair lines
+        dec, signs = _restricted_decomposition(arr, keep)
+        families = {
+            face.signs: labels.family(sv) for face, sv in zip(dec.faces, signs)
+        }
     return _assemble(dec, families, eff)
 
 
@@ -385,11 +385,10 @@ def _cells_by_line(dec: Decomposition) -> dict[int, list[Face]]:
     return out
 
 
-def _contributing_lines(dec: Decomposition, families: _Families) -> list[Line2D]:
+def _contributing_lines(dec: Decomposition, families: _Families) -> list[int]:
     keep = []
-    cells = _cells_by_line(dec)
-    for idx, line in enumerate(dec.lines):
-        for face in cells.get(idx, ()):
+    for idx, cells in sorted(_cells_by_line(dec).items()):
+        for face in cells:
             fam = families[face.signs]
             if fam is None:
                 continue
@@ -399,7 +398,7 @@ def _contributing_lines(dec: Decomposition, families: _Families) -> list[Line2D]
             if all(f is None for f in sides) or any(
                 f is not None and f != fam for f in sides
             ):
-                keep.append(line)
+                keep.append(idx)
                 break
     return keep
 

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -171,10 +172,14 @@ def test_svg_rank1_unsupported(tmp_path):
 
 
 def test_console_entrypoint_installed():
+    # the child does not inherit pytest's `pythonpath`, so give it the sources
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "gitloci.cli", "chambers", "--input", str(CORPUS / "ex1_7.json")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "chambers"

@@ -533,3 +533,46 @@ def test_vertices_match_wall_oracle():
     # triple points of walls (lost before) and crossings of wall lines where
     # no wall reaches both occur
     assert triple and partial
+
+
+def _shuffled(a, rng):
+    """The action with its coordinates shuffled within each factor (never
+    all fixed), and the map from old to new coordinate indices."""
+    while True:
+        new_of = {}
+        for blk in a.factor_partition:
+            new_of.update(zip(blk, rng.sample(blk, len(blk))))
+        if any(old != new for old, new in new_of.items()):
+            break
+    weights = [None] * len(a.weights)
+    for old, new in new_of.items():
+        weights[new] = a.weights[old]
+    return TorusAction(a.rank, weights, a.ip, a.twist, a.factor_partition), new_of
+
+
+def test_rank2_complex_invariant_under_coordinate_shuffles():
+    rng = random.Random(1597)
+    for a in (_sec71(), _random_p2xp2(rng)):
+        cc = wall_chamber_decomposition(a)
+        assert cc.walls and cc.chambers and cc.vertices
+        for _ in range(3):
+            b, new_of = _shuffled(a, rng)
+            cc2 = wall_chamber_decomposition(b)
+
+            def moved(family):
+                return frozenset(frozenset(new_of[i] for i in s) for s in family)
+
+            assert [w.line for w in cc2.walls] == [w.line for w in cc.walls]
+            for w, w2 in zip(cc.walls, cc2.walls):
+                assert [(c.sample, c.interval, c.signs) for c in w2.cells] == [
+                    (c.sample, c.interval, c.signs) for c in w.cells
+                ]
+                assert [c.family for c in w2.cells] == [moved(c.family) for c in w.cells]
+            assert [(c.sample, c.signs) for c in cc2.chambers] == [
+                (c.sample, c.signs) for c in cc.chambers
+            ]
+            assert [c.family for c in cc2.chambers] == [moved(c.family) for c in cc.chambers]
+            assert [(v.point, v.signs) for v in cc2.vertices] == [
+                (v.point, v.signs) for v in cc.vertices
+            ]
+            assert [v.family for v in cc2.vertices] == [moved(v.family) for v in cc.vertices]
