@@ -550,34 +550,20 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
     another line or the region's boundary.  That step crosses nothing, so a
     chamber's signs are its cell's with the line's zero set to the side.  An
     LP runs only when no line is active, to find the region's one chamber or
-    that it is empty.  All of it is integer arithmetic; see
-    `_restricted_decomposition`.
-    """
-    return _restricted_decomposition(arr, range(len(arr.lines)))[0]
+    that it is empty.
 
-
-def _restricted_decomposition(
-    arr: Arrangement2D, keep: Iterable[int]
-) -> tuple[Decomposition, list[tuple[int, ...]]]:
-    """The decomposition of the kept lines (increasing indices into
-    arr.lines) in arr's region, exactly as `chamber_decomposition_2d` gives
-    it for an arrangement of those lines alone, and each face's signs over
-    all of arr.lines at its sample.
-
-    Every line and region halfspace is scaled to an integer triple
-    (n_j, o_j).  For the line idx with normal n = (a, b), offset c and
-    direction d = (-b, a), the base is (c/m, 0) with m = a, or (0, c/m) with
-    m = b when a = 0; m > 0 as the line is canonical.  Per plane j the
-    integers
+    All of it is integer arithmetic.  Every line and region halfspace is
+    scaled to an integer triple (n_j, o_j).  For the line with normal
+    n = (a, b), offset c and direction d = (-b, a), the base is (c/m, 0) with
+    m = a, or (0, c/m) with m = b when a = 0; m > 0 as the line is
+    canonical.  Per plane j the integers
         E_j = m * (<n_j, base> - o_j),  S_j = <n_j, d>,  R_j = <n_j, n>
     give <n_j, x> - o_j = w_j / (m * Q) at x = base + (P/Q) * d, with
     w_j = E_j * Q + m * P * S_j.  So plane j meets the line at
     t = -E_j / (m * S_j), and its sign at a sample is the sign of w_j.  A
     step s along side * n changes w_j / (m * Q) by s * side * R_j, so the
     nearest crossing is at the least |w_j| / (m * Q * |R_j|) over the planes
-    with w_j * side * R_j < 0, and the signs past a step on/od are those of
-    w_j * od + side * on * R_j * m * Q.  Only the kept lines cut the lines
-    and bound the step; all lines are signed.
+    with w_j * side * R_j < 0.
     """
     lines = arr.lines
     n_lines = len(lines)
@@ -586,20 +572,10 @@ def _restricted_decomposition(
         _clear_denominators([RationalVector([*pl.normal.entries, pl.offset])])[0]
         for pl in (*lines, *arr.region)
     ]
-    keep = list(keep)
-    restricted = len(keep) != n_lines
-    # the planes that bound a chamber sample's step: kept lines, then region
-    bounding = keep + list(range(n_lines, len(planes)))
-    vertices: list[tuple[Face, tuple[int, ...]]] = []
-    cells: list[tuple[Face, tuple[int, ...]]] = []
-    chambers: dict[tuple[int, ...], tuple[RationalVector, tuple[int, ...]]] = {}
-
-    def signed(values: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Signs over all lines, and over the kept ones."""
-        full = tuple((v > 0) - (v < 0) for v in values)
-        return full, tuple(full[k] for k in keep) if restricted else full
-
-    for pos, idx in enumerate(keep):
+    vertices: list[Face] = []
+    cells: list[Face] = []
+    chambers: dict[tuple[int, ...], RationalVector] = {}
+    for idx in range(n_lines):
         a, b, c = planes[idx]
         m = a or b  # positive: a canonical line leads with a positive entry
         E = [(p if a else q) * c - m * o for p, q, o in planes]
@@ -614,7 +590,7 @@ def _restricted_decomposition(
         if lo is not None and hi is not None and lo >= hi:
             continue
         crossings: set[Fraction] = set()
-        for jdx in keep:
+        for jdx in range(n_lines):
             if jdx == idx or S[jdx] == 0:
                 continue
             t = Fraction(-E[jdx], m * S[jdx])
@@ -627,46 +603,41 @@ def _restricted_decomposition(
             # line, so each vertex is emitted once, in (idx, partner) order
             if jdx > idx:
                 Q, mP = t.denominator, m * t.numerator
-                full, signs = signed(e * Q + mP * s for e, s in zip(E[:n_lines], S))
+                signs = _signs(e * Q + mP * s for e, s in zip(E[:n_lines], S))
                 sample = RationalVector([bx - b * t, by + a * t])
-                vertices.append((Face("vertex", sample, signs), full))
+                vertices.append(Face("vertex", sample, signs))
         edges: list[Optional[Fraction]] = [lo, *sorted(crossings), hi]
         for seg_lo, seg_hi in zip(edges, edges[1:]):
             t = _mid(seg_lo, seg_hi)
             Q, mP = t.denominator, m * t.numerator
             w = [e * Q + mP * s for e, s in zip(E, S)]
-            full, signs = signed(w[:n_lines])
+            signs = _signs(w[:n_lines])
             x, y = bx - b * t, by + a * t
-            face = Face("cell", RationalVector([x, y]), signs, pos, (seg_lo, seg_hi))
-            cells.append((face, full))
+            cells.append(
+                Face("cell", RationalVector([x, y]), signs, idx, (seg_lo, seg_hi))
+            )
             for side in (1, -1):
-                sv = signs[:pos] + (side,) + signs[pos + 1 :]
+                sv = signs[:idx] + (side,) + signs[idx + 1 :]
                 if sv in chambers:
                     continue
                 best: Optional[tuple[int, int]] = None  # least |w_j| / |R_j|
-                for j in bounding:
-                    if w[j] * side * R[j] >= 0:
+                for wj, rj in zip(w, R):
+                    if wj * side * rj >= 0:
                         continue  # the step moves away from plane j
-                    v, r = abs(w[j]), abs(R[j])
+                    v, r = abs(wj), abs(rj)
                     if best is None or v * best[1] < best[0] * r:
                         best = v, r
-                on, od = (best[0], 2 * m * Q * best[1]) if best else (1, 1)
-                off = Fraction(on, od)
-                sample = RationalVector([x + side * a * off, y + side * b * off])
-                if restricted:
-                    shift = side * on * m * Q
-                    full, _ = signed(v * od + shift * r for v, r in zip(w[:n_lines], R))
-                else:
-                    full = sv
-                chambers[sv] = sample, full
+                off = Fraction(best[0], 2 * m * Q * best[1]) if best else Fraction(1)
+                chambers[sv] = RationalVector([x + side * a * off, y + side * b * off])
     if not cells:
         sample = region_interior_point(arr.region, 2)
         if sample is None:
             raise EmptyRegion("region has no interior point")
-        full, signs = signed(ln.side(sample) for ln in lines)
-        chambers[signs] = sample, full
-    ordered = sorted(chambers.items(), key=lambda kv: kv[1][0].entries)
-    faces = vertices + cells
-    faces += [(Face("chamber", sample, sv), full) for sv, (sample, full) in ordered]
-    dec = Decomposition(tuple(lines[k] for k in keep), tuple(f for f, _ in faces))
-    return dec, [full for _, full in faces]
+        chambers[tuple(ln.side(sample) for ln in lines)] = sample
+    ordered = sorted(chambers.items(), key=lambda kv: kv[1].entries)
+    faces = vertices + cells + [Face("chamber", sample, sv) for sv, sample in ordered]
+    return Decomposition(lines, tuple(faces))
+
+
+def _signs(values: Iterable[int]) -> tuple[int, ...]:
+    return tuple((v > 0) - (v < 0) for v in values)

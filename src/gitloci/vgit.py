@@ -2,22 +2,23 @@
 
 The ample-scaling direction is normalised away: only the character twist
 varies, so the parameter space is the weight plane (rank 2) or the weight
-line (rank 1).  Walls are over-generated from all pairs-of-weights lines
-and pruned post hoc by comparing the semistable support families of
-adjacent faces, which is exact: every strictly semistable twist lies on a
-pair line, and the family is constant on each face of the over-generated
-arrangement.
+line (rank 1).  A wall is where some support becomes strictly semistable,
+which is on the boundary of that support's weight hull.  So in rank 2 every
+wall lies on a hull-edge line, the line of a polygon hull's edge or of a
+segment hull itself, and the complex is the one arrangement of those lines,
+decomposed once and labelled face by face.
 
-Families are read off sign vectors, with no hull arithmetic per face.  Every
-edge of a support's weight hull joins two weights, so it lies on a pair line;
-a twist is in a polygon hull iff it is on no edge line's outer side.  A
-segment or point hull is cut out the same way by its own line and by pair
-lines through its endpoints to weights off it.  So each support is a short
-list of (line, forbidden sign) conditions, checked against a face's signs.
+Families are read off sign vectors, with no hull arithmetic per face.  A
+twist is in a polygon hull iff it is on no edge line's outer side.  A
+segment or point hull is cut out the same way by its own line and by other
+edge lines through its endpoints, which exist unless all weights are
+collinear.  So each support is a short list of (line, forbidden sign)
+conditions, checked against a face's signs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +38,6 @@ from .polytope import (
     Line2D,
     PointSet,
     RationalVector,
-    _restricted_decomposition,
     chamber_decomposition_2d,
     convex_hull_2d,
     hull_membership,
@@ -112,7 +112,8 @@ class _SignFamilies:
     Each support's hull becomes a few conditions (index, forbidden sign): the
     support is semistable on a face exactly when no condition's index carries
     its forbidden sign there.  Per index and sign, the supports forbidding it
-    form one bitmask, so a family costs one OR per index.
+    form one bitmask, so a family costs one OR per index.  Families stay
+    bitmasks, which compare as families do, until `supports` renders one.
     """
 
     def __init__(
@@ -127,15 +128,23 @@ class _SignFamilies:
             for k, sign in conds:
                 self._forbid[k][sign + 1] |= 1 << bit
         self._full = (1 << len(self._keys)) - 1
+        self._rendered: dict[int, frozenset[frozenset[int]]] = {}
 
-    def family(self, signs: Sequence[int]) -> Optional[frozenset[frozenset[int]]]:
+    def family(self, signs: Sequence[int]) -> Optional[int]:
+        """The family's bitmask over the supports, None where it is empty."""
         out = 0
         for row, s in zip(self._forbid, signs):
             out |= row[s + 1]
-        mask = self._full & ~out
-        if not mask:
-            return None
-        return frozenset(k for i, k in enumerate(self._keys) if mask >> i & 1)
+        return (self._full & ~out) or None
+
+    def supports(self, mask: int) -> frozenset[frozenset[int]]:
+        """The family of a bitmask, built once per distinct mask."""
+        family = self._rendered.get(mask)
+        if family is None:
+            bits = bin(mask)[:1:-1]  # bit i at position i
+            family = frozenset(k for k, b in zip(self._keys, bits) if b == "1")
+            self._rendered[mask] = family
+        return family
 
 
 def _rank1_families(a: TorusAction, values: Sequence[Fraction]) -> _SignFamilies:
@@ -150,51 +159,61 @@ def _rank1_families(a: TorusAction, values: Sequence[Fraction]) -> _SignFamilies
     return _SignFamilies(keys, conditions, len(values))
 
 
-def _rank2_families(a: TorusAction, lines: Sequence[Line2D]) -> _SignFamilies:
-    """Families over the signs of the pair lines of the distinct weights.
+def _rank2_walls(
+    a: TorusAction, weights: Sequence[RationalVector]
+) -> tuple[list[Line2D], _SignFamilies]:
+    """The hull-edge lines of the supports, in the order in which their
+    first pair of (distinct) weights comes among all pairs, and the
+    families over their signs.
 
     A polygon hull forbids the outer side of each edge's line.  A segment
     forbids both sides of its own line, and beyond each endpoint the far side
-    of a line through that endpoint and a weight off the segment.  A point
-    forbids both sides of two lines through it.  A weight off any line exists
-    because the weights of a rank-2 complex are not collinear.
-
-    Every such line is one of `lines`: one table of each line's side of
-    every weight gives the line through each pair of weights.
+    of another edge line through that endpoint.  A point forbids both sides
+    of the first two edge lines through it.  Those lines exist: a weight p
+    with one coordinate added is a segment support at p, and if all of these
+    segments were parallel every weight would lie on one line through p.
     """
-    weights = a.distinct_segre_weights()
     position = {w.entries: k for k, w in enumerate(weights)}
-    sides = [[ln.side(w) for w in weights] for ln in lines]
-    through: dict[tuple[int, int], int] = {}
-    for i, row in enumerate(sides):
-        on = [k for k, s in enumerate(row) if s == 0]
-        for pair in itertools.permutations(on, 2):
-            through[pair] = i
 
-    def off(i: int) -> int:
-        return next(k for k, s in enumerate(sides[i]) if s != 0)
+    @functools.cache
+    def through(p: int, q: int) -> Line2D:
+        return Line2D.through(weights[p], weights[q])
 
-    keys, conditions = [], []
+    hulls = []
+    edges: set[Line2D] = set()
     for sp in a.iter_supports():
         hull = [position[v.entries] for v in convex_hull_2d(a.segre_weights(sp))]
+        hulls.append((sp.support, hull))
+        if len(hull) > 1:
+            edges.update(through(p, q) for p, q in zip(hull, hull[1:] + hull[:1]))
+    sides = {ln: [ln.side(w) for w in weights] for ln in edges}
+
+    def first_pair(ln: Line2D) -> list[int]:
+        return [k for k, s in enumerate(sides[ln]) if not s][:2]
+
+    lines = sorted(edges, key=first_pair)
+    index = {ln: i for i, ln in enumerate(lines)}
+    table = [sides[ln] for ln in lines]
+    # the edge lines through each weight, in line order
+    at = [[i for i, row in enumerate(table) if not row[k]] for k in position.values()]
+
+    keys, conditions = [], []
+    for support, hull in hulls:
         n = len(hull)
         if n >= 3:
-            edges = [through[hull[i], hull[(i + 1) % n]] for i in range(n)]
-            conds = [(e, -sides[e][hull[(i + 2) % n]]) for i, e in enumerate(edges)]
+            edge = [index[through(hull[i], hull[(i + 1) % n])] for i in range(n)]
+            conds = [(e, -table[e][hull[(i + 2) % n]]) for i, e in enumerate(edge)]
         elif n == 2:
             p, q = hull
-            own = through[p, q]
-            w = off(own)
-            tp, tq = through[p, w], through[q, w]
-            conds = [(own, 1), (own, -1), (tp, -sides[tp][q]), (tq, -sides[tq][p])]
+            own = index[through(p, q)]
+            tp = next(i for i in at[p] if i != own)
+            tq = next(i for i in at[q] if i != own)
+            conds = [(own, 1), (own, -1), (tp, -table[tp][q]), (tq, -table[tq][p])]
         else:
-            p = hull[0]
-            first = through[p, 0 if p else 1]
-            second = through[p, off(first)]
-            conds = [(i, s) for i in (first, second) for s in (1, -1)]
-        keys.append(sp.support)
+            conds = [(i, s) for i in at[hull[0]][:2] for s in (1, -1)]
+        keys.append(support)
         conditions.append(conds)
-    return _SignFamilies(keys, conditions, len(lines))
+    return lines, _SignFamilies(keys, conditions, len(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -305,33 +324,23 @@ def _rank1_complex(a: TorusAction) -> ChamberComplex:
     values = sorted({w.entries[0] for w in a.distinct_segre_weights()})
     labels = _rank1_families(a, values)
 
-    def family(q: Fraction) -> Optional[frozenset[frozenset[int]]]:
-        return labels.family([(q > v) - (q < v) for v in values])
+    def family(q: Fraction) -> frozenset[frozenset[int]]:
+        return labels.supports(labels.family([(q > v) - (q < v) for v in values]))
 
-    # prune candidate walls whose family matches both neighbours
-    walls: list[Wall] = []
-    contributing: list[Fraction] = []
-    for k, v in enumerate(values):
-        fam = family(v)
-        left = family((values[k - 1] + v) / 2) if k > 0 else None
-        right = family((v + values[k + 1]) / 2) if k + 1 < len(values) else None
-        if fam is not None and (fam != left or fam != right):
-            contributing.append(v)
-            walls.append(
-                Wall(
-                    Line2D(RationalVector([1, 0]), v),
-                    (WallCell(RationalVector([v]), None, fam, (0,)),),
-                )
-            )
-    chambers = []
-    for lo, hi in zip(contributing, contributing[1:]):
-        mid = (lo + hi) / 2
-        fam = family(mid)
-        if fam is not None:
-            chambers.append(
-                Chamber(RationalVector([mid]), fam, (), (lo, hi))
-            )
-    return ChamberComplex(1, tuple(walls), tuple(chambers), (), eff)
+    # every value is a wall, as the point support there is semistable only
+    # there, and every twist between values is effective
+    walls = tuple(
+        Wall(
+            Line2D(RationalVector([1, 0]), v),
+            (WallCell(RationalVector([v]), None, family(v), (0,)),),
+        )
+        for v in values
+    )
+    chambers = tuple(
+        Chamber(RationalVector([(lo + hi) / 2]), family((lo + hi) / 2), (), (lo, hi))
+        for lo, hi in zip(values, values[1:])
+    )
+    return ChamberComplex(1, walls, chambers, (), eff)
 
 
 def _rank2_complex(a: TorusAction) -> ChamberComplex:
@@ -344,20 +353,10 @@ def _rank2_complex(a: TorusAction) -> ChamberComplex:
         raise DegenerateWeights(
             "all weights are collinear: the effective region has no interior"
         )
-    lines = [Line2D.through(p, q) for p, q in itertools.combinations(weights, 2)]
-    arr = Arrangement2D(lines, _expanded_region(hull))
-    dec = chamber_decomposition_2d(arr)
-    labels = _rank2_families(a, dec.lines)
+    lines, labels = _rank2_walls(a, weights)
+    dec = chamber_decomposition_2d(Arrangement2D(lines, _expanded_region(hull)))
     families = {face.signs: labels.family(face.signs) for face in dec.faces}
-    keep = _contributing_lines(dec, families)
-    if len(keep) != len(dec.lines):
-        # a merged face may straddle pruned lines: label it by its sample's
-        # signs over all the pair lines
-        dec, signs = _restricted_decomposition(arr, keep)
-        families = {
-            face.signs: labels.family(sv) for face, sv in zip(dec.faces, signs)
-        }
-    return _assemble(dec, families, eff)
+    return _assemble(dec, families, labels, eff)
 
 
 def _expanded_region(hull: Sequence[RationalVector]) -> list[Halfspace]:
@@ -375,7 +374,7 @@ def _expanded_region(hull: Sequence[RationalVector]) -> list[Halfspace]:
     return region
 
 
-_Families = dict[tuple[int, ...], Optional[frozenset[frozenset[int]]]]
+_Families = dict[tuple[int, ...], Optional[int]]
 
 
 def _cells_by_line(dec: Decomposition) -> dict[int, list[Face]]:
@@ -383,24 +382,6 @@ def _cells_by_line(dec: Decomposition) -> dict[int, list[Face]]:
     for face in dec.cells():
         out.setdefault(face.line_index, []).append(face)
     return out
-
-
-def _contributing_lines(dec: Decomposition, families: _Families) -> list[int]:
-    keep = []
-    for idx, cells in sorted(_cells_by_line(dec).items()):
-        for face in cells:
-            fam = families[face.signs]
-            if fam is None:
-                continue
-            sides = [families.get(_flip(face.signs, idx, s)) for s in (1, -1)]
-            # a family change across the line, or a wall on the effective
-            # boundary with no effective neighbour
-            if all(f is None for f in sides) or any(
-                f is not None and f != fam for f in sides
-            ):
-                keep.append(idx)
-                break
-    return keep
 
 
 def _flip(signs: tuple[int, ...], idx: int, side: int) -> tuple[int, ...]:
@@ -415,12 +396,18 @@ def _incident(cell: tuple[int, ...], vertex: tuple[int, ...]) -> bool:
 
 
 def _assemble(
-    dec: Decomposition, families: _Families, eff: EffectiveRegion
+    dec: Decomposition,
+    families: _Families,
+    labels: _SignFamilies,
+    eff: EffectiveRegion,
 ) -> ChamberComplex:
     # a cell is a true wall piece only where crossing it or standing on it
     # changes the family; cells equal to both neighbours carry no strict
     # semistability and their neighbours merge into one chamber
     parent: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def family(signs: tuple[int, ...]) -> frozenset[frozenset[int]]:
+        return labels.supports(families[signs])
 
     def find(x):
         while parent.get(x, x) != x:
@@ -434,7 +421,7 @@ def _assemble(
             parent[max(rx, ry)] = min(rx, ry)
 
     walls = []
-    surviving_signs = set()
+    surviving_by_line: dict[int, list[tuple[int, ...]]] = {}
     for idx, cells in sorted(_cells_by_line(dec).items()):
         surviving = []
         for face in cells:
@@ -447,11 +434,15 @@ def _assemble(
             if lf is not None and rf is not None and lf == rf == fam:
                 union(left, right)
             else:
-                surviving.append(WallCell(face.sample, face.interval, fam, face.signs))
-                surviving_signs.add(face.signs)
+                surviving.append(face)
         if surviving:
             surviving.sort(key=lambda c: c.sample.sort_key())
-            walls.append(Wall(dec.lines[idx], tuple(surviving)))
+            surviving_by_line[idx] = [c.signs for c in surviving]
+            cells_out = [
+                WallCell(c.sample, c.interval, family(c.signs), c.signs)
+                for c in surviving
+            ]
+            walls.append(Wall(dec.lines[idx], tuple(cells_out)))
 
     groups: dict[tuple[int, ...], list[Face]] = {}
     for face in dec.chambers():
@@ -463,16 +454,19 @@ def _assemble(
         rep = min(members, key=lambda f: f.sample.sort_key())
         fams = {families[f.signs] for f in members}
         assert len(fams) == 1, "merged chambers must share one family"
-        chambers.append(Chamber(rep.sample, fams.pop(), rep.signs))
+        chambers.append(Chamber(rep.sample, family(rep.signs), rep.signs))
     chambers.sort(key=lambda c: c.sample.sort_key())
 
     vertices = []
     for face in dec.vertices():
-        fam = families[face.signs]
-        if fam is not None and any(
-            _incident(cell, face.signs) for cell in surviving_signs
+        # an incident cell lies on a line through the vertex
+        if families[face.signs] is not None and any(
+            _incident(cell, face.signs)
+            for idx, s in enumerate(face.signs)
+            if not s
+            for cell in surviving_by_line.get(idx, ())
         ):
-            vertices.append(VertexFace(face.sample, fam, face.signs))
+            vertices.append(VertexFace(face.sample, family(face.signs), face.signs))
     vertices.sort(key=lambda v: v.point.sort_key())
     return ChamberComplex(2, tuple(walls), tuple(chambers), tuple(vertices), eff)
 

@@ -13,7 +13,6 @@ from gitloci.polytope import (
     HullPosition,
     Line2D,
     PointSet,
-    _restricted_decomposition,
     chamber_decomposition_2d,
     convex_hull_2d,
     facet_normal_candidates,
@@ -495,34 +494,6 @@ def test_chamber_decomposition_matches_lp_reference():
         if kind == "parallel":
             assert {f.line_index for f in dec.cells()} == {2, 3, 7, 8}
     assert kinds == {"polygon", "cone", "plane", "pencil", "parallel", "miss"}
-
-
-def test_pruned_pass_matches_fresh_decomposition():
-    # the restriction to kept lines is the kept lines' own decomposition, and
-    # its signs over all the lines are those at each face's sample
-    rng = random.Random(4181)
-    rational_region = restricted_faces = 0
-    for kind, lines, region in _differential_cases():
-        arr = Arrangement2D(lines, region)
-        rational_region += any(
-            not hs.normal.is_integral() or Fraction(hs.offset).denominator != 1
-            for hs in region
-        )
-        n = len(arr.lines)
-        subsets = [list(range(n)), []]
-        subsets += [sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(3)]
-        for keep in subsets:
-            dec, signs = _restricted_decomposition(arr, keep)
-            kept = [arr.lines[k] for k in keep]
-            fresh = chamber_decomposition_2d(Arrangement2D(kept, region))
-            assert dec == fresh, (kind, lines, region, keep)
-            assert len(signs) == len(dec.faces)
-            for face, sv in zip(dec.faces, signs):
-                assert sv == tuple(ln.side(face.sample) for ln in arr.lines)
-                assert tuple(sv[k] for k in keep) == face.signs
-            if len(keep) < n:
-                restricted_faces += len(dec.faces)
-    assert rational_region and restricted_faces
 
 
 def test_non_canonical_lines_decompose_as_their_canonical_forms():

@@ -16,11 +16,14 @@ from gitloci.vgit import (
     DegenerateWeights,
     IneffectiveTwist,
     NotAdjacent,
+    _assemble,
+    _cells_by_line,
     _expanded_region,
     _family_at,
+    _flip,
     _flip_families,
     _rank1_families,
-    _rank2_families,
+    _rank2_walls,
     crossing_report,
     effective_cone,
     git_class,
@@ -353,8 +356,8 @@ def test_wall_hyperplane_candidates_any_rank():
 
 
 def _first_pass(a):
-    """The unpruned decomposition that `wall_chamber_decomposition` labels
-    first: all pair lines of the distinct weights in the expanded region."""
+    """The decomposition of all pair lines of the distinct weights in the
+    expanded region, a refinement of the complex's arrangement."""
     weights = a.distinct_segre_weights()
     lines = [Line2D.through(p, q) for p, q in itertools.combinations(weights, 2)]
     region = _expanded_region(effective_cone(a).vertices)
@@ -397,36 +400,53 @@ def _hull_shapes(a):
     return shapes
 
 
-def test_sign_labels_match_family_oracle_rank2():
-    rng = random.Random(20260)
+def _projected(a, dec):
+    """The wall lines, their labels, and each face's family from its signs
+    on the wall lines, which are among the lines of `dec`."""
+    walls, labels = _rank2_walls(a, a.distinct_segre_weights())
+    pos = [dec.lines.index(ln) for ln in walls]
+    families = {f.signs: labels.family([f.signs[k] for k in pos]) for f in dec.faces}
+    return walls, labels, families
+
+
+def _rendered(labels, mask):
+    return None if mask is None else labels.supports(mask)
+
+
+def _collinear_and_coinciding():
     line = TorusAction(2, [V([0, 0]), V([1, 0]), V([2, 0])], IP2)
     plane = TorusAction(2, [V([0, 0]), V([1, 0]), V([0, 1])], IP2)
-    actions = [
+    return [
         build_product_action([line, plane]),  # three collinear weights
         build_product_action([plane, plane]),  # coinciding Segre weights
     ]
-    actions += [_random_p2xp2(rng) for _ in range(10)]
+
+
+def test_sign_labels_match_family_oracle_rank2():
+    rng = random.Random(20260)
+    actions = _collinear_and_coinciding() + [_random_p2xp2(rng) for _ in range(10)]
     shapes = set()
     for a in actions:
         shapes |= _hull_shapes(a)
         dec = _first_pass(a)
-        labels = _rank2_families(a, dec.lines)
+        _, labels, families = _projected(a, dec)
         assert {f.kind for f in dec.faces} == {"chamber", "cell", "vertex"}
         for face in dec.faces:
             expected = _family_at(a, face.sample) or None
-            assert labels.family(face.signs) == expected, (a.weights, face)
+            got = _rendered(labels, families[face.signs])
+            assert got == expected, (a.weights, face)
     assert shapes >= {"point", "segment", "collinear3", "polygon", "coinciding"}
 
 
 def test_sign_labels_match_family_oracle_sec71_sample():
     a = _sec71()
     dec = _first_pass(a)
-    labels = _rank2_families(a, dec.lines)
+    _, labels, families = _projected(a, dec)
     faces = random.Random(71).sample(list(dec.faces), 100)
     assert {f.kind for f in faces} == {"chamber", "cell", "vertex"}
     for face in faces:
         expected = _family_at(a, face.sample) or None
-        assert labels.family(face.signs) == expected, face
+        assert _rendered(labels, families[face.signs]) == expected, face
 
 
 def test_sign_labels_match_family_oracle_rank1():
@@ -450,7 +470,74 @@ def test_sign_labels_match_family_oracle_rank1():
         for q in sorted(probes):
             signs = [(q > v) - (q < v) for v in values]
             expected = _family_at(a, V([q])) or None
-            assert labels.family(signs) == expected, (a.weights, q)
+            assert _rendered(labels, labels.family(signs)) == expected, (a.weights, q)
+        assert wall_chamber_decomposition(a).wall_values() == values
+
+
+# ---------------------------------------------------------------------------
+# Edge-line walls against the pipeline that pruned all pair lines
+# ---------------------------------------------------------------------------
+
+
+def _contributing_lines(dec, families):
+    """The lines of `dec` with a cell where the family changes across the
+    line or on it, or that bounds the effective region."""
+    keep = []
+    for idx, cells in sorted(_cells_by_line(dec).items()):
+        for face in cells:
+            fam = families[face.signs]
+            if fam is None:
+                continue
+            sides = [families.get(_flip(face.signs, idx, s)) for s in (1, -1)]
+            if all(f is None for f in sides) or any(
+                f is not None and f != fam for f in sides
+            ):
+                keep.append(idx)
+                break
+    return keep
+
+
+def _pruned_complex(a):
+    """The complex from all pair lines: decompose them, keep the lines on
+    which the family changes, decompose the kept lines afresh and label each
+    face by the wall lines' signs at its sample."""
+    eff = effective_cone(a)
+    dec = _first_pass(a)
+    walls, labels, families = _projected(a, dec)
+    kept = [dec.lines[k] for k in _contributing_lines(dec, families)]
+    dec = chamber_decomposition_2d(Arrangement2D(kept, _expanded_region(eff.vertices)))
+    families = {
+        f.signs: labels.family([ln.side(f.sample) for ln in walls]) for f in dec.faces
+    }
+    return _assemble(dec, families, labels, eff)
+
+
+def _p4():
+    w = [V([1, 0]), V([0, 1]), V([-1, -1])]
+    fV = TorusAction(2, w, IP2)
+    fVd = TorusAction(2, [-x for x in w], IP2)
+    return build_product_action([fV, fV, fVd, fV])
+
+
+def test_edge_line_walls_match_pruned_pair_lines():
+    rng = random.Random(6421)
+    three = build_product_action(
+        [
+            TorusAction(2, [V([1, 0]), V([0, 1]), V([-1, -1])], IP2),
+            TorusAction(2, [V([2, 0]), V([0, 1]), V([-1, -2])], IP2),
+            TorusAction(2, [V([-1, 0]), V([0, -1]), V([1, 1])], IP2),
+        ]
+    )
+    actions = [_random_p2xp2(rng) for _ in range(8)]
+    actions += _collinear_and_coinciding() + [_sec71(), three, _p4()]
+    for a in actions:
+        cc = wall_chamber_decomposition(a)
+        assert cc == _pruned_complex(a), a.weights
+        assert cc.walls and cc.chambers
+    # the pair lines of sec7_1 outnumber its walls
+    assert len(_first_pass(_sec71()).lines) > len(
+        wall_chamber_decomposition(_sec71()).walls
+    )
 
 
 # ---------------------------------------------------------------------------
