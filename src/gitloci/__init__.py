@@ -23,6 +23,7 @@ from .polytope import (
     PointSet,
     chamber_decomposition_2d,
     hull_membership,
+    hull_position,
     min_norm_point,
     min_norm_point_oracle,
 )

@@ -5,7 +5,9 @@ a rational character twist, an inner product, and a partition of the
 coordinates into projective factors.  Products are stored factored and
 Segre-expanded lazily: a point of a product has a nonzero coordinate in
 every factor, so support logic stays per-factor instead of exploding into
-Segre coordinates.
+Segre coordinates.  A support's distinct Segre weights are the per-factor
+sumset of its coordinates' integer weights, deduplicated after each factor,
+which is what hull membership runs on.
 
 Conventions:
   * cocharacter/weight pairings are plain dot products;
@@ -18,6 +20,7 @@ Conventions:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -163,6 +166,11 @@ class TorusAction:
         object.__setattr__(self, "ip", ip)
         object.__setattr__(self, "factor_partition", blocks)
         object.__setattr__(self, "_segre_cache", {})
+        object.__setattr__(
+            self, "_int_weights", tuple(tuple(map(int, w.entries)) for w in weights)
+        )
+        object.__setattr__(self, "_block_sets", tuple(map(frozenset, blocks)))
+        object.__setattr__(self, "_coords", frozenset(seen))
 
     # -- twists --------------------------------------------------------------
 
@@ -178,16 +186,16 @@ class TorusAction:
         return len(self.weights)
 
     def validate_support(self, x: SupportPoint) -> None:
-        if not x.support <= set(range(self.num_coords)):
+        if not x.support <= self._coords:
             raise InvalidSupport("support indices out of range")
-        for blk in self.factor_partition:
-            if not x.support & set(blk):
+        for blk in self._block_sets:
+            if x.support.isdisjoint(blk):
                 raise InvalidSupport(
                     "a support needs at least one index in every factor"
                 )
 
     def per_factor_support(self, x: SupportPoint) -> list[frozenset[int]]:
-        return [frozenset(x.support & set(blk)) for blk in self.factor_partition]
+        return [x.support & blk for blk in self._block_sets]
 
     def iter_supports(self) -> Iterator[SupportPoint]:
         """All valid supports: a nonempty coordinate subset per factor."""
@@ -240,11 +248,36 @@ class TorusAction:
         self._segre_cache[key] = tuple(out)
         return out
 
+    def support_weights(
+        self, support: Optional[SupportPoint] = None
+    ) -> tuple[tuple[int, ...], ...]:
+        """The distinct untwisted Segre weights (of a support) as sorted
+        integer tuples.
+
+        They form the sumset over the factors of each factor's distinct
+        weights on the support, deduplicated after every factor, so
+        coinciding sums never multiply.
+        """
+        if support is not None:
+            self.validate_support(support)
+        acc = {(0,) * self.rank}
+        for blk in self.factor_partition:
+            block = {
+                self._int_weights[i]
+                for i in blk
+                if support is None or i in support.support
+            }
+            acc = {tuple(map(operator.add, p, w)) for p in acc for w in block}
+        return tuple(sorted(acc))
+
     def distinct_segre_weights(self, twisted: bool = False) -> list[RationalVector]:
-        seen = {}
-        for w in self.segre_weights(twisted=twisted):
-            seen.setdefault(w.entries, w)
-        return [seen[k] for k in sorted(seen)]
+        """The distinct Segre weights, sorted (translation by the twist keeps
+        their order)."""
+        shift = self.twist.entries if twisted else (0,) * self.rank
+        return [
+            RationalVector([e - s for e, s in zip(w, shift)])
+            for w in self.support_weights()
+        ]
 
 
 def build_product_action(factors: Sequence[TorusAction]) -> TorusAction:

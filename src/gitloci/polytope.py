@@ -10,14 +10,18 @@ lies in their hull.  By Caratheodory every minimum-norm point of a subset is
 one of these, so the enumeration (polynomial, O(n^(dim+1)) subsets) serves
 both as the test oracle for Wolfe and as the stratum index set.
 
-Dimensions 1 and 2 use direct orientation predicates on integers (after
-clearing denominators); higher dimensions fall back to exact simplex solves.
+Membership runs in one integer kernel, `hull_position`: integer points
+against a rational query, translated so that the query is the origin and
+scaled by its denominator.  Dimension 1 compares extremes, dimension 2 takes
+an integer hull and orientations, higher dimensions solve exact simplex
+programs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -82,51 +86,50 @@ def hull_membership(
     """Exact classification of q against conv(S)."""
     if q.dim != S.dim:
         raise DimensionMismatch(f"query dim {q.dim} vs point dim {S.dim}")
-    pts = S.deduplicated()
-    diffs = [p - q for p in pts]
-    if S.dim == 1:
-        vals = sorted(d.entries[0] for d in diffs)
-        lo, hi = vals[0], vals[-1]
+    *ints, q_int = _clear_denominators([*S.deduplicated(), q])
+    return hull_position(ints, RationalVector(q_int), relative=relative)
+
+
+def hull_position(
+    points: Iterable[Sequence[int]], q: RationalVector, *, relative: bool = False
+) -> HullPosition:
+    """Exact classification of q against the hull of integer points.
+
+    With d the denominator of q, the points d*p - d*q are integers, and q
+    sits against the hull as the origin sits against theirs.
+    """
+    d = math.lcm(*(e.denominator for e in q.entries))
+    dq = [e.numerator * (d // e.denominator) for e in q.entries]
+    diffs = {tuple(map(operator.sub, map(d.__mul__, p), dq)) for p in points}
+    if q.dim == 1:
+        lo, hi = min(diffs)[0], max(diffs)[0]
         if lo > 0 or hi < 0:
             return HullPosition.OUTSIDE
         if lo < 0 < hi or (relative and lo == hi):
             # a point hull at q is its own relative interior
             return HullPosition.INTERIOR
         return HullPosition.BOUNDARY
-    if S.dim == 2:
-        return _hull_membership_2d(diffs, relative)
-    return _hull_membership_lp(diffs, S.dim, relative)
-
-
-def _hull_membership_2d(
-    diffs: Sequence[RationalVector], relative: bool
-) -> HullPosition:
-    ints = _clear_denominators(diffs)
-    hull = convex_hull_2d_int(ints)
+    if q.dim > 2:
+        return _hull_membership_lp(list(diffs), q.dim, relative)
+    hull = convex_hull_2d_int(diffs)
     if len(hull) == 1:
-        x, y = hull[0]
-        if x == 0 and y == 0:
+        if hull[0] == (0, 0):
             # hull is the single point q itself
             return HullPosition.INTERIOR if relative else HullPosition.BOUNDARY
         return HullPosition.OUTSIDE
     if len(hull) == 2:
         (x1, y1), (x2, y2) = hull
-        cross = x1 * y2 - y1 * x2
-        if cross != 0:
+        if x1 * y2 != y1 * x2:
             return HullPosition.OUTSIDE
-        d1 = x1 * x2 + y1 * y2  # sign of <p1, p2>
         if x1 == 0 == y1 or x2 == 0 == y2:
             return HullPosition.BOUNDARY  # endpoint
-        if d1 < 0:
+        if x1 * x2 + y1 * y2 < 0:
             # origin strictly between the endpoints
             return HullPosition.INTERIOR if relative else HullPosition.BOUNDARY
         return HullPosition.OUTSIDE
     on_edge = False
-    n = len(hull)
-    for i in range(n):
-        x1, y1 = hull[i]
-        x2, y2 = hull[(i + 1) % n]
-        cross = (x2 - x1) * (0 - y1) - (y2 - y1) * (0 - x1)
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1]):
+        cross = x1 * y2 - y1 * x2  # orientation of the origin against the edge
         if cross < 0:
             return HullPosition.OUTSIDE
         if cross == 0:
@@ -135,21 +138,20 @@ def _hull_membership_2d(
 
 
 def _hull_membership_lp(
-    diffs: Sequence[RationalVector], dim: int, relative: bool
+    diffs: Sequence[Sequence[Fraction | int]], dim: int, relative: bool
 ) -> HullPosition:
-    m = len(diffs)
+    """The simplex route: the origin against the hull of the diffs."""
+    cols = [[Fraction(v) for v in d] for d in diffs]
+    m = len(cols)
     # membership: exists lambda >= 0, sum lambda = 1, sum lambda d_i = 0
-    A = [[d.entries[row] for d in diffs] for row in range(dim)]
+    A = [[c[row] for c in cols] for row in range(dim)]
     A.append([Fraction(1)] * m)
     b = [Fraction(0)] * dim + [Fraction(1)]
     feasible, _ = lp_feasible(A, b)
     if not feasible:
         return HullPosition.OUTSIDE
     # relative interior: max t s.t. mu >= 0, t >= 0, lambda = mu + t
-    total = [sum(d.entries[row] for d in diffs) for row in range(dim)]
-    A2 = [
-        [d.entries[row] for d in diffs] + [total[row]] for row in range(dim)
-    ]
+    A2 = [row + [sum(row)] for row in A[:dim]]
     A2.append([Fraction(1)] * m + [Fraction(m)])
     b2 = [Fraction(0)] * dim + [Fraction(1)]
     c2 = [Fraction(0)] * m + [Fraction(1)]
@@ -162,7 +164,7 @@ def _hull_membership_lp(
     if relative:
         return HullPosition.INTERIOR
     # interior in the ambient space needs a full-dimensional affine hull
-    _, pivots, _ = row_reduce([(d - diffs[0]).entries for d in diffs[1:]])
+    _, pivots, _ = row_reduce([[x - y for x, y in zip(c, cols[0])] for c in cols[1:]])
     return HullPosition.INTERIOR if len(pivots) == dim else HullPosition.BOUNDARY
 
 
@@ -175,13 +177,14 @@ def convex_hull_2d_int(points: Sequence[tuple[int, int]]) -> list[tuple[int, int
     if len(pts) == 1:
         return [pts[0]]
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
     def half(seq):
         out: list[tuple[int, int]] = []
         for p in seq:
-            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+            x, y = p
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = out[-2], out[-1]
+                if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+                    break  # a strict left turn at the last point
                 out.pop()
             out.append(p)
         return out

@@ -38,7 +38,7 @@ from .polytope import (
     PointSet,
     chamber_decomposition_2d,
     cone_has_interior_point,
-    hull_membership,
+    hull_position,
     min_norm_point,
 )
 from .qpoly import (
@@ -171,9 +171,7 @@ def torus_status(
     interior for experiments) means stable; boundary, strictly semistable;
     outside, unstable.
     """
-    a.validate_support(x)
-    pts = PointSet(a.segre_weights(x))
-    pos = hull_membership(pts, a.twist, relative=relative_interior)
+    pos = hull_position(a.support_weights(x), a.twist, relative=relative_interior)
     if pos is HullPosition.INTERIOR:
         return TorusStatus.STABLE
     if pos is HullPosition.BOUNDARY:

@@ -24,7 +24,7 @@ from .polytope import (
     HullPosition,
     PointSet,
     corral_points,
-    hull_membership,
+    hull_position,
     min_norm_point,
 )
 from .qpoly import RationalVector
@@ -131,7 +131,7 @@ def in_Z(a: TorusAction, x: SupportPoint, beta: RationalVector) -> bool:
     lo, hi = _pairing_range(a, x, pair, shift)
     if beta.is_zero():
         # degenerate reading: every twisted support weight is zero
-        return all(w.is_zero() for w in a.segre_weights(x, twisted=True))
+        return all(w == a.twist.entries for w in a.support_weights(x))
     ns = a.ip.norm_sq(beta)
     return lo == ns and hi == ns
 
@@ -172,11 +172,12 @@ def p_beta(a: TorusAction, x: SupportPoint, b: BetaIndex) -> SupportPoint:
 
 def z_ss_check(a: TorusAction, x: SupportPoint, b: BetaIndex) -> bool:
     """Semistability on the perpendicular stratum core: after shifting by
-    beta, the support must contain beta in its twisted weight hull."""
+    beta, the support must contain beta in its twisted weight hull, that is
+    beta + chi in its untwisted one."""
     if not in_Z(a, x, b.beta):
         raise NotInZ("support is not in the Z-stratum of this index")
-    pts = PointSet(a.segre_weights(x, twisted=True))
-    return hull_membership(pts, b.beta) is not HullPosition.OUTSIDE
+    pos = hull_position(a.support_weights(x), b.beta + a.twist)
+    return pos is not HullPosition.OUTSIDE
 
 
 @dataclass(frozen=True)
@@ -237,6 +238,7 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
             continue
         pair, shift = _coordinate_pairings(a, bi.beta)
         ns = bi.norm_sq
+        untwisted = bi.beta + a.twist  # beta against the untwisted weights
         for sp in supports:
             per = a.per_factor_support(sp)
             lo = -shift
@@ -251,8 +253,8 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
                 keep.extend(i for i, v in vals.items() if v == m)
             retracted = SupportPoint(keep)
             lhs = by_support[sp.support] == bi.beta  # lambda_beta adapted to sp
-            pts = PointSet(a.segre_weights(retracted, twisted=True))
-            rhs = hull_membership(pts, bi.beta) is not HullPosition.OUTSIDE
+            pos = hull_position(a.support_weights(retracted), untwisted)
+            rhs = pos is not HullPosition.OUTSIDE
             if lhs != rhs:
                 violations.append(
                     {

@@ -40,7 +40,9 @@ from .polytope import (
     RationalVector,
     chamber_decomposition_2d,
     convex_hull_2d,
+    convex_hull_2d_int,
     hull_membership,
+    hull_position,
 )
 from .qpoly import row_reduce
 from .stability import RankUnsupported
@@ -101,8 +103,7 @@ def _family_at(a: TorusAction, chi: RationalVector) -> frozenset[frozenset[int]]
     return frozenset(
         sp.support
         for sp in a.iter_supports()
-        if hull_membership(PointSet(a.segre_weights(sp)), chi)
-        is not HullPosition.OUTSIDE
+        if hull_position(a.support_weights(sp), chi) is not HullPosition.OUTSIDE
     )
 
 
@@ -153,9 +154,9 @@ def _rank1_families(a: TorusAction, values: Sequence[Fraction]) -> _SignFamilies
     position = {v: i for i, v in enumerate(values)}
     keys, conditions = [], []
     for sp in a.iter_supports():
-        vals = [w.entries[0] for w in a.segre_weights(sp)]
+        ws = a.support_weights(sp)  # sorted, so the extremes come first and last
         keys.append(sp.support)
-        conditions.append([(position[min(vals)], -1), (position[max(vals)], 1)])
+        conditions.append([(position[ws[0][0]], -1), (position[ws[-1][0]], 1)])
     return _SignFamilies(keys, conditions, len(values))
 
 
@@ -173,7 +174,7 @@ def _rank2_walls(
     with one coordinate added is a segment support at p, and if all of these
     segments were parallel every weight would lie on one line through p.
     """
-    position = {w.entries: k for k, w in enumerate(weights)}
+    position = {tuple(map(int, w.entries)): k for k, w in enumerate(weights)}
 
     @functools.cache
     def through(p: int, q: int) -> Line2D:
@@ -182,7 +183,7 @@ def _rank2_walls(
     hulls = []
     edges: set[Line2D] = set()
     for sp in a.iter_supports():
-        hull = [position[v.entries] for v in convex_hull_2d(a.segre_weights(sp))]
+        hull = [position[v] for v in convex_hull_2d_int(a.support_weights(sp))]
         hulls.append((sp.support, hull))
         if len(hull) > 1:
             edges.update(through(p, q) for p, q in zip(hull, hull[1:] + hull[:1]))

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,39 @@ def test_segre_weight_is_sum_of_factor_weights():
             w = w + prod.weights[i]
         expected.append(tuple(w.entries))
     assert sorted(tuple(w.entries) for w in prod.segre_weights()) == sorted(expected)
+
+
+def test_support_weights_are_the_distinct_segre_weights():
+    # the per-factor sumset against the full Segre expansion, per support
+    from test_vgit import _collinear_and_coinciding
+
+    rng = random.Random(1729)
+    actions = [_sec71_product(), *_collinear_and_coinciding()]
+    for rank, n_factors in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
+        ip = InnerProduct.identity(rank)
+        for _ in range(3):
+            factors = [
+                TorusAction(
+                    rank,
+                    [
+                        V([rng.randint(-2, 2) for _ in range(rank)])
+                        for _ in range(rng.randint(1, 3))
+                    ],
+                    ip,
+                    V([Fraction(rng.randint(-3, 3), 2) for _ in range(rank)]),
+                )
+                for _ in range(n_factors)
+            ]
+            actions.append(build_product_action(factors))
+    for a in actions:
+        for sp in [None, *a.iter_supports()]:
+            got = a.support_weights(sp)
+            assert list(got) == sorted(set(got))
+            assert all(type(e) is int for w in got for e in w)
+            assert set(got) == {w.entries for w in a.segre_weights(sp)}
+    # sec7_1's full support: 27 Segre coordinates on 12 distinct weights
+    prod = _sec71_product()
+    assert len(prod.support_weights(SupportPoint(range(9)))) == 12
 
 
 def test_orbit_point_examples():

@@ -21,6 +21,27 @@ CASES = {
     "fan_external_toy.json": ["fan", "--input", "external_toy.json"],
     "fan_sec7_1.json": ["fan", "--input", "sec7_1.json"],
     "fan_sec7_1_b0.json": ["fan", "--input", "sec7_1.json", "--variant", "b0"],
+    "stability_ex1_7_m1_2.json": [
+        "stability", "--input", "ex1_7.json", "--point", "all", "--twist", "-1/2",
+    ],
+    "stability_sec7_1_1_0.json": [
+        "stability", "--input", "sec7_1.json", "--point", "all", "--twist", "1,0",
+    ],
+    "stability_sec7_1_1_0_relative.json": [
+        "stability", "--input", "sec7_1.json", "--point", "all", "--twist", "1,0",
+        "--relative-interior",
+    ],
+    "stability_sec7_1_half_half.json": [
+        "stability", "--input", "sec7_1.json", "--point", "all", "--twist", "1/2,1/2",
+    ],
+    "stability_sec7_1_half_half_relative.json": [
+        "stability", "--input", "sec7_1.json", "--point", "all", "--twist", "1/2,1/2",
+        "--relative-interior",
+    ],
+    "stability_sec7_1_m2_5_m3_5.json": [
+        "stability", "--input", "sec7_1.json", "--point", "all", "--twist", "-2/5,-3/5",
+    ],
+    "strata_sec7_1.json": ["strata", "--input", "sec7_1.json"],
 }
 
 

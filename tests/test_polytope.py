@@ -17,6 +17,7 @@ from gitloci.polytope import (
     convex_hull_2d,
     facet_normal_candidates,
     hull_membership,
+    hull_position,
     min_norm_point,
     min_norm_point_oracle,
     region_interior_point,
@@ -242,7 +243,7 @@ def test_convex_hull_2d_strict_vertices():
 def test_hull_membership_2d_fast_path_agrees_with_lp():
     # the orientation predicates (rank 2) and the interval test (rank 1) are
     # optimisations over the simplex route; they must classify identically
-    from gitloci.polytope import _hull_membership_2d, _hull_membership_lp
+    from gitloci.polytope import _hull_membership_lp
 
     rng = random.Random(314159)
     cases = [([V([3])], V([3])), ([V([3]), V([3])], V([3])), ([V([1]), V([3])], V([3]))]
@@ -264,10 +265,53 @@ def test_hull_membership_2d_fast_path_agrees_with_lp():
         ]
         q = V([Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3), 2)])
         diffs = [p - q for p in PointSet(pts).deduplicated()]
+        ints = [tuple(int(e) for e in p.entries) for p in pts]
         for relative in (False, True):
-            assert _hull_membership_2d(diffs, relative) == _hull_membership_lp(
+            assert hull_position(ints, q, relative=relative) == _hull_membership_lp(
                 diffs, 2, relative
             )
+
+
+def _kernel_queries(rng, pts):
+    """Twists on the points, at midpoints of pairs of them (every hull edge's
+    among them), at their centroid, and at random rationals with
+    denominators 1 to 7."""
+    dim = len(pts[0])
+    out = [V(p) for p in pts]
+    out.append(V([Fraction(sum(c), len(pts)) for c in zip(*pts)]))
+    for p, q in itertools.combinations(pts, 2):
+        out.append(V([Fraction(x + y, 2) for x, y in zip(p, q)]))
+    for _ in range(6):
+        out.append(
+            V([Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(dim)])
+        )
+    return out
+
+
+def test_hull_position_matches_lp_oracle():
+    # the integer kernel against the independent simplex route, in ranks 1
+    # to 3; small coordinate ranges make collinear, coplanar and repeated
+    # points common, and the wrapper must agree on rescaled rational copies
+    from gitloci.polytope import _hull_membership_lp
+
+    rng = random.Random(16180)
+    for dim, draws in ((1, 60), (2, 60), (3, 14)):
+        for _ in range(draws):
+            pts = [
+                tuple(rng.randint(-2, 2) for _ in range(dim))
+                for _ in range(rng.randint(1, 5 if dim < 3 else 6))
+            ]
+            k = rng.randint(1, 5)
+            scaled = PointSet([V([Fraction(x, k) for x in p]) for p in pts])
+            for q in _kernel_queries(rng, pts):
+                diffs = [[x - y for x, y in zip(p, q.entries)] for p in set(pts)]
+                for relative in (False, True):
+                    want = _hull_membership_lp(diffs, dim, relative)
+                    got = hull_position(pts, q, relative=relative)
+                    assert got == want, (pts, q, relative)
+                    q_scaled = q.scale(Fraction(1, k))
+                    wrapped = hull_membership(scaled, q_scaled, relative=relative)
+                    assert wrapped == want, (pts, k, q, relative)
 
 
 def _random_arrangement(rng, centre):

@@ -177,6 +177,49 @@ def test_z_ss_check_examples():
     assert z_ss_check(a2, SupportPoint([1]), BetaIndex.from_beta(a2, b_high))
 
 
+def test_z_ss_check_matches_twisted_hull_oracle():
+    # beta against the twisted weights, as defined, under nonzero twists
+    from gitloci.polytope import HullPosition, hull_membership
+    from gitloci.strata import BetaIndex
+
+    rng = random.Random(4242)
+    actions = []
+    for rank, ip in ((1, IP1), (2, IP2)):
+        for _ in range(3):
+            factors = [
+                TorusAction(
+                    rank,
+                    [V([rng.randint(-2, 2) for _ in range(rank)]) for _ in range(3)],
+                    ip,
+                    V(
+                        [
+                            Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                            for _ in range(rank)
+                        ]
+                    ),
+                )
+                for _ in range(2)
+            ]
+            a = build_product_action(factors)
+            # a twist on a Segre weight puts a support in the zero Z-stratum
+            actions += [a, a.with_twist(V(a.support_weights()[0]))]
+    checked = 0
+    for a in actions:
+        zero = BetaIndex.from_beta(a, V([0] * a.rank))
+        for sp in a.iter_supports():
+            at_twist = all(w.is_zero() for w in a.segre_weights(sp, twisted=True))
+            assert in_Z(a, sp, zero.beta) == at_twist
+        for bi in beta_index_set(a) + [zero]:
+            for sp in a.iter_supports():
+                if not in_Z(a, sp, bi.beta):
+                    continue
+                pts = PointSet(a.segre_weights(sp, twisted=True))
+                want = hull_membership(pts, bi.beta) is not HullPosition.OUTSIDE
+                assert z_ss_check(a, sp, bi) == want, (a, sp, bi.beta)
+                checked += 1
+    assert checked > 0
+
+
 def test_verify_stratification_rank1():
     rep = verify_stratification(_a1())
     assert rep.ok
