@@ -3,11 +3,14 @@
 A TorusAction records one integer weight vector per homogeneous coordinate,
 a rational character twist, an inner product, and a partition of the
 coordinates into projective factors.  Products are stored factored and
-Segre-expanded lazily: a point of a product has a nonzero coordinate in
-every factor, so support logic stays per-factor instead of exploding into
-Segre coordinates.  A support's distinct Segre weights are the per-factor
-sumset of its coordinates' integer weights, deduplicated after each factor,
-which is what hull membership runs on.
+never Segre-expanded in a computation: a point of a product has a nonzero
+coordinate in every factor, so support logic stays per-factor.  A support's
+distinct Segre weights are the per-factor sumset of its coordinates' integer
+weights (`support_weights`), which hull membership and Wolfe run on.  A
+functional is given by its value on each coordinate: its least Segre value
+is the sum of the per-factor minima (`segre_min`), attained on the products
+of the per-factor argmins (`segre_argmin`).  Hilbert-Mumford values, flow
+limits and the strata's hyperplane tests all use this one kernel.
 
 Conventions:
   * cocharacter/weight pairings are plain dot products;
@@ -165,7 +168,6 @@ class TorusAction:
         object.__setattr__(self, "twist", twist)
         object.__setattr__(self, "ip", ip)
         object.__setattr__(self, "factor_partition", blocks)
-        object.__setattr__(self, "_segre_cache", {})
         object.__setattr__(
             self, "_int_weights", tuple(tuple(map(int, w.entries)) for w in weights)
         )
@@ -197,10 +199,15 @@ class TorusAction:
     def per_factor_support(self, x: SupportPoint) -> list[frozenset[int]]:
         return [x.support & blk for blk in self._block_sets]
 
-    def iter_supports(self) -> Iterator[SupportPoint]:
-        """All valid supports: a nonempty coordinate subset per factor."""
+    def iter_supports(
+        self, within: Optional[SupportPoint] = None
+    ) -> Iterator[SupportPoint]:
+        """All valid supports: a nonempty coordinate subset per factor, of
+        the coordinates of `within` when given."""
         choices = []
         for blk in self.factor_partition:
+            if within is not None:
+                blk = [i for i in blk if i in within.support]
             subsets = []
             for size in range(1, len(blk) + 1):
                 subsets.extend(itertools.combinations(blk, size))
@@ -214,20 +221,48 @@ class TorusAction:
             n *= 2 ** len(blk) - 1
         return n
 
+    # -- functionals given per coordinate ---------------------------------
+
+    def coordinate_values(self, cochar: RationalVector) -> list[int]:
+        """<cochar, alpha_i> for every coordinate i, for an integral cochar."""
+        c = tuple(map(int, cochar.entries))
+        return [sum(map(operator.mul, c, w)) for w in self._int_weights]
+
+    def _blocks(self, support: Optional[SupportPoint]):
+        if support is None:
+            return self.factor_partition
+        return self.per_factor_support(support)
+
+    def segre_min(self, values: Sequence, support: Optional[SupportPoint] = None):
+        """The least value over the Segre coordinates (of a support) of a
+        functional given by its value on each coordinate: the sum of the
+        per-factor minima."""
+        return sum(min(values[i] for i in blk) for blk in self._blocks(support))
+
+    def segre_argmin(
+        self, values: Sequence, support: Optional[SupportPoint] = None
+    ) -> tuple[frozenset[int], ...]:
+        """Per factor, the coordinates (of a support) of least value; the
+        Segre coordinates of least value are the products of these sets."""
+        out = []
+        for blk in self._blocks(support):
+            lo = min(values[i] for i in blk)
+            out.append(frozenset(i for i in blk if values[i] == lo))
+        return tuple(out)
+
     # -- Segre weights -----------------------------------------------------
 
     def segre_weights(
         self, support: Optional[SupportPoint] = None, twisted: bool = False
     ) -> list[RationalVector]:
-        """Weights of the Segre coordinates (restricted to a support).
+        """Weights of all Segre coordinates (of a support), with
+        multiplicity.
 
         The Segre weight of a coordinate tuple is the sum of the factor
-        weights; the twisted variant subtracts the character twist.
+        weights; the twisted variant subtracts the character twist.  This is
+        the full expansion, exponential in the number of factors: only the
+        weight diagram's multiplicities need it.
         """
-        key = (support.support if support is not None else None, twisted)
-        cached = self._segre_cache.get(key)
-        if cached is not None:
-            return list(cached)
         if support is not None:
             self.validate_support(support)
             blocks = [
@@ -245,7 +280,6 @@ class TorusAction:
                 for k in range(self.rank):
                     entries[k] += w[k]
             out.append(RationalVector(entries))
-        self._segre_cache[key] = tuple(out)
         return out
 
     def support_weights(
@@ -475,12 +509,14 @@ def build_double_extension(
 ) -> tuple[TorusAction, RationalVector, RationalVector]:
     """Extend by two commuting external one-parameter groups at once.
 
-    The rank grows by two (axis order: lambda then mu) and the weight set
-    splits into four translates of the single-extension cluster at offsets
-    {0, N} x {0, N}.  Returns the extended action together with the two
-    character twists (0, N + r_lambda - eps) and (N + r_mu - eps, 0),
-    expressed in the last two coordinates of the extended character space.
-    The supplied r values must equal the minimal external weights.
+    The rank grows by two (axis order: lambda then mu): the lambda extension
+    is extended again by mu, under which both lambda-line coordinates have
+    weight 0.  The weight set splits into four translates of the
+    single-extension cluster at offsets {0, N} x {0, N}.  Returns the
+    extended action together with the two character twists
+    (0, N + r_lambda - eps) and (N + r_mu - eps, 0), expressed in the last
+    two coordinates of the extended character space.  The supplied r values
+    must equal the minimal external weights.
     """
     if len(m_lambda) != a.num_coords or len(m_mu) != a.num_coords:
         raise LengthMismatch("need one external weight per coordinate")
@@ -498,24 +534,8 @@ def build_double_extension(
             f"r_mu={r_mu} but the minimal external weight is {min(mm)}"
         )
     N = int(N)
-    if N <= 0:
-        raise ValueError("N must be positive")
-    new_weights = [
-        RationalVector(list(w.entries) + [ml[i], mm[i]])
-        for i, w in enumerate(a.weights)
-    ]
-    base = a.num_coords
-    zero = [Fraction(0)] * a.rank
-    new_weights.append(RationalVector(zero + [0, 0]))  # lambda-line, index base
-    new_weights.append(RationalVector(zero + [N, 0]))
-    new_weights.append(RationalVector(zero + [0, 0]))  # mu-line, index base+2
-    new_weights.append(RationalVector(zero + [0, N]))
-    partition = [list(blk) for blk in a.factor_partition]
-    partition.append([base, base + 1])
-    partition.append([base + 2, base + 3])
-    twist = RationalVector(list(a.twist.entries) + [Fraction(0), Fraction(0)])
-    extended = TorusAction(
-        a.rank + 2, new_weights, _extend_ip(a.ip, 2), twist, partition
+    extended = build_external_extension(
+        build_external_extension(a, ml, N), mm + [0, 0], N
     )
     pad = [Fraction(0)] * a.rank
     twist_lambda = RationalVector(pad + [Fraction(0), N + r_lambda - epsilon])

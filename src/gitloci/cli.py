@@ -33,7 +33,6 @@ from .stability import (
     stab_u_dimension,
     torus_status,
     uhat_stable_explicit,
-    universal_1ps,
 )
 from .strata import beta_index_set, verify_stratification
 from .svg import svg_weight_diagram
@@ -427,7 +426,6 @@ def _cmd_adapted(spec: LoadedSpec, args) -> dict:
 def _cmd_fan(spec: LoadedSpec, args) -> dict:
     g = _group_for(spec, args)
     cone = admissible_cone(g, spec.action.rank)
-    result = universal_1ps(spec.action, cone)
     fan = cocharacter_fan(spec.action, cone)
     pieces = []
     for p in fan.pieces:
@@ -438,7 +436,7 @@ def _cmd_fan(spec: LoadedSpec, args) -> dict:
                 "min_support": sorted(p.min_support),
             }
         )
-    return {"universal": result.unique, "pieces": pieces}
+    return {"universal": fan.is_universal, "pieces": pieces}
 
 
 def _cmd_usweep(spec: LoadedSpec, args) -> dict:

@@ -5,9 +5,13 @@ coordinates of x, computed after shifting by the character twist; its
 normalisation M = mu/|rho| is kept exact by comparing signs and
 cross-multiplied squares instead of taking square roots.
 
-Instability is measured by the norm of the minimum-norm point of the
-support's twisted weight hull (a nonnegative number); the associated
-one-parameter subgroup is its smallest integral positive multiple.
+Instability is measured by the norm of the minimum-norm point beta of the
+support's twisted weight hull (a nonnegative number).  The associated
+one-parameter subgroup lambda_beta is the primitive integral multiple of
+G beta, the form dual of beta (G the inner product's Gram matrix): it pairs
+with weights as <., beta> does, up to a positive factor, so its least
+weight on the support is attained on beta's face and mu(x, lambda_beta) < 0.
+Under the identity form G beta = beta.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .polytope import (
 from .qpoly import (
     BiPoly,
     CZStatus,
+    InnerProduct,
     RationalVector,
     analyze_common_zeros,
     common_zero_avoiding,
@@ -88,6 +93,13 @@ class OneParamSubgroup:
     def from_vector(v: RationalVector) -> "OneParamSubgroup":
         """The smallest integral positive multiple of a rational direction."""
         return OneParamSubgroup(v.primitive_integral())
+
+    @staticmethod
+    def dual_to(beta: RationalVector, ip: InnerProduct) -> "OneParamSubgroup":
+        """lambda_beta: the smallest integral positive multiple of G beta, so
+        that <lambda_beta, alpha> is a positive multiple of <alpha, beta>."""
+        gb = RationalVector(RationalVector(row).dot(beta) for row in ip.gram)
+        return OneParamSubgroup.from_vector(gb)
 
     def pairing(self, w: RationalVector) -> Fraction:
         return self.cochar.dot(w)
@@ -147,14 +159,10 @@ def hm_mu(a: TorusAction, x: SupportPoint, rho: OneParamSubgroup) -> Fraction:
     """mu(x, rho) = max over the support of -<rho, alpha_i - chi>.
 
     Computed per factor: the maximum over Segre coordinates of the negated
-    sum splits into a sum of per-factor minima.
+    sum is minus the least Segre value of rho.
     """
     a.validate_support(x)
-    shift = rho.pairing(a.twist)
-    total = Fraction(0)
-    for blk in a.per_factor_support(x):
-        total += min(rho.pairing(a.weights[i]) for i in blk)
-    return shift - total
+    return rho.pairing(a.twist) - a.segre_min(a.coordinate_values(rho.cochar), x)
 
 
 def hm_M(a: TorusAction, x: SupportPoint, rho: OneParamSubgroup) -> HMValue:
@@ -179,23 +187,29 @@ def torus_status(
     return TorusStatus.UNSTABLE
 
 
+def support_beta(a: TorusAction, x: SupportPoint) -> RationalVector:
+    """Minimum-norm point of the support's twisted weight hull: Wolfe on its
+    distinct weights shifted by the twist."""
+    pts = PointSet(RationalVector(w) - a.twist for w in a.support_weights(x))
+    return min_norm_point(pts, a.ip)
+
+
 def destabilising_beta(
     a: TorusAction, x: SupportPoint, *, require_unstable: bool = False
 ) -> tuple[RationalVector, Optional[OneParamSubgroup]]:
-    """Minimum-norm point of the twisted support weights, with the smallest
-    integral positive multiple as the associated one-parameter subgroup.
+    """Minimum-norm point of the twisted support weights, with lambda_beta,
+    the smallest integral positive multiple of G beta, as the associated
+    one-parameter subgroup.
 
     beta = 0 exactly when x is semistable; then there is no distinguished
     subgroup and `require_unstable` turns that case into an error.
     """
-    a.validate_support(x)
-    pts = PointSet(a.segre_weights(x, twisted=True))
-    beta = min_norm_point(pts, a.ip)
+    beta = support_beta(a, x)
     if beta.is_zero():
         if require_unstable:
             raise ZeroBeta("x is semistable; no destabilising 1PS")
         return beta, None
-    return beta, OneParamSubgroup.from_vector(beta)
+    return beta, OneParamSubgroup.dual_to(beta, a.ip)
 
 
 def admissible_cone(g: GroupSpec, rank: int) -> Cone:
@@ -220,13 +234,6 @@ class XMinData:
     per_factor_argmin: tuple[frozenset[int], ...]
     min_weight: Fraction
 
-    @property
-    def min_support(self) -> frozenset[int]:
-        out: set[int] = set()
-        for blk in self.per_factor_argmin:
-            out |= blk
-        return frozenset(out)
-
     def meets(self, per_factor: Sequence[frozenset[int]]) -> bool:
         """Does a support have a coordinate of minimal weight in every factor?"""
         return all(s & m for s, m in zip(per_factor, self.per_factor_argmin))
@@ -242,14 +249,8 @@ def x_min(a: TorusAction, lam: OneParamSubgroup) -> XMinData:
     Ties keep all minimal indices.  Basin membership for a support is
     `meets`: a nonzero minimal-weight coordinate in every factor.
     """
-    argmins: list[frozenset[int]] = []
-    total = Fraction(0)
-    for blk in a.factor_partition:
-        vals = {i: lam.pairing(a.weights[i]) for i in blk}
-        lo = min(vals.values())
-        total += lo
-        argmins.append(frozenset(i for i, v in vals.items() if v == lo))
-    return XMinData(tuple(argmins), total)
+    values = a.coordinate_values(lam.cochar)
+    return XMinData(a.segre_argmin(values), Fraction(a.segre_min(values)))
 
 
 @dataclass(frozen=True)
@@ -300,7 +301,7 @@ def adapted_region(
     Default epsilon is a thousandth of the slab width (nothing in the theory
     pins a value; only existence of some positive epsilon is used).
     """
-    values = sorted({lam.pairing(w) for w in a.segre_weights()})
+    values = sorted({lam.pairing(RationalVector(w)) for w in a.support_weights()})
     if len(values) < 2:
         raise NoAdaptedTwist("the flow has a single weight; no adapted twist exists")
     lower, upper = values[0], values[1]
@@ -322,10 +323,7 @@ class FanPiece:
 
     @property
     def min_support(self) -> frozenset[int]:
-        out: set[int] = set()
-        for blk in self.per_factor_argmin:
-            out |= blk
-        return frozenset(out)
+        return frozenset().union(*self.per_factor_argmin)
 
 
 @dataclass(frozen=True)
@@ -337,6 +335,12 @@ class CocharacterFan:
         if self.decomposition is None:
             return list(self.pieces)
         return [p for p in self.pieces if p.face.kind == "chamber"]
+
+    @property
+    def is_universal(self) -> bool:
+        """Every admissible flow selects the same minimal-weight face: the
+        fan has exactly one full-dimensional piece."""
+        return len(self.chamber_pieces()) == 1
 
 
 def cocharacter_fan(a: TorusAction, cone: Cone) -> CocharacterFan:
@@ -385,14 +389,10 @@ class UniversalResult:
 
 
 def universal_1ps(a: TorusAction, cone: Cone) -> UniversalResult:
-    """Whether every admissible flow selects the same minimal-weight face.
-
-    Implemented as: the cocharacter fan restricted to the cone has exactly
-    one full-dimensional piece.  Otherwise the pieces are returned.
-    """
+    """Whether every admissible flow selects the same minimal-weight face
+    (`CocharacterFan.is_universal`), with the fan's full-dimensional pieces."""
     fan = cocharacter_fan(a, cone)
-    chambers = fan.chamber_pieces()
-    return UniversalResult(len(chambers) == 1, tuple(chambers))
+    return UniversalResult(fan.is_universal, tuple(fan.chamber_pieces()))
 
 
 def gm_stable_support(a: TorusAction, lam: OneParamSubgroup):

@@ -7,9 +7,15 @@ has no Weyl-group restriction.
 
 The geometry of a stratum lives on the affine hyperplane through beta
 perpendicular to it (perpendicular in the sense of the action's inner
-product): supports whose weights all pair >= |beta|^2 with beta, at least
-one exactly, retract onto the exact-pairing face by flowing along the
+product): supports whose twisted weights all pair >= |beta|^2 with beta, at
+least one exactly, retract onto the exact-pairing face by flowing along the
 associated one-parameter subgroup.
+
+That pairing is the functional <alpha, G beta>, and lambda_beta is its
+primitive integral multiple.  So every hyperplane test reads lambda_beta's
+value on each coordinate through the action's per-factor kernel: a support
+is in Y when its least Segre value is <lambda_beta, beta + chi>, and its
+retraction keeps each factor's argmin.
 """
 
 from __future__ import annotations
@@ -17,18 +23,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .action import SupportPoint, TorusAction
-from .polytope import (
-    HullPosition,
-    PointSet,
-    corral_points,
-    hull_position,
-    min_norm_point,
-)
+from .polytope import HullPosition, corral_points, hull_position
 from .qpoly import RationalVector
-from .stability import OneParamSubgroup, TorusStatus, torus_status
+from .stability import OneParamSubgroup, TorusStatus, support_beta, torus_status
 
 
 class NotInY(ValueError):
@@ -49,7 +49,7 @@ class BetaIndex:
 
     @staticmethod
     def from_beta(a: TorusAction, beta: RationalVector) -> "BetaIndex":
-        lam = None if beta.is_zero() else OneParamSubgroup.from_vector(beta)
+        lam = None if beta.is_zero() else OneParamSubgroup.dual_to(beta, a.ip)
         return BetaIndex(beta, a.ip.norm_sq(beta), lam)
 
 
@@ -67,11 +67,6 @@ def beta_index_set(a: TorusAction) -> list[BetaIndex]:
     return [BetaIndex.from_beta(a, found[k]) for k in sorted(found)]
 
 
-def _support_beta(a: TorusAction, x: SupportPoint) -> RationalVector:
-    pts = PointSet(a.segre_weights(x, twisted=True))
-    return min_norm_point(pts, a.ip)
-
-
 @dataclass(frozen=True)
 class StratumLabel:
     beta: BetaIndex
@@ -86,32 +81,14 @@ class StratumLabel:
             raise ValueError("Yss membership implies Y membership")
 
 
-def _coordinate_pairings(
+def _functional(
     a: TorusAction, beta: RationalVector
-) -> tuple[list[Fraction], Fraction]:
-    """Per-coordinate pairings <alpha_i, beta> and the twist shift <chi, beta>.
-
-    The pairing of a Segre weight is the sum over one coordinate per factor
-    minus the shift, so support-wide minima and maxima reduce to per-factor
-    minima and maxima.
-    """
-    pair = [a.ip.pairing(w, beta) for w in a.weights]
-    return pair, a.ip.pairing(a.twist, beta)
-
-
-def _pairing_range(
-    a: TorusAction,
-    x: SupportPoint,
-    pair: Sequence[Fraction],
-    shift: Fraction,
-) -> tuple[Fraction, Fraction]:
-    lo = -shift
-    hi = -shift
-    for blk in a.per_factor_support(x):
-        vals = [pair[i] for i in blk]
-        lo += min(vals)
-        hi += max(vals)
-    return lo, hi
+) -> tuple[list[int], Fraction]:
+    """lambda_beta's value on each coordinate, and the least Segre value of
+    a Y-member: <lambda_beta, beta + chi>, a positive multiple of
+    |beta|^2 + <chi, beta>."""
+    lam = OneParamSubgroup.dual_to(beta, a.ip)
+    return a.coordinate_values(lam.cochar), lam.pairing(beta + a.twist)
 
 
 def in_Y(a: TorusAction, x: SupportPoint, beta: RationalVector) -> bool:
@@ -120,20 +97,22 @@ def in_Y(a: TorusAction, x: SupportPoint, beta: RationalVector) -> bool:
     pairing over the support equals |beta|^2."""
     if beta.is_zero():
         return torus_status(a, x) is not TorusStatus.UNSTABLE
-    pair, shift = _coordinate_pairings(a, beta)
-    lo, _ = _pairing_range(a, x, pair, shift)
-    return lo == a.ip.norm_sq(beta)
+    values, level = _functional(a, beta)
+    return a.segre_min(values, x) == level
 
 
 def in_Z(a: TorusAction, x: SupportPoint, beta: RationalVector) -> bool:
-    """All support weights exactly on the perpendicular hyperplane."""
-    pair, shift = _coordinate_pairings(a, beta)
-    lo, hi = _pairing_range(a, x, pair, shift)
+    """All support weights exactly on the perpendicular hyperplane: the
+    minimal pairing is |beta|^2 and every support coordinate attains its
+    factor's minimum."""
     if beta.is_zero():
         # degenerate reading: every twisted support weight is zero
         return all(w == a.twist.entries for w in a.support_weights(x))
-    ns = a.ip.norm_sq(beta)
-    return lo == ns and hi == ns
+    values, level = _functional(a, beta)
+    return (
+        a.segre_min(values, x) == level
+        and frozenset().union(*a.segre_argmin(values, x)) == x.support
+    )
 
 
 def stratum_of(a: TorusAction, x: SupportPoint) -> StratumLabel:
@@ -144,8 +123,7 @@ def stratum_of(a: TorusAction, x: SupportPoint) -> StratumLabel:
     the Y-membership conditions by the supporting-hyperplane property of the
     closest point.
     """
-    a.validate_support(x)
-    beta = _support_beta(a, x)
+    beta = support_beta(a, x)
     bi = BetaIndex.from_beta(a, beta)
     if beta.is_zero():
         return StratumLabel(bi, in_Z(a, x, beta), True, True)
@@ -162,12 +140,8 @@ def p_beta(a: TorusAction, x: SupportPoint, b: BetaIndex) -> SupportPoint:
         raise NotInY("support is not in the Y-stratum of this index")
     if b.beta.is_zero():
         return x
-    keep = []
-    for blk in a.per_factor_support(x):
-        vals = {i: a.ip.pairing(a.weights[i], b.beta) for i in blk}
-        lo = min(vals.values())
-        keep.extend(i for i, v in vals.items() if v == lo)
-    return SupportPoint(keep)
+    values, _ = _functional(a, b.beta)
+    return SupportPoint(itertools.chain.from_iterable(a.segre_argmin(values, x)))
 
 
 def z_ss_check(a: TorusAction, x: SupportPoint, b: BetaIndex) -> bool:
@@ -210,7 +184,7 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
 
     norms: dict[frozenset[int], Fraction] = {}
     for sp in supports:
-        beta = _support_beta(a, sp)
+        beta = support_beta(a, sp)
         by_support[sp.support] = beta
         norms[sp.support] = a.ip.norm_sq(beta)
         key = beta.entries
@@ -221,7 +195,7 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
     # (ii) closure order under sub-supports
     for sp in supports:
         base = norms[sp.support]
-        for sub in _valid_subsupports(a, sp):
+        for sub in a.iter_supports(sp):
             sub_norm = norms[sub.support]
             if sub_norm < base:
                 violations.append(
@@ -236,22 +210,14 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
     for key, bi in sorted(betas.items()):
         if bi.beta.is_zero():
             continue
-        pair, shift = _coordinate_pairings(a, bi.beta)
-        ns = bi.norm_sq
+        values, level = _functional(a, bi.beta)
         untwisted = bi.beta + a.twist  # beta against the untwisted weights
         for sp in supports:
-            per = a.per_factor_support(sp)
-            lo = -shift
-            for blk in per:
-                lo += min(pair[i] for i in blk)
-            if lo != ns:
+            if a.segre_min(values, sp) != level:
                 continue  # not in the Y-stratum of this index
-            keep = []
-            for blk in per:
-                vals = {i: pair[i] for i in blk}
-                m = min(vals.values())
-                keep.extend(i for i, v in vals.items() if v == m)
-            retracted = SupportPoint(keep)
+            retracted = SupportPoint(
+                itertools.chain.from_iterable(a.segre_argmin(values, sp))
+            )
             lhs = by_support[sp.support] == bi.beta  # lambda_beta adapted to sp
             pos = hull_position(a.support_weights(retracted), untwisted)
             rhs = pos is not HullPosition.OUTSIDE
@@ -268,15 +234,3 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
     labels = {s: beta.entries for s, beta in by_support.items()}
     return StratificationReport(tuple(ordered), sizes, labels, tuple(violations))
 
-
-def _valid_subsupports(a: TorusAction, sp: SupportPoint):
-    per = a.per_factor_support(sp)
-    choices = []
-    for blk in per:
-        blk = sorted(blk)
-        subs = []
-        for size in range(1, len(blk) + 1):
-            subs.extend(itertools.combinations(blk, size))
-        choices.append(subs)
-    for combo in itertools.product(*choices):
-        yield SupportPoint(itertools.chain.from_iterable(combo))

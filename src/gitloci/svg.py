@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 from .action import TorusAction
 from .polytope import Cone, convex_hull_2d
 from .qpoly import RationalVector
-from .stability import AdaptedRegion, RankUnsupported
+from .stability import RankUnsupported
 
 _VIEW = 600
 _MARGIN = 60
@@ -47,9 +47,7 @@ def svg_weight_diagram(
     a: TorusAction,
     *,
     cone: Optional[Cone] = None,
-    walls: Optional[Sequence[tuple[RationalVector, Fraction]]] = None,
     betas: Optional[Sequence[RationalVector]] = None,
-    adapted: Optional[AdaptedRegion] = None,
 ) -> str:
     """Weights as labelled dots with the hull outline and optional overlays.
 
@@ -88,34 +86,6 @@ def svg_weight_diagram(
                     f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                     f'stroke="#3366cc" stroke-width="1"{dash}/>'
                 )
-
-    if adapted is not None:
-        lam = adapted.lam.cochar
-        d = RationalVector([-lam.entries[1], lam.entries[0]])
-        for level in (adapted.lower, adapted.upper):
-            if lam.dot(lam) == 0:
-                continue
-            base = lam.scale(level / lam.dot(lam))
-            p1, p2 = base + d.scale(10), base - d.scale(10)
-            x1, y1 = mapper.map(p1)
-            x2, y2 = mapper.map(p2)
-            parts.append(
-                f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-                f'stroke="#119911" stroke-width="1" stroke-dasharray="2 4"/>'
-            )
-
-    if walls:
-        for normal, offset in walls:
-            d = RationalVector([-normal.entries[1], normal.entries[0]])
-            nn = normal.dot(normal)
-            base = normal.scale(offset / nn)
-            p1, p2 = base + d.scale(10), base - d.scale(10)
-            x1, y1 = mapper.map(p1)
-            x2, y2 = mapper.map(p2)
-            parts.append(
-                f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-                f'stroke="#cc6633" stroke-width="1"/>'
-            )
 
     for w in sorted(weights, key=lambda v: v.entries):
         x, y = mapper.map(w)

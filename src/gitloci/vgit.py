@@ -551,18 +551,17 @@ class ExternalChangeReport:
         return self.lambda_check and self.mu_check
 
 
-def _restrict_family(
-    family: Iterable[frozenset[int]], keep_below: int, line_block: Sequence[int]
+def _restrict(
+    family: Iterable[frozenset[int]], line: int
 ) -> frozenset[frozenset[int]]:
-    """Keep supports whose projective-line block contains its 0-coordinate,
-    then forget that block (the coordinates at `keep_below` and beyond)."""
-    zero_coord = line_block[0]
-    out = set()
-    for s in family:
-        if zero_coord not in s:
-            continue
-        out.add(frozenset(i for i in s if i < keep_below))
-    return frozenset(out)
+    """Restrict along the extension line whose coordinates are `line` and
+    `line + 1`: keep the supports containing its 0-coordinate, drop the
+    line's block and relabel the coordinates above it down by two."""
+    return frozenset(
+        frozenset(i if i < line else i - 2 for i in s if i - line not in (0, 1))
+        for s in family
+        if line in s
+    )
 
 
 def verify_external_change(
@@ -604,30 +603,13 @@ def verify_external_change(
     fam_double_l = _family_at(double, double.twist + twist_l)
     fam_double_m = _family_at(double, double.twist + twist_m)
 
+    # the lambda line is at coordinates n, n + 1 and the mu line after it
     n = a.num_coords
-    lambda_block = list(range(n, n + 2))
-    mu_block = list(range(n + 2, n + 4))
-
-    restricted_l = _restrict_family(fam_double_l, n + 2, mu_block)
-    lambda_check = restricted_l == fam_single_l
-
-    # the mu restriction keeps the lambda line's 0-coordinate and forgets the
-    # lambda block, so relabel the mu block down onto the single extension
-    mu_restricted = set()
-    for s in fam_double_m:
-        if lambda_block[0] not in s:
-            continue
-        t = frozenset(
-            i if i < n else i - 2 for i in s if i < n or i >= n + 2
-        )
-        mu_restricted.add(t)
-    mu_check = frozenset(mu_restricted) == fam_single_m
-
     return ExternalChangeReport(
-        lambda_check,
-        mu_check,
+        _restrict(fam_double_l, n + 2) == fam_single_l,
+        _restrict(fam_double_m, n) == fam_single_m,
         fam_single_l,
         fam_single_m,
         fam_double_l,
-        frozenset(fam_double_m),
+        fam_double_m,
     )

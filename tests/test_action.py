@@ -126,6 +126,54 @@ def test_support_weights_are_the_distinct_segre_weights():
     assert len(prod.support_weights(SupportPoint(range(9)))) == 12
 
 
+def test_segre_min_and_argmin_match_the_segre_expansion():
+    # the per-factor kernel against the least value over every Segre
+    # coordinate of a support, and the coordinate tuples attaining it
+    rng = random.Random(4711)
+    actions = [_sec71_product()]
+    for rank, n_factors in ((1, 2), (2, 2), (2, 3), (3, 2)):
+        ip = InnerProduct.identity(rank)
+        for _ in range(3):
+            factors = [
+                TorusAction(
+                    rank,
+                    [
+                        V([rng.randint(-2, 2) for _ in range(rank)])
+                        for _ in range(rng.randint(1, 3))
+                    ],
+                    ip,
+                )
+                for _ in range(n_factors)
+            ]
+            actions.append(build_product_action(factors))
+    for a in actions:
+        for _ in range(4):
+            cochar = V([rng.randint(-3, 3) for _ in range(a.rank)])
+            values = a.coordinate_values(cochar)
+            assert values == [cochar.dot(w) for w in a.weights]
+            for sp in [None, *a.iter_supports()]:
+                blocks = a.factor_partition if sp is None else a.per_factor_support(sp)
+                sums = {c: sum(values[i] for i in c) for c in itertools.product(*blocks)}
+                least = min(sums.values())
+                assert a.segre_min(values, sp) == least
+                argmin = a.segre_argmin(values, sp)
+                assert set(itertools.product(*argmin)) == {
+                    c for c, v in sums.items() if v == least
+                }
+                assert least == min(cochar.dot(w) for w in a.segre_weights(sp))
+
+
+def test_iter_supports_within_a_support():
+    a = _sec71_product()
+    every = list(a.iter_supports())
+    assert len(every) == a.support_count() == 343
+    for sp in every[::17]:
+        inside = list(a.iter_supports(sp))
+        assert [s.support for s in inside] == [
+            s.support for s in every if s.support <= sp.support
+        ]
+
+
 def test_orbit_point_examples():
     g = GroupSpec(
         [V([1, -1]), V([2, 1])], 2, [[[ONE, B, C], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]]

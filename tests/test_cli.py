@@ -248,3 +248,50 @@ def test_benchmark_entry_points_exist():
     torus_action = importlib.import_module("gitloci.action").TorusAction
     for method in tables["COUNTED_METHODS"]:
         assert method in vars(torus_action), method
+
+
+_NO_EXPANSION_ARGVS = [
+    ["stability", "--input", "ex1_7.json", "--point", "all", "--twist", "-1/2"],
+    ["stability", "--input", "sec7_1.json", "--point", "all", "--twist", "1/2,1/2"],
+    ["stability", "--input", "external_toy.json", "--point", "all"],
+    ["beta", "--input", "ex1_7.json"],
+    ["beta", "--input", "sec7_1.json"],
+    ["beta", "--input", "external_toy.json"],
+    ["chambers", "--input", "ex1_7.json"],
+    ["chambers", "--input", "sec7_1.json"],
+    ["chambers", "--input", "external_toy.json"],
+    ["strata", "--input", "ex1_7.json"],
+    ["strata", "--input", "sec7_1.json"],
+    ["strata", "--input", "external_toy.json"],
+    ["admissible-cone", "--input", "sec7_1.json", "--variant", "b0"],
+    ["admissible-cone", "--input", "external_toy.json"],
+    ["adapted", "--input", "ex1_7.json", "--lambda", "1", "--twist", "-1/2"],
+    ["adapted", "--input", "sec7_1.json", "--lambda", "1,2"],
+    ["fan", "--input", "sec7_1.json"],
+    ["fan", "--input", "sec7_1.json", "--variant", "b0"],
+    ["fan", "--input", "external_toy.json"],
+    ["usweep", "--input", "sec7_1.json", "--point", "uhat_stable", "--lambda", "1,0"],
+    ["usweep", "--input", "external_toy.json", "--point", "generic", "--lambda", "1"],
+    ["hstable", "--input", "sec7_1.json", "--point", "h_stable"],
+    ["hstable", "--input", "external_toy.json", "--point", "generic"],
+    ["external-equiv", "--input", "external_toy.json"],
+]
+
+
+def test_no_subcommand_but_svg_expands_segre_weights(monkeypatch, tmp_path):
+    # supports are read through their distinct weights (`support_weights`)
+    # and flows through per-coordinate values; the full Segre expansion is
+    # left to the weight diagram, which counts multiplicities
+    from gitloci.action import TorusAction
+    from gitloci.cli import _COMMANDS
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("segre_weights called in a computation path")
+
+    monkeypatch.setattr(TorusAction, "segre_weights", refuse)
+    commands = {argv[0] for argv in _NO_EXPANSION_ARGVS}
+    assert commands == set(_COMMANDS)  # every subcommand but svg
+    for command, flag, spec, *rest in _NO_EXPANSION_ARGVS:
+        argv = [command, flag, str(CORPUS / spec), *rest]
+        code, _ = _run(argv, tmp_path)
+        assert code == 0, argv

@@ -42,6 +42,19 @@ CASES = {
         "stability", "--input", "sec7_1.json", "--point", "all", "--twist", "-2/5,-3/5",
     ],
     "strata_sec7_1.json": ["strata", "--input", "sec7_1.json"],
+    "strata_ex1_7.json": ["strata", "--input", "ex1_7.json"],
+    "beta_sec7_1.json": ["beta", "--input", "sec7_1.json"],
+    "beta_ex1_7.json": ["beta", "--input", "ex1_7.json"],
+    "svg_sec7_1.svg": ["svg", "--input", "sec7_1.json"],
+    "adapted_sec7_1_1_2.json": ["adapted", "--input", "sec7_1.json", "--lambda", "1,2"],
+    "admissible_cone_sec7_1.json": ["admissible-cone", "--input", "sec7_1.json"],
+    "external_equiv_external_toy.json": ["external-equiv", "--input", "external_toy.json"],
+    "usweep_sec7_1_uhat_stable_1_0.json": [
+        "usweep", "--input", "sec7_1.json", "--point", "uhat_stable", "--lambda", "1,0",
+    ],
+    "hstable_sec7_1_h_stable.json": [
+        "hstable", "--input", "sec7_1.json", "--point", "h_stable",
+    ],
 }
 
 

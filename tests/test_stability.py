@@ -413,3 +413,40 @@ def test_md1ps_minimises_M_over_facet_candidates():
         ]
         best = min(hm_M(a, sp, rho) for rho in candidates)
         assert not (m_beta > best)
+
+
+def test_lambda_beta_destabilises_under_any_form():
+    # lambda_beta is the primitive multiple of G beta, the form dual of
+    # beta: the multiple of beta itself need not destabilise
+    from gitloci.strata import BetaIndex
+
+    G = InnerProduct([[2, 1], [1, 1]])
+    a = TorusAction(2, [V([-2, 1]), V([3, 3]), V([3, -3])], G)
+    sp = SupportPoint([0, 2])
+    beta, lam = destabilising_beta(a, sp)
+    assert beta == V([Fraction(3, 26), Fraction(-9, 13)])
+    assert lam.cochar == V([-4, -5])
+    assert hm_mu(a, sp, lam) == -3
+    assert BetaIndex.from_beta(a, beta).lambda_beta == lam
+
+    rng = random.Random(808)
+    checked = 0
+    while checked < 200:
+        p, q = rng.randint(1, 4), rng.randint(1, 4)
+        r = rng.randint(-3, 3)
+        if p * q - r * r <= 0 or r == 0:
+            continue  # positive definite and not diagonal
+        ip = InnerProduct([[p, r], [r, q]])
+        weights = [V([rng.randint(-4, 4), rng.randint(-4, 4)]) for _ in range(3)]
+        twist = V([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2)])
+        a = TorusAction(2, weights, ip, twist)
+        for sp in a.iter_supports():
+            beta, lam = destabilising_beta(a, sp)
+            if beta.is_zero():
+                continue
+            dual = RationalVector([ip.pairing(e, beta) for e in (V([1, 0]), V([0, 1]))])
+            assert lam.cochar == dual.primitive_integral()
+            # the least pairing over the support is attained on beta's face
+            assert hm_mu(a, sp, lam) == -lam.pairing(beta) < 0
+            assert BetaIndex.from_beta(a, beta).lambda_beta == lam
+            checked += 1
