@@ -2,8 +2,9 @@
 emit deterministic JSON reports (sorted keys, canonical rationals) or SVG
 weight diagrams.
 
-Exit codes: 0 success, 2 validation error, 3 an Undecided result under
---strict.  Undecided is otherwise a first-class result, not an error.
+Exit codes: 0 success, 2 an argument or validation error, 3 an Undecided
+result under --strict.  Undecided is otherwise a first-class result, not an
+error.
 """
 
 from __future__ import annotations
@@ -59,6 +60,12 @@ def _require(data: dict, key: str, context: str) -> Any:
     return data[key]
 
 
+def _object(value: Any, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpecError(f"{context}: expected a JSON object")
+    return value
+
+
 def _rational(value: Any, context: str) -> Fraction:
     try:
         if isinstance(value, str):
@@ -103,7 +110,7 @@ def load_spec(path: str) -> LoadedSpec:
     factor_actions = []
     for fi, fdata in enumerate(factors_data):
         ctx = f"factors[{fi}]"
-        wts = _require(fdata, "weights", ctx)
+        wts = _require(_object(fdata, ctx), "weights", ctx)
         if not isinstance(wts, list) or not wts:
             raise SpecError(f"{ctx}.weights: expected a nonempty list")
         weights = []
@@ -121,13 +128,13 @@ def load_spec(path: str) -> LoadedSpec:
     if "group" in data:
         group = _load_group(data["group"], action, rank, "group")
     variants = {}
-    for vname, vdata in (data.get("variants") or {}).items():
+    for vname, vdata in _object(data.get("variants") or {}, "variants").items():
         variants[vname] = _load_group(vdata, action, rank, f"variants.{vname}")
 
     points: dict[str, ExplicitPoint | SupportPoint] = {}
-    for pname, pdata in (data.get("points") or {}).items():
+    for pname, pdata in _object(data.get("points") or {}, "points").items():
         ctx = f"points.{pname}"
-        if "support" in pdata:
+        if "support" in _object(pdata, ctx):
             blocks = pdata["support"]
             if not isinstance(blocks, list) or len(blocks) != len(
                 action.factor_partition
@@ -163,7 +170,7 @@ def load_spec(path: str) -> LoadedSpec:
     external = data.get("external")
     if external is not None:
         for key in ("m_lambda", "m_mu", "N"):
-            _require(external, key, "external")
+            _require(_object(external, "external"), key, "external")
 
     return LoadedSpec(
         action, group, variants, points, external, data.get("name", "action")
@@ -173,6 +180,7 @@ def load_spec(path: str) -> LoadedSpec:
 def _load_group(
     gdata: dict, action: TorusAction, rank: int, ctx: str
 ) -> GroupSpec:
+    _object(gdata, ctx)
     aw = []
     for wi, w in enumerate(gdata.get("adjoint_weights", [])):
         aw.append(_vector(w, rank, f"{ctx}.adjoint_weights[{wi}]"))
@@ -221,22 +229,13 @@ def _jsupport(s: SupportPoint) -> list[int]:
     return sorted(s.support)
 
 
-def _emit(payload: dict, output: Optional[str]) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
 def _group_for(spec: LoadedSpec, args) -> GroupSpec:
-    if getattr(args, "variant", None):
+    if args.variant:
         if args.variant not in spec.variants:
             raise SpecError(f"variant {args.variant!r} not present in the input")
         return spec.variants[args.variant]
@@ -246,7 +245,7 @@ def _group_for(spec: LoadedSpec, args) -> GroupSpec:
 
 
 def _point_for(spec: LoadedSpec, args) -> tuple[str, ExplicitPoint | SupportPoint]:
-    name = getattr(args, "point", None)
+    name = args.point
     if not name:
         raise SpecError("this command needs --point NAME")
     if name not in spec.points:
@@ -256,7 +255,7 @@ def _point_for(spec: LoadedSpec, args) -> tuple[str, ExplicitPoint | SupportPoin
 
 def _twist_for(spec: LoadedSpec, args) -> TorusAction:
     action = spec.action
-    if getattr(args, "twist", None):
+    if args.twist:
         parts = [p.strip() for p in args.twist.split(",")]
         if len(parts) != action.rank:
             raise SpecError(f"--twist needs {action.rank} comma-separated rationals")
@@ -267,7 +266,7 @@ def _twist_for(spec: LoadedSpec, args) -> TorusAction:
 
 
 def _lambda_for(args, rank: int) -> OneParamSubgroup:
-    if not getattr(args, "lam", None):
+    if not args.lam:
         raise SpecError("this command needs --lambda \"a,b\"")
     parts = [p.strip() for p in args.lam.split(",")]
     if len(parts) != rank:
@@ -454,11 +453,12 @@ def _cmd_usweep(spec: LoadedSpec, args) -> dict:
 
 
 def _cmd_hstable(spec: LoadedSpec, args) -> dict:
+    action = _twist_for(spec, args)
     g = _group_for(spec, args)
     name, pt = _point_for(spec, args)
     if isinstance(pt, SupportPoint):
         raise SpecError("hstable needs an explicit-coordinates point")
-    verdict = h_stable_explicit(pt, spec.action, g)
+    verdict = h_stable_explicit(pt, action, g)
     out = {"point": name, "status": verdict.status.value}
     dim = stab_u_dimension(pt, g)
     out["stab_u_dimension"] = dim.value
@@ -474,7 +474,7 @@ def _cmd_external_equiv(spec: LoadedSpec, args) -> dict:
         else _rational(spec.external.get("epsilon", "1/2"), "external.epsilon")
     )
     rep = verify_external_change(
-        spec.action,
+        _twist_for(spec, args),
         [int(v) for v in spec.external["m_lambda"]],
         [int(v) for v in spec.external["m_mu"]],
         int(spec.external["N"]),
@@ -490,13 +490,14 @@ def _cmd_external_equiv(spec: LoadedSpec, args) -> dict:
 
 
 def _cmd_svg(spec: LoadedSpec, args) -> str:
+    action = _twist_for(spec, args)
     cone = None
     if spec.group is not None:
-        cone = admissible_cone(spec.group, spec.action.rank)
+        cone = admissible_cone(spec.group, action.rank)
     betas = None
-    if spec.action.rank == 2:
-        betas = [b.beta for b in beta_index_set(spec.action)]
-    return svg_weight_diagram(spec.action, cone=cone, betas=betas)
+    if action.rank == 2:
+        betas = [b.beta for b in beta_index_set(action)]
+    return svg_weight_diagram(action, cone=cone, betas=betas)
 
 
 _COMMANDS = {
@@ -513,31 +514,36 @@ _COMMANDS = {
 }
 
 
+# Every command takes every flag; value-taking flags are those without an
+# argparse action.
+_FLAGS = {
+    "--input": {"required": True, "help": "action spec JSON file"},
+    "--output": {"help": "output file (default stdout)"},
+    "--epsilon": {"help": "rational epsilon"},
+    "--twist": {"help": 'character twist "q1,q2"'},
+    "--point": {"help": "named point, or 'all'"},
+    "--lambda": {"dest": "lam", "help": 'cocharacter "a,b"'},
+    "--variant": {"help": "named group variant"},
+    "--strict": {"action": "store_true", "help": "exit 3 on Undecided"},
+    "--relative-interior": {
+        "action": "store_true",
+        "help": "read stability as relative-interior membership",
+    },
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gitloci",
         description="Exact stability loci, chambers and stratifications for linearised torus actions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in list(_COMMANDS) + ["svg"]:
-        p = sub.add_parser(cmd)
-        p.add_argument("--input", required=True, help="action spec JSON file")
-        p.add_argument("--output", default=None, help="output file (default stdout)")
-        p.add_argument("--epsilon", default=None, help="rational epsilon")
-        p.add_argument("--twist", default=None, help='character twist "q1,q2"')
-        p.add_argument("--point", default=None, help="named point, or 'all'")
-        p.add_argument("--lambda", dest="lam", default=None, help='cocharacter "a,b"')
-        p.add_argument("--variant", default=None, help="named group variant")
-        p.add_argument("--strict", action="store_true", help="exit 3 on Undecided")
-        p.add_argument(
-            "--relative-interior",
-            action="store_true",
-            help="read stability as relative-interior membership",
-        )
+    parser.add_argument("command", choices=[*_COMMANDS, "svg"])
+    for flag, options in _FLAGS.items():
+        parser.add_argument(flag, **options)
     return parser
 
 
-_VALUE_FLAGS = {"--input", "--output", "--epsilon", "--twist", "--point", "--lambda", "--variant"}
+_PARSER = _build_parser()
 
 
 def _glue_flag_values(argv: Sequence[str]) -> list[str]:
@@ -546,7 +552,7 @@ def _glue_flag_values(argv: Sequence[str]) -> list[str]:
     out: list[str] = []
     it = iter(argv)
     for tok in it:
-        if tok in _VALUE_FLAGS:
+        if tok in _FLAGS and "action" not in _FLAGS[tok]:
             val = next(it, None)
             if val is None:
                 out.append(tok)
@@ -558,30 +564,26 @@ def _glue_flag_values(argv: Sequence[str]) -> list[str]:
 
 
 def run(argv: Sequence[str]) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_glue_flag_values(argv))
+    args = _PARSER.parse_args(_glue_flag_values(argv))
+    undecided = False
     try:
         spec = load_spec(args.input)
         if args.command == "svg":
             text = _cmd_svg(spec, args)
-            if args.output:
-                with open(args.output, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
-            return 0
-        payload = _COMMANDS[args.command](spec, args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        else:
+            payload = _COMMANDS[args.command](spec, args)
+            report = {"command": args.command, "input": spec.name, "result": payload}
+            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+            undecided = args.strict and _has_undecided(payload)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = {"command": args.command, "input": spec.name, "result": payload}
-    _emit(report, args.output)
-    if args.strict and _has_undecided(payload):
-        return 3
-    return 0
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 3 if undecided else 0
 
 
 def _has_undecided(payload) -> bool:

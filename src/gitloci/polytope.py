@@ -2,13 +2,15 @@
 
 Hull membership distinguishes Outside / Boundary / Interior, where Interior
 means interior in the ambient space: a hull of less than full dimension never
-returns Interior.  (A relative-interior reading is available behind a flag
-for experiments.)  The minimum-norm point is computed by Wolfe's algorithm
-over exact rationals.  An independent path enumerates corrals: affinely
-independent subsets of at most dim + 1 points whose affine minimum-norm point
-lies in their hull.  By Caratheodory every minimum-norm point of a subset is
-one of these, so the enumeration (polynomial, O(n^(dim+1)) subsets) serves
-both as the test oracle for Wolfe and as the stratum index set.
+returns Interior.  The relative-interior reading (the `relative` argument,
+behind the CLI's --relative-interior) also calls a point inside a
+lower-dimensional hull Interior.  The minimum-norm point is computed by
+Wolfe's algorithm over exact rationals.  An independent path enumerates
+corrals: affinely independent subsets of at most dim + 1 points whose affine
+minimum-norm point lies in their hull.  By Caratheodory every minimum-norm
+point of a subset is one of these, so the enumeration (polynomial,
+O(n^(dim+1)) subsets) serves both as the test oracle for Wolfe and as the
+stratum index set.
 
 Membership runs in one integer kernel, `hull_position`: integer points
 against a rational query, translated so that the query is the origin and

@@ -128,9 +128,10 @@ class InnerProduct:
     """A positive definite symmetric integer bilinear form.
 
     Positive definiteness is checked at construction via leading principal
-    minors; the same Gram matrix is used for norms on weight and cocharacter
-    space alike (the corpus files use identity forms, under which the
-    canonical pairing and the form pairing agree).
+    minors.  The Gram matrix G norms weights; cocharacters, which pair with
+    weights by the dot product, are normed by the dual form G^-1
+    (`dual_norm_sq`).  The corpus files use identity forms, under which the
+    dot pairing and the form pairing agree and G^-1 = G.
     """
 
     gram: tuple[tuple[int, ...], ...]
@@ -184,6 +185,15 @@ class InnerProduct:
 
     def norm_sq(self, v: RationalVector) -> Fraction:
         return self.pairing(v, v)
+
+    def dual_norm_sq(self, v: RationalVector) -> Fraction:
+        """v . G^-1 v, the norm of a cocharacter under the dual form."""
+        if self._is_identity:
+            return self.norm_sq(v)
+        rows, _, _ = row_reduce(
+            [[Fraction(g) for g in row] + [e] for row, e in zip(self.gram, v.entries)]
+        )
+        return sum((e * row[-1] for e, row in zip(v.entries, rows)), Fraction(0))
 
 
 _ZERO = Fraction(0)

@@ -166,8 +166,9 @@ def hm_mu(a: TorusAction, x: SupportPoint, rho: OneParamSubgroup) -> Fraction:
 
 
 def hm_M(a: TorusAction, x: SupportPoint, rho: OneParamSubgroup) -> HMValue:
-    """Normalised Hilbert-Mumford value mu / |rho| (norm from the action's form)."""
-    return HMValue(hm_mu(a, x, rho), a.ip.norm_sq(rho.cochar))
+    """Normalised Hilbert-Mumford value mu / |rho|, with |rho| from the dual
+    of the action's form, so that M(x, lambda_beta) = -|beta|."""
+    return HMValue(hm_mu(a, x, rho), a.ip.dual_norm_sq(rho.cochar))
 
 
 def torus_status(
@@ -175,9 +176,9 @@ def torus_status(
 ) -> TorusStatus:
     """Classify the twist against the support's weight hull.
 
-    Interior (in the ambient sense by default; switchable to relative
-    interior for experiments) means stable; boundary, strictly semistable;
-    outside, unstable.
+    Interior (in the ambient sense by default; relative interior with
+    `relative_interior`, the CLI's --relative-interior) means stable;
+    boundary, strictly semistable; outside, unstable.
     """
     pos = hull_position(a.support_weights(x), a.twist, relative=relative_interior)
     if pos is HullPosition.INTERIOR:

@@ -1,7 +1,9 @@
+import argparse
 import ast
 import importlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -295,3 +297,158 @@ def test_no_subcommand_but_svg_expands_segre_weights(monkeypatch, tmp_path):
         argv = [command, flag, str(CORPUS / spec), *rest]
         code, _ = _run(argv, tmp_path)
         assert code == 0, argv
+
+
+# ---------------------------------------------------------------------------
+# The argument contract: one flag set for every command
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nonsense", "--input", str(CORPUS / "ex1_7.json")],
+        [],
+        ["--input", str(CORPUS / "ex1_7.json")],
+        ["beta"],
+        ["svg", "--output", "unused.svg"],
+    ],
+)
+def test_argument_errors_exit_2_with_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["beta", "-h"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gitloci")
+
+
+def test_negative_flag_values_glued_or_separate(tmp_path):
+    base = ["adapted", "--input", str(CORPUS / "sec7_1.json"), "--twist", "-1/2,1"]
+    separate = _run(base + ["--lambda", "-1,2"], tmp_path, "a.json")
+    glued = _run(base + ["--lambda=-1,2"], tmp_path, "b.json")
+    assert separate[0] == 0
+    assert separate == glued
+    assert json.loads(separate[1])["result"]["lambda"] == ["-1", "2"]
+
+
+def test_svg_output_file_matches_stdout(tmp_path, capsys):
+    args = ["svg", "--input", str(CORPUS / "sec7_1.json")]
+    assert run(args) == 0
+    printed = capsys.readouterr().out
+    code, written = _run(args, tmp_path, "hexagon.svg")
+    assert code == 0
+    assert written == printed
+
+
+def _readme_examples() -> list[list[str]]:
+    text = (REPO / "README.md").read_text()
+    block = text.split("Examples:", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.strip()]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    examples = _readme_examples()
+    assert len(examples) >= 7
+    monkeypatch.chdir(REPO)
+    for argv in examples:
+        if "--output" in argv:  # keep the checkout clean
+            i = argv.index("--output") + 1
+            argv[i] = str(tmp_path / argv[i])
+        assert run(argv) == 0, argv
+        capsys.readouterr()
+
+
+def test_no_parser_built_per_run(monkeypatch, tmp_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    args = ["admissible-cone", "--input", str(CORPUS / "sec7_1.json")]
+    assert _run(args, tmp_path, "a.json")[0] == 0
+    assert _run(args, tmp_path, "b.json")[0] == 0
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hstable", "--input", "sec7_1.json", "--point", "h_stable"],
+        ["svg", "--input", "sec7_1.json"],
+        ["external-equiv", "--input", "external_toy.json"],
+        ["stability", "--input", "sec7_1.json", "--point", "all"],
+        ["beta", "--input", "sec7_1.json"],
+        ["strata", "--input", "ex1_7.json"],
+        ["adapted", "--input", "sec7_1.json", "--lambda", "1,2"],
+    ],
+)
+def test_twist_flag_equals_twist_in_the_spec(argv, tmp_path):
+    # --twist replaces the spec's twist for every command that reads one
+    command, flag, name, *rest = argv
+    data = json.loads((CORPUS / name).read_text())
+    twist = ["1", "0"] if data["rank"] == 2 else ["-1/2"]
+    data["twist"] = twist
+    twisted = tmp_path / name
+    twisted.write_text(json.dumps(data))
+    by_flag = _run(
+        [command, flag, str(CORPUS / name), *rest, "--twist", ",".join(twist)],
+        tmp_path,
+        "flag.out",
+    )
+    by_spec = _run([command, flag, str(twisted), *rest], tmp_path, "spec.out")
+    assert by_flag[0] == 0
+    assert by_flag == by_spec
+
+
+def test_hstable_reads_twist(tmp_path):
+    # at twist (1,0) the orbit of h_stable reaches a support whose hull has
+    # the twist on its boundary; b = c = 1 is the witness
+    from gitloci.qpoly import RationalVector
+    from gitloci.stability import h_stable_explicit
+
+    sec71 = str(CORPUS / "sec7_1.json")
+    code, text = _run(
+        ["hstable", "--input", sec71, "--point", "h_stable", "--twist", "1,0"],
+        tmp_path,
+    )
+    assert code == 0
+    assert json.loads(text)["result"]["status"] == "unstable"
+    spec = load_spec(sec71)
+    twisted = spec.action.with_twist(RationalVector([1, 0]))
+    verdict = h_stable_explicit(spec.points["h_stable"], twisted, spec.group)
+    assert [str(v) for v in verdict.witness] == ["1", "1"]
+
+
+_VALID_SPEC = {
+    "rank": 1,
+    "inner_product": [[1]],
+    "factors": [{"weights": [[-1], [0], [2]]}],
+}
+
+
+@pytest.mark.parametrize(
+    "field, patch",
+    [
+        ("factors[1]", {"factors": [{"weights": [[1], [2]]}, 7]}),
+        ("points.p", {"points": {"p": 5}}),
+        ("variants", {"variants": ["b0"]}),
+        ("variants.b0", {"variants": {"b0": 3}}),
+        ("group", {"group": "trivial"}),
+        ("external", {"external": 10}),
+    ],
+)
+def test_non_object_blocks_are_validation_errors(field, patch, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_VALID_SPEC, **patch}))
+    assert run(["beta", "--input", str(path)]) == 2
+    assert field in capsys.readouterr().err

@@ -394,25 +394,28 @@ def test_semistability_iff_mu_nonnegative_exhaustive():
 
 def test_md1ps_minimises_M_over_facet_candidates():
     # the returned subgroup attains the minimal normalised value among the
-    # facet-normal candidate set, for unstable supports
+    # facet-normal candidate set, for unstable supports, and that value is
+    # -|beta| (cocharacters normed by the dual form)
     rng = random.Random(23)
-    for _ in range(60):
-        wts = [
-            V([Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))])
-            for _ in range(rng.randint(1, 5))
-        ]
-        a = TorusAction(2, wts, IP2)
-        sp = SupportPoint(range(len(wts)))
-        beta, lam = destabilising_beta(a, sp)
-        if beta.is_zero():
-            continue
-        m_beta = hm_M(a, sp, lam)
-        candidates = [
-            OneParamSubgroup.from_vector(d)
-            for d in facet_normal_candidates(a.segre_weights(sp, twisted=True))
-        ]
-        best = min(hm_M(a, sp, rho) for rho in candidates)
-        assert not (m_beta > best)
+    for ip in (IP2, InnerProduct([[2, 1], [1, 1]])):
+        for _ in range(60):
+            wts = [
+                V([Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))])
+                for _ in range(rng.randint(1, 5))
+            ]
+            a = TorusAction(2, wts, ip)
+            sp = SupportPoint(range(len(wts)))
+            beta, lam = destabilising_beta(a, sp)
+            if beta.is_zero():
+                continue
+            m_beta = hm_M(a, sp, lam)
+            assert m_beta == HMValue(-ip.norm_sq(beta), ip.norm_sq(beta))
+            candidates = [
+                OneParamSubgroup.from_vector(d)
+                for d in facet_normal_candidates(a.segre_weights(sp, twisted=True))
+            ]
+            best = min(hm_M(a, sp, rho) for rho in candidates)
+            assert not (m_beta > best)
 
 
 def test_lambda_beta_destabilises_under_any_form():
