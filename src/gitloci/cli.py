@@ -128,11 +128,13 @@ def load_spec(path: str) -> LoadedSpec:
     if "group" in data:
         group = _load_group(data["group"], action, rank, "group")
     variants = {}
-    for vname, vdata in _object(data.get("variants") or {}, "variants").items():
+    vblock = data.get("variants")
+    for vname, vdata in _object({} if vblock is None else vblock, "variants").items():
         variants[vname] = _load_group(vdata, action, rank, f"variants.{vname}")
 
     points: dict[str, ExplicitPoint | SupportPoint] = {}
-    for pname, pdata in _object(data.get("points") or {}, "points").items():
+    pblock = data.get("points")
+    for pname, pdata in _object({} if pblock is None else pblock, "points").items():
         ctx = f"points.{pname}"
         if "support" in _object(pdata, ctx):
             blocks = pdata["support"]

@@ -188,8 +188,6 @@ class InnerProduct:
 
     def dual_norm_sq(self, v: RationalVector) -> Fraction:
         """v . G^-1 v, the norm of a cocharacter under the dual form."""
-        if self._is_identity:
-            return self.norm_sq(v)
         rows, _, _ = row_reduce(
             [[Fraction(g) for g in row] + [e] for row, e in zip(self.gram, v.entries)]
         )

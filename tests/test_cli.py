@@ -445,6 +445,8 @@ _VALID_SPEC = {
         ("variants.b0", {"variants": {"b0": 3}}),
         ("group", {"group": "trivial"}),
         ("external", {"external": 10}),
+        ("points", {"points": []}),
+        ("variants", {"variants": []}),
     ],
 )
 def test_non_object_blocks_are_validation_errors(field, patch, tmp_path, capsys):
