@@ -43,8 +43,15 @@ CASES = {
     ],
     "strata_sec7_1.json": ["strata", "--input", "sec7_1.json"],
     "strata_ex1_7.json": ["strata", "--input", "ex1_7.json"],
+    "strata_sec7_1_1_2_m1_3.json": [
+        "strata", "--input", "sec7_1.json", "--twist", "1/2,-1/3",
+    ],
+    "strata_ex1_7_m1_2.json": ["strata", "--input", "ex1_7.json", "--twist", "-1/2"],
     "beta_sec7_1.json": ["beta", "--input", "sec7_1.json"],
     "beta_ex1_7.json": ["beta", "--input", "ex1_7.json"],
+    "beta_sec7_1_1_2_m1_3.json": [
+        "beta", "--input", "sec7_1.json", "--twist", "1/2,-1/3",
+    ],
     "svg_sec7_1.svg": ["svg", "--input", "sec7_1.json"],
     "adapted_sec7_1_1_2.json": ["adapted", "--input", "sec7_1.json", "--lambda", "1,2"],
     "admissible_cone_sec7_1.json": ["admissible-cone", "--input", "sec7_1.json"],
