@@ -204,6 +204,12 @@ class TorusAction:
     ) -> Iterator[SupportPoint]:
         """All valid supports: a nonempty coordinate subset per factor, of
         the coordinates of `within` when given."""
+        return map(SupportPoint, self.support_sets(within))
+
+    def support_sets(
+        self, within: Optional[SupportPoint] = None
+    ) -> Iterator[frozenset[int]]:
+        """The coordinate sets of `iter_supports(within)`, in its order."""
         choices = []
         for blk in self.factor_partition:
             if within is not None:
@@ -213,7 +219,7 @@ class TorusAction:
                 subsets.extend(itertools.combinations(blk, size))
             choices.append(subsets)
         for combo in itertools.product(*choices):
-            yield SupportPoint(itertools.chain.from_iterable(combo))
+            yield frozenset(itertools.chain.from_iterable(combo))
 
     def support_count(self) -> int:
         n = 1

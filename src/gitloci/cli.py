@@ -66,6 +66,12 @@ def _object(value: Any, context: str) -> dict:
     return value
 
 
+def _list(value: Any, context: str) -> list:
+    if not isinstance(value, list):
+        raise SpecError(f"{context}: expected a JSON list")
+    return value
+
+
 def _rational(value: Any, context: str) -> Fraction:
     try:
         if isinstance(value, str):
@@ -143,8 +149,8 @@ def load_spec(path: str) -> LoadedSpec:
             ):
                 raise SpecError(f"{ctx}.support: one index list per factor required")
             idx = []
-            for blk, local in zip(action.factor_partition, blocks):
-                for i in local:
+            for bi, (blk, local) in enumerate(zip(action.factor_partition, blocks)):
+                for i in _list(local, f"{ctx}.support[{bi}]"):
                     if not isinstance(i, int) or i < 0 or i >= len(blk):
                         raise SpecError(f"{ctx}.support: index {i} out of range")
                     idx.append(blk[i])
@@ -162,7 +168,10 @@ def load_spec(path: str) -> LoadedSpec:
                 raise SpecError(f"{ctx}.coords: one list per factor required")
             try:
                 points[pname] = ExplicitPoint(
-                    [[_rational(v, ctx) for v in blk] for blk in blocks]
+                    [
+                        [_rational(v, ctx) for v in _list(blk, f"{ctx}.coords[{bi}]")]
+                        for bi, blk in enumerate(blocks)
+                    ]
                 )
             except ValueError as exc:
                 raise SpecError(f"{ctx}.coords: {exc}") from exc
@@ -173,10 +182,13 @@ def load_spec(path: str) -> LoadedSpec:
     if external is not None:
         for key in ("m_lambda", "m_mu", "N"):
             _require(_object(external, "external"), key, "external")
+        for key in ("m_lambda", "m_mu"):
+            _list(external[key], f"external.{key}")
 
-    return LoadedSpec(
-        action, group, variants, points, external, data.get("name", "action")
-    )
+    name = data.get("name", "action")
+    if not isinstance(name, str):
+        raise SpecError("name: expected a string")
+    return LoadedSpec(action, group, variants, points, external, name)
 
 
 def _load_group(
@@ -184,18 +196,20 @@ def _load_group(
 ) -> GroupSpec:
     _object(gdata, ctx)
     aw = []
-    for wi, w in enumerate(gdata.get("adjoint_weights", [])):
+    for wi, w in enumerate(
+        _list(gdata.get("adjoint_weights", []), f"{ctx}.adjoint_weights")
+    ):
         aw.append(_vector(w, rank, f"{ctx}.adjoint_weights[{wi}]"))
     u_params = gdata.get("u_params", 0)
-    mats_data = gdata.get("u_matrices", [])
+    mats_data = _list(gdata.get("u_matrices", []), f"{ctx}.u_matrices")
     if mats_data and len(mats_data) != len(action.factor_partition):
         raise SpecError(f"{ctx}.u_matrices: one matrix per factor required")
     mats = []
     for mi, mat in enumerate(mats_data):
         rows = []
-        for ri, row in enumerate(mat):
+        for ri, row in enumerate(_list(mat, f"{ctx}.u_matrices[{mi}]")):
             entries = []
-            for ci, cell in enumerate(row):
+            for ci, cell in enumerate(_list(row, f"{ctx}.u_matrices[{mi}][{ri}]")):
                 try:
                     entries.append(BiPoly.parse(str(cell)))
                 except ValueError as exc:

@@ -5,12 +5,19 @@ means interior in the ambient space: a hull of less than full dimension never
 returns Interior.  The relative-interior reading (the `relative` argument,
 behind the CLI's --relative-interior) also calls a point inside a
 lower-dimensional hull Interior.  The minimum-norm point is computed by
-Wolfe's algorithm over exact rationals.  An independent path enumerates
-corrals: affinely independent subsets of at most dim + 1 points whose affine
-minimum-norm point lies in their hull.  By Caratheodory every minimum-norm
-point of a subset is one of these, so the enumeration (polynomial,
-O(n^(dim+1)) subsets) serves both as the test oracle for Wolfe and as the
-stratum index set.
+Wolfe's algorithm.  An independent path enumerates corrals: affinely
+independent subsets of at most dim + 1 points whose affine minimum-norm
+point lies in their hull.  By Caratheodory every minimum-norm point of a
+subset is one of these, so the enumeration (polynomial, O(n^(dim+1))
+subsets) serves both as the test oracle for Wolfe and as the stratum index
+set.
+
+Both run on one integer kernel.  The points' denominators (and the
+twist's) are cleared once and the integer Gram matrix <p_i, p_j>_G is built
+once per point set.  Each affine minimum-norm point solves the bordered KKT
+system [[M_T, 1], [1^T, 0]] by fraction-free Gauss-Jordan elimination, which
+gives integer coefficient numerators over one denominator, so the sign tests
+are integer tests; a Fraction is built only for each output coordinate.
 
 Membership runs in one integer kernel, `hull_position`: integer points
 against a rational query, translated so that the query is the origin and
@@ -76,10 +83,21 @@ class PointSet:
 
 def _clear_denominators(
     vectors: Sequence[RationalVector],
-) -> list[tuple[int, ...]]:
-    """Scale a family of vectors by one common denominator to integers."""
+) -> tuple[list[tuple[int, ...]], int]:
+    """Scale a family of vectors by their common denominator to integers;
+    returns the integer vectors and the denominator."""
     lcm = math.lcm(*(e.denominator for v in vectors for e in v.entries))
-    return [tuple(int(e * lcm) for e in v.entries) for v in vectors]
+    return [tuple(int(e * lcm) for e in v.entries) for v in vectors], lcm
+
+
+def _integer_frame(
+    points: Iterable[Sequence[int]], q: RationalVector
+) -> tuple[set[tuple[int, ...]], int]:
+    """The distinct points d*p - d*q and d, the denominator of q: integers
+    for integer points p."""
+    d = math.lcm(*(e.denominator for e in q.entries))
+    dq = [e.numerator * (d // e.denominator) for e in q.entries]
+    return {tuple(map(operator.sub, map(d.__mul__, p), dq)) for p in points}, d
 
 
 def hull_membership(
@@ -88,7 +106,7 @@ def hull_membership(
     """Exact classification of q against conv(S)."""
     if q.dim != S.dim:
         raise DimensionMismatch(f"query dim {q.dim} vs point dim {S.dim}")
-    *ints, q_int = _clear_denominators([*S.deduplicated(), q])
+    (*ints, q_int), _ = _clear_denominators([*S.deduplicated(), q])
     return hull_position(ints, RationalVector(q_int), relative=relative)
 
 
@@ -100,9 +118,7 @@ def hull_position(
     With d the denominator of q, the points d*p - d*q are integers, and q
     sits against the hull as the origin sits against theirs.
     """
-    d = math.lcm(*(e.denominator for e in q.entries))
-    dq = [e.numerator * (d // e.denominator) for e in q.entries]
-    diffs = {tuple(map(operator.sub, map(d.__mul__, p), dq)) for p in points}
+    diffs, _ = _integer_frame(points, q)
     if q.dim == 1:
         lo, hi = min(diffs)[0], max(diffs)[0]
         if lo > 0 or hi < 0:
@@ -211,7 +227,7 @@ def convex_hull_2d(points: Sequence[RationalVector]) -> list[RationalVector]:
         if p.entries not in seen:
             seen.add(p.entries)
             uniq.append(p)
-    ints = _clear_denominators(uniq)
+    ints, _ = _clear_denominators(uniq)
     back = {iv: p for iv, p in zip(ints, uniq)}
     return [back[iv] for iv in convex_hull_2d_int(ints)]
 
@@ -221,81 +237,134 @@ def convex_hull_2d(points: Sequence[RationalVector]) -> list[RationalVector]:
 # ---------------------------------------------------------------------------
 
 
-class LinAlgError(ValueError):
-    pass
+def _gram(points: Sequence[Sequence[int]], ip: InnerProduct) -> list[list[int]]:
+    """The integer Gram matrix <p_i, p_j>_G of integer points."""
+    forms = [[sum(map(operator.mul, row, p)) for row in ip.gram] for p in points]
+    return [[sum(map(operator.mul, p, gq)) for gq in forms] for p in points]
 
 
-def _affine_min_norm(
-    pts: Sequence[RationalVector], ip: InnerProduct
-) -> tuple[RationalVector, list[Fraction]]:
-    """Min-norm point of the affine hull of affinely independent points.
+def _bordered_solve(
+    gram: Sequence[Sequence[int]], subset: Sequence[int]
+) -> Optional[list[int]]:
+    """Affine minimum-norm coefficients of the points indexed by `subset`,
+    as integer numerators N over their sum D > 0 (a_i = N_i / D).
 
-    Solves the KKT system [[G, 1], [1^T, 0]] [a; nu] = [0; 1] exactly.  The
+    Solves [[M_T, 1], [1^T, 0]] [a; nu] = [0; 1], with M_T the subset's
+    block of the Gram matrix, by fraction-free Gauss-Jordan elimination
+    (Montante): every step maps each entry v off the pivot row to
+    (pivot * v - f * t) / previous pivot, an exact division, so the last
+    pivot is +-det and the right-hand column ends as +-det * (a; nu).  The
     system is singular exactly when the points are affinely dependent (a
     kernel vector (a, nu) has sum(a) = 0 and |sum a_i p_i|^2 = 0), which
-    raises LinAlgError.
+    returns None.
     """
-    k = len(pts)
-    one, zero = Fraction(1), Fraction(0)
-    rows = [[ip.pairing(p, q) for q in pts] + [one, zero] for p in pts]
-    rows.append([one] * k + [zero, one])
-    reduced, _, det = row_reduce(rows)
-    if det == 0:
-        raise LinAlgError("affinely dependent points")
-    coeffs = [row[-1] for row in reduced[:k]]
-    y = RationalVector.zero(pts[0].dim)
-    for a, p in zip(coeffs, pts):
-        y = y + p.scale(a)
-    return y, coeffs
+    k = len(subset)
+    rows = [[gram[i][j] for j in subset] + [1, 0] for i in subset]
+    rows.append([1] * k + [0, 1])
+    prev = 1
+    for col in range(k + 1):
+        p = next((r for r in range(col, k + 1) if rows[r][col]), None)
+        if p is None:
+            return None
+        rows[col], rows[p] = rows[p], rows[col]
+        top = rows[col]
+        piv, tail = top[col], top[col + 1 :]
+        for r, row in enumerate(rows):
+            if r != col:
+                f = row[col]
+                row[col + 1 :] = [
+                    (piv * v - f * t) // prev for v, t in zip(row[col + 1 :], tail)
+                ]
+        prev = piv
+    sign = 1 if prev > 0 else -1  # the coefficients sum to 1, so D = |det|
+    return [sign * row[-1] for row in rows[:k]]
+
+
+def _combination(
+    points: Sequence[Sequence[int]],
+    subset: Sequence[int],
+    weights: Sequence[int],
+    d: int,
+) -> RationalVector:
+    """sum_i w_i p_i / (d * sum_i w_i): one Fraction per coordinate."""
+    den = d * sum(weights)
+    return RationalVector(
+        Fraction(sum(w * points[i][c] for w, i in zip(weights, subset)), den)
+        for c in range(len(points[0]))
+    )
+
+
+def _positive(
+    subset: Sequence[int], weights: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """The members of positive weight, their weights divided by their gcd."""
+    keep = [(i, w) for i, w in zip(subset, weights) if w > 0]
+    g = math.gcd(*(w for _, w in keep))
+    return [i for i, _ in keep], [w // g for _, w in keep]
+
+
+def _wolfe(
+    points: Sequence[tuple[int, ...]], d: int, ip: InnerProduct
+) -> RationalVector:
+    """Wolfe's minimum-norm point of the hull of the distinct points p / d.
+
+    The iterate x = sum u_i p_i / sum(u) is held as positive integer weights
+    u on the corral, so with s_j = sum(u) * <x, p_j> from the integer Gram
+    matrix the optimality test <x, p> >= |x|^2 reads s_j * sum(u) >=
+    sum_i u_i s_i.  The corral stays affinely independent throughout (a
+    point strictly below the current level cannot lie in the corral's affine
+    hull), so the KKT systems are nonsingular and termination follows from
+    strict norm decrease over finitely many corrals.
+    """
+    gram = _gram(points, ip)
+    n = len(points)
+    corral = [min(range(n), key=lambda i: (gram[i][i], points[i]))]
+    u = [1]
+    while True:
+        s = [sum(w * gram[i][j] for w, i in zip(u, corral)) for j in range(n)]
+        best = min(range(n), key=s.__getitem__)  # the first least pairing
+        if s[best] * sum(u) >= sum(w * s[i] for w, i in zip(u, corral)):
+            return _combination(points, corral, u, d)
+        corral.append(best)
+        u.append(0)
+        while True:
+            coeffs = _bordered_solve(gram, corral)
+            if min(coeffs) >= 0:
+                # drop zero coefficients: the affine minimiser of the rest is
+                # the same point, now an interior convex combination
+                corral, u = _positive(corral, coeffs)
+                break
+            # move x toward the affine minimiser y until a weight reaches 0:
+            # over the common denominator sum(u) * sum(coeffs), x has weights
+            # c and y has e, and the step is theta = min c_i / (c_i - e_i)
+            # over e_i < 0, taken as p / q by cross-multiplication
+            total, den = sum(u), sum(coeffs)
+            c = [w * den for w in u]
+            e = [v * total for v in coeffs]
+            p, q = 1, 0
+            for ci, ei in zip(c, e):
+                if ei < 0 and ci * q < p * (ci - ei):
+                    p, q = ci, ci - ei
+            corral, u = _positive(
+                corral, [(q - p) * ci + p * ei for ci, ei in zip(c, e)]
+            )
 
 
 def min_norm_point(S: PointSet, ip: InnerProduct) -> RationalVector:
     """The unique point of conv(S) closest to the origin, by Wolfe's
-    minimum-norm-point algorithm over exact rationals.
+    minimum-norm-point algorithm on the integer kernel: the points' common
+    denominator is cleared once."""
+    return _wolfe(*_clear_denominators(S.deduplicated()), ip)
 
-    The corral stays affinely independent throughout (a point strictly
-    below the current level cannot lie in the corral's affine hull), so the
-    KKT systems are nonsingular and termination follows from strict norm
-    decrease over finitely many corrals.
-    """
-    pts = S.deduplicated()
-    x = min(pts, key=lambda p: (ip.norm_sq(p), p.sort_key()))
-    corral = [x]
-    weights = [Fraction(1)]
-    while True:
-        xx = ip.norm_sq(x)
-        best = None
-        best_val = None
-        for p in pts:
-            val = ip.pairing(x, p)
-            if best_val is None or val < best_val:
-                best, best_val = p, val
-        if best_val >= xx:
-            return x
-        corral.append(best)
-        weights.append(Fraction(0))
-        while True:
-            y, coeffs = _affine_min_norm(corral, ip)
-            if all(a >= 0 for a in coeffs):
-                # drop zero coefficients: y is still the affine minimiser of
-                # the remaining points and now an interior convex combination
-                keep = [i for i, a in enumerate(coeffs) if a > 0]
-                corral = [corral[i] for i in keep]
-                weights = [coeffs[i] for i in keep]
-                x = y
-                break
-            theta = min(
-                w / (w - a) for w, a in zip(weights, coeffs) if a < 0
-            )
-            weights = [
-                (1 - theta) * w + theta * a for w, a in zip(weights, coeffs)
-            ]
-            keep = [i for i, w in enumerate(weights) if w > 0]
-            corral = [corral[i] for i in keep]
-            weights = [weights[i] for i in keep]
-            x = RationalVector.zero(S.dim)
-            for w, p in zip(weights, corral):
-                x = x + p.scale(w)
+
+def hull_min_norm(
+    points: Iterable[Sequence[int]], q: RationalVector, ip: InnerProduct
+) -> RationalVector:
+    """The point of conv(points) - q closest to the origin, for integer
+    points: Wolfe on the distinct integer points d*p - d*q in sorted order,
+    d the denominator of q."""
+    diffs, d = _integer_frame(points, q)
+    return _wolfe(sorted(diffs), d, ip)
 
 
 def corral_points(
@@ -309,16 +378,17 @@ def corral_points(
     the minimum-norm point of any subset lies in the relative interior of a
     face, hence (Caratheodory) of such a subset.  So these are exactly the
     minimum-norm points of all nonempty subsets, repeats included, from
-    O(n^(dim+1)) small solves.
+    O(n^(dim+1)) small solves.  They run on the integer kernel: the common
+    denominator is cleared and the Gram matrix built once, and each subset
+    is one fraction-free bordered solve.
     """
-    for size in range(1, min(len(points), points[0].dim + 1) + 1):
-        for subset in itertools.combinations(points, size):
-            try:
-                y, coeffs = _affine_min_norm(subset, ip)
-            except LinAlgError:
-                continue
-            if all(a >= 0 for a in coeffs):
-                yield y
+    ints, d = _clear_denominators(points)
+    gram = _gram(ints, ip)
+    for size in range(1, min(len(ints), len(ints[0]) + 1) + 1):
+        for subset in itertools.combinations(range(len(ints)), size):
+            coeffs = _bordered_solve(gram, subset)
+            if coeffs is not None and min(coeffs) >= 0:
+                yield _combination(ints, subset, coeffs, d)
 
 
 def min_norm_point_oracle(S: PointSet, ip: InnerProduct) -> RationalVector:
@@ -574,7 +644,7 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
     n_lines = len(lines)
     # a positive multiple of a plane keeps its signs and their ratios
     planes = [
-        _clear_denominators([RationalVector([*pl.normal.entries, pl.offset])])[0]
+        _clear_denominators([RationalVector([*pl.normal.entries, pl.offset])])[0][0]
         for pl in (*lines, *arr.region)
     ]
     vertices: list[Face] = []

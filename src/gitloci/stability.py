@@ -39,11 +39,10 @@ from .polytope import (
     Face,
     HullPosition,
     Line2D,
-    PointSet,
     chamber_decomposition_2d,
     cone_has_interior_point,
+    hull_min_norm,
     hull_position,
-    min_norm_point,
 )
 from .qpoly import (
     BiPoly,
@@ -190,9 +189,8 @@ def torus_status(
 
 def support_beta(a: TorusAction, x: SupportPoint) -> RationalVector:
     """Minimum-norm point of the support's twisted weight hull: Wolfe on its
-    distinct weights shifted by the twist."""
-    pts = PointSet(RationalVector(w) - a.twist for w in a.support_weights(x))
-    return min_norm_point(pts, a.ip)
+    distinct integer weights, shifted by the twist."""
+    return hull_min_norm(a.support_weights(x), a.twist, a.ip)
 
 
 def destabilising_beta(

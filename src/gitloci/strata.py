@@ -183,10 +183,15 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
     violations: list[dict] = []
 
     norms: dict[frozenset[int], Fraction] = {}
+    # beta depends on a support only through its distinct weights
+    by_weights: dict[tuple[tuple[int, ...], ...], tuple[RationalVector, Fraction]] = {}
     for sp in supports:
-        beta = support_beta(a, sp)
+        weights = a.support_weights(sp)
+        if weights not in by_weights:
+            beta = support_beta(a, sp)
+            by_weights[weights] = beta, a.ip.norm_sq(beta)
+        beta, norms[sp.support] = by_weights[weights]
         by_support[sp.support] = beta
-        norms[sp.support] = a.ip.norm_sq(beta)
         key = beta.entries
         sizes[key] = sizes.get(key, 0) + 1
         if key not in betas:
@@ -195,14 +200,13 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
     # (ii) closure order under sub-supports
     for sp in supports:
         base = norms[sp.support]
-        for sub in a.iter_supports(sp):
-            sub_norm = norms[sub.support]
-            if sub_norm < base:
+        for sub in a.support_sets(sp):
+            if norms[sub] < base:
                 violations.append(
                     {
                         "kind": "closure-order",
                         "support": sorted(sp.support),
-                        "sub_support": sorted(sub.support),
+                        "sub_support": sorted(sub),
                     }
                 )
 

@@ -299,6 +299,27 @@ def test_no_subcommand_but_svg_expands_segre_weights(monkeypatch, tmp_path):
         assert code == 0, argv
 
 
+def test_min_norm_path_runs_no_rational_row_reduction(monkeypatch, tmp_path):
+    # beta, strata and the diagram's beta overlay solve their KKT systems
+    # on the integer kernel; `row_reduce` over Q is never reached
+    import gitloci.polytope
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("row_reduce called in the min-norm path")
+
+    monkeypatch.setattr(gitloci.polytope, "row_reduce", refuse)
+    argvs = [
+        [command, "--input", spec]
+        for command in ("beta", "strata")
+        for spec in ("ex1_7.json", "sec7_1.json", "external_toy.json")
+    ]
+    argvs.append(["svg", "--input", "sec7_1.json"])  # drawn for rank 2 only
+    for command, flag, spec in argvs:
+        argv = [command, flag, str(CORPUS / spec)]
+        code, _ = _run(argv, tmp_path)
+        assert code == 0, argv
+
+
 # ---------------------------------------------------------------------------
 # The argument contract: one flag set for every command
 # ---------------------------------------------------------------------------
@@ -450,6 +471,28 @@ _VALID_SPEC = {
     ],
 )
 def test_non_object_blocks_are_validation_errors(field, patch, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_VALID_SPEC, **patch}))
+    assert run(["beta", "--input", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, patch",
+    [
+        ("group.adjoint_weights", {"group": {"adjoint_weights": 5}}),
+        ("group.u_matrices", {"group": {"u_matrices": 5}}),
+        ("group.u_matrices[0]", {"group": {"u_matrices": [5]}}),
+        ("group.u_matrices[0][0]", {"group": {"u_matrices": [[5]]}}),
+        ("variants.b0.adjoint_weights", {"variants": {"b0": {"adjoint_weights": 5}}}),
+        ("external.m_lambda", {"external": {"m_lambda": 5, "m_mu": [1], "N": 1}}),
+        ("external.m_mu", {"external": {"m_lambda": [1], "m_mu": 5, "N": 1}}),
+        ("points.p.support[0]", {"points": {"p": {"support": [5]}}}),
+        ("points.p.coords[0]", {"points": {"p": {"coords": [5]}}}),
+        ("name", {"name": ["x"]}),
+    ],
+)
+def test_non_list_fields_are_validation_errors(field, patch, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**_VALID_SPEC, **patch}))
     assert run(["beta", "--input", str(path)]) == 2

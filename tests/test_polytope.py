@@ -13,17 +13,23 @@ from gitloci.polytope import (
     HullPosition,
     Line2D,
     PointSet,
+    _bordered_solve,
+    _clear_denominators,
+    _combination,
+    _gram,
     chamber_decomposition_2d,
     convex_hull_2d,
+    corral_points,
     facet_normal_candidates,
     hull_membership,
+    hull_min_norm,
     hull_position,
     min_norm_point,
     min_norm_point_oracle,
     region_interior_point,
 )
 from gitloci.linprog import OPTIMAL, lp_maximize_free
-from gitloci.qpoly import InnerProduct, RationalVector
+from gitloci.qpoly import InnerProduct, RationalVector, row_reduce
 from gitloci.vgit import _expanded_region
 
 V = RationalVector
@@ -119,6 +125,106 @@ def test_min_norm_consistency_with_membership():
         # membership of the origin is equivalent to a zero minimiser
         inside = hull_membership(S, origin) is not HullPosition.OUTSIDE
         assert inside == mnp.is_zero()
+
+
+def _reference_affine_min_norm(pts, ip):
+    """The affine minimum-norm point and its coefficients from the KKT
+    system [[G, 1], [1^T, 0]] [a; nu] = [0; 1] row-reduced over Fractions,
+    or None when it is singular (affinely dependent points)."""
+    k = len(pts)
+    rows = [[ip.pairing(p, q) for q in pts] + [Fraction(1), Fraction(0)] for p in pts]
+    rows.append([Fraction(1)] * k + [Fraction(0), Fraction(1)])
+    reduced, _, det = row_reduce(rows)
+    if det == 0:
+        return None
+    coeffs = [row[-1] for row in reduced[:k]]
+    y = RationalVector.zero(pts[0].dim)
+    for a, p in zip(coeffs, pts):
+        y = y + p.scale(a)
+    return y, coeffs
+
+
+def _reference_corral_points(points, ip):
+    for size in range(1, min(len(points), points[0].dim + 1) + 1):
+        for subset in itertools.combinations(points, size):
+            solved = _reference_affine_min_norm(subset, ip)
+            if solved is not None and all(a >= 0 for a in solved[1]):
+                yield solved[0]
+
+
+_FORMS = {
+    1: [InnerProduct([[1]]), InnerProduct([[3]])],
+    2: [
+        InnerProduct.identity(2),
+        InnerProduct([[2, 1], [1, 3]]),
+        InnerProduct([[3, -1], [-1, 2]]),
+    ],
+    3: [InnerProduct.identity(3), InnerProduct([[2, 1, 0], [1, 2, 1], [0, 1, 2]])],
+}
+
+
+def _rational_cases(seed, count):
+    """Rational point sets in dims 1-3 with denominators 2, 3 or 7 under
+    identity and non-identity forms; some carry the midpoint of two of
+    their points, so that small subsets are affinely dependent."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.choice([1, 2, 3])
+        den = rng.choice([2, 3, 7])
+        pts = [
+            V([Fraction(rng.randint(-9, 9), rng.choice([1, den])) for _ in range(dim)])
+            for _ in range(rng.randint(1, 6))
+        ]
+        if len(pts) > 1 and rng.random() < 0.5:
+            pts.append((pts[0] + pts[1]).scale(Fraction(1, 2)))
+        yield PointSet(pts), rng.choice(_FORMS[dim])
+
+
+def test_bordered_solve_matches_rational_kkt_reference():
+    dependent = 0
+    for S, ip in _rational_cases(2718, 150):
+        pts = S.deduplicated()
+        ints, d = _clear_denominators(pts)
+        gram = _gram(ints, ip)
+        for size in range(1, min(len(pts), S.dim + 2) + 1):
+            for subset in itertools.combinations(range(len(pts)), size):
+                want = _reference_affine_min_norm([pts[i] for i in subset], ip)
+                coeffs = _bordered_solve(gram, subset)
+                if want is None:
+                    dependent += 1
+                    assert coeffs is None, ([pts[i] for i in subset], ip.gram)
+                    continue
+                assert sum(coeffs) > 0  # the sign tests read the numerators
+                assert [Fraction(c, sum(coeffs)) for c in coeffs] == want[1]
+                assert _combination(ints, subset, coeffs, d) == want[0]
+    assert dependent > 100  # the dependent subsets are exercised
+
+
+def test_corral_points_match_rational_reference_in_order():
+    for S, ip in _rational_cases(3141, 150):
+        pts = S.deduplicated()
+        assert list(corral_points(pts, ip)) == list(_reference_corral_points(pts, ip))
+
+
+def test_wolfe_meets_variational_certificate_on_rational_points():
+    # x is the minimum-norm point of conv(S) iff x is in conv(S) and
+    # <x, p>_G >= |x|^2_G for every p in S: a check that solves nothing
+    for S, ip in _rational_cases(1618, 150):
+        x = min_norm_point(S, ip)
+        assert hull_membership(S, x) is not HullPosition.OUTSIDE
+        assert all(ip.pairing(x, p) >= ip.norm_sq(x) for p in S.points)
+        assert x == min_norm_point_oracle(S, ip)
+
+
+def test_hull_min_norm_is_wolfe_on_shifted_points():
+    rng = random.Random(577)
+    for S, ip in _rational_cases(577, 60):
+        ints, _ = _clear_denominators(S.points)
+        q = V(
+            [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7])) for _ in range(S.dim)]
+        )
+        shifted = PointSet(V(p) - q for p in ints)
+        assert hull_min_norm(ints, q, ip) == min_norm_point(shifted, ip)
 
 
 def test_facet_normal_candidates_certify_membership():
