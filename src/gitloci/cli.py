@@ -72,6 +72,12 @@ def _list(value: Any, context: str) -> list:
     return value
 
 
+def _integer(value: Any, context: str) -> int:
+    if type(value) is not int:  # a JSON bool is an int to Python
+        raise SpecError(f"{context}: expected an integer, got {value!r}")
+    return value
+
+
 def _rational(value: Any, context: str) -> Fraction:
     try:
         if isinstance(value, str):
@@ -183,7 +189,9 @@ def load_spec(path: str) -> LoadedSpec:
         for key in ("m_lambda", "m_mu", "N"):
             _require(_object(external, "external"), key, "external")
         for key in ("m_lambda", "m_mu"):
-            _list(external[key], f"external.{key}")
+            for i, v in enumerate(_list(external[key], f"external.{key}")):
+                _integer(v, f"external.{key}[{i}]")
+        _integer(external["N"], "external.N")
 
     name = data.get("name", "action")
     if not isinstance(name, str):
@@ -225,8 +233,60 @@ def _load_group(
 
 
 # ---------------------------------------------------------------------------
-# JSON rendering helpers (canonical: rationals as strings, sorted keys)
+# JSON rendering helpers (canonical: rationals as strings, sorted keys).
+# `_render` is the one report writer: its text is, byte for byte,
+# json.dumps(value, sort_keys=True, indent=2), built by string joins, as
+# `indent` makes json leave its C encoder for a pure-Python one.
 # ---------------------------------------------------------------------------
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _render(value: Any, indent: str = "\n") -> str:
+    """JSON text of a report value whose lines break at `indent`: dicts with
+    string keys, lists (or tuples), strings, ints, bools and None.
+
+    A container's text is one join of its punctuation and its children's
+    texts, so a large child is copied once, not again by concatenation.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = []
+        for k in sorted(value):
+            parts += (",", inner, _escape(k), ": ", _render(value[k], inner))
+        parts[0] = "{"  # the first item's comma opens the object
+        parts.append(indent + "}")
+        return "".join(parts)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            items = map(_escape, value)
+        elif kinds == {int}:  # exactly int: a bool is rendered on its own
+            items = map(int.__repr__, value)
+        else:
+            parts = []
+            for v in value:
+                parts += (",", inner, _render(v, inner))
+            parts[0] = "["
+            parts.append(indent + "]")
+            return "".join(parts)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _jq(q: Fraction) -> str:
@@ -491,9 +551,9 @@ def _cmd_external_equiv(spec: LoadedSpec, args) -> dict:
     )
     rep = verify_external_change(
         _twist_for(spec, args),
-        [int(v) for v in spec.external["m_lambda"]],
-        [int(v) for v in spec.external["m_mu"]],
-        int(spec.external["N"]),
+        spec.external["m_lambda"],
+        spec.external["m_mu"],
+        spec.external["N"],
         eps,
     )
     return {
@@ -589,7 +649,7 @@ def run(argv: Sequence[str]) -> int:
         else:
             payload = _COMMANDS[args.command](spec, args)
             report = {"command": args.command, "input": spec.name, "result": payload}
-            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+            text = _render(report) + "\n"
             undecided = args.strict and _has_undecided(payload)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -518,6 +518,15 @@ def cone_has_interior_point(cone: Cone, dim: int) -> Optional[RationalVector]:
     return v.primitive_integral()
 
 
+def primitive_line(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """The canonical triple of the line a*x + b*y = c, (a, b) nonzero: divided
+    by its gcd and negated where the leading nonzero of (a, b) is negative."""
+    g = math.gcd(a, b, c)
+    if (a or b) < 0:
+        g = -g
+    return a // g, b // g, c // g
+
+
 @dataclass(frozen=True)
 class Line2D:
     """The locus <normal, x> = offset, stored primitively."""
@@ -529,14 +538,16 @@ class Line2D:
     def canonical(normal: RationalVector, offset: Fraction) -> "Line2D":
         if normal.is_zero():
             raise ValueError("line normal must be nonzero")
-        triple = RationalVector(list(normal.entries) + [offset])
-        prim = triple.primitive_integral()
-        e = prim.entries
-        lead = next(v for v in e[:2] if v != 0)
-        if lead < 0:
-            prim = -prim
-            e = prim.entries
-        return Line2D(RationalVector(e[:2]), e[2])
+        entries = (*normal.entries, Fraction(offset))
+        lcm = math.lcm(*(e.denominator for e in entries))
+        a, b, c = (e.numerator * (lcm // e.denominator) for e in entries)
+        return Line2D.from_triple(primitive_line(a, b, c))
+
+    @staticmethod
+    def from_triple(triple: tuple[int, int, int]) -> "Line2D":
+        """The line a*x + b*y = c of an integer triple (a, b, c)."""
+        a, b, c = triple
+        return Line2D(RationalVector([a, b]), Fraction(c))
 
     @staticmethod
     def through(p: RationalVector, q: RationalVector) -> "Line2D":

@@ -6,7 +6,10 @@ line (rank 1).  A wall is where some support becomes strictly semistable,
 which is on the boundary of that support's weight hull.  So in rank 2 every
 wall lies on a hull-edge line, the line of a polygon hull's edge or of a
 segment hull itself, and the complex is the one arrangement of those lines,
-decomposed once and labelled face by face.
+decomposed once and labelled face by face.  Wall lines are found,
+deduplicated, ordered and signed as canonical integer triples (a, b, c) of
+a*x + b*y = c; each distinct one becomes a `Line2D` once, for the
+arrangement and the report.
 
 Families are read off sign vectors, with no hull arithmetic per face.  A
 twist is in a polygon hull iff it is on no edge line's outer side.  A
@@ -38,11 +41,13 @@ from .polytope import (
     Line2D,
     PointSet,
     RationalVector,
+    _signs,
     chamber_decomposition_2d,
     convex_hull_2d,
     convex_hull_2d_int,
     hull_membership,
     hull_position,
+    primitive_line,
 )
 from .qpoly import row_reduce
 from .stability import RankUnsupported
@@ -162,10 +167,11 @@ def _rank1_families(a: TorusAction, values: Sequence[Fraction]) -> _SignFamilies
 
 def _rank2_walls(
     a: TorusAction, weights: Sequence[RationalVector]
-) -> tuple[list[Line2D], _SignFamilies]:
+) -> tuple[list[Line2D], list[tuple[int, ...]], _SignFamilies]:
     """The hull-edge lines of the supports, in the order in which their
-    first pair of (distinct) weights comes among all pairs, and the
-    families over their signs.
+    first pair of (distinct) weights comes among all pairs, their sign table
+    (a row of signs at the weights per line) and the families over their
+    signs.
 
     A polygon hull forbids the outer side of each edge's line.  A segment
     forbids both sides of its own line, and beyond each endpoint the far side
@@ -174,29 +180,35 @@ def _rank2_walls(
     with one coordinate added is a segment support at p, and if all of these
     segments were parallel every weight would lie on one line through p.
     """
-    position = {tuple(map(int, w.entries)): k for k, w in enumerate(weights)}
+    points = [tuple(map(int, w.entries)) for w in weights]
+    position = {v: k for k, v in enumerate(points)}
 
     @functools.cache
-    def through(p: int, q: int) -> Line2D:
-        return Line2D.through(weights[p], weights[q])
+    def through(p: int, q: int) -> tuple[int, int, int]:
+        (px, py), (qx, qy) = points[p], points[q]
+        nx, ny = py - qy, qx - px
+        return primitive_line(nx, ny, nx * px + ny * py)
 
     hulls = []
-    edges: set[Line2D] = set()
+    edges: set[tuple[int, int, int]] = set()
     for sp in a.iter_supports():
         hull = [position[v] for v in convex_hull_2d_int(a.support_weights(sp))]
         hulls.append((sp.support, hull))
         if len(hull) > 1:
             edges.update(through(p, q) for p, q in zip(hull, hull[1:] + hull[:1]))
-    sides = {ln: [ln.side(w) for w in weights] for ln in edges}
+    sides = {
+        (nx, ny, c): _signs(nx * x + ny * y - c for x, y in points)
+        for nx, ny, c in edges
+    }
 
-    def first_pair(ln: Line2D) -> list[int]:
+    def first_pair(ln: tuple[int, int, int]) -> list[int]:
         return [k for k, s in enumerate(sides[ln]) if not s][:2]
 
-    lines = sorted(edges, key=first_pair)
-    index = {ln: i for i, ln in enumerate(lines)}
-    table = [sides[ln] for ln in lines]
+    triples = sorted(edges, key=first_pair)
+    index = {ln: i for i, ln in enumerate(triples)}
+    table = [sides[ln] for ln in triples]
     # the edge lines through each weight, in line order
-    at = [[i for i, row in enumerate(table) if not row[k]] for k in position.values()]
+    at = [[i for i, row in enumerate(table) if not row[k]] for k in range(len(points))]
 
     keys, conditions = [], []
     for support, hull in hulls:
@@ -214,7 +226,8 @@ def _rank2_walls(
             conds = [(i, s) for i in at[hull[0]][:2] for s in (1, -1)]
         keys.append(support)
         conditions.append(conds)
-    return lines, _SignFamilies(keys, conditions, len(lines))
+    lines = [Line2D.from_triple(ln) for ln in triples]
+    return lines, table, _SignFamilies(keys, conditions, len(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +367,7 @@ def _rank2_complex(a: TorusAction) -> ChamberComplex:
         raise DegenerateWeights(
             "all weights are collinear: the effective region has no interior"
         )
-    lines, labels = _rank2_walls(a, weights)
+    lines, _, labels = _rank2_walls(a, weights)
     dec = chamber_decomposition_2d(Arrangement2D(lines, _expanded_region(hull)))
     families = {face.signs: labels.family(face.signs) for face in dec.faces}
     return _assemble(dec, families, labels, eff)

@@ -6,12 +6,15 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
-from gitloci.cli import load_spec, run
+from gitloci.cli import _render, load_spec, run
 from gitloci.strata import beta_index_set
 
 REPO = Path(__file__).resolve().parent.parent
@@ -497,3 +500,122 @@ def test_non_list_fields_are_validation_errors(field, patch, tmp_path, capsys):
     path.write_text(json.dumps({**_VALID_SPEC, **patch}))
     assert run(["beta", "--input", str(path)]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, patch",
+    [
+        ("external.N", {"N": [1]}),
+        ("external.N", {"N": True}),
+        ("external.N", {"N": "10"}),
+        ("external.m_lambda[0]", {"m_lambda": [[1]]}),
+        ("external.m_lambda[1]", {"m_lambda": [1, "0"]}),
+        ("external.m_mu[1]", {"m_mu": [2, False]}),
+    ],
+)
+def test_non_integer_external_fields_are_validation_errors(
+    field, patch, tmp_path, capsys
+):
+    data = json.loads((CORPUS / "external_toy.json").read_text())
+    data["external"].update(patch)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(["external-equiv", "--input", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The report writer: the bytes of json.dumps(sort_keys=True, indent=2)
+# ---------------------------------------------------------------------------
+
+
+def _dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_writer_matches_json_dumps_on_golden_reports():
+    goldens = sorted((REPO / "tests" / "golden").glob("*.json"))
+    assert len(goldens) == 24  # every golden but the svg
+    for path in goldens:
+        text = path.read_text()
+        report = json.loads(text)
+        assert _render(report) + "\n" == _dumps(report) + "\n" == text, path.name
+
+
+# quotes, backslashes, control, non-ASCII and astral characters
+_ESCAPED = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aé\u2028\U0001f600'))
+_TEXT = st.text() | _ESCAPED
+_INTS = st.integers(min_value=-(2**200), max_value=2**200)
+_PAYLOADS = st.recursive(
+    st.none()
+    | st.booleans()
+    | _INTS
+    | _TEXT
+    | st.lists(_INTS)
+    | st.lists(_INTS | st.booleans())
+    | st.lists(_TEXT),
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(_TEXT, inner),
+    max_leaves=40,
+)
+
+
+@settings(deadline=None)
+@given(_PAYLOADS)
+def test_writer_matches_json_dumps(value):
+    assert _render(value) == _dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, [0, 0.5], {"a": float("nan")}, {1, 2}, b"x", [Fraction(1, 2)]]
+)
+def test_writer_refuses_values_reports_do_not_hold(value):
+    with pytest.raises(TypeError):
+        _render(value)
+
+
+def test_no_subcommand_renders_with_the_json_encoder(monkeypatch, tmp_path):
+    # every report goes through the one string-join writer
+    from gitloci.cli import _COMMANDS
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json encoder called to render a report")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr(json, "dump", refuse)
+    monkeypatch.setattr(json.JSONEncoder, "encode", refuse)
+    commands = {argv[0] for argv in _NO_EXPANSION_ARGVS}
+    assert commands == set(_COMMANDS)  # every subcommand but svg
+    for command, flag, spec, *rest in _NO_EXPANSION_ARGVS:
+        argv = [command, flag, str(CORPUS / spec), *rest]
+        code, text = _run(argv, tmp_path)
+        assert code == 0 and text.endswith("}\n"), argv
+
+
+# one of the benchmark's chambers inputs: an affine image of a P2 x P2 product
+_CHAMBERS_INPUT = {
+    "name": "chambers0",
+    "rank": 2,
+    "inner_product": [[1, 0], [0, 1]],
+    "factors": [
+        {"weights": [[1, -2], [-2, 2], [0, 1]]},
+        {"weights": [[-1, 0], [2, 1], [1, -1]]},
+    ],
+}
+
+
+def test_chambers_finds_edge_lines_without_fraction_lines(monkeypatch, tmp_path):
+    # hull-edge lines are integer triples; no Line2D is built per pair
+    from gitloci.polytope import Line2D
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Line2D.through called by chambers")
+
+    spec = tmp_path / "chambers0.json"
+    spec.write_text(json.dumps(_CHAMBERS_INPUT))
+    monkeypatch.setattr(Line2D, "through", staticmethod(refuse))
+    for path in (CORPUS / "sec7_1.json", spec):
+        code, text = _run(["chambers", "--input", str(path)], tmp_path)
+        assert code == 0, path
+        assert json.loads(text)["result"]["walls"], path

@@ -252,6 +252,26 @@ def _square(side: int = 2):
     ]
 
 
+def test_line_canonical_is_the_primitive_integral_triple():
+    # the primitive integral multiple of (normal, offset), negated where the
+    # normal's leading nonzero entry is negative
+    rng = random.Random(529)
+    for _ in range(300):
+        normal = V([Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(2)])
+        if normal.is_zero():
+            continue
+        offset = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        prim = V([*normal.entries, offset]).primitive_integral()
+        if next(v for v in prim.entries[:2] if v) < 0:
+            prim = -prim
+        line = Line2D.canonical(normal, offset)
+        assert (*line.normal.entries, line.offset) == prim.entries
+        assert all(type(e) is Fraction for e in (*line.normal.entries, line.offset))
+        assert Line2D.canonical(normal.scale(-3), -3 * offset) == line
+    with pytest.raises(ValueError):
+        Line2D.canonical(V([0, 0]), Fraction(1))
+
+
 def test_chamber_decomposition_one_line():
     dec = chamber_decomposition_2d(
         Arrangement2D([Line2D.canonical(V([1, 0]), Fraction(0))], _square())

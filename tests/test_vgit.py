@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from gitloci.polytope import (
     Line2D,
     chamber_decomposition_2d,
     convex_hull_2d,
+    convex_hull_2d_int,
 )
 from gitloci.qpoly import InnerProduct, RationalVector
 from gitloci.vgit import (
@@ -24,6 +26,7 @@ from gitloci.vgit import (
     _flip_families,
     _rank1_families,
     _rank2_walls,
+    _SignFamilies,
     crossing_report,
     effective_cone,
     git_class,
@@ -403,7 +406,7 @@ def _hull_shapes(a):
 def _projected(a, dec):
     """The wall lines, their labels, and each face's family from its signs
     on the wall lines, which are among the lines of `dec`."""
-    walls, labels = _rank2_walls(a, a.distinct_segre_weights())
+    walls, _, labels = _rank2_walls(a, a.distinct_segre_weights())
     pos = [dec.lines.index(ln) for ln in walls]
     families = {f.signs: labels.family([f.signs[k] for k in pos]) for f in dec.faces}
     return walls, labels, families
@@ -538,6 +541,96 @@ def test_edge_line_walls_match_pruned_pair_lines():
     assert len(_first_pass(_sec71()).lines) > len(
         wall_chamber_decomposition(_sec71()).walls
     )
+
+
+# ---------------------------------------------------------------------------
+# Integer edge lines against the Fraction edge lines they replaced
+# ---------------------------------------------------------------------------
+
+
+def _fraction_walls(a, weights):
+    """The edge lines, their sign table at the weights and the support
+    conditions, found on `Fraction`s: `Line2D.through` per hull edge and
+    `Line2D.side` per weight, as `_rank2_walls` did before integer triples."""
+    position = {tuple(map(int, w.entries)): k for k, w in enumerate(weights)}
+
+    @functools.cache
+    def through(p, q):
+        return Line2D.through(weights[p], weights[q])
+
+    hulls, edges = [], set()
+    for sp in a.iter_supports():
+        hull = [position[v] for v in convex_hull_2d_int(a.support_weights(sp))]
+        hulls.append((sp.support, hull))
+        if len(hull) > 1:
+            edges.update(through(p, q) for p, q in zip(hull, hull[1:] + hull[:1]))
+    sides = {ln: tuple(ln.side(w) for w in weights) for ln in edges}
+    lines = sorted(
+        edges, key=lambda ln: [k for k, s in enumerate(sides[ln]) if not s][:2]
+    )
+    index = {ln: i for i, ln in enumerate(lines)}
+    table = [sides[ln] for ln in lines]
+    at = [[i for i, row in enumerate(table) if not row[k]] for k in range(len(weights))]
+    keys, conditions = [], []
+    for support, hull in hulls:
+        n = len(hull)
+        if n >= 3:
+            edge = [index[through(hull[i], hull[(i + 1) % n])] for i in range(n)]
+            conds = [(e, -table[e][hull[(i + 2) % n]]) for i, e in enumerate(edge)]
+        elif n == 2:
+            p, q = hull
+            own = index[through(p, q)]
+            tp = next(i for i in at[p] if i != own)
+            tq = next(i for i in at[q] if i != own)
+            conds = [(own, 1), (own, -1), (tp, -table[tp][q]), (tq, -table[tq][p])]
+        else:
+            conds = [(i, s) for i in at[hull[0]][:2] for s in (1, -1)]
+        keys.append(support)
+        conditions.append(conds)
+    return lines, table, keys, conditions
+
+
+def _random_rank2(rng):
+    """A product of 2 or 3 factors of 1 to 4 coordinates, weights in
+    [-3, 3]^2, whose weights are not all collinear."""
+    while True:
+        a = build_product_action(
+            [
+                TorusAction(
+                    2,
+                    [
+                        V([rng.randint(-3, 3), rng.randint(-3, 3)])
+                        for _ in range(rng.randint(1, 4))
+                    ],
+                    IP2,
+                )
+                for _ in range(rng.randint(2, 3))
+            ]
+        )
+        if len(convex_hull_2d_int(a.support_weights())) >= 3:
+            return a
+
+
+def test_integer_edge_lines_match_fraction_oracle():
+    rng = random.Random(1123)
+    actions = _collinear_and_coinciding() + [_sec71()]
+    actions += [_random_p2xp2(rng) for _ in range(6)]
+    actions += [_random_rank2(rng) for _ in range(12)]
+    hull_sizes = set()
+    for a in actions:
+        weights = a.distinct_segre_weights()
+        lines, table, labels = _rank2_walls(a, weights)
+        o_lines, o_table, o_keys, o_conditions = _fraction_walls(a, weights)
+        assert lines == o_lines, a.weights
+        assert table == o_table, a.weights
+        oracle = _SignFamilies(o_keys, o_conditions, len(o_lines))
+        assert labels._keys == oracle._keys
+        assert labels._forbid == oracle._forbid, a.weights
+        hull_sizes |= {
+            min(len(convex_hull_2d_int(a.support_weights(sp))), 3)
+            for sp in a.iter_supports()
+        }
+    assert hull_sizes == {1, 2, 3}  # point, segment and polygon supports
 
 
 # ---------------------------------------------------------------------------
