@@ -1,5 +1,6 @@
 import argparse
 import ast
+import hashlib
 import importlib
 import json
 import os
@@ -619,3 +620,27 @@ def test_chambers_finds_edge_lines_without_fraction_lines(monkeypatch, tmp_path)
         code, text = _run(["chambers", "--input", str(path)], tmp_path)
         assert code == 0, path
         assert json.loads(text)["result"]["walls"], path
+
+
+# p3g: three P2 factors with generic weights, 21 distinct weights and 343
+# supports, whose 9 MB chambers report is too large for a golden file
+_P3G_INPUT = {
+    "name": "p3g",
+    "rank": 2,
+    "inner_product": [[1, 0], [0, 1]],
+    "twist": ["0", "0"],
+    "factors": [
+        {"name": "f0", "weights": [[1, 0], [0, 1], [-1, -1]]},
+        {"name": "f1", "weights": [[2, 0], [0, 1], [-1, -2]]},
+        {"name": "f2", "weights": [[-1, 0], [0, -1], [1, 1]]},
+    ],
+}
+
+
+def test_chambers_report_on_p3g_is_pinned(tmp_path):
+    spec = tmp_path / "p3g.json"
+    spec.write_text(json.dumps(_P3G_INPUT))
+    out = tmp_path / "p3g_chambers.json"
+    assert run(["chambers", "--input", str(spec), "--output", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "1b5f4afa1cb4d799fbc712039b05b1e7198767b964f94143441f1a090ce570ab"
