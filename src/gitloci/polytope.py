@@ -15,7 +15,7 @@ set.
 Both run on one integer kernel.  The points' denominators (and the
 twist's) are cleared once and the integer Gram matrix <p_i, p_j>_G is built
 once per point set.  Each affine minimum-norm point solves the bordered KKT
-system [[M_T, 1], [1^T, 0]] by fraction-free Gauss-Jordan elimination, which
+system [[M_T, 1], [1^T, 0]] by the integer elimination of `qpoly`, which
 gives integer coefficient numerators over one denominator, so the sign tests
 are integer tests; a Fraction is built only for each output coordinate.
 
@@ -24,6 +24,11 @@ against a rational query, translated so that the query is the origin and
 scaled by its denominator.  Dimension 1 compares extremes, dimension 2 takes
 an integer hull and orientations, higher dimensions solve exact simplex
 programs.
+
+`PointSet`, `hull_membership`, `min_norm_point`, `min_norm_point_oracle`
+and `convex_hull_2d` are `Fraction` entry points over those kernels that no
+path of the package calls; they stay as the tests' and the benchmark's names
+for them.
 """
 
 from __future__ import annotations
@@ -37,7 +42,12 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .linprog import OPTIMAL, lp_feasible, lp_maximize_free, solve_lp
-from .qpoly import InnerProduct, RationalVector, row_reduce
+from .qpoly import (
+    InnerProduct,
+    RationalVector,
+    clear_denominators,
+    integer_row_reduce,
+)
 
 
 class DimensionMismatch(ValueError):
@@ -56,7 +66,12 @@ class HullPosition(str, Enum):
 
 @dataclass(frozen=True)
 class PointSet:
-    """A finite weight set; duplicates permitted (weight multiplicity)."""
+    """A finite weight set; duplicates permitted (weight multiplicity).
+
+    The `Fraction` input of `hull_membership`, `min_norm_point` and
+    `min_norm_point_oracle`; production paths pass integer weights to the
+    kernels instead.
+    """
 
     points: tuple[RationalVector, ...]
     dim: int
@@ -81,32 +96,24 @@ class PointSet:
         return out
 
 
-def _clear_denominators(
-    vectors: Sequence[RationalVector],
-) -> tuple[list[tuple[int, ...]], int]:
-    """Scale a family of vectors by their common denominator to integers;
-    returns the integer vectors and the denominator."""
-    lcm = math.lcm(*(e.denominator for v in vectors for e in v.entries))
-    return [tuple(int(e * lcm) for e in v.entries) for v in vectors], lcm
-
-
 def _integer_frame(
     points: Iterable[Sequence[int]], q: RationalVector
 ) -> tuple[set[tuple[int, ...]], int]:
     """The distinct points d*p - d*q and d, the denominator of q: integers
     for integer points p."""
-    d = math.lcm(*(e.denominator for e in q.entries))
-    dq = [e.numerator * (d // e.denominator) for e in q.entries]
+    (dq,), d = clear_denominators([q.entries])
     return {tuple(map(operator.sub, map(d.__mul__, p), dq)) for p in points}, d
 
 
 def hull_membership(
     S: PointSet, q: RationalVector, *, relative: bool = False
 ) -> HullPosition:
-    """Exact classification of q against conv(S)."""
+    """Exact classification of q against conv(S), by `hull_position` on
+    the points and q scaled by their common denominator."""
     if q.dim != S.dim:
         raise DimensionMismatch(f"query dim {q.dim} vs point dim {S.dim}")
-    (*ints, q_int), _ = _clear_denominators([*S.deduplicated(), q])
+    rows = [p.entries for p in S.deduplicated()]
+    (*ints, q_int), _ = clear_denominators([*rows, q.entries])
     return hull_position(ints, RationalVector(q_int), relative=relative)
 
 
@@ -156,9 +163,9 @@ def hull_position(
 
 
 def _hull_membership_lp(
-    diffs: Sequence[Sequence[Fraction | int]], dim: int, relative: bool
+    diffs: Sequence[Sequence[int]], dim: int, relative: bool
 ) -> HullPosition:
-    """The simplex route: the origin against the hull of the diffs."""
+    """The simplex route: the origin against the hull of integer diffs."""
     cols = [[Fraction(v) for v in d] for d in diffs]
     m = len(cols)
     # membership: exists lambda >= 0, sum lambda = 1, sum lambda d_i = 0
@@ -182,7 +189,10 @@ def _hull_membership_lp(
     if relative:
         return HullPosition.INTERIOR
     # interior in the ambient space needs a full-dimensional affine hull
-    _, pivots, _ = row_reduce([[x - y for x, y in zip(c, cols[0])] for c in cols[1:]])
+    d0 = diffs[0]
+    _, pivots, _ = integer_row_reduce(
+        [[x - y for x, y in zip(d, d0)] for d in diffs[1:]]
+    )
     return HullPosition.INTERIOR if len(pivots) == dim else HullPosition.BOUNDARY
 
 
@@ -220,14 +230,10 @@ def convex_hull_2d_int(points: Sequence[tuple[int, int]]) -> list[tuple[int, int
 
 
 def convex_hull_2d(points: Sequence[RationalVector]) -> list[RationalVector]:
-    """Hull vertices of rational points in the plane, CCW."""
-    uniq = []
-    seen = set()
-    for p in points:
-        if p.entries not in seen:
-            seen.add(p.entries)
-            uniq.append(p)
-    ints, _ = _clear_denominators(uniq)
+    """Hull vertices of rational points in the plane, CCW: the `Fraction`
+    entry point of `convex_hull_2d_int`."""
+    uniq = list({p.entries: p for p in points}.values())
+    ints, _ = clear_denominators(p.entries for p in uniq)
     back = {iv: p for iv, p in zip(ints, uniq)}
     return [back[iv] for iv in convex_hull_2d_int(ints)]
 
@@ -250,33 +256,18 @@ def _bordered_solve(
     as integer numerators N over their sum D > 0 (a_i = N_i / D).
 
     Solves [[M_T, 1], [1^T, 0]] [a; nu] = [0; 1], with M_T the subset's
-    block of the Gram matrix, by fraction-free Gauss-Jordan elimination
-    (Montante): every step maps each entry v off the pivot row to
-    (pivot * v - f * t) / previous pivot, an exact division, so the last
-    pivot is +-det and the right-hand column ends as +-det * (a; nu).  The
-    system is singular exactly when the points are affinely dependent (a
-    kernel vector (a, nu) has sum(a) = 0 and |sum a_i p_i|^2 = 0), which
-    returns None.
+    block of the Gram matrix, by `integer_row_reduce`: the right-hand column
+    ends as +-det * (a; nu).  The system is singular, and None is returned,
+    exactly when the points are affinely dependent (a kernel vector (a, nu)
+    has sum(a) = 0 and |sum a_i p_i|^2 = 0).
     """
     k = len(subset)
     rows = [[gram[i][j] for j in subset] + [1, 0] for i in subset]
     rows.append([1] * k + [0, 1])
-    prev = 1
-    for col in range(k + 1):
-        p = next((r for r in range(col, k + 1) if rows[r][col]), None)
-        if p is None:
-            return None
-        rows[col], rows[p] = rows[p], rows[col]
-        top = rows[col]
-        piv, tail = top[col], top[col + 1 :]
-        for r, row in enumerate(rows):
-            if r != col:
-                f = row[col]
-                row[col + 1 :] = [
-                    (piv * v - f * t) // prev for v, t in zip(row[col + 1 :], tail)
-                ]
-        prev = piv
-    sign = 1 if prev > 0 else -1  # the coefficients sum to 1, so D = |det|
+    rows, pivots, det = integer_row_reduce(rows)
+    if pivots != list(range(k + 1)):
+        return None
+    sign = 1 if det > 0 else -1  # the coefficients sum to 1, so D = |det|
     return [sign * row[-1] for row in rows[:k]]
 
 
@@ -354,7 +345,7 @@ def min_norm_point(S: PointSet, ip: InnerProduct) -> RationalVector:
     """The unique point of conv(S) closest to the origin, by Wolfe's
     minimum-norm-point algorithm on the integer kernel: the points' common
     denominator is cleared once."""
-    return _wolfe(*_clear_denominators(S.deduplicated()), ip)
+    return _wolfe(*clear_denominators(p.entries for p in S.deduplicated()), ip)
 
 
 def hull_min_norm(
@@ -382,7 +373,7 @@ def corral_points(
     denominator is cleared and the Gram matrix built once, and each subset
     is one fraction-free bordered solve.
     """
-    ints, d = _clear_denominators(points)
+    ints, d = clear_denominators(p.entries for p in points)
     gram = _gram(ints, ip)
     for size in range(1, min(len(ints), len(ints[0]) + 1) + 1):
         for subset in itertools.combinations(range(len(ints)), size):
@@ -394,40 +385,6 @@ def corral_points(
 def min_norm_point_oracle(S: PointSet, ip: InnerProduct) -> RationalVector:
     """Independent test oracle for Wolfe: the least-norm corral point."""
     return min(corral_points(S.deduplicated(), ip), key=ip.norm_sq)
-
-
-def facet_normal_candidates(points: Sequence[RationalVector]) -> list[RationalVector]:
-    """Inner facet normals of conv(points) plus the coordinate directions.
-
-    For rank <= 2 this is a finite certificate set for semistability: the
-    origin lies outside the hull iff some candidate direction has strictly
-    positive minimum pairing over the points.
-    """
-    dim = points[0].dim
-    candidates: list[RationalVector] = []
-    for i in range(dim):
-        e = [Fraction(0)] * dim
-        e[i] = Fraction(1)
-        candidates.append(RationalVector(e))
-        candidates.append(-RationalVector(e))
-    if dim == 1:
-        return candidates
-    if dim != 2:
-        raise DimensionMismatch("facet normals implemented for rank <= 2")
-    hull = convex_hull_2d(points)
-    if len(hull) == 1:
-        return candidates
-    if len(hull) == 2:
-        d = hull[1] - hull[0]
-        perp = RationalVector([-d.entries[1], d.entries[0]])
-        candidates.extend([d, -d, perp, -perp])
-        return candidates
-    n = len(hull)
-    for i in range(n):
-        d = hull[(i + 1) % n] - hull[i]
-        inner = RationalVector([-d.entries[1], d.entries[0]])  # CCW inner normal
-        candidates.append(inner)
-    return candidates
 
 
 # ---------------------------------------------------------------------------
@@ -518,36 +475,38 @@ def cone_has_interior_point(cone: Cone, dim: int) -> Optional[RationalVector]:
     return v.primitive_integral()
 
 
-def primitive_line(a: int, b: int, c: int) -> tuple[int, int, int]:
-    """The canonical triple of the line a*x + b*y = c, (a, b) nonzero: divided
-    by its gcd and negated where the leading nonzero of (a, b) is negative."""
-    g = math.gcd(a, b, c)
-    if (a or b) < 0:
+def primitive_line(*coeffs: int) -> tuple[int, ...]:
+    """The canonical integer form of the hyperplane <normal, x> = offset
+    from its coefficients (*normal, offset), the normal nonzero: divided by
+    their gcd and negated where the normal's leading nonzero entry is
+    negative.  In the plane, (a, b, c) is the line a*x + b*y = c."""
+    g = math.gcd(*coeffs)
+    if next(filter(None, coeffs)) < 0:
         g = -g
-    return a // g, b // g, c // g
+    return tuple(v // g for v in coeffs)
 
 
 @dataclass(frozen=True)
 class Line2D:
-    """The locus <normal, x> = offset, stored primitively."""
+    """The line a*x + b*y = c as its canonical integer triple (primitive,
+    with a positive leading entry of (a, b)), which the constructor takes
+    any integer multiple of."""
 
-    normal: RationalVector
-    offset: Fraction
+    a: int
+    b: int
+    c: int
+
+    def __init__(self, a: int, b: int, c: int):
+        if not (a or b):
+            raise ValueError("line normal must be nonzero")
+        for name, v in zip("abc", primitive_line(a, b, c)):
+            object.__setattr__(self, name, v)
 
     @staticmethod
     def canonical(normal: RationalVector, offset: Fraction) -> "Line2D":
-        if normal.is_zero():
-            raise ValueError("line normal must be nonzero")
-        entries = (*normal.entries, Fraction(offset))
-        lcm = math.lcm(*(e.denominator for e in entries))
-        a, b, c = (e.numerator * (lcm // e.denominator) for e in entries)
-        return Line2D.from_triple(primitive_line(a, b, c))
-
-    @staticmethod
-    def from_triple(triple: tuple[int, int, int]) -> "Line2D":
-        """The line a*x + b*y = c of an integer triple (a, b, c)."""
-        a, b, c = triple
-        return Line2D(RationalVector([a, b]), Fraction(c))
+        """The line <normal, x> = offset of a rational normal and offset."""
+        (triple,), _ = clear_denominators([(*normal.entries, offset)])
+        return Line2D(*triple)
 
     @staticmethod
     def through(p: RationalVector, q: RationalVector) -> "Line2D":
@@ -555,25 +514,32 @@ class Line2D:
         normal = RationalVector([-d.entries[1], d.entries[0]])
         return Line2D.canonical(normal, normal.dot(p))
 
+    @property
+    def normal(self) -> RationalVector:
+        return RationalVector([self.a, self.b])
+
+    @property
+    def offset(self) -> Fraction:
+        return Fraction(self.c)
+
     def side(self, x: RationalVector) -> int:
-        v = self.normal.dot(x) - self.offset
+        x0, x1 = x.entries
+        v = self.a * x0 + self.b * x1 - self.c
         return (v > 0) - (v < 0)
 
     def direction(self) -> RationalVector:
-        return RationalVector([-self.normal.entries[1], self.normal.entries[0]])
+        return RationalVector([-self.b, self.a])
 
 
 @dataclass(frozen=True)
 class Arrangement2D:
-    """Distinct lines, each stored canonically (primitive and integral, with
-    a positive leading entry), in first-seen order, and an open region."""
+    """Distinct lines in first-seen order, and an open region."""
 
     lines: tuple[Line2D, ...]
     region: tuple[Halfspace, ...]
 
     def __init__(self, lines: Iterable[Line2D], region: Iterable[Halfspace]):
-        canonical = (Line2D.canonical(ln.normal, ln.offset) for ln in lines)
-        object.__setattr__(self, "lines", tuple(dict.fromkeys(canonical)))
+        object.__setattr__(self, "lines", tuple(dict.fromkeys(lines)))
         object.__setattr__(self, "region", tuple(region))
 
 
@@ -654,10 +620,9 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
     lines = arr.lines
     n_lines = len(lines)
     # a positive multiple of a plane keeps its signs and their ratios
-    planes = [
-        _clear_denominators([RationalVector([*pl.normal.entries, pl.offset])])[0][0]
-        for pl in (*lines, *arr.region)
-    ]
+    planes = [(ln.a, ln.b, ln.c) for ln in lines]
+    for hs in arr.region:
+        planes += clear_denominators([(*hs.normal.entries, hs.offset)])[0]
     vertices: list[Face] = []
     cells: list[Face] = []
     chambers: dict[tuple[int, ...], RationalVector] = {}

@@ -5,6 +5,14 @@ always reduced, positive denominator), because the polyhedral predicates
 downstream decide exact equalities such as wall membership.  No floating
 point is used anywhere in this package's computation paths.
 
+The one exact elimination is integer: `integer_row_reduce` runs
+fraction-free Gauss-Jordan elimination (Montante), in which every step maps
+each entry v off the pivot row to (pivot * v - f * t) / previous pivot, an
+exact division, so all entries stay integers and the pivot rows divided by
+the last pivot are the reduced row echelon form.  Rational input is scaled
+to integers first by the one denominator-clearing helper,
+`clear_denominators`.
+
 Polynomials are restricted to at most two parameters, named ``b`` and ``c``.
 That is enough for the bundled two-dimensional unipotent groups; systems that
 would need more elimination power than the documented strategy provides
@@ -13,11 +21,11 @@ return ``UNDECIDED`` rather than guessing.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
 Rational = Fraction
@@ -103,14 +111,9 @@ class RationalVector:
         """
         if self.is_zero():
             raise ValueError("zero vector has no primitive integral multiple")
-        lcm = 1
-        for e in self.entries:
-            lcm = lcm * e.denominator // gcd(lcm, e.denominator)
-        ints = [int(e * lcm) for e in self.entries]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        return RationalVector(Fraction(v, g) for v in ints)
+        (ints,), _ = clear_denominators([self.entries])
+        g = math.gcd(*ints)
+        return RationalVector(v // g for v in ints)
 
     def sort_key(self) -> tuple[Fraction, ...]:
         return self.entries
@@ -146,8 +149,10 @@ class InnerProduct:
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("gram matrix must be symmetric")
         for k in range(1, n + 1):
-            minor = [[Fraction(rows[i][j]) for j in range(k)] for i in range(k)]
-            if row_reduce(minor)[2] <= 0:
+            # with the smaller leading minors positive no row is swapped, so
+            # the last pivot of a nonsingular minor is its determinant
+            _, pivots, det = integer_row_reduce([r[:k] for r in rows[:k]])
+            if len(pivots) < k or det <= 0:
                 raise ValueError("gram matrix must be positive definite")
         object.__setattr__(self, "gram", rows)
         object.__setattr__(
@@ -187,60 +192,61 @@ class InnerProduct:
         return self.pairing(v, v)
 
     def dual_norm_sq(self, v: RationalVector) -> Fraction:
-        """v . G^-1 v, the norm of a cocharacter under the dual form."""
-        rows, _, _ = row_reduce(
-            [[Fraction(g) for g in row] + [e] for row, e in zip(self.gram, v.entries)]
+        """v . G^-1 v, the norm of a cocharacter under the dual form: with d
+        the denominator of v, G x = d * v is solved over the integers."""
+        (dv,), d = clear_denominators([v.entries])
+        rows, _, det = integer_row_reduce(
+            [[*row, e] for row, e in zip(self.gram, dv)]
         )
-        return sum((e * row[-1] for e, row in zip(v.entries, rows)), Fraction(0))
+        return Fraction(sum(e * row[-1] for e, row in zip(dv, rows)), det * d * d)
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+def clear_denominators(
+    rows: Iterable[Iterable[Fraction | int]],
+) -> tuple[list[tuple[int, ...]], int]:
+    """Rows of rationals scaled by the least common denominator d of all
+    their entries: the integer rows and d."""
+    rows = [tuple(r) for r in rows]
+    d = math.lcm(*(e.denominator for r in rows for e in r))
+    return [tuple(e.numerator * (d // e.denominator) for e in r) for r in rows], d
 
 
-def row_reduce(
-    matrix: Sequence[Sequence[Fraction]],
-) -> tuple[list[list[Fraction]], list[int], Fraction]:
-    """Gauss-Jordan elimination over Q: the one exact row reduction behind
-    linear solves, ranks, kernel vectors and determinants.
+def integer_row_reduce(
+    matrix: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination over Z: the one exact row
+    reduction behind linear solves, ranks, kernel vectors and determinants.
 
-    Returns the reduced row echelon form (each pivot 1 and alone in its
-    column, zero rows last), the pivot columns in order, and the determinant
-    of the leading square block, which is 0 when that block is singular
-    (meaningful when there are at least as many columns as rows).  A pivot
-    row is zero left of its pivot, so each step touches only the columns
-    from the pivot rightwards.
+    Returns the rows, the pivot columns in order and the last pivot D (1
+    for a matrix without pivots).  Every pivot entry ends as D and alone in
+    its column, zero rows come last, and the pivot rows divided by D are the
+    reduced row echelon form.  When the leading square block is nonsingular
+    its pivots are the columns 0..n-1 and D is +-its determinant, + when no
+    rows were swapped.  Each step maps every entry v off the pivot row to
+    (pivot * v - f * t) / previous pivot; the division is exact (the entries
+    are minors of the input).
     """
     rows = [list(r) for r in matrix]
     n = len(rows)
     pivots: list[int] = []
-    det = _ONE
-    swaps = 0
+    prev = 1
     for col in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         if r == n:
             break
-        p = next((i for i in range(r, n) if rows[i][col] != 0), None)
+        p = next((i for i in range(r, n) if rows[i][col]), None)
         if p is None:
-            det = _ZERO
             continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-            swaps += 1
+        rows[r], rows[p] = rows[p], rows[r]
         top = rows[r]
-        det *= top[col]
-        inv = 1 / top[col]
-        top[col:] = [_ONE] + [v * inv for v in top[col + 1 :]]
-        tail = top[col + 1 :]
-        for i in range(n):
-            row = rows[i]
-            f = row[col]
-            if i != r and f != 0:
-                row[col:] = [_ZERO] + [
-                    a - f * v for a, v in zip(row[col + 1 :], tail)
-                ]
+        piv = top[col]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[col]
+                row[:] = [(piv * v - f * t) // prev for v, t in zip(row, top)]
+        prev = piv
         pivots.append(col)
-    return rows, pivots, -det if swaps % 2 else det
+    return rows, pivots, prev
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +544,7 @@ def rational_roots(p: BiPoly, var: str) -> tuple[list[Fraction], bool]:
         raise ValueError("zero polynomial has every value as a root")
     if len(cs) == 1:
         return [], True
-    # clear denominators to integer coefficients
-    lcm = 1
-    for q in cs:
-        lcm = lcm * q.denominator // gcd(lcm, q.denominator)
-    ints = [int(q * lcm) for q in cs]
+    (ints,), _ = clear_denominators([cs])
     roots: list[Fraction] = []
     # factor out powers of the variable
     k = 0

@@ -7,11 +7,12 @@ module is imported by the CLI alone).
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .action import TorusAction
-from .polytope import Cone, convex_hull_2d
+from .polytope import Cone, convex_hull_2d_int
 from .qpoly import RationalVector
 from .stability import RankUnsupported
 
@@ -29,17 +30,20 @@ def _decimal(q: Fraction) -> str:
 
 
 class _Mapper:
-    def __init__(self, points: Sequence[RationalVector]):
-        xs = [p.entries[0] for p in points]
-        ys = [p.entries[1] for p in points]
+    """Plane points (integer tuples or rational vectors) to viewport
+    coordinates."""
+
+    def __init__(self, points: Sequence[Sequence[int]]):
+        xs = [p[0] for p in points]
+        ys = [p[1] for p in points]
         self.xmin, self.xmax = min(xs + [Fraction(0)]), max(xs + [Fraction(0)])
         self.ymin, self.ymax = min(ys + [Fraction(0)]), max(ys + [Fraction(0)])
         span = max(self.xmax - self.xmin, self.ymax - self.ymin, Fraction(1))
         self.scale = Fraction(_VIEW - 2 * _MARGIN) / span
 
-    def map(self, p: RationalVector) -> tuple[str, str]:
-        x = _MARGIN + (p.entries[0] - self.xmin) * self.scale
-        y = _VIEW - _MARGIN - (p.entries[1] - self.ymin) * self.scale
+    def map(self, p: Sequence[Fraction | int]) -> tuple[str, str]:
+        x = _MARGIN + (p[0] - self.xmin) * self.scale
+        y = _VIEW - _MARGIN - (p[1] - self.ymin) * self.scale
         return _decimal(x), _decimal(y)
 
 
@@ -56,10 +60,9 @@ def svg_weight_diagram(
     """
     if a.rank != 2:
         raise RankUnsupported("weight diagrams are drawn for rank 2 only")
-    weights = a.distinct_segre_weights()
-    multiplicity: dict[tuple[Fraction, ...], int] = {}
-    for w in a.segre_weights():
-        multiplicity[w.entries] = multiplicity.get(w.entries, 0) + 1
+    weights = a.support_weights()  # distinct and sorted
+    # an integral Fraction tuple hashes and compares as its int tuple
+    multiplicity = Counter(w.entries for w in a.segre_weights())
     mapper = _Mapper(weights)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_VIEW}" height="{_VIEW}" '
@@ -67,7 +70,7 @@ def svg_weight_diagram(
         '<rect width="100%" height="100%" fill="white"/>',
     ]
 
-    hull = convex_hull_2d(weights)
+    hull = convex_hull_2d_int(weights)
     if len(hull) >= 2:
         pts = " ".join(",".join(mapper.map(v)) for v in hull)
         parts.append(
@@ -87,11 +90,11 @@ def svg_weight_diagram(
                     f'stroke="#3366cc" stroke-width="1"{dash}/>'
                 )
 
-    for w in sorted(weights, key=lambda v: v.entries):
+    for w in weights:
         x, y = mapper.map(w)
-        mult = multiplicity[w.entries]
+        mult = multiplicity[w]
         parts.append(f'<circle cx="{x}" cy="{y}" r="4" fill="#222"/>')
-        label = f"({w.entries[0]},{w.entries[1]})"
+        label = f"({w[0]},{w[1]})"
         if mult > 1:
             label += f" x{mult}"
         parts.append(

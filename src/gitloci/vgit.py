@@ -8,8 +8,8 @@ wall lies on a hull-edge line, the line of a polygon hull's edge or of a
 segment hull itself, and the complex is the one arrangement of those lines,
 decomposed once and labelled face by face.  Wall lines are found,
 deduplicated, ordered and signed as canonical integer triples (a, b, c) of
-a*x + b*y = c; each distinct one becomes a `Line2D` once, for the
-arrangement and the report.
+a*x + b*y = c from the integer weights; each distinct one becomes a
+`Line2D` (the same triple) once, for the arrangement and the report.
 
 Families are read off sign vectors, with no hull arithmetic per face.  A
 twist is in a polygon hull iff it is on no edge line's outer side.  A
@@ -17,6 +17,11 @@ segment or point hull is cut out the same way by its own line and by other
 edge lines through its endpoints, which exist unless all weights are
 collinear.  So each support is a short list of (line, forbidden sign)
 conditions, checked against a face's signs.
+
+A chamber is one GIT-equivalence class: the chamber faces with one support
+family form one chamber, sampled at the least of their samples.  GIT
+classes are convex [DH98, Tha96], so faces with one family are always
+joined through cells on which the family does not change.
 """
 
 from __future__ import annotations
@@ -39,17 +44,14 @@ from .polytope import (
     Halfspace,
     HullPosition,
     Line2D,
-    PointSet,
     RationalVector,
     _signs,
     chamber_decomposition_2d,
-    convex_hull_2d,
     convex_hull_2d_int,
-    hull_membership,
     hull_position,
     primitive_line,
 )
-from .qpoly import row_reduce
+from .qpoly import integer_row_reduce
 from .stability import RankUnsupported
 
 
@@ -74,22 +76,20 @@ class EffectiveRegion:
     vertices: tuple[RationalVector, ...]
 
     def contains(self, chi: RationalVector) -> bool:
-        pts = PointSet(self.vertices)
-        return hull_membership(pts, chi) is not HullPosition.OUTSIDE
+        ints = [tuple(map(int, v.entries)) for v in self.vertices]
+        return hull_position(ints, chi) is not HullPosition.OUTSIDE
 
 
 def effective_cone(a: TorusAction) -> EffectiveRegion:
     """The effective twists, as the hull of all Segre weights."""
     if a.rank > 2:
         raise RankUnsupported("effective region is exact for rank <= 2 only")
-    weights = a.distinct_segre_weights()
+    weights = a.support_weights()  # sorted
     if a.rank == 1:
-        vals = sorted(w.entries[0] for w in weights)
-        verts = [RationalVector([vals[0]])]
-        if vals[-1] != vals[0]:
-            verts.append(RationalVector([vals[-1]]))
-        return EffectiveRegion(1, tuple(verts))
-    return EffectiveRegion(2, tuple(convex_hull_2d(weights)))
+        hull = dict.fromkeys([weights[0], weights[-1]])
+    else:
+        hull = convex_hull_2d_int(weights)
+    return EffectiveRegion(a.rank, tuple(map(RationalVector, hull)))
 
 
 def git_class(a: TorusAction, chi: RationalVector) -> frozenset[frozenset[int]]:
@@ -153,7 +153,7 @@ class _SignFamilies:
         return family
 
 
-def _rank1_families(a: TorusAction, values: Sequence[Fraction]) -> _SignFamilies:
+def _rank1_families(a: TorusAction, values: Sequence[int]) -> _SignFamilies:
     """Families over the signs of q - v for the sorted distinct weight values
     v: a support is semistable iff q >= its least and q <= its greatest."""
     position = {v: i for i, v in enumerate(values)}
@@ -165,13 +165,10 @@ def _rank1_families(a: TorusAction, values: Sequence[Fraction]) -> _SignFamilies
     return _SignFamilies(keys, conditions, len(values))
 
 
-def _rank2_walls(
-    a: TorusAction, weights: Sequence[RationalVector]
-) -> tuple[list[Line2D], list[tuple[int, ...]], _SignFamilies]:
+def _rank2_walls(a: TorusAction) -> tuple[list[Line2D], _SignFamilies]:
     """The hull-edge lines of the supports, in the order in which their
-    first pair of (distinct) weights comes among all pairs, their sign table
-    (a row of signs at the weights per line) and the families over their
-    signs.
+    first pair of distinct weights comes among all pairs, and the families
+    over their signs.
 
     A polygon hull forbids the outer side of each edge's line.  A segment
     forbids both sides of its own line, and beyond each endpoint the far side
@@ -180,7 +177,7 @@ def _rank2_walls(
     with one coordinate added is a segment support at p, and if all of these
     segments were parallel every weight would lie on one line through p.
     """
-    points = [tuple(map(int, w.entries)) for w in weights]
+    points = a.support_weights()
     position = {v: k for k, v in enumerate(points)}
 
     @functools.cache
@@ -226,8 +223,8 @@ def _rank2_walls(
             conds = [(i, s) for i in at[hull[0]][:2] for s in (1, -1)]
         keys.append(support)
         conditions.append(conds)
-    lines = [Line2D.from_triple(ln) for ln in triples]
-    return lines, table, _SignFamilies(keys, conditions, len(lines))
+    lines = [Line2D(*ln) for ln in triples]
+    return lines, _SignFamilies(keys, conditions, len(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -302,40 +299,31 @@ def wall_hyperplane_candidates(
     deduplicated and canonically scaled.  Over-generated: no pruning and no
     face graph in rank >= 3.
     """
-    weights = a.distinct_segre_weights()
+    weights = a.support_weights()  # sorted
     if a.rank == 1:
-        return [
-            (RationalVector([1]), w.entries[0])
-            for w in sorted(weights, key=lambda v: v.entries)
-        ]
-    seen: dict[tuple, tuple[RationalVector, Fraction]] = {}
-    for combo in itertools.combinations(weights, a.rank):
+        return [(RationalVector([1]), Fraction(w)) for (w,) in weights]
+    seen: set[tuple[int, ...]] = set()
+    for p0, *rest in itertools.combinations(weights, a.rank):
         # the normal spans the kernel of the difference rows; affinely
         # dependent points leave a kernel of dimension >= 2
-        rows, pivots, _ = row_reduce([(p - combo[0]).entries for p in combo[1:]])
+        diffs = [[x - y for x, y in zip(p, p0)] for p in rest]
+        rows, pivots, det = integer_row_reduce(diffs)
         free = [c for c in range(a.rank) if c not in pivots]
         if len(free) != 1:
             continue
-        entries = [Fraction(0)] * a.rank
-        entries[free[0]] = Fraction(1)
+        normal = [0] * a.rank
+        normal[free[0]] = det
         for row, pc in zip(rows, pivots):
-            entries[pc] = -row[free[0]]
-        normal = RationalVector(entries)
-        offset = normal.dot(combo[0])
-        triple = RationalVector(list(normal.entries) + [offset]).primitive_integral()
-        lead = next(v for v in triple.entries[:-1] if v != 0)
-        if lead < 0:
-            triple = -triple
-        key = triple.entries
-        seen.setdefault(
-            key, (RationalVector(triple.entries[:-1]), triple.entries[-1])
-        )
-    return [seen[k] for k in sorted(seen)]
+            normal[pc] = -row[free[0]]
+        seen.add(primitive_line(*normal, sum(x * y for x, y in zip(normal, p0))))
+    return [
+        (RationalVector(key[:-1]), Fraction(key[-1])) for key in sorted(seen)
+    ]
 
 
 def _rank1_complex(a: TorusAction) -> ChamberComplex:
     eff = effective_cone(a)
-    values = sorted({w.entries[0] for w in a.distinct_segre_weights()})
+    values = [w for (w,) in a.support_weights()]  # sorted, distinct integers
     labels = _rank1_families(a, values)
 
     def family(q: Fraction) -> frozenset[frozenset[int]]:
@@ -344,47 +332,44 @@ def _rank1_complex(a: TorusAction) -> ChamberComplex:
     # every value is a wall, as the point support there is semistable only
     # there, and every twist between values is effective
     walls = tuple(
-        Wall(
-            Line2D(RationalVector([1, 0]), v),
-            (WallCell(RationalVector([v]), None, family(v), (0,)),),
-        )
+        Wall(Line2D(1, 0, v), (WallCell(RationalVector([v]), None, family(v), (0,)),))
         for v in values
     )
     chambers = tuple(
-        Chamber(RationalVector([(lo + hi) / 2]), family((lo + hi) / 2), (), (lo, hi))
+        Chamber(RationalVector([q]), family(q), (), (lo, hi))
         for lo, hi in zip(values, values[1:])
+        for q in [Fraction(lo + hi, 2)]
     )
     return ChamberComplex(1, walls, chambers, (), eff)
 
 
 def _rank2_complex(a: TorusAction) -> ChamberComplex:
     eff = effective_cone(a)
-    weights = a.distinct_segre_weights()
-    if len(weights) == 1:
+    if len(eff.vertices) == 1:
         raise DegenerateWeights("a single weight gives a point effective region")
-    hull = list(eff.vertices)
-    if len(hull) < 3:
+    if len(eff.vertices) < 3:
         raise DegenerateWeights(
             "all weights are collinear: the effective region has no interior"
         )
-    lines, _, labels = _rank2_walls(a, weights)
+    hull = convex_hull_2d_int(a.support_weights())
+    lines, labels = _rank2_walls(a)
     dec = chamber_decomposition_2d(Arrangement2D(lines, _expanded_region(hull)))
     families = {face.signs: labels.family(face.signs) for face in dec.faces}
     return _assemble(dec, families, labels, eff)
 
 
-def _expanded_region(hull: Sequence[RationalVector]) -> list[Halfspace]:
+def _expanded_region(hull: Sequence[Sequence[int]]) -> list[Halfspace]:
+    """The open polygon of the CCW hull scaled by 2 about its centroid c,
+    whose vertices are 2 * v - c.  An edge's inner normal is 2 * (-dy, dx)
+    for the hull edge (dx, dy) from v, and its offset <normal, 2 * v - c>,
+    over the centroid's denominator n, the number of vertices."""
     n = len(hull)
-    cx = sum((v.entries[0] for v in hull), Fraction(0)) / n
-    cy = sum((v.entries[1] for v in hull), Fraction(0)) / n
-    centre = RationalVector([cx, cy])
-    expanded = [centre + (v - centre).scale(2) for v in hull]
+    sx, sy = (sum(coord) for coord in zip(*hull))
     region = []
-    for i in range(n):
-        p, q = expanded[i], expanded[(i + 1) % n]
-        d = q - p
-        inner = RationalVector([-d.entries[1], d.entries[0]])  # CCW inner normal
-        region.append(Halfspace(inner, inner.dot(p), True))
+    for (px, py), (qx, qy) in zip(hull, [*hull[1:], hull[0]]):
+        nx, ny = 2 * (py - qy), 2 * (qx - px)
+        offset = Fraction(2 * n * (nx * px + ny * py) - nx * sx - ny * sy, n)
+        region.append(Halfspace(RationalVector([nx, ny]), offset, True))
     return region
 
 
@@ -417,22 +402,10 @@ def _assemble(
 ) -> ChamberComplex:
     # a cell is a true wall piece only where crossing it or standing on it
     # changes the family; cells equal to both neighbours carry no strict
-    # semistability and their neighbours merge into one chamber
-    parent: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # semistability and lie inside one chamber
 
     def family(signs: tuple[int, ...]) -> frozenset[frozenset[int]]:
         return labels.supports(families[signs])
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
 
     walls = []
     surviving_by_line: dict[int, list[tuple[int, ...]]] = {}
@@ -444,10 +417,7 @@ def _assemble(
                 continue
             left = _flip(face.signs, idx, 1)
             right = _flip(face.signs, idx, -1)
-            lf, rf = families.get(left), families.get(right)
-            if lf is not None and rf is not None and lf == rf == fam:
-                union(left, right)
-            else:
+            if not families.get(left) == families.get(right) == fam:
                 surviving.append(face)
         if surviving:
             surviving.sort(key=lambda c: c.sample.sort_key())
@@ -458,18 +428,13 @@ def _assemble(
             ]
             walls.append(Wall(dec.lines[idx], tuple(cells_out)))
 
-    groups: dict[tuple[int, ...], list[Face]] = {}
+    # one chamber per family (GIT class): the chamber faces come sorted by
+    # sample, so each family's first face has its least sample
+    least: dict[int, Face] = {}
     for face in dec.chambers():
-        if families[face.signs] is None:
-            continue
-        groups.setdefault(find(face.signs), []).append(face)
-    chambers = []
-    for root, members in groups.items():
-        rep = min(members, key=lambda f: f.sample.sort_key())
-        fams = {families[f.signs] for f in members}
-        assert len(fams) == 1, "merged chambers must share one family"
-        chambers.append(Chamber(rep.sample, family(rep.signs), rep.signs))
-    chambers.sort(key=lambda c: c.sample.sort_key())
+        if families[face.signs] is not None:
+            least.setdefault(families[face.signs], face)
+    chambers = [Chamber(f.sample, family(f.signs), f.signs) for f in least.values()]
 
     vertices = []
     for face in dec.vertices():

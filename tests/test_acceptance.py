@@ -19,7 +19,6 @@ from gitloci.linprog import lp_feasible
 from gitloci.polytope import (
     PointSet,
     convex_hull_2d,
-    facet_normal_candidates,
     min_norm_point,
     min_norm_point_oracle,
 )
@@ -40,6 +39,7 @@ from gitloci.stability import (
 )
 from gitloci.strata import beta_index_set, verify_stratification
 from gitloci.vgit import git_class, verify_external_change, wall_chamber_decomposition
+from oracles import facet_normal_candidates
 
 V = RationalVector
 

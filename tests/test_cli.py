@@ -303,27 +303,6 @@ def test_no_subcommand_but_svg_expands_segre_weights(monkeypatch, tmp_path):
         assert code == 0, argv
 
 
-def test_min_norm_path_runs_no_rational_row_reduction(monkeypatch, tmp_path):
-    # beta, strata and the diagram's beta overlay solve their KKT systems
-    # on the integer kernel; `row_reduce` over Q is never reached
-    import gitloci.polytope
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("row_reduce called in the min-norm path")
-
-    monkeypatch.setattr(gitloci.polytope, "row_reduce", refuse)
-    argvs = [
-        [command, "--input", spec]
-        for command in ("beta", "strata")
-        for spec in ("ex1_7.json", "sec7_1.json", "external_toy.json")
-    ]
-    argvs.append(["svg", "--input", "sec7_1.json"])  # drawn for rank 2 only
-    for command, flag, spec in argvs:
-        argv = [command, flag, str(CORPUS / spec)]
-        code, _ = _run(argv, tmp_path)
-        assert code == 0, argv
-
-
 # ---------------------------------------------------------------------------
 # The argument contract: one flag set for every command
 # ---------------------------------------------------------------------------

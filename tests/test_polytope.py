@@ -14,13 +14,11 @@ from gitloci.polytope import (
     Line2D,
     PointSet,
     _bordered_solve,
-    _clear_denominators,
     _combination,
     _gram,
     chamber_decomposition_2d,
     convex_hull_2d,
     corral_points,
-    facet_normal_candidates,
     hull_membership,
     hull_min_norm,
     hull_position,
@@ -29,8 +27,9 @@ from gitloci.polytope import (
     region_interior_point,
 )
 from gitloci.linprog import OPTIMAL, lp_maximize_free
-from gitloci.qpoly import InnerProduct, RationalVector, row_reduce
+from gitloci.qpoly import InnerProduct, RationalVector, clear_denominators
 from gitloci.vgit import _expanded_region
+from oracles import facet_normal_candidates, row_reduce
 
 V = RationalVector
 IP2 = InnerProduct.identity(2)
@@ -184,7 +183,7 @@ def test_bordered_solve_matches_rational_kkt_reference():
     dependent = 0
     for S, ip in _rational_cases(2718, 150):
         pts = S.deduplicated()
-        ints, d = _clear_denominators(pts)
+        ints, d = clear_denominators(p.entries for p in pts)
         gram = _gram(ints, ip)
         for size in range(1, min(len(pts), S.dim + 2) + 1):
             for subset in itertools.combinations(range(len(pts)), size):
@@ -219,7 +218,7 @@ def test_wolfe_meets_variational_certificate_on_rational_points():
 def test_hull_min_norm_is_wolfe_on_shifted_points():
     rng = random.Random(577)
     for S, ip in _rational_cases(577, 60):
-        ints, _ = _clear_denominators(S.points)
+        ints, _ = clear_denominators(p.entries for p in S.points)
         q = V(
             [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7])) for _ in range(S.dim)]
         )
@@ -377,7 +376,7 @@ def test_hull_membership_2d_fast_path_agrees_with_lp():
         pts = [V([rng.randint(-4, 4)]) for _ in range(rng.randint(1, 4))]
         cases.append((pts, V([Fraction(rng.randint(-9, 9), 2)])))
     for pts, q in cases:
-        diffs = [p - q for p in PointSet(pts).deduplicated()]
+        diffs, _ = clear_denominators((p - q).entries for p in PointSet(pts).deduplicated())
         for relative in (False, True):
             assert hull_membership(
                 PointSet(pts), q, relative=relative
@@ -390,7 +389,7 @@ def test_hull_membership_2d_fast_path_agrees_with_lp():
             for _ in range(rng.randint(1, 6))
         ]
         q = V([Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3), 2)])
-        diffs = [p - q for p in PointSet(pts).deduplicated()]
+        diffs, _ = clear_denominators((p - q).entries for p in PointSet(pts).deduplicated())
         ints = [tuple(int(e) for e in p.entries) for p in pts]
         for relative in (False, True):
             assert hull_position(ints, q, relative=relative) == _hull_membership_lp(
@@ -430,7 +429,9 @@ def test_hull_position_matches_lp_oracle():
             k = rng.randint(1, 5)
             scaled = PointSet([V([Fraction(x, k) for x in p]) for p in pts])
             for q in _kernel_queries(rng, pts):
-                diffs = [[x - y for x, y in zip(p, q.entries)] for p in set(pts)]
+                diffs, _ = clear_denominators(
+                    [x - y for x, y in zip(p, q.entries)] for p in set(pts)
+                )
                 for relative in (False, True):
                     want = _hull_membership_lp(diffs, dim, relative)
                     got = hull_position(pts, q, relative=relative)
@@ -669,15 +670,25 @@ def test_chamber_decomposition_matches_lp_reference():
 def test_non_canonical_lines_decompose_as_their_canonical_forms():
     # non-primitive, non-integral and negatively led lines, one of them twice
     raw = [
-        Line2D(V([2, 0]), Fraction(2)),
-        Line2D(V([-1, 1]), Fraction(1, 2)),
-        Line2D(V([0, Fraction(-2, 3)]), Fraction(1)),
-        Line2D(V([1, 0]), Fraction(1)),
-        Line2D(V([Fraction(3, 2), 1]), Fraction(-1, 2)),
+        (V([2, 0]), Fraction(2)),
+        (V([-1, 1]), Fraction(1, 2)),
+        (V([0, Fraction(-2, 3)]), Fraction(1)),
+        (V([1, 0]), Fraction(1)),
+        (V([Fraction(3, 2), 1]), Fraction(-1, 2)),
     ]
-    canonical = [Line2D.canonical(ln.normal, ln.offset) for ln in raw]
+    canonical = [Line2D.canonical(normal, offset) for normal, offset in raw]
+    assert [(ln.a, ln.b, ln.c) for ln in canonical] == [
+        (1, 0, 1), (2, -2, -1), (0, 2, -3), (1, 0, 1), (3, 2, -1),
+    ]
     assert canonical[0] == canonical[3]
+    # the constructor canonicalises any nonzero integer multiple
+    for ln in canonical:
+        for k in (-3, -1, 2):
+            scaled = Line2D(k * ln.a, k * ln.b, k * ln.c)
+            assert scaled == ln and (scaled.a, scaled.b, scaled.c) == (ln.a, ln.b, ln.c)
+    with pytest.raises(ValueError):
+        Line2D(0, 0, 1)
     for region in (_square(3), Cone([(V([1, 0]), True), (V([1, 2]), False)]).to_region()):
-        dec = chamber_decomposition_2d(Arrangement2D(raw, region))
+        dec = chamber_decomposition_2d(Arrangement2D(canonical, region))
         assert dec.lines == tuple(dict.fromkeys(canonical))
         assert _faces_with_ends(dec) == _reference_decomposition(dec.lines, region)

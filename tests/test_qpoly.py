@@ -15,12 +15,14 @@ from gitloci.qpoly import (
     common_zero_avoiding,
     common_zero_exists,
     gcd_univariate,
+    integer_row_reduce,
     parse_rational,
     poly_is_zero,
     rational_roots,
     resultant,
-    row_reduce,
 )
+
+from oracles import row_reduce
 
 B = BiPoly.var("b")
 C = BiPoly.var("c")
@@ -235,23 +237,39 @@ def _leibniz_det(m):
 
 
 def test_row_reduce_solve_rank_kernel_det():
+    # square, wide and tall integer matrices, a third of them rank deficient
     rng = random.Random(61)
-    for _ in range(200):
+    deficient = 0
+    for _ in range(300):
         n = rng.randint(1, 4)
-        cols = n + rng.randint(0, 2)
-        m = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(cols)] for _ in range(n)]
-        rows, pivots, det = row_reduce(m)
-        assert det == _leibniz_det([row[:n] for row in m])
-        assert len(pivots) == len({c for c in pivots})
-        for i, c in enumerate(pivots):
-            assert [row[c] for row in rows] == [int(k == i) for k in range(n)]
+        cols = max(1, n + rng.randint(-1, 2))
+        m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.35:
+            # a combination of the other rows
+            k, j = rng.sample(range(n), 2)
+            m[k] = [rng.randint(-2, 2) * v for v in m[j]]
+        rows, pivots, D = integer_row_reduce(m)
+        ref, ref_pivots, _ = row_reduce(m)
+        assert pivots == ref_pivots
+        deficient += len(pivots) < n
+        assert all(type(v) is int for row in rows for v in row)
+        # the pivot rows over D are the reduced row echelon form
+        assert [[Fraction(v, D) for v in row] for row in rows[: len(pivots)]] == ref[
+            : len(pivots)
+        ]
         assert all(not any(row) for row in rows[len(pivots) :])
-        # every reduced row is a combination of the input rows: the kernel
-        # read off the free columns annihilates the input
+        # the kernel read off the free columns annihilates the input
         for free in (c for c in range(cols) if c not in pivots):
-            v = [Fraction(0)] * cols
-            v[free] = Fraction(1)
+            v = [0] * cols
+            v[free] = D
             for i, c in enumerate(pivots):
                 v[c] = -rows[i][free]
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m)
+        if n <= cols:
+            det = _leibniz_det([row[:n] for row in m])
+            if det:
+                assert pivots[:n] == list(range(n))
+                assert abs(D) == abs(det)
+    assert deficient > 50
+    assert integer_row_reduce([]) == ([], [], 1)
     assert row_reduce([]) == ([], [], 1)

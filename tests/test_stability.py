@@ -13,7 +13,7 @@ from gitloci.action import (
     evaluate_point,
     orbit_point,
 )
-from gitloci.polytope import Cone, facet_normal_candidates
+from gitloci.polytope import Cone
 from gitloci.qpoly import BiPoly, InnerProduct, RationalVector
 from gitloci.stability import (
     AdaptedRegion,
@@ -39,6 +39,7 @@ from gitloci.stability import (
     universal_1ps,
     x_min,
 )
+from oracles import facet_normal_candidates
 
 V = RationalVector
 IP1 = InnerProduct.identity(1)

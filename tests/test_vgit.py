@@ -15,6 +15,7 @@ from gitloci.polytope import (
 )
 from gitloci.qpoly import InnerProduct, RationalVector
 from gitloci.vgit import (
+    Chamber,
     DegenerateWeights,
     IneffectiveTwist,
     NotAdjacent,
@@ -406,7 +407,7 @@ def _hull_shapes(a):
 def _projected(a, dec):
     """The wall lines, their labels, and each face's family from its signs
     on the wall lines, which are among the lines of `dec`."""
-    walls, _, labels = _rank2_walls(a, a.distinct_segre_weights())
+    walls, labels = _rank2_walls(a)
     pos = [dec.lines.index(ln) for ln in walls]
     families = {f.signs: labels.family([f.signs[k] for k in pos]) for f in dec.faces}
     return walls, labels, families
@@ -618,11 +619,9 @@ def test_integer_edge_lines_match_fraction_oracle():
     actions += [_random_rank2(rng) for _ in range(12)]
     hull_sizes = set()
     for a in actions:
-        weights = a.distinct_segre_weights()
-        lines, table, labels = _rank2_walls(a, weights)
-        o_lines, o_table, o_keys, o_conditions = _fraction_walls(a, weights)
+        lines, labels = _rank2_walls(a)
+        o_lines, _, o_keys, o_conditions = _fraction_walls(a, a.distinct_segre_weights())
         assert lines == o_lines, a.weights
-        assert table == o_table, a.weights
         oracle = _SignFamilies(o_keys, o_conditions, len(o_lines))
         assert labels._keys == oracle._keys
         assert labels._forbid == oracle._forbid, a.weights
@@ -631,6 +630,64 @@ def test_integer_edge_lines_match_fraction_oracle():
             for sp in a.iter_supports()
         }
     assert hull_sizes == {1, 2, 3}  # point, segment and polygon supports
+
+
+# ---------------------------------------------------------------------------
+# One chamber per GIT class against the union-find over cells
+# ---------------------------------------------------------------------------
+
+
+def _union_find_chambers(dec, families, labels):
+    """The chambers as a union-find over the cells found them: the two
+    sides of a cell whose family equals both of theirs are one chamber,
+    sampled at its least sample."""
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for idx, cells in _cells_by_line(dec).items():
+        for face in cells:
+            fam = families[face.signs]
+            left, right = _flip(face.signs, idx, 1), _flip(face.signs, idx, -1)
+            if fam is not None and families.get(left) == families.get(right) == fam:
+                roots = find(left), find(right)
+                parent[max(roots)] = min(roots)
+    groups = {}
+    for face in dec.chambers():
+        if families[face.signs] is not None:
+            groups.setdefault(find(face.signs), []).append(face)
+    chambers = []
+    for members in groups.values():
+        assert len({families[f.signs] for f in members}) == 1
+        rep = min(members, key=lambda f: f.sample.sort_key())
+        chambers.append(Chamber(rep.sample, labels.supports(families[rep.signs]), rep.signs))
+    return sorted(chambers, key=lambda c: c.sample.sort_key())
+
+
+def test_chambers_are_the_union_find_git_classes():
+    rng = random.Random(3571)
+    actions = _collinear_and_coinciding() + [_sec71()]
+    actions += [_random_rank2(rng) for _ in range(12)]
+    hull_sizes, merged = set(), 0
+    for a in actions:
+        lines, labels = _rank2_walls(a)
+        region = _expanded_region(convex_hull_2d_int(a.support_weights()))
+        dec = chamber_decomposition_2d(Arrangement2D(lines, region))
+        families = {f.signs: labels.family(f.signs) for f in dec.faces}
+        chambers = wall_chamber_decomposition(a).chambers
+        assert list(chambers) == _union_find_chambers(dec, families, labels), a.weights
+        # no two chambers share a family
+        assert len({c.family for c in chambers}) == len(chambers), a.weights
+        merged += len(dec.chambers()) > len(chambers)
+        hull_sizes |= {
+            min(len(convex_hull_2d_int(a.support_weights(sp))), 3)
+            for sp in a.iter_supports()
+        }
+    assert hull_sizes == {1, 2, 3}  # point, segment and polygon supports
+    assert merged  # chamber faces joined across cells occur
 
 
 # ---------------------------------------------------------------------------
