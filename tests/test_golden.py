@@ -62,6 +62,9 @@ CASES = {
     "hstable_sec7_1_h_stable.json": [
         "hstable", "--input", "sec7_1.json", "--point", "h_stable",
     ],
+    "hstable_sec7_1_h_stable_1_0.json": [
+        "hstable", "--input", "sec7_1.json", "--point", "h_stable", "--twist", "1,0",
+    ],
 }
 
 
