@@ -27,6 +27,7 @@ from .qpoly import BiPoly, InnerProduct, RationalVector, parse_rational
 from .stability import (
     OneParamSubgroup,
     SweepStatus,
+    SweepVerdict,
     adapted_region,
     admissible_cone,
     cocharacter_fan,
@@ -514,18 +515,23 @@ def _cmd_fan(spec: LoadedSpec, args) -> dict:
     return {"universal": fan.is_universal, "pieces": pieces}
 
 
+def _jverdict(name: str, verdict: SweepVerdict) -> dict:
+    """A sweep verdict on a named point: its status and the orbit parameters
+    (b, c) that decide it, or null."""
+    return {
+        "point": name,
+        "status": verdict.status.value,
+        "witness": [_jq(v) for v in verdict.witness] if verdict.witness else None,
+    }
+
+
 def _cmd_usweep(spec: LoadedSpec, args) -> dict:
     g = _group_for(spec, args)
     lam = _lambda_for(args, spec.action.rank)
     name, pt = _point_for(spec, args)
     if isinstance(pt, SupportPoint):
         raise SpecError("usweep needs an explicit-coordinates point")
-    verdict = uhat_stable_explicit(pt, spec.action, g, lam)
-    return {
-        "point": name,
-        "status": verdict.status.value,
-        "witness": [_jq(v) for v in verdict.witness] if verdict.witness else None,
-    }
+    return _jverdict(name, uhat_stable_explicit(pt, spec.action, g, lam))
 
 
 def _cmd_hstable(spec: LoadedSpec, args) -> dict:
@@ -534,10 +540,8 @@ def _cmd_hstable(spec: LoadedSpec, args) -> dict:
     name, pt = _point_for(spec, args)
     if isinstance(pt, SupportPoint):
         raise SpecError("hstable needs an explicit-coordinates point")
-    verdict = h_stable_explicit(pt, action, g)
-    out = {"point": name, "status": verdict.status.value}
-    dim = stab_u_dimension(pt, g)
-    out["stab_u_dimension"] = dim.value
+    out = _jverdict(name, h_stable_explicit(pt, action, g))
+    out["stab_u_dimension"] = stab_u_dimension(pt, g).value
     return out
 
 

@@ -515,7 +515,7 @@ def _dumps(value):
 
 def test_writer_matches_json_dumps_on_golden_reports():
     goldens = sorted((REPO / "tests" / "golden").glob("*.json"))
-    assert len(goldens) == 24  # every golden but the svg
+    assert len(goldens) == 25  # every golden but the svg
     for path in goldens:
         text = path.read_text()
         report = json.loads(text)
