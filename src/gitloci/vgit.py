@@ -316,9 +316,7 @@ def wall_hyperplane_candidates(
         for row, pc in zip(rows, pivots):
             normal[pc] = -row[free[0]]
         seen.add(primitive_line(*normal, sum(x * y for x, y in zip(normal, p0))))
-    return [
-        (RationalVector(key[:-1]), Fraction(key[-1])) for key in sorted(seen)
-    ]
+    return [(RationalVector(key[:-1]), Fraction(key[-1])) for key in sorted(seen)]
 
 
 def _rank1_complex(a: TorusAction) -> ChamberComplex:

@@ -376,7 +376,8 @@ def test_hull_membership_2d_fast_path_agrees_with_lp():
         pts = [V([rng.randint(-4, 4)]) for _ in range(rng.randint(1, 4))]
         cases.append((pts, V([Fraction(rng.randint(-9, 9), 2)])))
     for pts, q in cases:
-        diffs, _ = clear_denominators((p - q).entries for p in PointSet(pts).deduplicated())
+        uniq = PointSet(pts).deduplicated()
+        diffs, _ = clear_denominators((p - q).entries for p in uniq)
         for relative in (False, True):
             assert hull_membership(
                 PointSet(pts), q, relative=relative
@@ -389,7 +390,8 @@ def test_hull_membership_2d_fast_path_agrees_with_lp():
             for _ in range(rng.randint(1, 6))
         ]
         q = V([Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3), 2)])
-        diffs, _ = clear_denominators((p - q).entries for p in PointSet(pts).deduplicated())
+        uniq = PointSet(pts).deduplicated()
+        diffs, _ = clear_denominators((p - q).entries for p in uniq)
         ints = [tuple(int(e) for e in p.entries) for p in pts]
         for relative in (False, True):
             assert hull_position(ints, q, relative=relative) == _hull_membership_lp(

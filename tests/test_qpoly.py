@@ -273,3 +273,22 @@ def test_row_reduce_solve_rank_kernel_det():
     assert deficient > 50
     assert integer_row_reduce([]) == ([], [], 1)
     assert row_reduce([]) == ([], [], 1)
+
+
+def test_dual_norm_sq_matches_rational_solve():
+    # v . G^-1 v from the integer kernel against G x = v solved over Q
+    rng = random.Random(67)
+    forms = [
+        InnerProduct([[1]]),
+        InnerProduct([[3]]),
+        InnerProduct([[2, 1], [1, 3]]),
+        InnerProduct([[3, -1], [-1, 2]]),
+        InnerProduct([[2, 1, 0], [1, 2, 1], [0, 1, 2]]),
+    ]
+    for _ in range(100):
+        ip = rng.choice(forms)
+        v = RationalVector(
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(ip.rank)]
+        )
+        rows, _, _ = row_reduce([[*g, e] for g, e in zip(ip.gram, v.entries)])
+        assert ip.dual_norm_sq(v) == sum(e * row[-1] for e, row in zip(v.entries, rows))

@@ -34,6 +34,7 @@ from gitloci.vgit import (
     verify_external_change,
     wall_chamber_decomposition,
 )
+from oracles import row_reduce
 
 V = RationalVector
 IP1 = InnerProduct.identity(1)
@@ -354,6 +355,43 @@ def test_wall_hyperplane_candidates_any_rank():
         assert on == 3
 
 
+def _rational_hyperplane_candidates(a):
+    """The candidate hyperplanes found over Q: the kernel of the difference
+    rows of each weight tuple from `row_reduce`, scaled to its primitive
+    integral multiple with a positive leading normal entry."""
+    weights = a.distinct_segre_weights()
+    seen = set()
+    for combo in itertools.combinations(weights, a.rank):
+        rows, pivots, _ = row_reduce([(p - combo[0]).entries for p in combo[1:]])
+        free = [c for c in range(a.rank) if c not in pivots]
+        if len(free) != 1:
+            continue
+        normal = [Fraction(0)] * a.rank
+        normal[free[0]] = Fraction(1)
+        for row, pc in zip(rows, pivots):
+            normal[pc] = -row[free[0]]
+        triple = V([*normal, V(normal).dot(combo[0])]).primitive_integral()
+        if next(v for v in triple.entries if v) < 0:
+            triple = -triple
+        seen.add(triple.entries)
+    return [(V(key[:-1]), key[-1]) for key in sorted(seen)]
+
+
+def _random_rank3_factor(rng):
+    count = rng.randint(1, 3)
+    weights = [V([rng.randint(-2, 2) for _ in range(3)]) for _ in range(count)]
+    return TorusAction(3, weights, InnerProduct.identity(3))
+
+
+def test_wall_hyperplane_candidates_match_rational_reference():
+    from gitloci.vgit import wall_hyperplane_candidates
+
+    rng = random.Random(8128)
+    for _ in range(12):
+        a = build_product_action([_random_rank3_factor(rng) for _ in range(2)])
+        assert wall_hyperplane_candidates(a) == _rational_hyperplane_candidates(a)
+
+
 # ---------------------------------------------------------------------------
 # Sign-vector face labels against the hull-membership oracle
 # ---------------------------------------------------------------------------
@@ -620,7 +658,8 @@ def test_integer_edge_lines_match_fraction_oracle():
     hull_sizes = set()
     for a in actions:
         lines, labels = _rank2_walls(a)
-        o_lines, _, o_keys, o_conditions = _fraction_walls(a, a.distinct_segre_weights())
+        weights = a.distinct_segre_weights()
+        o_lines, _, o_keys, o_conditions = _fraction_walls(a, weights)
         assert lines == o_lines, a.weights
         oracle = _SignFamilies(o_keys, o_conditions, len(o_lines))
         assert labels._keys == oracle._keys
@@ -663,7 +702,8 @@ def _union_find_chambers(dec, families, labels):
     for members in groups.values():
         assert len({families[f.signs] for f in members}) == 1
         rep = min(members, key=lambda f: f.sample.sort_key())
-        chambers.append(Chamber(rep.sample, labels.supports(families[rep.signs]), rep.signs))
+        family = labels.supports(families[rep.signs])
+        chambers.append(Chamber(rep.sample, family, rep.signs))
     return sorted(chambers, key=lambda c: c.sample.sort_key())
 
 
