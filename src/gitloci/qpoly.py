@@ -220,9 +220,10 @@ def integer_row_reduce(
     Returns the rows, the pivot columns in order and the last pivot D (1
     for a matrix without pivots).  Every pivot entry ends as D and alone in
     its column, zero rows come last, and the pivot rows divided by D are the
-    reduced row echelon form.  When the leading square block is nonsingular
-    its pivots are the columns 0..n-1 and D is +-its determinant, + when no
-    rows were swapped.  Each step maps every entry v off the pivot row to
+    reduced row echelon form.  When the n rows are no more than the columns
+    and the leading n x n block is nonsingular, the pivots are the
+    columns 0..n-1 and D is +-that block's determinant, + when no rows were
+    swapped.  Each step maps every entry v off the pivot row to
     (pivot * v - f * t) / previous pivot; the division is exact (the entries
     are minors of the input).
     """
