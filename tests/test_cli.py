@@ -504,6 +504,26 @@ def test_non_integer_external_fields_are_validation_errors(
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, patch",
+    [
+        ("inner_product[0][0]", {"inner_product": [[1.5]]}),
+        ("inner_product[0][0]", {"inner_product": [["2"]]}),
+        ("rank", {"rank": True}),
+        ("group.u_params", {"group": {"u_params": "1"}}),
+        ("group.u_params", {"group": {"u_params": 0.5}}),
+        ("group.u_params", {"group": {"u_params": None}}),
+    ],
+)
+def test_non_integer_spec_fields_are_validation_errors(field, patch, tmp_path, capsys):
+    # the schema types rank, the form's entries and u_params as integers; a
+    # float must not be truncated into a form or group that was not given
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_VALID_SPEC, **patch}))
+    assert run(["beta", "--input", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # The report writer: the bytes of json.dumps(sort_keys=True, indent=2)
 # ---------------------------------------------------------------------------
