@@ -108,13 +108,17 @@ def load_spec(path: str) -> LoadedSpec:
     if not isinstance(data, dict):
         raise SpecError("top level: expected a JSON object")
 
-    rank = _require(data, "rank", "top level")
-    if not isinstance(rank, int) or rank < 1:
+    rank = _integer(_require(data, "rank", "top level"), "rank")
+    if rank < 1:
         raise SpecError("rank: must be a positive integer")
-    gram = _require(data, "inner_product", "top level")
+    gram = []
+    form = _list(_require(data, "inner_product", "top level"), "inner_product")
+    for i, row in enumerate(form):
+        ctx = f"inner_product[{i}]"
+        gram.append([_integer(v, f"{ctx}[{j}]") for j, v in enumerate(_list(row, ctx))])
     try:
         ip = InnerProduct(gram)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SpecError(f"inner_product: {exc}") from exc
 
     factors_data = _require(data, "factors", "top level")
@@ -209,7 +213,7 @@ def _load_group(
         _list(gdata.get("adjoint_weights", []), f"{ctx}.adjoint_weights")
     ):
         aw.append(_vector(w, rank, f"{ctx}.adjoint_weights[{wi}]"))
-    u_params = gdata.get("u_params", 0)
+    u_params = _integer(gdata.get("u_params", 0), f"{ctx}.u_params")
     mats_data = _list(gdata.get("u_matrices", []), f"{ctx}.u_matrices")
     if mats_data and len(mats_data) != len(action.factor_partition):
         raise SpecError(f"{ctx}.u_matrices: one matrix per factor required")
