@@ -2,13 +2,20 @@
 
 Problems here are tiny (a handful of rows, a few dozen columns), so the
 implementation favours clarity over speed: the reduced-cost row is
-recomputed every iteration and all arithmetic is on Fractions.
+recomputed every iteration.  The tableau is integer: [A | b] is scaled by
+one common denominator, and the rational tableau is kept as integer rows
+over one positive denominator, pivoted by `qpoly.montante_step`.  Every
+sign test and ratio comparison is the rational one, so the pivots are those
+of a simplex over Fractions, and Fractions are built only for the solution
+and its value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Optional, Sequence
+
+from .qpoly import clear_denominators, montante_step
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -25,27 +32,31 @@ def solve_lp(
 
     Returns (status, x, value).  Bland's rule prevents cycling, so the
     routine always terminates; exactness means no tolerance knobs.
+
+    Rows with b < 0 are negated, then [A | b] is scaled by one common
+    denominator: a scaling of the structural columns and the right-hand
+    side alike, which leaves x and every pivot choice as they are.
     """
     m = len(A)
     n = len(c)
-    A = [[Fraction(v) for v in row] for row in A]
-    b = [Fraction(v) for v in b]
-    cost = [Fraction(v) for v in c]
-    if maximize:
-        cost = [-v for v in cost]
-    for i in range(m):
-        if len(A[i]) != n:
-            raise ValueError("inconsistent LP dimensions")
-        if b[i] < 0:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
-
-    # tableau: columns = n structural + m artificial + rhs
-    T = [A[i][:] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [b[i]] for i in range(m)]
+    if any(len(row) != n for row in A):
+        raise ValueError("inconsistent LP dimensions")
+    rows, _ = clear_denominators(
+        [-v for v in (*row, rhs)] if rhs < 0 else (*row, rhs)
+        for row, rhs in zip(A, b)
+    )
+    (cost,), dc = clear_denominators([c])
+    # tableau: columns = n structural + m artificial + rhs, over den
+    T = [
+        [*r[:-1], *(int(j == i) for j in range(m)), r[-1]]
+        for i, r in enumerate(rows)
+    ]
     basis = list(range(n, n + m))
+    den = 1
 
-    phase1 = [Fraction(0)] * n + [Fraction(1)] * m
-    if _simplex(T, basis, phase1, n + m) != OPTIMAL:
+    phase1 = [0] * n + [1] * m
+    status, den = _simplex(T, basis, phase1, n + m, den)
+    if status != OPTIMAL:
         raise AssertionError("phase 1 cannot be unbounded")
     if sum(phase1[basis[i]] * T[i][-1] for i in range(m)) > 0:
         return INFEASIBLE, None, None
@@ -58,71 +69,68 @@ def solve_lp(
                 T.pop(i)
                 basis.pop(i)
             else:
-                _pivot(T, basis, i, piv)
+                basis[i] = piv
+                den = montante_step(T, i, piv, den)
+                if den < 0:  # T / den is unchanged by negating both
+                    den = -den
+                    for row in T:
+                        row[:] = [-v for v in row]
 
     # phase 2 on structural columns only
     for row in T:
         del row[n:-1]
-    phase2 = cost[:]
-    status = _simplex(T, basis, phase2, n)
+    phase2 = [-v for v in cost] if maximize else cost
+    status, den = _simplex(T, basis, phase2, n, den)
     if status == UNBOUNDED:
         return UNBOUNDED, None, None
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
-        x[bi] = T[i][-1]
-    value = sum(cost[j] * x[j] for j in range(n))
-    if maximize:
-        value = -value
+        x[bi] = Fraction(T[i][-1], den)
+    value = Fraction(sum(cost[bi] * T[i][-1] for i, bi in enumerate(basis)), den * dc)
     return OPTIMAL, x, value
 
 
 def _simplex(
-    T: list[list[Fraction]], basis: list[int], cost: list[Fraction], ncols: int
-) -> str:
+    T: list[list[int]], basis: list[int], cost: list[int], ncols: int, den: int
+) -> tuple[str, int]:
+    """Bland's rule on the tableau T / den, den > 0: the reduced cost of
+    column j has the sign of den * cost_j - sum cost_B(i) T[i][j], and the
+    ratio test cross-multiplies.  Returns the status and the final den."""
     while True:
         entering = None
         for j in range(ncols):
             if j in basis:
                 continue
-            reduced = cost[j] - sum(
-                cost[basis[i]] * T[i][j] for i in range(len(T))
-            )
-            if reduced < 0:
+            if den * cost[j] < sum(cost[bi] * row[j] for bi, row in zip(basis, T)):
                 entering = j
                 break  # Bland: smallest index
         if entering is None:
-            return OPTIMAL
+            return OPTIMAL, den
         leaving = None
-        best: Optional[Fraction] = None
-        for i in range(len(T)):
-            if T[i][entering] > 0:
-                ratio = T[i][-1] / T[i][entering]
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leaving])
-                ):
-                    best = ratio
+        for i, row in enumerate(T):
+            a = row[entering]
+            if a > 0:
+                if leaving is None:
+                    leaving = i
+                    continue
+                best = T[leaving]
+                lhs, rhs = row[-1] * best[entering], best[-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving = i
         if leaving is None:
-            return UNBOUNDED
-        _pivot(T, basis, leaving, entering)
-
-
-def _pivot(T: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = T[row][col]
-    T[row] = [v / piv for v in T[row]]
-    for i in range(len(T)):
-        if i != row and T[i][col] != 0:
-            f = T[i][col]
-            T[i] = [a - f * v for a, v in zip(T[i], T[row])]
-    basis[row] = col
+            return UNBOUNDED, den
+        basis[leaving] = entering
+        den = montante_step(T, leaving, entering, den)
 
 
 def lp_feasible(
     A: Sequence[Sequence[Fraction | int]], b: Sequence[Fraction | int]
 ) -> tuple[bool, Optional[list[Fraction]]]:
-    """Feasibility of A x = b, x >= 0; returns a witness when feasible."""
+    """Feasibility of A x = b, x >= 0; returns a witness when feasible.
+
+    No path of the package calls it; it stays as the tests' and the
+    benchmark's name for a feasibility program.
+    """
     n = len(A[0]) if A else 0
     status, x, _ = solve_lp(A, b, [Fraction(0)] * n)
     return (status == OPTIMAL), x
@@ -142,24 +150,20 @@ def lp_maximize_free(
     nslack = len(ges)
     ncols = 2 * nv + nslack
 
-    def stretch(row: Sequence[Fraction | int]) -> list[Fraction]:
-        out = []
-        for v in row:
-            v = Fraction(v)
-            out.append(v)
-        return [x for v in out for x in (v, -v)]
+    def stretch(row: Sequence[Fraction | int]) -> list[Fraction | int]:
+        return [x for v in row for x in (v, -v)]
 
-    A: list[list[Fraction]] = []
-    b: list[Fraction] = []
+    A: list[list[Fraction | int]] = []
+    b: list[Fraction | int] = []
     for row, rhs in eqs:
-        A.append(stretch(row) + [Fraction(0)] * nslack)
-        b.append(Fraction(rhs))
+        A.append(stretch(row) + [0] * nslack)
+        b.append(rhs)
     for k, (row, rhs) in enumerate(ges):
-        slacks = [Fraction(0)] * nslack
-        slacks[k] = Fraction(-1)
+        slacks = [0] * nslack
+        slacks[k] = -1
         A.append(stretch(row) + slacks)
-        b.append(Fraction(rhs))
-    c = stretch(objective) + [Fraction(0)] * nslack
+        b.append(rhs)
+    c = stretch(objective) + [0] * nslack
     status, x, value = solve_lp(A, b, c, maximize=True)
     if status != OPTIMAL:
         return status, None, None

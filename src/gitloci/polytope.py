@@ -22,8 +22,8 @@ are integer tests; a Fraction is built only for each output coordinate.
 Membership runs in one integer kernel, `hull_position`: integer points
 against a rational query, translated so that the query is the origin and
 scaled by its denominator.  Dimension 1 compares extremes, dimension 2 takes
-an integer hull and orientations, higher dimensions solve exact simplex
-programs.
+an integer hull and orientations, higher dimensions solve one exact
+simplex program on `linprog`'s integer tableau.
 
 `PointSet`, `hull_membership`, `min_norm_point`, `min_norm_point_oracle`
 and `convex_hull_2d` are `Fraction` entry points over those kernels that no
@@ -41,7 +41,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .linprog import OPTIMAL, lp_feasible, lp_maximize_free, solve_lp
+from .linprog import INFEASIBLE, OPTIMAL, lp_maximize_free, solve_lp
 from .qpoly import (
     InnerProduct,
     RationalVector,
@@ -165,26 +165,22 @@ def hull_position(
 def _hull_membership_lp(
     diffs: Sequence[Sequence[int]], dim: int, relative: bool
 ) -> HullPosition:
-    """The simplex route: the origin against the hull of integer diffs."""
-    cols = [[Fraction(v) for v in d] for d in diffs]
-    m = len(cols)
-    # membership: exists lambda >= 0, sum lambda = 1, sum lambda d_i = 0
-    A = [[c[row] for c in cols] for row in range(dim)]
-    A.append([Fraction(1)] * m)
-    b = [Fraction(0)] * dim + [Fraction(1)]
-    feasible, _ = lp_feasible(A, b)
-    if not feasible:
+    """The simplex route: the origin against the hull of integer diffs.
+
+    One program: maximise t over mu >= 0, t >= 0 with lambda = mu + t * 1,
+    sum lambda = 1 and sum lambda d_i = 0.  It is infeasible exactly when
+    the origin is outside the hull, and t > 0 at the optimum exactly when
+    the origin is in its relative interior.
+    """
+    m = len(diffs)
+    A = [[*(d[k] for d in diffs), sum(d[k] for d in diffs)] for k in range(dim)]
+    A.append([1] * m + [m])
+    status, _, value = solve_lp(A, [0] * dim + [1], [0] * m + [1], maximize=True)
+    if status == INFEASIBLE:
         return HullPosition.OUTSIDE
-    # relative interior: max t s.t. mu >= 0, t >= 0, lambda = mu + t
-    A2 = [row + [sum(row)] for row in A[:dim]]
-    A2.append([Fraction(1)] * m + [Fraction(m)])
-    b2 = [Fraction(0)] * dim + [Fraction(1)]
-    c2 = [Fraction(0)] * m + [Fraction(1)]
-    status, _, value = solve_lp(A2, b2, c2, maximize=True)
     if status != OPTIMAL:
         raise AssertionError("bounded LP reported unbounded")
-    in_relint = value > 0
-    if not in_relint:
+    if value == 0:
         return HullPosition.BOUNDARY
     if relative:
         return HullPosition.INTERIOR

@@ -239,15 +239,28 @@ def integer_row_reduce(
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        top = rows[r]
-        piv = top[col]
-        for i, row in enumerate(rows):
-            if i != r:
-                f = row[col]
-                row[:] = [(piv * v - f * t) // prev for v, t in zip(row, top)]
-        prev = piv
+        prev = montante_step(rows, r, col, prev)
         pivots.append(col)
     return rows, pivots, prev
+
+
+def montante_step(rows: list[list[int]], r: int, col: int, prev: int) -> int:
+    """One fraction-free Gauss-Jordan step on the pivot rows[r][col], in
+    place; returns that pivot, the next step's previous pivot.
+
+    Every entry v off row r becomes (pivot * v - f * t) / prev, with f the
+    row's entry in `col` and t the pivot row's in v's column.  If the rows
+    over prev are a rational matrix R, the rows over the pivot are R after
+    the rational pivot step, and the division is exact: the entries are
+    minors of the matrix that the first step started from (with prev 1).
+    """
+    top = rows[r]
+    piv = top[col]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[col]
+            row[:] = [(piv * v - f * t) // prev for v, t in zip(row, top)]
+    return piv
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,21 @@
 against.  No code of the package calls them.
 
 `row_reduce` is Gauss-Jordan elimination over Q, the reference for
-`qpoly.integer_row_reduce`.  `facet_normal_candidates` is a finite
-certificate set for the semistability of a rank <= 2 support, the reference
-for hull membership and for the Hilbert-Mumford minimisers.
+`qpoly.integer_row_reduce`.  `solve_lp` is the two-phase simplex over
+`Fraction`s, the reference for `linprog.solve_lp`'s integer tableau, and
+`hull_membership_two_lp` the two-program membership route on it, a
+reference for `polytope._hull_membership_lp`.  `facet_normal_candidates` is
+a finite certificate set for the semistability of a rank <= 2 support, the
+reference for hull membership and for the Hilbert-Mumford minimisers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
-from gitloci.polytope import DimensionMismatch, convex_hull_2d
+from gitloci.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED
+from gitloci.polytope import DimensionMismatch, HullPosition, convex_hull_2d
 from gitloci.qpoly import RationalVector
 
 
@@ -50,6 +54,142 @@ def row_reduce(
                 rows[i] = [a - f * v for a, v in zip(rows[i], top)]
         pivots.append(col)
     return rows, pivots, det
+
+
+def solve_lp(
+    A: Sequence[Sequence[Fraction | int]],
+    b: Sequence[Fraction | int],
+    c: Sequence[Fraction | int],
+    maximize: bool = False,
+) -> tuple[str, Optional[list[Fraction]], Optional[Fraction]]:
+    """min (or max) c.x subject to A x = b, x >= 0 by the two-phase simplex
+    with Bland's rule, every tableau entry a Fraction; (status, x, value)."""
+    m = len(A)
+    n = len(c)
+    A = [[Fraction(v) for v in row] for row in A]
+    b = [Fraction(v) for v in b]
+    cost = [Fraction(v) for v in c]
+    if maximize:
+        cost = [-v for v in cost]
+    for i in range(m):
+        if len(A[i]) != n:
+            raise ValueError("inconsistent LP dimensions")
+        if b[i] < 0:
+            A[i] = [-v for v in A[i]]
+            b[i] = -b[i]
+
+    # tableau: columns = n structural + m artificial + rhs
+    T = [
+        A[i][:] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [b[i]]
+        for i in range(m)
+    ]
+    basis = list(range(n, n + m))
+
+    phase1 = [Fraction(0)] * n + [Fraction(1)] * m
+    if _simplex(T, basis, phase1, n + m) != OPTIMAL:
+        raise AssertionError("phase 1 cannot be unbounded")
+    if sum(phase1[basis[i]] * T[i][-1] for i in range(m)) > 0:
+        return INFEASIBLE, None, None
+
+    # drive artificial variables out of the basis (or drop redundant rows)
+    for i in range(m - 1, -1, -1):
+        if basis[i] >= n:
+            piv = next((j for j in range(n) if T[i][j] != 0), None)
+            if piv is None:
+                T.pop(i)
+                basis.pop(i)
+            else:
+                _pivot(T, basis, i, piv)
+
+    # phase 2 on structural columns only
+    for row in T:
+        del row[n:-1]
+    phase2 = cost[:]
+    status = _simplex(T, basis, phase2, n)
+    if status == UNBOUNDED:
+        return UNBOUNDED, None, None
+    x = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        x[bi] = T[i][-1]
+    value = sum(cost[j] * x[j] for j in range(n))
+    if maximize:
+        value = -value
+    return OPTIMAL, x, value
+
+
+def _simplex(
+    T: list[list[Fraction]], basis: list[int], cost: list[Fraction], ncols: int
+) -> str:
+    while True:
+        entering = None
+        for j in range(ncols):
+            if j in basis:
+                continue
+            reduced = cost[j] - sum(
+                cost[basis[i]] * T[i][j] for i in range(len(T))
+            )
+            if reduced < 0:
+                entering = j
+                break  # Bland: smallest index
+        if entering is None:
+            return OPTIMAL
+        leaving = None
+        best: Optional[Fraction] = None
+        for i in range(len(T)):
+            if T[i][entering] > 0:
+                ratio = T[i][-1] / T[i][entering]
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leaving])
+                ):
+                    best = ratio
+                    leaving = i
+        if leaving is None:
+            return UNBOUNDED
+        _pivot(T, basis, leaving, entering)
+
+
+def _pivot(T: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
+    piv = T[row][col]
+    T[row] = [v / piv for v in T[row]]
+    for i in range(len(T)):
+        if i != row and T[i][col] != 0:
+            f = T[i][col]
+            T[i] = [a - f * v for a, v in zip(T[i], T[row])]
+    basis[row] = col
+
+
+def hull_membership_two_lp(
+    diffs: Sequence[Sequence[int]], dim: int, relative: bool
+) -> HullPosition:
+    """The origin against the hull of the diffs by two programs on the
+    reference simplex: a feasibility program decides OUTSIDE, then the
+    relative-interior program (max t with lambda = mu + t) separates
+    BOUNDARY from the relative interior, and a rank test on the diffs
+    separates that from the ambient interior."""
+    cols = [[Fraction(v) for v in d] for d in diffs]
+    m = len(cols)
+    # membership: exists lambda >= 0, sum lambda = 1, sum lambda d_i = 0
+    A = [[c[row] for c in cols] for row in range(dim)]
+    A.append([Fraction(1)] * m)
+    b = [Fraction(0)] * dim + [Fraction(1)]
+    if solve_lp(A, b, [Fraction(0)] * m)[0] != OPTIMAL:
+        return HullPosition.OUTSIDE
+    # relative interior: max t s.t. mu >= 0, t >= 0, lambda = mu + t
+    A2 = [row + [sum(row)] for row in A[:dim]]
+    A2.append([Fraction(1)] * m + [Fraction(m)])
+    c2 = [Fraction(0)] * m + [Fraction(1)]
+    status, _, value = solve_lp(A2, b, c2, maximize=True)
+    if status != OPTIMAL:
+        raise AssertionError("bounded LP reported unbounded")
+    if value <= 0:
+        return HullPosition.BOUNDARY
+    if relative:
+        return HullPosition.INTERIOR
+    d0 = cols[0]
+    _, pivots, _ = row_reduce([[x - y for x, y in zip(d, d0)] for d in cols[1:]])
+    return HullPosition.INTERIOR if len(pivots) == dim else HullPosition.BOUNDARY
 
 
 def facet_normal_candidates(points: Sequence[RationalVector]) -> list[RationalVector]:

@@ -29,7 +29,7 @@ from gitloci.polytope import (
 from gitloci.linprog import OPTIMAL, lp_maximize_free
 from gitloci.qpoly import InnerProduct, RationalVector, clear_denominators
 from gitloci.vgit import _expanded_region
-from oracles import facet_normal_candidates, row_reduce
+from oracles import facet_normal_candidates, hull_membership_two_lp, row_reduce
 
 V = RationalVector
 IP2 = InnerProduct.identity(2)
@@ -441,6 +441,34 @@ def test_hull_position_matches_lp_oracle():
                     q_scaled = q.scale(Fraction(1, k))
                     wrapped = hull_membership(scaled, q_scaled, relative=relative)
                     assert wrapped == want, (pts, k, q, relative)
+
+
+def test_rank_three_and_four_membership_matches_independent_oracles():
+    # at ranks 3 and 4 hull_position is the one-program simplex route, so it
+    # is checked against the two-program route on the Fraction simplex, and
+    # OUTSIDE against a nonzero minimum-norm point of the hull minus q
+    rng = random.Random(14142)
+    seen = set()
+    for dim, draws in ((3, 10), (4, 10)):
+        ip = InnerProduct.identity(dim)
+        for _ in range(draws):
+            pts = [
+                tuple(rng.randint(-2, 2) for _ in range(dim))
+                for _ in range(rng.randint(1, dim + 4))
+            ]
+            for q in _kernel_queries(rng, pts):
+                diffs, _ = clear_denominators(
+                    [x - y for x, y in zip(p, q.entries)] for p in set(pts)
+                )
+                outside = not hull_min_norm(pts, q, ip).is_zero()
+                for relative in (False, True):
+                    got = hull_position(pts, q, relative=relative)
+                    assert got == hull_membership_two_lp(diffs, dim, relative), (
+                        pts, q, relative,
+                    )
+                    assert (got is HullPosition.OUTSIDE) == outside, (pts, q)
+                    seen.add((dim, relative, got))
+    assert len(seen) == 12, seen
 
 
 def _random_arrangement(rng, centre):
