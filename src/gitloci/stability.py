@@ -471,11 +471,11 @@ def uhat_stable_explicit(
 def _orbit_by_global_index(
     a: TorusAction, orbit: ExplicitPoint
 ) -> dict[int, BiPoly]:
-    local: dict[int, BiPoly] = {}
-    for blk, coords in zip(a.factor_partition, orbit.coords):
-        for gidx, e in zip(blk, coords):
-            local[gidx] = e if isinstance(e, BiPoly) else BiPoly.const(e)
-    return local
+    return {
+        gidx: e
+        for blk, coords in zip(a.factor_partition, orbit.coords)
+        for gidx, e in zip(blk, coords)
+    }
 
 
 @dataclass(frozen=True)
@@ -583,9 +583,7 @@ def stab_u_dimension(x: ExplicitPoint, g: GroupSpec) -> StabDimension:
         return StabDimension.ZERO
     orbit = orbit_point(x, g)
     minors: list[BiPoly] = []
-    for coords, moved in zip(x.coords, orbit.coords):
-        vals = [Fraction(v) for v in coords]
-        polys = [e if isinstance(e, BiPoly) else BiPoly.const(e) for e in moved]
+    for vals, polys in zip(x.coords, orbit.coords):
         n = len(vals)
         for i in range(n):
             for j in range(i + 1, n):
