@@ -6,11 +6,12 @@ downstream decide exact equalities such as wall membership.  No floating
 point is used anywhere in this package's computation paths.
 
 The one exact elimination is integer: `integer_row_reduce` runs
-fraction-free Gauss-Jordan elimination (Montante), in which every step maps
-each entry v off the pivot row to (pivot * v - f * t) / previous pivot, an
-exact division, so all entries stay integers and the pivot rows divided by
-the last pivot are the reduced row echelon form.  Rational input is scaled
-to integers first by the one denominator-clearing helper,
+fraction-free Gauss-Jordan elimination (Montante), in which every step,
+`montante_step`, maps each entry v off the pivot row to
+(pivot * v - f * t) / previous pivot, an exact division, so all entries stay
+integers and the pivot rows divided by the last pivot are the reduced row
+echelon form; `linprog`'s simplex pivots by the same step.  Rational input
+is scaled to integers by the one denominator-clearing helper,
 `clear_denominators`.
 
 Polynomials are restricted to at most two parameters, named ``b`` and ``c``.
@@ -223,9 +224,7 @@ def integer_row_reduce(
     reduced row echelon form.  When the n rows are no more than the columns
     and the leading n x n block is nonsingular, the pivots are the
     columns 0..n-1 and D is +-that block's determinant, + when no rows were
-    swapped.  Each step maps every entry v off the pivot row to
-    (pivot * v - f * t) / previous pivot; the division is exact (the entries
-    are minors of the input).
+    swapped.  Each step is one `montante_step`.
     """
     rows = [list(r) for r in matrix]
     n = len(rows)
@@ -246,14 +245,11 @@ def integer_row_reduce(
 
 def montante_step(rows: list[list[int]], r: int, col: int, prev: int) -> int:
     """One fraction-free Gauss-Jordan step on the pivot rows[r][col], in
-    place; returns that pivot, the next step's previous pivot.
-
-    Every entry v off row r becomes (pivot * v - f * t) / prev, with f the
-    row's entry in `col` and t the pivot row's in v's column.  If the rows
-    over prev are a rational matrix R, the rows over the pivot are R after
-    the rational pivot step, and the division is exact: the entries are
-    minors of the matrix that the first step started from (with prev 1).
-    """
+    place: every entry v off row r becomes (pivot * v - f * t) / prev, with f
+    its row's entry in `col` and t the pivot row's in its column.  The rows
+    over the returned pivot are the rows over prev after a rational pivot
+    step.  The division is exact: the entries are minors of the first
+    step's rows (taken with prev 1)."""
     top = rows[r]
     piv = top[col]
     for i, row in enumerate(rows):
@@ -372,7 +368,6 @@ class BiPoly:
         return self.degree(var) > 0
 
     def eval_at(self, b: Fraction | int, c: Fraction | int) -> Fraction:
-        b, c = Fraction(b), Fraction(c)
         total = Fraction(0)
         for (eb, ec), q in self.coeffs:
             total += q * b**eb * c**ec
