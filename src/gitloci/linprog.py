@@ -32,10 +32,6 @@ def solve_lp(
 
     Returns (status, x, value).  Bland's rule prevents cycling, so the
     routine always terminates; exactness means no tolerance knobs.
-
-    Rows with b < 0 are negated, then [A | b] is scaled by one common
-    denominator: a scaling of the structural columns and the right-hand
-    side alike, which leaves x and every pivot choice as they are.
     """
     m = len(A)
     n = len(c)
@@ -126,11 +122,8 @@ def _simplex(
 def lp_feasible(
     A: Sequence[Sequence[Fraction | int]], b: Sequence[Fraction | int]
 ) -> tuple[bool, Optional[list[Fraction]]]:
-    """Feasibility of A x = b, x >= 0; returns a witness when feasible.
-
-    No path of the package calls it; it stays as the tests' and the
-    benchmark's name for a feasibility program.
-    """
+    """Feasibility of A x = b, x >= 0, with a witness when feasible; no
+    path of the package calls it (the tests and the benchmark do)."""
     n = len(A[0]) if A else 0
     status, x, _ = solve_lp(A, b, [Fraction(0)] * n)
     return (status == OPTIMAL), x
@@ -148,21 +141,14 @@ def lp_maximize_free(
     """
     nv = len(objective)
     nslack = len(ges)
-    ncols = 2 * nv + nslack
 
     def stretch(row: Sequence[Fraction | int]) -> list[Fraction | int]:
         return [x for v in row for x in (v, -v)]
 
-    A: list[list[Fraction | int]] = []
-    b: list[Fraction | int] = []
-    for row, rhs in eqs:
-        A.append(stretch(row) + [0] * nslack)
-        b.append(rhs)
-    for k, (row, rhs) in enumerate(ges):
-        slacks = [0] * nslack
-        slacks[k] = -1
-        A.append(stretch(row) + slacks)
-        b.append(rhs)
+    A = [stretch(row) + [0] * nslack for row, _ in eqs]
+    for k, (row, _) in enumerate(ges):
+        A.append(stretch(row) + [-int(j == k) for j in range(nslack)])
+    b = [rhs for _, rhs in (*eqs, *ges)]
     c = stretch(objective) + [0] * nslack
     status, x, value = solve_lp(A, b, c, maximize=True)
     if status != OPTIMAL:

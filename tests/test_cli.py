@@ -234,9 +234,10 @@ def test_svg_module_feeds_nothing_back():
 
 
 def test_benchmark_entry_points_exist():
-    # the benchmark traces these functions by name and checks reports with
-    # the oracle and git_class; a rename would break it without an import
-    # error here, so read its table as data
+    # the benchmark traces these functions by name, checks reports with the
+    # oracle and git_class, and builds hull queries and checks from the
+    # point-set, vector and support types; a rename would break it without
+    # an import error here, so read its table as data
     tree = ast.parse((REPO / "perfbench" / "spans.py").read_text())
     tables = {
         target.id: ast.literal_eval(node.value)
@@ -247,12 +248,14 @@ def test_benchmark_entry_points_exist():
     }
     names = [(layer, fn) for layer, fns in tables["SPANNED"].items() for fn in fns]
     names += [("polytope", "min_norm_point_oracle"), ("vgit", "git_class")]
+    names += [("polytope", "PointSet"), ("qpoly", "RationalVector")]
+    names += [("action", "SupportPoint")]
     for layer, fn in names:
         assert callable(getattr(importlib.import_module(f"gitloci.{layer}"), fn, None)), (
             f"{layer}.{fn}"
         )
     torus_action = importlib.import_module("gitloci.action").TorusAction
-    for method in tables["COUNTED_METHODS"]:
+    for method in (*tables["COUNTED_METHODS"], "support_count"):
         assert method in vars(torus_action), method
 
 
