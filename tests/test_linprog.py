@@ -52,9 +52,13 @@ def test_integer_tableau_matches_fraction_simplex():
 
 def test_degenerate_programs_match_fraction_simplex():
     # zero rows, a row of zeros with a zero right-hand side (dropped after
-    # phase 1), and an artificial left at level zero in the basis that the
-    # drive-out step replaces through a negative pivot
+    # phase 1), an artificial left at level zero in the basis that the
+    # drive-out step replaces through a negative pivot, and ratio-test ties
+    # that only the smallest-basic-index rule sends to the reference's
+    # optimal vertex
     cases = [
+        ([[-1, -1, 0, 2], [1, 2, 1, 0]], [0, 2], [0, 0, 1, 0], False),
+        ([[-1, 2, 0, 1], [2, 1, 2, -1]], [2, 1], [1, -1, 0, -1], False),
         ([[0, 0], [1, 1]], [0, 1], [1, 2], False),
         ([[1, -1, 0], [-2, 2, 0], [0, 1, 1]], [0, 0, 1], [0, 1, -1], True),
         ([[1, 1, 0], [0, -1, 1], [1, 0, 1]], [0, 0, 0], [1, 1, 1], False),
