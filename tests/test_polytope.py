@@ -416,9 +416,10 @@ def _kernel_queries(rng, pts):
 
 
 def test_hull_position_matches_lp_oracle():
-    # the integer kernel against the independent simplex route, in ranks 1
-    # to 3; small coordinate ranges make collinear, coplanar and repeated
-    # points common, and the wrapper must agree on rescaled rational copies
+    # the integer kernel against the simplex route, in ranks 1 to 3 (rank 3
+    # runs that route itself; the next test checks it independently); small
+    # coordinate ranges make collinear, coplanar and repeated points common,
+    # and the wrapper must agree on rescaled rational copies
     from gitloci.polytope import _hull_membership_lp
 
     rng = random.Random(16180)
