@@ -231,6 +231,27 @@ def test_group_spec_validation():
         GroupSpec([], 1, [[[ONE, ONE], [ZERO, ONE]]])  # not identity at (0,0)
 
 
+@pytest.mark.parametrize("value", [1.7, 1.0, Fraction(1), "1"])
+def test_integer_arguments_are_not_truncated(value):
+    # each of these passed through int() once: GroupSpec([], 1.7, []) had
+    # u_params 1 and TorusAction(1.5, ...) rank 1
+    with pytest.raises(TypeError):
+        GroupSpec([], value, [])
+    with pytest.raises(TypeError):
+        TorusAction(value, [V([0]), V([1])], IP1)
+    with pytest.raises(TypeError):
+        TorusAction(1, [V([0]), V([1])], IP1, factor_partition=[[0, value]])
+    a = TorusAction(1, [V([-1]), V([2])], IP1)
+    with pytest.raises(TypeError):
+        build_external_extension(a, [1, 0], value)
+    with pytest.raises(TypeError):
+        build_external_extension(a, [value, 0], 5)
+    with pytest.raises(TypeError):
+        build_double_extension(a, [1, 0], [0, 1], value, 0, 0, Fraction(1, 2))
+    with pytest.raises(TypeError):
+        build_double_extension(a, [1, value], [0, 1], 5, 0, 0, Fraction(1, 2))
+
+
 def test_external_extension_examples():
     a = TorusAction(1, [V([0])], IP1)
     ext = build_external_extension(a, [0], 3)

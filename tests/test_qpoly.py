@@ -217,6 +217,15 @@ def test_inner_product_validation():
     assert ip.norm_sq(u + v) == 6
 
 
+@pytest.mark.parametrize("entry", [1.5, 2.0, Fraction(3, 2), Fraction(2), "2"])
+def test_inner_product_rejects_non_integer_entries(entry):
+    # int() would truncate 1.5 to 1 and norm under a form that was not given
+    with pytest.raises(TypeError):
+        InnerProduct([[entry]])
+    with pytest.raises(TypeError):
+        InnerProduct([[2, 1], [1, entry]])
+
+
 def test_vector_primitive_integral():
     v = RationalVector([Fraction(3, 2), Fraction(3, 2)])
     assert v.primitive_integral().entries == (1, 1)
