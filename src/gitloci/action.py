@@ -134,7 +134,7 @@ class TorusAction:
         twist: Optional[RationalVector] = None,
         factor_partition: Optional[Sequence[Sequence[int]]] = None,
     ):
-        rank = int(rank)
+        rank = operator.index(rank)
         if rank < 1:
             raise ValueError("rank must be positive")
         weights = tuple(weights)
@@ -153,7 +153,7 @@ class TorusAction:
             raise RankMismatch("inner product rank differs from rank")
         if factor_partition is None:
             factor_partition = [list(range(len(weights)))]
-        blocks = tuple(tuple(int(i) for i in blk) for blk in factor_partition)
+        blocks = tuple(tuple(map(operator.index, blk)) for blk in factor_partition)
         seen: set[int] = set()
         for blk in blocks:
             if not blk:
@@ -363,7 +363,7 @@ class GroupSpec:
         u_params: int,
         u_matrices: Sequence[Sequence[Sequence[BiPoly]]],
     ):
-        u_params = int(u_params)
+        u_params = operator.index(u_params)
         if u_params not in (0, 1, 2):
             raise ValueError("u_params must be 0, 1 or 2")
         aw = tuple(adjoint_weights)
@@ -474,16 +474,17 @@ def build_external_extension(
     """
     if len(gm_weights) != a.num_coords:
         raise LengthMismatch("need one external weight per coordinate")
-    if int(N) <= 0:
+    N = operator.index(N)
+    if N <= 0:
         raise ValueError("N must be positive")
-    m = [int(v) for v in gm_weights]
+    m = list(map(operator.index, gm_weights))
     new_weights = [
         RationalVector(list(w.entries) + [m[i]]) for i, w in enumerate(a.weights)
     ]
     base = a.num_coords
     zero = [Fraction(0)] * a.rank
     new_weights.append(RationalVector(zero + [0]))
-    new_weights.append(RationalVector(zero + [int(N)]))
+    new_weights.append(RationalVector(zero + [N]))
     partition = [list(blk) for blk in a.factor_partition] + [[base, base + 1]]
     twist = RationalVector(list(a.twist.entries) + [Fraction(0)])
     return TorusAction(
@@ -529,17 +530,17 @@ def build_double_extension(
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    ml = [int(v) for v in m_lambda]
-    mm = [int(v) for v in m_mu]
-    if int(r_lambda) != min(ml):
+    ml = list(map(operator.index, m_lambda))
+    mm = list(map(operator.index, m_mu))
+    if operator.index(r_lambda) != min(ml):
         raise BadMinimalWeight(
             f"r_lambda={r_lambda} but the minimal external weight is {min(ml)}"
         )
-    if int(r_mu) != min(mm):
+    if operator.index(r_mu) != min(mm):
         raise BadMinimalWeight(
             f"r_mu={r_mu} but the minimal external weight is {min(mm)}"
         )
-    N = int(N)
+    N = operator.index(N)
     extended = build_external_extension(
         build_external_extension(a, ml, N), mm + [0, 0], N
     )

@@ -23,6 +23,7 @@ return ``UNDECIDED`` rather than guessing.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -141,7 +142,7 @@ class InnerProduct:
     gram: tuple[tuple[int, ...], ...]
 
     def __init__(self, gram: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(v) for v in row) for row in gram)
+        rows = tuple(tuple(map(operator.index, row)) for row in gram)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("gram matrix must be square")
