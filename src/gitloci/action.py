@@ -209,17 +209,30 @@ class TorusAction:
     def support_sets(
         self, within: Optional[SupportPoint] = None
     ) -> Iterator[frozenset[int]]:
-        """The coordinate sets of `iter_supports(within)`, in its order."""
-        choices = []
+        """The coordinate sets of `iter_supports(within)`, in its order: the
+        product of the factors' `factor_subsets`, the last factor varying
+        fastest."""
+        for combo in itertools.product(*self.factor_subsets(within)):
+            yield frozenset(itertools.chain.from_iterable(combo))
+
+    def factor_subsets(
+        self, within: Optional[SupportPoint] = None
+    ) -> list[list[tuple[int, ...]]]:
+        """Per factor, its nonempty coordinate subsets (of the coordinates of
+        `within` when given), by size, each size in `itertools.combinations`
+        order."""
+        out = []
         for blk in self.factor_partition:
             if within is not None:
                 blk = [i for i in blk if i in within.support]
-            subsets = []
-            for size in range(1, len(blk) + 1):
-                subsets.extend(itertools.combinations(blk, size))
-            choices.append(subsets)
-        for combo in itertools.product(*choices):
-            yield frozenset(itertools.chain.from_iterable(combo))
+            out.append(
+                [
+                    combo
+                    for size in range(1, len(blk) + 1)
+                    for combo in itertools.combinations(blk, size)
+                ]
+            )
+        return out
 
     def support_count(self) -> int:
         n = 1

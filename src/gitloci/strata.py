@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .action import SupportPoint, TorusAction
 from .polytope import HullPosition, corral_points, hull_position
@@ -175,6 +175,15 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
     (support shrinking is the combinatorial closure of coordinate
     vanishing); (iii) the Y-semistable locus is the retraction preimage of
     the Z-semistable one, pointwise.  Violations are reported as data.
+
+    (ii) compares each support with its immediate sub-supports, those with
+    one coordinate removed from a factor that keeps one: a valid sub-support
+    is reached from its support through valid supports one coordinate at a
+    time, and the norm-square cannot rise at every step yet end lower.  Only
+    when an immediate pair fails are all pairs compared, which lists every
+    violation.  (iii) enumerates each beta's Y-members by `_y_members`
+    instead of testing every support, and takes one hull test per distinct
+    retracted weight set.
     """
     supports = list(a.iter_supports())
     betas: dict[tuple[Fraction, ...], BetaIndex] = {}
@@ -198,38 +207,50 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
             betas[key] = BetaIndex.from_beta(a, beta)
 
     # (ii) closure order under sub-supports
-    for sp in supports:
-        base = norms[sp.support]
-        for sub in a.support_sets(sp):
-            if norms[sub] < base:
-                violations.append(
-                    {
-                        "kind": "closure-order",
-                        "support": sorted(sp.support),
-                        "sub_support": sorted(sub),
-                    }
-                )
+    if any(
+        norms[sp.support - {i}] < norms[sp.support]
+        for sp in supports
+        for part in a.per_factor_support(sp)
+        if len(part) > 1
+        for i in part
+    ):
+        for sp in supports:
+            base = norms[sp.support]
+            for sub in a.support_sets(sp):
+                if norms[sub] < base:
+                    violations.append(
+                        {
+                            "kind": "closure-order",
+                            "support": sorted(sp.support),
+                            "sub_support": sorted(sub),
+                        }
+                    )
 
     # (iii) Yss = p^{-1}(Zss) for every nonzero index
+    subsets = a.factor_subsets()
     for key, bi in sorted(betas.items()):
         if bi.beta.is_zero():
             continue
         values, level = _functional(a, bi.beta)
+        if level.denominator != 1:
+            continue  # Segre values are integers: no Y-members
         untwisted = bi.beta + a.twist  # beta against the untwisted weights
-        for sp in supports:
-            if a.segre_min(values, sp) != level:
-                continue  # not in the Y-stratum of this index
-            retracted = SupportPoint(
-                itertools.chain.from_iterable(a.segre_argmin(values, sp))
-            )
-            lhs = by_support[sp.support] == bi.beta  # lambda_beta adapted to sp
-            pos = hull_position(a.support_weights(retracted), untwisted)
-            rhs = pos is not HullPosition.OUTSIDE
-            if lhs != rhs:
+        # Zss membership per retracted weight set, read once per retraction
+        by_weights_ss: dict[tuple[tuple[int, ...], ...], bool] = {}
+        by_retraction: dict[tuple[int, ...], bool] = {}
+        for support, retracted in _y_members(subsets, values, int(level)):
+            if retracted not in by_retraction:
+                weights = a.support_weights(SupportPoint(retracted))
+                if weights not in by_weights_ss:
+                    pos = hull_position(weights, untwisted)
+                    by_weights_ss[weights] = pos is not HullPosition.OUTSIDE
+                by_retraction[retracted] = by_weights_ss[weights]
+            lhs = by_support[support] == bi.beta  # lambda_beta adapted to sp
+            if lhs != by_retraction[retracted]:
                 violations.append(
                     {
                         "kind": "retraction-semistability",
-                        "support": sorted(sp.support),
+                        "support": sorted(support),
                         "beta": [str(v) for v in bi.beta.entries],
                     }
                 )
@@ -238,3 +259,42 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
     labels = {s: beta.entries for s, beta in by_support.items()}
     return StratificationReport(tuple(ordered), sizes, labels, tuple(violations))
 
+
+def _y_members(
+    subsets: list[list[tuple[int, ...]]], values: Sequence[int], level: int
+) -> Iterator[tuple[frozenset[int], tuple[int, ...]]]:
+    """The supports whose least Segre value is `level`, each with its
+    retraction's coordinates, in `support_sets` order.
+
+    A support's least Segre value is the sum of its per-factor minima, so
+    each factor's subsets are tabled with their least value and argmin, and
+    the factors are searched depth-first in `factor_subsets` order.  A
+    partial sum is dropped once the remaining factors' least or greatest
+    minima (their least and greatest coordinate values) cannot bring it to
+    the level, which never drops a member.
+    """
+    tables = []
+    for factor in subsets:
+        rows = []
+        for s in factor:
+            lo = min(values[i] for i in s)
+            rows.append((lo, s, tuple(i for i in s if values[i] == lo)))
+        tables.append(rows)
+    # the least and greatest sums of minima over the factors from k on
+    least, greatest = [0], [0]
+    for rows in reversed(tables):
+        least.append(least[-1] + min(r[0] for r in rows))
+        greatest.append(greatest[-1] + max(r[0] for r in rows))
+    least.reverse()
+    greatest.reverse()
+
+    def walk(k, total, support, retracted):
+        if k == len(tables):
+            yield frozenset(support), retracted
+            return
+        for lo, s, arg in tables[k]:
+            rest = level - total - lo
+            if least[k + 1] <= rest <= greatest[k + 1]:
+                yield from walk(k + 1, total + lo, support + s, retracted + arg)
+
+    return walk(0, 0, (), ())

@@ -8,16 +8,29 @@ against.  No code of the package calls them.
 reference for `polytope._hull_membership_lp`.  `facet_normal_candidates` is
 a finite certificate set for the semistability of a rank <= 2 support, the
 reference for hull membership and for the Hilbert-Mumford minimisers.
+`verify_stratification_oracle` checks the stratification by full scans: every
+(support, sub-support) pair for the closure order, and every support against
+every beta for the retraction; it is the reference for
+`strata.verify_stratification`.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from gitloci import strata
+from gitloci.action import SupportPoint, TorusAction
 from gitloci.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED
-from gitloci.polytope import DimensionMismatch, HullPosition, convex_hull_2d
+from gitloci.polytope import (
+    DimensionMismatch,
+    HullPosition,
+    convex_hull_2d,
+    hull_position,
+)
 from gitloci.qpoly import RationalVector
+from gitloci.strata import BetaIndex, StratificationReport
 
 
 def row_reduce(
@@ -224,3 +237,74 @@ def facet_normal_candidates(points: Sequence[RationalVector]) -> list[RationalVe
         inner = RationalVector([-d.entries[1], d.entries[0]])  # CCW inner normal
         candidates.append(inner)
     return candidates
+
+
+def verify_stratification_oracle(a: TorusAction) -> StratificationReport:
+    """The stratification report by full scans: (ii) compares every valid
+    support with every valid sub-support, and (iii) takes every support's
+    least Segre value against every nonzero beta.
+
+    `support_beta` and `_functional` are looked up on `gitloci.strata` at
+    call time, so a test that patches them there reaches this reference too.
+    """
+    supports = list(a.iter_supports())
+    betas: dict[tuple[Fraction, ...], BetaIndex] = {}
+    by_support: dict[frozenset[int], RationalVector] = {}
+    sizes: dict[tuple[Fraction, ...], int] = {}
+    violations: list[dict] = []
+
+    norms: dict[frozenset[int], Fraction] = {}
+    # beta depends on a support only through its distinct weights
+    by_weights: dict[tuple[tuple[int, ...], ...], tuple[RationalVector, Fraction]] = {}
+    for sp in supports:
+        weights = a.support_weights(sp)
+        if weights not in by_weights:
+            beta = strata.support_beta(a, sp)
+            by_weights[weights] = beta, a.ip.norm_sq(beta)
+        beta, norms[sp.support] = by_weights[weights]
+        by_support[sp.support] = beta
+        key = beta.entries
+        sizes[key] = sizes.get(key, 0) + 1
+        if key not in betas:
+            betas[key] = BetaIndex.from_beta(a, beta)
+
+    # (ii) closure order under sub-supports
+    for sp in supports:
+        base = norms[sp.support]
+        for sub in a.support_sets(sp):
+            if norms[sub] < base:
+                violations.append(
+                    {
+                        "kind": "closure-order",
+                        "support": sorted(sp.support),
+                        "sub_support": sorted(sub),
+                    }
+                )
+
+    # (iii) Yss = p^{-1}(Zss) for every nonzero index
+    for key, bi in sorted(betas.items()):
+        if bi.beta.is_zero():
+            continue
+        values, level = strata._functional(a, bi.beta)
+        untwisted = bi.beta + a.twist  # beta against the untwisted weights
+        for sp in supports:
+            if a.segre_min(values, sp) != level:
+                continue  # not in the Y-stratum of this index
+            retracted = SupportPoint(
+                itertools.chain.from_iterable(a.segre_argmin(values, sp))
+            )
+            lhs = by_support[sp.support] == bi.beta  # lambda_beta adapted to sp
+            pos = hull_position(a.support_weights(retracted), untwisted)
+            rhs = pos is not HullPosition.OUTSIDE
+            if lhs != rhs:
+                violations.append(
+                    {
+                        "kind": "retraction-semistability",
+                        "support": sorted(sp.support),
+                        "beta": [str(v) for v in bi.beta.entries],
+                    }
+                )
+
+    ordered = [betas[k] for k in sorted(betas)]
+    labels = {s: beta.entries for s, beta in by_support.items()}
+    return StratificationReport(tuple(ordered), sizes, labels, tuple(violations))

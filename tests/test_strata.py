@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import verify_stratification_oracle
 
+from gitloci import strata
 from gitloci.action import SupportPoint, TorusAction, build_product_action
 from gitloci.polytope import PointSet, min_norm_point
 from gitloci.qpoly import InnerProduct, RationalVector
@@ -285,3 +287,111 @@ def test_stratification_with_twist():
     assert rep.ok
     twisted = sorted(k[0] for k in rep.stratum_sizes)
     assert twisted == [Fraction(-3, 2), Fraction(-1, 2), Fraction(0), Fraction(3, 2)]
+
+
+def _random_products(seed, count):
+    """Seeded products of two or three factors, rank 1 to 3, under the
+    non-identity rank-2 form and at rational twists."""
+    rng = random.Random(seed)
+    forms = {1: IP1, 2: InnerProduct([[2, 1], [1, 3]]), 3: InnerProduct.identity(3)}
+    out = []
+    for rank in (1, 2, 3):
+        for _ in range(count):
+            factors = [
+                TorusAction(
+                    rank,
+                    [
+                        V([rng.randint(-3, 3) for _ in range(rank)])
+                        for _ in range(rng.randint(1, 4 if rank < 3 else 3))
+                    ],
+                    forms[rank],
+                )
+                for _ in range(rng.randint(2, 3))
+            ]
+            twist = V(
+                [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rank)]
+            )
+            out.append(build_product_action(factors).with_twist(twist))
+    return out
+
+
+def test_verify_stratification_matches_full_scan_oracle(ex1_7, sec7_1):
+    twist = V([Fraction(1, 2), Fraction(-1, 3)])
+    actions = [ex1_7.action, sec7_1.action, sec7_1.action.with_twist(twist)]
+    actions += _random_products(1414, 5)
+    for a in actions:
+        rep = verify_stratification(a)
+        assert rep.ok
+        assert rep == verify_stratification_oracle(a), a
+
+
+def _count_closure_full_scans(monkeypatch):
+    """Count the `support_sets(within=...)` calls, which only the full
+    closure-order scan makes."""
+    calls = []
+    inner = TorusAction.support_sets
+
+    def counted(self, within=None):
+        if within is not None:
+            calls.append(within)
+        return inner(self, within)
+
+    monkeypatch.setattr(TorusAction, "support_sets", counted)
+    return calls
+
+
+def test_wrong_wolfe_violations_match_oracle(monkeypatch, sec7_1):
+    # zero on two-weight sets and doubled on three-weight sets: sub-supports
+    # drop below their supports, and Y-members lose or change their label
+    real = strata.support_beta
+
+    def wrong(a, x):
+        beta = real(a, x)
+        return beta.scale({2: 0, 3: 2}.get(len(a.support_weights(x)), 1))
+
+    monkeypatch.setattr(strata, "support_beta", wrong)
+    full_scans = _count_closure_full_scans(monkeypatch)
+    # P1 x P1 with twisted weights 5..8: every factor has two coordinates,
+    # so the failing immediate pairs empty a two-coordinate factor part
+    lines = build_product_action(
+        [TorusAction(1, [V([0]), V([k])], IP1) for k in (1, 2)]
+    ).with_twist(V([-5]))
+    kinds = set()
+    for a in [sec7_1.action, lines] + _random_products(1415, 2):
+        full_scans.clear()
+        rep = verify_stratification(a)
+        want = verify_stratification_oracle(a)
+        assert list(rep.violations) == list(want.violations), a
+        assert rep == want
+        if any(v["kind"] == "closure-order" for v in rep.violations):
+            # the immediate pairs failed, so every pair was compared
+            assert full_scans
+        kinds |= {v["kind"] for v in rep.violations}
+    assert kinds == {"closure-order", "retraction-semistability"}
+
+
+def test_verify_stratification_work_counts_sec71(monkeypatch, sec7_1):
+    a = sec7_1.action
+    full_scans = _count_closure_full_scans(monkeypatch)
+    segre_min_calls = []
+    inner_min = TorusAction.segre_min
+
+    def counted_min(self, values, support=None):
+        segre_min_calls.append(support)
+        return inner_min(self, values, support)
+
+    monkeypatch.setattr(TorusAction, "segre_min", counted_min)
+    hull_calls = []
+    inner_hull = strata.hull_position
+
+    def counted_hull(points, q, **kw):
+        hull_calls.append((q.entries, tuple(points)))
+        return inner_hull(points, q, **kw)
+
+    monkeypatch.setattr(strata, "hull_position", counted_hull)
+    rep = verify_stratification(a)
+    assert rep.ok
+    assert segre_min_calls == [] and full_scans == []
+    # one hull test per distinct (beta, retracted weight set), not one per
+    # Y-member (454 of them)
+    assert len(set(hull_calls)) == len(hull_calls) == 87
