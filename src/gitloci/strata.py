@@ -16,6 +16,16 @@ primitive integral multiple.  So every hyperplane test reads lambda_beta's
 value on each coordinate through the action's per-factor kernel: a support
 is in Y when its least Segre value is <lambda_beta, beta + chi>, and its
 retraction keeps each factor's argmin.
+
+`verify_stratification` decides each property for every valid support
+without comparing all pairs.  The closure order is checked on immediate
+sub-supports, since every valid sub-support is reached from its support
+through valid supports one coordinate at a time; all pairs are compared
+only to list violations once an immediate pair fails.  A stratum's
+Y-members are enumerated rather than searched for: the least Segre value is
+a sum of per-factor minima, so a depth-first search over the factors, cut
+only where the remaining factors' minima cannot reach the level, yields
+every member and no other support.
 """
 
 from __future__ import annotations
@@ -179,11 +189,11 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
     (ii) compares each support with its immediate sub-supports, those with
     one coordinate removed from a factor that keeps one: a valid sub-support
     is reached from its support through valid supports one coordinate at a
-    time, and the norm-square cannot rise at every step yet end lower.  Only
-    when an immediate pair fails are all pairs compared, which lists every
-    violation.  (iii) enumerates each beta's Y-members by `_y_members`
-    instead of testing every support, and takes one hull test per distinct
-    retracted weight set.
+    time, and a norm-square lower at the end of that chain is lower at some
+    step.  Only when an immediate pair fails are all pairs compared, which
+    lists every violation.  (iii) takes each beta's Y-members from
+    `_y_members`, which yields all of them in support order without testing
+    every support, and runs one hull test per distinct retracted weight set.
     """
     supports = list(a.iter_supports())
     betas: dict[tuple[Fraction, ...], BetaIndex] = {}
@@ -245,7 +255,7 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
                     pos = hull_position(weights, untwisted)
                     by_weights_ss[weights] = pos is not HullPosition.OUTSIDE
                 by_retraction[retracted] = by_weights_ss[weights]
-            lhs = by_support[support] == bi.beta  # lambda_beta adapted to sp
+            lhs = by_support[support] == bi.beta  # lambda_beta adapted to it
             if lhs != by_retraction[retracted]:
                 violations.append(
                     {
