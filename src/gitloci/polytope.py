@@ -213,16 +213,9 @@ def convex_hull_2d_int(points: Sequence[tuple[int, int]]) -> list[tuple[int, int
             out.append(p)
         return out
 
-    lower = half(pts)
-    upper = half(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 0:  # all collinear: keep the extremes
-        return [pts[0], pts[-1]]
-    if len(hull) == 2 and hull[0] == hull[1]:
-        return [hull[0]]
-    if len(hull) < 3:
-        return [pts[0], pts[-1]]
-    return hull
+    # each chain runs from one extreme to the other, so collinear points
+    # leave just the two extremes
+    return half(pts)[:-1] + half(reversed(pts))[:-1]
 
 
 def convex_hull_2d(points: Sequence[RationalVector]) -> list[RationalVector]:

@@ -15,9 +15,14 @@ is scaled to integers by the one denominator-clearing helper,
 `clear_denominators`.
 
 Polynomials are restricted to at most two parameters, named ``b`` and ``c``.
-That is enough for the bundled two-dimensional unipotent groups; systems that
-would need more elimination power than the documented strategy provides
-return ``UNDECIDED`` rather than guessing.
+That is enough for the bundled two-dimensional unipotent groups.  The one
+common-zero decision is `common_zero_avoiding`: does some common zero of one
+list avoid every zero of another?  `common_zero_exists` is it with nothing to
+avoid.  It reads the elimination's `ZeroSetInfo` and returns ``UNDECIDED``,
+rather than guessing, in three cases only: the elimination degenerated
+(kind "unknown") and no listed point avoids; a single curve whose wider
+rational grid finds no point off the avoided zeros; and lines and points that
+are not known to be the whole zero set, none of which avoids.
 """
 
 from __future__ import annotations
@@ -353,11 +358,6 @@ class BiPoly:
     def is_constant(self) -> bool:
         return all(k == (0, 0) for k, _ in self.coeffs)
 
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self.coeffs[0][1] if self.coeffs else Fraction(0)
-
     def degree(self, var: str) -> int:
         """Degree in the named parameter; -1 for the zero polynomial."""
         idx = _VARS.index(var)
@@ -681,22 +681,28 @@ class ZeroSetInfo:
 
     kind:
       * "empty"      -- provably no common zero over the algebraic closure
-      * "finite"     -- provably zero-dimensional; `points` lists the rational
-                        ones, exhaustively iff `complete`
-      * "lines"      -- contains full coordinate lines {var = value} x A^1
+      * "finite"     -- nonempty and, over the rational roots of the
+                        b-eliminant, zero-dimensional; `points` lists the
+                        rational zeros found there
+      * "lines"      -- contains the full coordinate lines {var = value} x A^1
+                        of `lines`; `points` holds one point on each, then
+                        the isolated rational zeros
       * "curve"      -- contains the zero locus of `curve` (a single
-                        nonconstant polynomial system)
+                        nonconstant polynomial); `points` are rational points
+                        on it over b in [-6, 6]
       * "everything" -- every parameter pair is a zero (all polynomials zero)
-      * "unknown"    -- the elimination strategy degenerated
+      * "unknown"    -- the elimination strategy degenerated; `points` are
+                        the integer grid zeros a search found, if any
+
+    `complete` ("finite" and "lines" only): the listed lines and points are
+    the whole zero set.
     """
 
     kind: str
     points: tuple[tuple[Fraction, Fraction], ...] = ()
     complete: bool = False
     lines: tuple[tuple[str, Fraction], ...] = ()
-    lines_complete: bool = False
     curve: Optional[BiPoly] = None
-    has_nonrational: bool = False
 
 
 def analyze_common_zeros(polys: Iterable[BiPoly]) -> ZeroSetInfo:
@@ -727,9 +733,7 @@ def analyze_common_zeros(polys: Iterable[BiPoly]) -> ZeroSetInfo:
 
     if len(system) == 1:
         pts = _curve_points(system[0], limit=6)
-        return ZeroSetInfo(
-            kind="curve", points=tuple(pts), curve=system[0], has_nonrational=True
-        )
+        return ZeroSetInfo(kind="curve", points=tuple(pts), curve=system[0])
 
     c_polys = [p for p in system if p.uses("c")]
     b_only = [p for p in system if not p.uses("c")]
@@ -741,9 +745,7 @@ def analyze_common_zeros(polys: Iterable[BiPoly]) -> ZeroSetInfo:
     if not nonzero_elim:
         # every pairwise resultant vanished: shared factors; fall back to search
         pts = _grid_witnesses(system, bound=4)
-        if pts:
-            return ZeroSetInfo(kind="unknown", points=tuple(pts), has_nonrational=True)
-        return ZeroSetInfo(kind="unknown")
+        return ZeroSetInfo(kind="unknown", points=tuple(pts))
     g = gcd_univariate(nonzero_elim, "b")
     if g.is_constant():
         return ZeroSetInfo(kind="empty")
@@ -752,7 +754,7 @@ def analyze_common_zeros(polys: Iterable[BiPoly]) -> ZeroSetInfo:
     points: list[tuple[Fraction, Fraction]] = []
     lines: list[tuple[str, Fraction]] = []
     fibres_split = True
-    exists_nonrational = False
+    isolated = False  # some fibre has a common zero off the lines
     for r in roots:
         subbed = [p.substitute("b", r) for p in system]
         live = [p for p in subbed if not p.is_zero()]
@@ -765,28 +767,20 @@ def analyze_common_zeros(polys: Iterable[BiPoly]) -> ZeroSetInfo:
         gc = gcd_univariate(live, "c")
         if gc.is_constant():
             continue  # coprime on this fibre: no common c
-        exists_nonrational = True
+        isolated = True
         croots, c_split = rational_roots(gc, "c")
         points.extend((r, cr) for cr in croots)
         if not c_split:
             fibres_split = False
 
-    if lines:
+    if lines or isolated:
         # the listed lines and points describe the whole zero set exactly
         # when the eliminant splits and every contributing fibre splits
         return ZeroSetInfo(
-            kind="lines",
-            points=tuple(points),
-            lines=tuple(lines),
-            lines_complete=b_split and fibres_split,
-            has_nonrational=exists_nonrational,
-        )
-    if points or exists_nonrational:
-        return ZeroSetInfo(
-            kind="finite",
+            kind="lines" if lines else "finite",
             points=tuple(points),
             complete=b_split and fibres_split,
-            has_nonrational=exists_nonrational,
+            lines=tuple(lines),
         )
     if b_split:
         # every possible b-projection was enumerated and failed
@@ -804,12 +798,7 @@ def _lines_info(system: list[BiPoly], var: str) -> ZeroSetInfo:
         (r, Fraction(0)) if var == "b" else (Fraction(0), r) for r in roots
     )
     # when the gcd splits over Q the listed lines exhaust the zero set
-    return ZeroSetInfo(
-        kind="lines",
-        points=pts,
-        lines=lines,
-        lines_complete=split,
-    )
+    return ZeroSetInfo(kind="lines", points=pts, complete=split, lines=lines)
 
 
 def _curve_points(p: BiPoly, limit: int) -> list[tuple[Fraction, Fraction]]:
@@ -838,21 +827,12 @@ def _grid_witnesses(
 
 
 def common_zero_exists(polys: Iterable[BiPoly]) -> CommonZeroResult:
-    """Decide whether a system has a common zero over the algebraic closure.
-
-    Yes carries a rational witness when the elimination finds one; Undecided
-    is reserved for genuine degenerations of the documented strategy.
-    """
-    info = analyze_common_zeros(polys)
-    if info.kind == "empty":
-        return CommonZeroResult(CZStatus.NO)
-    if info.kind == "everything":
-        return CommonZeroResult(CZStatus.YES, (Fraction(0), Fraction(0)))
-    if info.points:
-        return CommonZeroResult(CZStatus.YES, min(info.points))
-    if info.kind in ("lines", "curve") or info.has_nonrational:
-        return CommonZeroResult(CZStatus.YES, None)
-    return CommonZeroResult(CZStatus.UNDECIDED)
+    """Decide whether a nonempty system has a common zero over the algebraic
+    closure: `common_zero_avoiding` with nothing to avoid."""
+    polys = list(polys)
+    if not polys:
+        raise EmptyInput("common-zero analysis requires at least one polynomial")
+    return common_zero_avoiding(polys, [])
 
 
 def nonvanishing_point(
@@ -881,59 +861,50 @@ def nonvanishing_point(
 def common_zero_avoiding(
     vanish: Sequence[BiPoly], avoid: Sequence[BiPoly]
 ) -> CommonZeroResult:
-    """Decide whether some common zero of `vanish` avoids every zero of `avoid`.
+    """Decide whether some common zero of `vanish` avoids every zero of
+    `avoid`: the one common-zero decision.
 
-    Used to test achievability of orbit supports: the coordinates outside a
-    candidate support must vanish simultaneously while those inside stay
-    nonzero.  `avoid` entries must be nonzero polynomials.
+    `stability.uhat_stable_explicit` asks it with nothing to avoid;
+    `stability.achievable_supports` asks whether the coordinates outside a
+    candidate support can vanish while those inside stay nonzero.  An empty
+    `vanish` holds everywhere.  `avoid` entries must be nonzero polynomials.
+    Yes carries a rational witness, except with nothing to avoid on a zero
+    set that is nonempty but lists no rational point.
     """
     for p in avoid:
         if p.is_zero():
             raise ValueError("avoid-polynomials must be nonzero")
-    if not list(vanish):
-        return CommonZeroResult(CZStatus.YES, nonvanishing_point(avoid))
-    info = analyze_common_zeros(vanish)
+    vanish = list(vanish)
+    info = analyze_common_zeros(vanish) if vanish else ZeroSetInfo(kind="everything")
     if info.kind == "empty":
         return CommonZeroResult(CZStatus.NO)
     if info.kind == "everything":
         return CommonZeroResult(CZStatus.YES, nonvanishing_point(avoid))
 
-    def point_ok(pt: tuple[Fraction, Fraction]) -> bool:
+    def avoids(pt: tuple[Fraction, Fraction]) -> bool:
         return all(p.eval_at(*pt) != 0 for p in avoid)
 
-    good = [pt for pt in info.points if point_ok(pt)]
+    good = [pt for pt in info.points if avoids(pt)]
     if good:
         return CommonZeroResult(CZStatus.YES, min(good))
-
-    if info.kind == "lines":
-        for var, value in info.lines:
-            restricted = [p.substitute(var, value) for p in avoid]
-            if any(p.is_zero() for p in restricted):
-                continue  # this line is contained in a forbidden locus
-            other = "c" if var == "b" else "b"
-            prod = BiPoly.const(1)
-            for p in restricted:
-                prod = prod * p
-            for t in range(max(prod.degree(other), 0) + 1):
-                if prod.substitute(other, t).constant_value() != 0:
-                    pt = (value, Fraction(t)) if var == "b" else (Fraction(t), value)
-                    return CommonZeroResult(CZStatus.YES, pt)
-        if info.lines_complete:
-            # the listed lines and points exhaust the zero set: every line is
-            # inside a forbidden locus and every point failed above
-            return CommonZeroResult(CZStatus.NO)
+    if info.kind == "unknown":
         return CommonZeroResult(CZStatus.UNDECIDED)
-
-    if info.kind == "finite":
-        if info.complete:
-            return CommonZeroResult(CZStatus.NO)
-        return CommonZeroResult(CZStatus.UNDECIDED)
-
+    if not avoid:
+        return CommonZeroResult(CZStatus.YES)  # every other kind is nonempty
     if info.kind == "curve":
-        more = _curve_points(info.curve, limit=10)
-        good = [pt for pt in more if point_ok(pt)]
+        good = [pt for pt in _curve_points(info.curve, limit=10) if avoids(pt)]
         if good:
             return CommonZeroResult(CZStatus.YES, min(good))
         return CommonZeroResult(CZStatus.UNDECIDED)
-
+    for var, value in info.lines:
+        restricted = [p.substitute(var, value) for p in avoid]
+        if any(p.is_zero() for p in restricted):
+            continue  # this line is contained in a forbidden locus
+        b0, c0 = nonvanishing_point(restricted)  # free of `var`: 0 there
+        pt = (value, c0) if var == "b" else (b0, value)
+        return CommonZeroResult(CZStatus.YES, pt)
+    if info.complete:
+        # the listed lines and points exhaust the zero set: every line is
+        # inside a forbidden locus and every point failed above
+        return CommonZeroResult(CZStatus.NO)
     return CommonZeroResult(CZStatus.UNDECIDED)

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .action import (
     ExplicitPoint,
@@ -51,7 +51,6 @@ from .qpoly import (
     RationalVector,
     analyze_common_zeros,
     common_zero_avoiding,
-    common_zero_exists,
 )
 
 
@@ -73,19 +72,17 @@ class ZeroBeta(ValueError):
 
 @dataclass(frozen=True)
 class OneParamSubgroup:
-    """An integral cocharacter, primitive unless constructed otherwise."""
+    """A nonzero integral cocharacter, kept as given."""
 
     cochar: RationalVector
 
-    def __init__(self, cochar: RationalVector | Sequence[int], primitive: bool = False):
+    def __init__(self, cochar: RationalVector | Sequence[int]):
         if not isinstance(cochar, RationalVector):
             cochar = RationalVector(cochar)
         if cochar.is_zero():
             raise ValueError("a one-parameter subgroup must be nonzero")
         if not cochar.is_integral():
             raise ValueError("cocharacter entries must be integral")
-        if primitive:
-            cochar = cochar.primitive_integral()
         object.__setattr__(self, "cochar", cochar)
 
     @staticmethod
@@ -102,11 +99,6 @@ class OneParamSubgroup:
 
     def pairing(self, w: RationalVector) -> Fraction:
         return self.cochar.dot(w)
-
-    def scale(self, n: int) -> "OneParamSubgroup":
-        if n <= 0:
-            raise ValueError("only positive rescalings preserve the ray")
-        return OneParamSubgroup(self.cochar.scale(n))
 
 
 @functools.total_ordering
@@ -427,6 +419,18 @@ class SweepVerdict:
     witness: Optional[tuple[Fraction, Fraction]] = None
 
 
+def _sweep_verdict(results: Iterable) -> SweepVerdict:
+    """Unstable at the first Yes, with its witness; otherwise Undecided if
+    any result was, else Stable.  `results` carry `status` (a CZStatus) and
+    `witness`, and are drawn only up to the first Yes."""
+    undecided = False
+    for res in results:
+        if res.status is CZStatus.YES:
+            return SweepVerdict(SweepStatus.UNSTABLE, res.witness)
+        undecided = undecided or res.status is CZStatus.UNDECIDED
+    return SweepVerdict(SweepStatus.UNDECIDED if undecided else SweepStatus.STABLE)
+
+
 def uhat_stable_explicit(
     x: ExplicitPoint, a: TorusAction, g: GroupSpec, lam: OneParamSubgroup
 ) -> SweepVerdict:
@@ -437,35 +441,16 @@ def uhat_stable_explicit(
     coordinates of u.x must have no common parameter zero; (ii) the
     non-minimal coordinates must have no common zero either.  A common zero
     is an instability witness (rational when the elimination finds one).
+    When every coordinate is minimal, (ii) asks of an empty system, which
+    vanishes everywhere: the orbit sits inside the minimal stratum.
     """
     orbit = orbit_point(x, g)
-    data = x_min(a, lam)
+    argmins = x_min(a, lam).per_factor_argmin
     local = _orbit_by_global_index(a, orbit)
-
-    undecided = False
-    for blk, argmin in zip(a.factor_partition, data.per_factor_argmin):
-        polys = [local[i] for i in blk if i in argmin]
-        res = common_zero_exists(polys)
-        if res.status is CZStatus.YES:
-            return SweepVerdict(SweepStatus.UNSTABLE, res.witness)
-        if res.status is CZStatus.UNDECIDED:
-            undecided = True
-
-    non_min = [
-        local[i]
-        for blk, argmin in zip(a.factor_partition, data.per_factor_argmin)
-        for i in blk
-        if i not in argmin
-    ]
-    if not non_min:
-        # everything is minimal: the orbit sits inside the minimal stratum
-        return SweepVerdict(SweepStatus.UNSTABLE, (Fraction(0), Fraction(0)))
-    res = common_zero_exists(non_min)
-    if res.status is CZStatus.YES:
-        return SweepVerdict(SweepStatus.UNSTABLE, res.witness)
-    if res.status is CZStatus.UNDECIDED or undecided:
-        return SweepVerdict(SweepStatus.UNDECIDED)
-    return SweepVerdict(SweepStatus.STABLE)
+    pairs = list(zip(a.factor_partition, argmins))
+    systems = [[local[i] for i in blk if i in argmin] for blk, argmin in pairs]
+    systems.append([local[i] for blk, argmin in pairs for i in blk if i not in argmin])
+    return _sweep_verdict(common_zero_avoiding(s, []) for s in systems)
 
 
 def _orbit_by_global_index(
@@ -551,18 +536,11 @@ def h_stable_explicit(
     the elimination cannot settle make the verdict Undecided only when they
     would matter (a non-stable status).
     """
-    undecided = False
-    for cand in achievable_supports(x, a, g):
-        status = torus_status(a, cand.support)
-        if status is TorusStatus.STABLE:
-            continue
-        if cand.status is CZStatus.YES:
-            return SweepVerdict(SweepStatus.UNSTABLE, cand.witness)
-        if cand.status is CZStatus.UNDECIDED:
-            undecided = True
-    if undecided:
-        return SweepVerdict(SweepStatus.UNDECIDED)
-    return SweepVerdict(SweepStatus.STABLE)
+    return _sweep_verdict(
+        cand
+        for cand in achievable_supports(x, a, g)
+        if torus_status(a, cand.support) is not TorusStatus.STABLE
+    )
 
 
 class StabDimension(str, Enum):

@@ -11,14 +11,20 @@ reference for hull membership and for the Hilbert-Mumford minimisers.
 `verify_stratification_oracle` checks the stratification by full scans: every
 (support, sub-support) pair for the closure order, and every support against
 every beta for the retraction; it is the reference for
-`strata.verify_stratification`.
+`strata.verify_stratification`.  `common_zero_exists_oracle` and
+`common_zero_avoiding_oracle` are the two common-zero decisions as they stood
+before `qpoly.common_zero_avoiding` became the only one, each reading its own
+fields of the elimination's zero-set description; they and that elimination
+are kept here as written then, the reference for `qpoly.common_zero_exists`
+and `qpoly.common_zero_avoiding`.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from gitloci import strata
 from gitloci.action import SupportPoint, TorusAction
@@ -29,7 +35,19 @@ from gitloci.polytope import (
     convex_hull_2d,
     hull_position,
 )
-from gitloci.qpoly import RationalVector
+from gitloci.qpoly import (
+    BiPoly,
+    CommonZeroResult,
+    CZStatus,
+    EmptyInput,
+    RationalVector,
+    _curve_points,
+    _grid_witnesses,
+    gcd_univariate,
+    nonvanishing_point,
+    rational_roots,
+    resultant,
+)
 from gitloci.strata import BetaIndex, StratificationReport
 
 
@@ -308,3 +326,219 @@ def verify_stratification_oracle(a: TorusAction) -> StratificationReport:
     ordered = [betas[k] for k in sorted(betas)]
     labels = {s: beta.entries for s, beta in by_support.items()}
     return StratificationReport(tuple(ordered), sizes, labels, tuple(violations))
+
+
+@dataclass(frozen=True)
+class _ZeroSetInfo:
+    """Structured description of the common zero set of a system in (b, c).
+
+    kind:
+      * "empty"      -- provably no common zero over the algebraic closure
+      * "finite"     -- provably zero-dimensional; `points` lists the rational
+                        ones, exhaustively iff `complete`
+      * "lines"      -- contains full coordinate lines {var = value} x A^1
+      * "curve"      -- contains the zero locus of `curve` (a single
+                        nonconstant polynomial system)
+      * "everything" -- every parameter pair is a zero (all polynomials zero)
+      * "unknown"    -- the elimination strategy degenerated
+    """
+
+    kind: str
+    points: tuple[tuple[Fraction, Fraction], ...] = ()
+    complete: bool = False
+    lines: tuple[tuple[str, Fraction], ...] = ()
+    lines_complete: bool = False
+    curve: Optional[BiPoly] = None
+    has_nonrational: bool = False
+
+
+def _analyze_common_zeros(polys: Iterable[BiPoly]) -> _ZeroSetInfo:
+    """Describe the common zero set of a polynomial system in (b, c).
+
+    Strategy, in order: constant check; single-variable gcd; pairwise
+    resultants eliminating c; gcd of the resulting univariates in b;
+    back-substitution at its rational roots.  Completeness of the rational
+    data is tracked so that callers can distinguish "no common zero" from
+    "none found".
+    """
+    original = list(polys)
+    if not original:
+        raise EmptyInput("common-zero analysis requires at least one polynomial")
+    system = [p for p in original if not p.is_zero()]
+    if not system:
+        return _ZeroSetInfo(kind="everything", points=((Fraction(0), Fraction(0)),))
+    if any(p.is_constant() for p in system):
+        return _ZeroSetInfo(kind="empty")  # a nonzero constant kills the system
+
+    uses_b = any(p.uses("b") for p in system)
+    uses_c = any(p.uses("c") for p in system)
+
+    if uses_b and not uses_c:
+        return _lines_info(system, "b")
+    if uses_c and not uses_b:
+        return _lines_info(system, "c")
+
+    if len(system) == 1:
+        pts = _curve_points(system[0], limit=6)
+        return _ZeroSetInfo(
+            kind="curve", points=tuple(pts), curve=system[0], has_nonrational=True
+        )
+
+    c_polys = [p for p in system if p.uses("c")]
+    b_only = [p for p in system if not p.uses("c")]
+    elim: list[BiPoly] = list(b_only)
+    for i in range(len(c_polys)):
+        for j in range(i + 1, len(c_polys)):
+            elim.append(resultant(c_polys[i], c_polys[j], "c"))
+    nonzero_elim = [p for p in elim if not p.is_zero()]
+    if not nonzero_elim:
+        # every pairwise resultant vanished: shared factors; fall back to search
+        pts = _grid_witnesses(system, bound=4)
+        if pts:
+            return _ZeroSetInfo(kind="unknown", points=tuple(pts), has_nonrational=True)
+        return _ZeroSetInfo(kind="unknown")
+    g = gcd_univariate(nonzero_elim, "b")
+    if g.is_constant():
+        return _ZeroSetInfo(kind="empty")
+    roots, b_split = rational_roots(g, "b")
+
+    points: list[tuple[Fraction, Fraction]] = []
+    lines: list[tuple[str, Fraction]] = []
+    fibres_split = True
+    exists_nonrational = False
+    for r in roots:
+        subbed = [p.substitute("b", r) for p in system]
+        live = [p for p in subbed if not p.is_zero()]
+        if any(p.is_constant() for p in live):
+            continue  # this fibre is blocked by a nonzero constant
+        if not live:
+            lines.append(("b", r))
+            points.append((r, Fraction(0)))
+            continue
+        gc = gcd_univariate(live, "c")
+        if gc.is_constant():
+            continue  # coprime on this fibre: no common c
+        exists_nonrational = True
+        croots, c_split = rational_roots(gc, "c")
+        points.extend((r, cr) for cr in croots)
+        if not c_split:
+            fibres_split = False
+
+    if lines:
+        # the listed lines and points describe the whole zero set exactly
+        # when the eliminant splits and every contributing fibre splits
+        return _ZeroSetInfo(
+            kind="lines",
+            points=tuple(points),
+            lines=tuple(lines),
+            lines_complete=b_split and fibres_split,
+            has_nonrational=exists_nonrational,
+        )
+    if points or exists_nonrational:
+        return _ZeroSetInfo(
+            kind="finite",
+            points=tuple(points),
+            complete=b_split and fibres_split,
+            has_nonrational=exists_nonrational,
+        )
+    if b_split:
+        # every possible b-projection was enumerated and failed
+        return _ZeroSetInfo(kind="empty")
+    return _ZeroSetInfo(kind="unknown")
+
+
+def _lines_info(system: list[BiPoly], var: str) -> _ZeroSetInfo:
+    g = gcd_univariate(system, var)
+    if g.is_constant():
+        return _ZeroSetInfo(kind="empty")
+    roots, split = rational_roots(g, var)
+    lines = tuple((var, r) for r in roots)
+    pts = tuple(
+        (r, Fraction(0)) if var == "b" else (Fraction(0), r) for r in roots
+    )
+    # when the gcd splits over Q the listed lines exhaust the zero set
+    return _ZeroSetInfo(
+        kind="lines",
+        points=pts,
+        lines=lines,
+        lines_complete=split,
+    )
+
+
+def common_zero_exists_oracle(polys: Iterable[BiPoly]) -> CommonZeroResult:
+    """Decide whether a system has a common zero over the algebraic closure.
+
+    Yes carries a rational witness when the elimination finds one; Undecided
+    is reserved for genuine degenerations of the documented strategy.
+    """
+    info = _analyze_common_zeros(polys)
+    if info.kind == "empty":
+        return CommonZeroResult(CZStatus.NO)
+    if info.kind == "everything":
+        return CommonZeroResult(CZStatus.YES, (Fraction(0), Fraction(0)))
+    if info.points:
+        return CommonZeroResult(CZStatus.YES, min(info.points))
+    if info.kind in ("lines", "curve") or info.has_nonrational:
+        return CommonZeroResult(CZStatus.YES, None)
+    return CommonZeroResult(CZStatus.UNDECIDED)
+
+
+def common_zero_avoiding_oracle(
+    vanish: Sequence[BiPoly], avoid: Sequence[BiPoly]
+) -> CommonZeroResult:
+    """Decide whether some common zero of `vanish` avoids every zero of `avoid`.
+
+    Used to test achievability of orbit supports: the coordinates outside a
+    candidate support must vanish simultaneously while those inside stay
+    nonzero.  `avoid` entries must be nonzero polynomials.
+    """
+    for p in avoid:
+        if p.is_zero():
+            raise ValueError("avoid-polynomials must be nonzero")
+    if not list(vanish):
+        return CommonZeroResult(CZStatus.YES, nonvanishing_point(avoid))
+    info = _analyze_common_zeros(vanish)
+    if info.kind == "empty":
+        return CommonZeroResult(CZStatus.NO)
+    if info.kind == "everything":
+        return CommonZeroResult(CZStatus.YES, nonvanishing_point(avoid))
+
+    def point_ok(pt: tuple[Fraction, Fraction]) -> bool:
+        return all(p.eval_at(*pt) != 0 for p in avoid)
+
+    good = [pt for pt in info.points if point_ok(pt)]
+    if good:
+        return CommonZeroResult(CZStatus.YES, min(good))
+
+    if info.kind == "lines":
+        for var, value in info.lines:
+            restricted = [p.substitute(var, value) for p in avoid]
+            if any(p.is_zero() for p in restricted):
+                continue  # this line is contained in a forbidden locus
+            other = "c" if var == "b" else "b"
+            prod = BiPoly.const(1)
+            for p in restricted:
+                prod = prod * p
+            for t in range(max(prod.degree(other), 0) + 1):
+                if prod.substitute(other, t).eval_at(0, 0) != 0:
+                    pt = (value, Fraction(t)) if var == "b" else (Fraction(t), value)
+                    return CommonZeroResult(CZStatus.YES, pt)
+        if info.lines_complete:
+            # the listed lines and points exhaust the zero set: every line is
+            # inside a forbidden locus and every point failed above
+            return CommonZeroResult(CZStatus.NO)
+        return CommonZeroResult(CZStatus.UNDECIDED)
+
+    if info.kind == "finite":
+        if info.complete:
+            return CommonZeroResult(CZStatus.NO)
+        return CommonZeroResult(CZStatus.UNDECIDED)
+
+    if info.kind == "curve":
+        more = _curve_points(info.curve, limit=10)
+        good = [pt for pt in more if point_ok(pt)]
+        if good:
+            return CommonZeroResult(CZStatus.YES, min(good))
+        return CommonZeroResult(CZStatus.UNDECIDED)
+
+    return CommonZeroResult(CZStatus.UNDECIDED)

@@ -260,7 +260,7 @@ def test_criterion_11_scale_and_permutation_invariance(ex1_7, sec7_1):
         base[0] = 1
         lam = OneParamSubgroup(V(base))
         for n in (2, 3, 7):
-            lam_n = OneParamSubgroup(lam.cochar.scale(n), primitive=False)
+            lam_n = OneParamSubgroup(lam.cochar.scale(n))
             assert (
                 x_min(action, lam).per_factor_argmin
                 == x_min(action, lam_n).per_factor_argmin

@@ -436,6 +436,34 @@ def test_hstable_reads_twist(tmp_path):
     assert [str(v) for v in verdict.witness] == ["1", "1"]
 
 
+def test_sweeps_call_common_zero_avoiding_only(tmp_path, monkeypatch):
+    # `common_zero_exists` is `common_zero_avoiding` with nothing to avoid, so
+    # a sweep that called it would take each decision through both
+    import gitloci.qpoly as qpoly
+
+    calls = {"common_zero_exists": 0, "common_zero_avoiding": 0}
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return spy
+
+    for name in calls:
+        original = getattr(qpoly, name)
+        for key, module in list(sys.modules.items()):
+            if key.split(".")[0] == "gitloci" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    sec71 = str(CORPUS / "sec7_1.json")
+    for point in load_spec(sec71).points:
+        usweep = ["usweep", "--input", sec71, "--point", point, "--lambda", "1,0"]
+        assert _run(usweep, tmp_path)[0] == 0
+        assert _run(["hstable", "--input", sec71, "--point", point], tmp_path)[0] == 0
+    assert calls["common_zero_exists"] == 0
+    assert calls["common_zero_avoiding"] > 0
+
+
 _VALID_SPEC = {
     "rank": 1,
     "inner_product": [[1]],

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gitloci.qpoly import (
     BiPoly,
+    CommonZeroResult,
     CZStatus,
     EmptyInput,
     InnerProduct,
@@ -22,7 +23,7 @@ from gitloci.qpoly import (
     resultant,
 )
 
-from oracles import row_reduce
+from oracles import common_zero_avoiding_oracle, common_zero_exists_oracle, row_reduce
 
 B = BiPoly.var("b")
 C = BiPoly.var("c")
@@ -193,6 +194,61 @@ def test_common_zero_avoiding():
     # irrational lines defeat the rational sweep: honestly undecided
     r = common_zero_avoiding([B * B - BiPoly.const(2)], [C])
     assert r.status is CZStatus.UNDECIDED
+
+
+def test_common_zero_avoiding_uncovered_branches():
+    # a system that vanishes everywhere: the witness avoids every avoided zero
+    r = common_zero_avoiding([BiPoly.zero(), BiPoly.zero()], [B, C - ONE])
+    assert r == CommonZeroResult(CZStatus.YES, (Fraction(1), Fraction(0)))
+    # one curve, b*c = 1: every point listed over b in [-6, 6] has b in +-1..6,
+    # all avoided, so the answer comes from the wider grid, b in [-10, 10]
+    curve = B * C - ONE
+    avoid = [B * B - BiPoly.const(k * k) for k in range(1, 7)]
+    assert analyze_common_zeros([curve]).kind == "curve"
+    r = common_zero_avoiding([curve], avoid)
+    assert r == CommonZeroResult(CZStatus.YES, (Fraction(-10), Fraction(-1, 10)))
+
+
+def _random_system(rng: random.Random) -> list[BiPoly]:
+    """One to three polynomials of small bidegree, often sharing a factor, so
+    that every kind of zero set comes up: curves, lines, finite sets and
+    the degenerate "unknown" elimination."""
+    var = rng.choice(["b", "c", None, None, None])  # one parameter: lines
+
+    def poly(degree: int) -> BiPoly:
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            eb, ec = rng.randint(0, degree), rng.randint(0, degree)
+            key = {"b": (eb + ec, 0), "c": (0, eb + ec)}.get(var, (eb, ec))
+            terms[key] = rng.randint(-3, 3)
+        return BiPoly(terms)
+
+    shared = rng.choice(
+        [ONE, ONE, B - ONE, B * B - BiPoly.const(2), B + C, B * C - ONE, poly(1)]
+    )
+    if var is not None:
+        shared = shared.substitute("c" if var == "b" else "b", 2)
+    return [shared * poly(rng.choice([1, 2])) for _ in range(rng.randint(1, 3))]
+
+
+def test_common_zero_decision_matches_the_two_former_rules():
+    rng = random.Random(15)
+    kinds = set()
+    for _ in range(400):
+        vanish = _random_system(rng)
+        kinds.add(analyze_common_zeros(vanish).kind)
+        assert common_zero_exists(vanish) == common_zero_exists_oracle(vanish)
+        assert common_zero_avoiding(vanish, []) == common_zero_exists(vanish)
+        avoid = [
+            p
+            for p in (_random_system(rng)[0] for _ in range(rng.randint(1, 3)))
+            if not p.is_zero()
+        ]
+        if avoid:
+            assert common_zero_avoiding(vanish, avoid) == common_zero_avoiding_oracle(
+                vanish, avoid
+            )
+    assert {"curve", "lines", "finite", "unknown", "empty"} <= kinds
 
 
 def test_rational_roots_completeness():

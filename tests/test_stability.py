@@ -75,7 +75,7 @@ def test_hm_M_examples():
     a = _a1()
     m = hm_M(a, SupportPoint([0, 1, 2]), OneParamSubgroup(V([1])))
     assert m == HMValue(1, 1)
-    scaled = hm_M(a, SupportPoint([2]), OneParamSubgroup(V([2]), primitive=False))
+    scaled = hm_M(a, SupportPoint([2]), OneParamSubgroup(V([2])))
     assert scaled == HMValue(-4, 4) == HMValue(-2, 1)
     assert HMValue(-2, 4) == HMValue(-1, 1)
     assert HMValue(-2, 4) < HMValue(1, 1)
@@ -167,7 +167,7 @@ def test_x_min_examples():
 def test_x_min_argmin_scale_invariant():
     prod, _ = _sec71()
     lam = OneParamSubgroup(V([1, 0]))
-    lam3 = OneParamSubgroup(V([3, 0]), primitive=False)
+    lam3 = OneParamSubgroup(V([3, 0]))
     assert x_min(prod, lam).per_factor_argmin == x_min(prod, lam3).per_factor_argmin
 
 
@@ -180,7 +180,7 @@ def test_adapted_region_examples():
     assert not region.is_adapted(Fraction(0))
     assert region.is_well_adapted(Fraction(-19, 20))
 
-    doubled = adapted_region(a, OneParamSubgroup(V([2]), primitive=False))
+    doubled = adapted_region(a, OneParamSubgroup(V([2])))
     assert (doubled.lower, doubled.upper) == (-2, 0)
     # the set of adapted characters is unchanged under positive rescaling
     for chi in [Fraction(-1, 2), Fraction(-99, 100), Fraction(1, 7), Fraction(-2)]:
@@ -289,6 +289,20 @@ def test_uhat_single_factor_witness():
     assert x_min(a, lam2).per_factor_argmin == (frozenset({2}),)
     verdict = uhat_stable_explicit(ExplicitPoint([[0, 1, 1]]), a, g, lam2)
     assert verdict.status is SweepStatus.STABLE
+
+
+def test_uhat_all_minimal_is_unstable_at_the_identity():
+    # both weights are equal, so every coordinate is minimal under the flow;
+    # the per-factor system {1+b, 1} has no common zero, and the empty
+    # non-minimal system vanishes everywhere: the orbit sits inside the
+    # minimal stratum, with (0, 0) as the witness
+    a = TorusAction(1, [V([1]), V([1])], IP1)
+    g = GroupSpec([], 1, [[[ONE, B], [ZERO, ONE]]])
+    lam = OneParamSubgroup(V([1]))
+    assert x_min(a, lam).per_factor_argmin == (frozenset({0, 1}),)
+    verdict = uhat_stable_explicit(ExplicitPoint([[1, 1]]), a, g, lam)
+    assert verdict.status is SweepStatus.UNSTABLE
+    assert verdict.witness == (0, 0)
 
 
 def test_uhat_sec71_sample_points():

@@ -132,6 +132,33 @@ def test_crossing_report_rank1():
         crossing_report(a, cc, wall0.cells[0], left, left)
 
 
+def test_crossing_report_rank2_sec71():
+    # every one-zero wall cell whose two sides are both chambers of the
+    # complex: the report is the git_class difference at the two samples
+    a = _sec71()
+    cc = wall_chamber_decomposition(a)
+    by_signs = {ch.signs: ch for ch in cc.chambers}
+    crossed = 0
+    for cell in (cell for wall in cc.walls for cell in wall.cells):
+        (idx,) = [i for i, s in enumerate(cell.signs) if s == 0]
+        left = by_signs.get(_flip(cell.signs, idx, -1))
+        right = by_signs.get(_flip(cell.signs, idx, 1))
+        if left is None or right is None:
+            continue
+        rep = crossing_report(a, cc, cell, left, right)
+        lo, hi = git_class(a, left.sample), git_class(a, right.sample)
+        assert (rep.gained, rep.lost) == (hi - lo, lo - hi)
+        assert rep.wall_only == cell.family - (lo | hi)
+        assert rep.degenerate == (lo == hi)
+        crossed += 1
+        far = next(ch for ch in cc.chambers if ch not in (left, right))
+        with pytest.raises(NotAdjacent):
+            crossing_report(a, cc, cell, left, far)
+        with pytest.raises(NotAdjacent):
+            crossing_report(a, cc, cell, left, left)
+    assert crossed == 15
+
+
 def test_flip_report_degenerate_flag():
     fam = frozenset({frozenset({0})})
     wall = frozenset({frozenset({0}), frozenset({1})})
