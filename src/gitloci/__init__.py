@@ -10,7 +10,6 @@ from .qpoly import (
     Rational,
     RationalVector,
     common_zero_exists,
-    poly_is_zero,
     resultant,
 )
 from .polytope import (

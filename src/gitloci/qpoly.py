@@ -1,9 +1,14 @@
 """Exact rational scalars, vectors, and small bivariate polynomials.
 
-Everything here is built on :class:`fractions.Fraction` (arbitrary-precision,
+Values are exact rationals, :class:`fractions.Fraction` (arbitrary-precision,
 always reduced, positive denominator), because the polyhedral predicates
 downstream decide exact equalities such as wall membership.  No floating
-point is used anywhere in this package's computation paths.
+point is used anywhere in this package's computation paths.  The hot
+kernels compute on integers and build a `Fraction` only for their result:
+`rational_roots` searches the primitive integer multiple of its polynomial
+(divisor candidates n/d filtered by f(1) and f(-1), tested by the
+homogeneous sum d^deg f(n/d), divided out exactly), and `BiPoly.eval_at`
+evaluates the polynomial's integer form over one common denominator.
 
 The one exact elimination is integer: `integer_row_reduce` runs
 fraction-free Gauss-Jordan elimination (Montante), in which every step,
@@ -33,6 +38,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 Rational = Fraction
@@ -292,7 +298,8 @@ class BiPoly:
         items = []
         if coeffs:
             for (eb, ec), q in coeffs.items():
-                q = Fraction(q)
+                if not isinstance(q, Fraction):
+                    q = Fraction(q)
                 if eb < 0 or ec < 0:
                     raise ValueError("exponents must be nonnegative")
                 if q != 0:
@@ -368,11 +375,30 @@ class BiPoly:
     def uses(self, var: str) -> bool:
         return self.degree(var) > 0
 
+    @cached_property
+    def _integer_form(self) -> tuple[int, int, int, tuple[tuple[int, int, int], ...]]:
+        """(D, deg_b, deg_c, terms): D is the least common denominator of
+        the coefficients and terms the (e_b, e_c, D * q) of every term."""
+        (ints,), den = clear_denominators([[q for _, q in self.coeffs]])
+        terms = tuple((eb, ec, a) for ((eb, ec), _), a in zip(self.coeffs, ints))
+        return (
+            den,
+            max((eb for eb, _, _ in terms), default=0),
+            max((ec for _, ec, _ in terms), default=0),
+            terms,
+        )
+
     def eval_at(self, b: Fraction | int, c: Fraction | int) -> Fraction:
-        total = Fraction(0)
-        for (eb, ec), q in self.coeffs:
-            total += q * b**eb * c**ec
-        return total
+        """The value at (b, c) = (bn/bd, cn/cd): the integer form homogenised
+        in each parameter, sum a * bn^eb * bd^(deg_b-eb) * cn^ec * cd^(deg_c-ec),
+        over D * bd^deg_b * cd^deg_c."""
+        den, deg_b, deg_c, terms = self._integer_form
+        bn, bd, cn, cd = b.numerator, b.denominator, c.numerator, c.denominator
+        total = sum(
+            a * bn**eb * bd ** (deg_b - eb) * cn**ec * cd ** (deg_c - ec)
+            for eb, ec, a in terms
+        )
+        return Fraction(total, den * bd**deg_b * cd**deg_c)
 
     def substitute(self, var: str, value: Fraction | int) -> "BiPoly":
         """Substitute a rational value for one parameter."""
@@ -453,11 +479,6 @@ def _parse_term(term: str, context: str) -> tuple[Fraction, int, int]:
         else:
             ec = exp
     return coef, eb, ec
-
-
-def poly_is_zero(p: BiPoly) -> bool:
-    """True iff p is identically zero (coefficients are kept normalised)."""
-    return p.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +568,15 @@ def rational_roots(p: BiPoly, var: str) -> tuple[list[Fraction], bool]:
     """All rational roots of a univariate polynomial, with multiplicity
     stripped, plus a flag telling whether the polynomial splits over Q
     (so the returned roots account for every root in the algebraic closure).
+
+    The search runs over the integers, on the primitive multiple f of the
+    polynomial with its powers of the variable divided out.  A root n/d in
+    lowest terms has n | f(0) and d | the leading coefficient, and d*x - n
+    divides f over Z (Gauss's lemma), so (d - n) | f(1) and (d + n) | f(-1).
+    A candidate passing those tests is tried by the homogeneous Horner sum
+    d^deg f(n/d), and each root found is divided out exactly.
     """
-    cs = _univariate_coeffs(p, var)
-    cs = _poly_trim(cs)
+    cs = _poly_trim(_univariate_coeffs(p, var))
     if not cs:
         raise ValueError("zero polynomial has every value as a root")
     if len(cs) == 1:
@@ -567,34 +594,51 @@ def rational_roots(p: BiPoly, var: str) -> tuple[list[Fraction], bool]:
         return roots, True
     if abs(ints[0]) > _ROOT_SEARCH_LIMIT or abs(ints[-1]) > _ROOT_SEARCH_LIMIT:
         return roots, False
+    content = math.gcd(*ints)
+    work = [a // content for a in ints]
     candidates = [
-        sign * Fraction(nu, de)
-        for nu in _divisors(ints[0])
-        for de in _divisors(ints[-1])
+        (sign * n, d)
+        for n in _divisors(work[0])
+        for d in _divisors(work[-1])
+        if math.gcd(n, d) == 1
         for sign in (1, -1)
     ]
-    work = [Fraction(v) for v in ints]
-    for cand in sorted(set(candidates)):
-        while len(work) > 1 and _horner(work, cand) == 0:
-            if cand not in roots:
-                roots.append(cand)
-            work = _deflate(work, cand)
-    return sorted(set(roots)), len(work) == 1
+    at_one, at_minus_one = sum(work), _homogeneous_value(work, -1, 1)
+    for n, d in candidates:
+        if len(work) == 1:
+            break
+        if not (_divides(d - n, at_one) and _divides(d + n, at_minus_one)):
+            continue
+        if _homogeneous_value(work, n, d):
+            continue
+        roots.append(Fraction(n, d))
+        while len(work) > 1 and _homogeneous_value(work, n, d) == 0:
+            work = _deflate(work, n, d)
+        at_one, at_minus_one = sum(work), _homogeneous_value(work, -1, 1)
+    return sorted(roots), len(work) == 1
 
 
-def _horner(cs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(cs):
-        acc = acc * x + c
+def _divides(k: int, v: int) -> bool:
+    return v % k == 0 if k else v == 0
+
+
+def _homogeneous_value(cs: list[int], n: int, d: int) -> int:
+    """d^deg * f(n/d) for the ascending integer coefficients cs of f."""
+    acc, d_power = 0, 1
+    for a in reversed(cs):
+        acc = acc * n + a * d_power
+        d_power *= d
     return acc
 
 
-def _deflate(cs: list[Fraction], root: Fraction) -> list[Fraction]:
-    # synthetic division by (x - root); the remainder is known to be zero
-    out = [Fraction(0)] * (len(cs) - 1)
-    out[-1] = cs[-1]
-    for i in range(len(cs) - 3, -1, -1):
-        out[i] = cs[i + 1] + out[i + 1] * root
+def _deflate(cs: list[int], n: int, d: int) -> list[int]:
+    """The quotient of f by d*x - n, for a root n/d of f in lowest terms:
+    exact over Z when f is primitive."""
+    out = [0] * (len(cs) - 1)
+    carry = 0
+    for i in range(len(cs) - 1, 0, -1):
+        carry = (cs[i] + n * carry) // d
+        out[i - 1] = carry
     return out
 
 
@@ -705,6 +749,12 @@ class ZeroSetInfo:
     curve: Optional[BiPoly] = None
 
 
+# the curve fibres b = b0 listed by `analyze_common_zeros`, and those
+# `common_zero_avoiding` adds when none of those points avoids
+_CURVE_FIBRES = range(-6, 7)
+_WIDER_CURVE_FIBRES = (*range(-10, -6), *range(7, 11))
+
+
 def analyze_common_zeros(polys: Iterable[BiPoly]) -> ZeroSetInfo:
     """Describe the common zero set of a polynomial system in (b, c).
 
@@ -732,7 +782,7 @@ def analyze_common_zeros(polys: Iterable[BiPoly]) -> ZeroSetInfo:
         return _lines_info(system, "c")
 
     if len(system) == 1:
-        pts = _curve_points(system[0], limit=6)
+        pts = _curve_points(system[0], _CURVE_FIBRES)
         return ZeroSetInfo(kind="curve", points=tuple(pts), curve=system[0])
 
     c_polys = [p for p in system if p.uses("c")]
@@ -801,9 +851,12 @@ def _lines_info(system: list[BiPoly], var: str) -> ZeroSetInfo:
     return ZeroSetInfo(kind="lines", points=pts, complete=split, lines=lines)
 
 
-def _curve_points(p: BiPoly, limit: int) -> list[tuple[Fraction, Fraction]]:
+def _curve_points(
+    p: BiPoly, fibres: Iterable[int]
+) -> list[tuple[Fraction, Fraction]]:
+    """The rational points of the curve p = 0 on the fibres b = b0."""
     pts = []
-    for b0 in range(-limit, limit + 1):
+    for b0 in fibres:
         fibre = p.substitute("b", Fraction(b0))
         if fibre.is_zero():
             pts.append((Fraction(b0), Fraction(0)))
@@ -892,7 +945,9 @@ def common_zero_avoiding(
     if not avoid:
         return CommonZeroResult(CZStatus.YES)  # every other kind is nonempty
     if info.kind == "curve":
-        good = [pt for pt in _curve_points(info.curve, limit=10) if avoids(pt)]
+        # the fibres |b| <= 6 were scanned for info.points, none avoiding
+        wider = _curve_points(info.curve, _WIDER_CURVE_FIBRES)
+        good = [pt for pt in wider if avoids(pt)]
         if good:
             return CommonZeroResult(CZStatus.YES, min(good))
         return CommonZeroResult(CZStatus.UNDECIDED)

@@ -478,8 +478,10 @@ def achievable_supports(
     A candidate support is achievable iff the coordinates outside it share a
     parameter zero avoiding the zero sets of the coordinates inside it.
     Candidates run between the never-vanishing coordinates (nonzero
-    constants) and the generic support, factor by factor; a rational grid
-    sweep independently confirms achievability where elimination hesitates.
+    constants) and the generic support, factor by factor.  The integer grid
+    |b|, |c| <= 3 is swept first: a candidate support met at a grid point is
+    achievable there, and elimination runs only for the candidates the grid
+    did not meet.
     """
     orbit = orbit_point(x, g)
     local = _orbit_by_global_index(a, orbit)

@@ -16,7 +16,10 @@ every beta for the retraction; it is the reference for
 before `qpoly.common_zero_avoiding` became the only one, each reading its own
 fields of the elimination's zero-set description; they and that elimination
 are kept here as written then, the reference for `qpoly.common_zero_exists`
-and `qpoly.common_zero_avoiding`.
+and `qpoly.common_zero_avoiding`.  Their elimination finds roots and curve
+points with `rational_roots` and `_curve_points` as they stood before
+`qpoly.rational_roots` moved to integers: a `Fraction` Horner test of every
+candidate p/q and synthetic division, the reference for the integer search.
 """
 
 from __future__ import annotations
@@ -36,16 +39,19 @@ from gitloci.polytope import (
     hull_position,
 )
 from gitloci.qpoly import (
+    _ROOT_SEARCH_LIMIT,
     BiPoly,
     CommonZeroResult,
     CZStatus,
     EmptyInput,
     RationalVector,
-    _curve_points,
+    _divisors,
     _grid_witnesses,
+    _poly_trim,
+    _univariate_coeffs,
+    clear_denominators,
     gcd_univariate,
     nonvanishing_point,
-    rational_roots,
     resultant,
 )
 from gitloci.strata import BetaIndex, StratificationReport
@@ -350,6 +356,75 @@ class _ZeroSetInfo:
     lines_complete: bool = False
     curve: Optional[BiPoly] = None
     has_nonrational: bool = False
+
+
+def rational_roots(p: BiPoly, var: str) -> tuple[list[Fraction], bool]:
+    """All rational roots of a univariate polynomial, with multiplicity
+    stripped, plus a flag telling whether the polynomial splits over Q
+    (so the returned roots account for every root in the algebraic closure).
+    """
+    cs = _univariate_coeffs(p, var)
+    cs = _poly_trim(cs)
+    if not cs:
+        raise ValueError("zero polynomial has every value as a root")
+    if len(cs) == 1:
+        return [], True
+    (ints,), _ = clear_denominators([cs])
+    roots: list[Fraction] = []
+    # factor out powers of the variable
+    k = 0
+    while ints[k] == 0:
+        k += 1
+    if k:
+        roots.append(Fraction(0))
+        ints = ints[k:]
+    if len(ints) == 1:
+        return roots, True
+    if abs(ints[0]) > _ROOT_SEARCH_LIMIT or abs(ints[-1]) > _ROOT_SEARCH_LIMIT:
+        return roots, False
+    candidates = [
+        sign * Fraction(nu, de)
+        for nu in _divisors(ints[0])
+        for de in _divisors(ints[-1])
+        for sign in (1, -1)
+    ]
+    work = [Fraction(v) for v in ints]
+    for cand in sorted(set(candidates)):
+        while len(work) > 1 and _horner(work, cand) == 0:
+            if cand not in roots:
+                roots.append(cand)
+            work = _deflate(work, cand)
+    return sorted(set(roots)), len(work) == 1
+
+
+def _horner(cs: list[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _deflate(cs: list[Fraction], root: Fraction) -> list[Fraction]:
+    # synthetic division by (x - root); the remainder is known to be zero
+    out = [Fraction(0)] * (len(cs) - 1)
+    out[-1] = cs[-1]
+    for i in range(len(cs) - 3, -1, -1):
+        out[i] = cs[i + 1] + out[i + 1] * root
+    return out
+
+
+def _curve_points(p: BiPoly, limit: int) -> list[tuple[Fraction, Fraction]]:
+    pts = []
+    for b0 in range(-limit, limit + 1):
+        fibre = p.substitute("b", Fraction(b0))
+        if fibre.is_zero():
+            pts.append((Fraction(b0), Fraction(0)))
+            continue
+        if fibre.is_constant():
+            continue
+        roots, _ = rational_roots(fibre, "c")
+        pts.extend((Fraction(b0), r) for r in roots)
+    return pts
 
 
 def _analyze_common_zeros(polys: Iterable[BiPoly]) -> _ZeroSetInfo:

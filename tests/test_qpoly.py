@@ -12,18 +12,24 @@ from gitloci.qpoly import (
     EmptyInput,
     InnerProduct,
     RationalVector,
+    _ROOT_SEARCH_LIMIT,
     analyze_common_zeros,
+    clear_denominators,
     common_zero_avoiding,
     common_zero_exists,
     gcd_univariate,
     integer_row_reduce,
     parse_rational,
-    poly_is_zero,
     rational_roots,
     resultant,
 )
 
-from oracles import common_zero_avoiding_oracle, common_zero_exists_oracle, row_reduce
+from oracles import (
+    common_zero_avoiding_oracle,
+    common_zero_exists_oracle,
+    rational_roots as rational_roots_oracle,
+    row_reduce,
+)
 
 B = BiPoly.var("b")
 C = BiPoly.var("c")
@@ -54,12 +60,6 @@ def test_rational_parse_format_roundtrip():
         parse_rational("1.5")
     with pytest.raises(ValueError):
         parse_rational("a/b")
-
-
-def test_poly_is_zero_examples():
-    assert poly_is_zero(BiPoly.zero())
-    assert not poly_is_zero(ONE)
-    assert poly_is_zero((B + C) - B - C)
 
 
 def test_bipoly_canonical_string_order():
@@ -207,6 +207,116 @@ def test_common_zero_avoiding_uncovered_branches():
     assert analyze_common_zeros([curve]).kind == "curve"
     r = common_zero_avoiding([curve], avoid)
     assert r == CommonZeroResult(CZStatus.YES, (Fraction(-10), Fraction(-1, 10)))
+
+
+def test_eval_at_matches_fraction_sum():
+    # the integer form over one common denominator against sum q * b^e * c^f
+    rng = random.Random(16)
+    values = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 5)]
+    polys = [BiPoly.zero(), ONE, BiPoly.const(Fraction(-7, 3)), (B + C) - B - C]
+    for _ in range(300):
+        polys.append(
+            BiPoly(
+                {
+                    (rng.randint(0, 4), rng.randint(0, 4)): Fraction(
+                        rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6, 9])
+                    )
+                    for _ in range(rng.randint(1, 6))
+                }
+            )
+        )
+    assert polys[0].is_zero() and polys[3].is_zero() and not polys[1].is_zero()
+    for p in polys:
+        for _ in range(8):
+            b, c = rng.choice(values), rng.choice(values)
+            for point in ((b, c), (b.numerator, c.numerator)):
+                expected = sum(
+                    (q * point[0] ** eb * point[1] ** ec for (eb, ec), q in p.coeffs),
+                    Fraction(0),
+                )
+                value = p.eval_at(*point)
+                assert type(value) is Fraction and value == expected
+        # the lazily kept integer form takes no part in equality or hashing
+        twin = BiPoly(dict(p.coeffs))
+        assert twin == p and hash(twin) == hash(p) and {p: 1}[twin] == 1
+
+
+def _poly_times(f: list[int], g: list[int]) -> list[int]:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _random_root_polynomial(rng: random.Random, var: str) -> BiPoly:
+    """A product of linear factors d*x - n, often repeated, sometimes with x^k,
+    an irreducible quadratic or a random cofactor, scaled by a rational that
+    may push the cleared coefficients past the root search's limit."""
+    cs = [1]
+    for _ in range(rng.randint(0, 3)):
+        n, d = rng.randint(-8, 8), rng.randint(1, 5)
+        for _ in range(rng.choice([1, 1, 1, 2, 3])):
+            cs = _poly_times(cs, [-n, d])
+        if len(cs) > 4:
+            break
+    shape = rng.random()
+    if shape < 0.2:
+        cs = _poly_times(cs, [rng.choice([2, 3, 5, 6, 7]), 0, rng.choice([1, 2, 3])])
+    elif shape < 0.35:
+        cs = _poly_times(cs, [rng.randint(-9, 9) for _ in range(rng.randint(2, 3))])
+    if rng.random() < 0.2:
+        cs = [0] * rng.randint(1, 2) + cs
+    scale = rng.random()
+    if scale < 0.3:
+        factor = Fraction(rng.randint(1, 12) * rng.choice([1, -1]), rng.randint(1, 12))
+    elif scale < 0.45:
+        factor = Fraction(rng.choice([11, 101]) * 10**6, rng.choice([1, 3, 7]))
+    else:
+        factor = Fraction(1)
+    key = (lambda i: (i, 0)) if var == "b" else (lambda i: (0, i))
+    return BiPoly({key(i): factor * a for i, a in enumerate(cs)})
+
+
+def test_rational_roots_matches_fraction_reference():
+    rng = random.Random(1616)
+    seen = {"repeated": 0, "zero": 0, "not split": 0, "give up": 0}
+    checked = 0
+    while checked < 2000:
+        var = rng.choice(["b", "c"])
+        p = _random_root_polynomial(rng, var)
+        if not 0 < p.degree(var) <= 6:
+            continue
+        roots, split = rational_roots(p, var)
+        assert (roots, split) == rational_roots_oracle(p, var)
+        assert all(type(r) is Fraction for r in roots)
+        checked += 1
+        seen["zero"] += Fraction(0) in roots
+        seen["not split"] += not split
+        (ints,), _ = clear_denominators([[q for _, q in p.coeffs]])
+        seen["give up"] += max(map(abs, ints)) > _ROOT_SEARCH_LIMIT and not split
+        seen["repeated"] += split and len(roots) < p.degree(var)
+    assert min(seen.values()) >= 50, seen
+    # content above the limit: the give-up is taken before the content goes
+    big = (B - ONE).scale(3 * 10**7)
+    assert rational_roots(big, "b") == rational_roots_oracle(big, "b") == ([], False)
+
+
+def test_wider_curve_scan_skips_the_listed_fibres(monkeypatch):
+    # b*c = 1 with every point over |b| <= 6 avoided: the wider scan adds the
+    # 8 fibres 7 <= |b| <= 10 to the 13 already scanned, 21 substitutions
+    curve = B * C - ONE
+    avoid = [B * B - BiPoly.const(k * k) for k in range(1, 7)]
+    calls = []
+    substitute = BiPoly.substitute
+
+    def counted(self, var, value):
+        calls.append((var, value))
+        return substitute(self, var, value)
+
+    monkeypatch.setattr(BiPoly, "substitute", counted)
+    assert common_zero_avoiding([curve], avoid).status is CZStatus.YES
+    assert sorted(v for _, v in calls) == list(range(-10, 11))
 
 
 def _random_system(rng: random.Random) -> list[BiPoly]:
