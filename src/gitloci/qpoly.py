@@ -220,8 +220,8 @@ def clear_denominators(
     """Rows of rationals scaled by the least common denominator d of all
     their entries: the integer rows and d."""
     rows = [tuple(r) for r in rows]
-    d = math.lcm(*(e.denominator for r in rows for e in r))
-    return [tuple(e.numerator * (d // e.denominator) for e in r) for r in rows], d
+    d = math.lcm(*[e.denominator for r in rows for e in r])
+    return [tuple([e.numerator * (d // e.denominator) for e in r]) for r in rows], d
 
 
 def integer_row_reduce(
@@ -380,13 +380,10 @@ class BiPoly:
         """(D, deg_b, deg_c, terms): D is the least common denominator of
         the coefficients and terms the (e_b, e_c, D * q) of every term."""
         (ints,), den = clear_denominators([[q for _, q in self.coeffs]])
-        terms = tuple((eb, ec, a) for ((eb, ec), _), a in zip(self.coeffs, ints))
-        return (
-            den,
-            max((eb for eb, _, _ in terms), default=0),
-            max((ec for _, ec, _ in terms), default=0),
-            terms,
-        )
+        terms = tuple([(eb, ec, a) for ((eb, ec), _), a in zip(self.coeffs, ints)])
+        # the terms are in descending lexicographic order of (e_b, e_c)
+        deg_b = terms[0][0] if terms else 0
+        return den, deg_b, max([ec for _, ec, _ in terms], default=0), terms
 
     def eval_at(self, b: Fraction | int, c: Fraction | int) -> Fraction:
         """The value at (b, c) = (bn/bd, cn/cd): the integer form homogenised
@@ -395,8 +392,10 @@ class BiPoly:
         den, deg_b, deg_c, terms = self._integer_form
         bn, bd, cn, cd = b.numerator, b.denominator, c.numerator, c.denominator
         total = sum(
-            a * bn**eb * bd ** (deg_b - eb) * cn**ec * cd ** (deg_c - ec)
-            for eb, ec, a in terms
+            [
+                a * bn**eb * bd ** (deg_b - eb) * cn**ec * cd ** (deg_c - ec)
+                for eb, ec, a in terms
+            ]
         )
         return Fraction(total, den * bd**deg_b * cd**deg_c)
 
