@@ -220,8 +220,8 @@ def clear_denominators(
     """Rows of rationals scaled by the least common denominator d of all
     their entries: the integer rows and d."""
     rows = [tuple(r) for r in rows]
-    d = math.lcm(*[e.denominator for r in rows for e in r])
-    return [tuple([e.numerator * (d // e.denominator) for e in r]) for r in rows], d
+    d = math.lcm(*(e.denominator for r in rows for e in r))
+    return [tuple(e.numerator * (d // e.denominator) for e in r) for r in rows], d
 
 
 def integer_row_reduce(
@@ -378,9 +378,17 @@ class BiPoly:
     @cached_property
     def _integer_form(self) -> tuple[int, int, int, tuple[tuple[int, int, int], ...]]:
         """(D, deg_b, deg_c, terms): D is the least common denominator of
-        the coefficients and terms the (e_b, e_c, D * q) of every term."""
-        (ints,), den = clear_denominators([[q for _, q in self.coeffs]])
-        terms = tuple([(eb, ec, a) for ((eb, ec), _), a in zip(self.coeffs, ints)])
+        the coefficients and terms the (e_b, e_c, D * q) of every term.
+        Cleared inline, not by `clear_denominators`: on a few terms its row
+        handling costs more than the clearing, and a spec load pays it once
+        per u-matrix entry."""
+        den = math.lcm(*[q.denominator for _, q in self.coeffs])
+        terms = tuple(
+            [
+                (eb, ec, q.numerator * (den // q.denominator))
+                for (eb, ec), q in self.coeffs
+            ]
+        )
         # the terms are in descending lexicographic order of (e_b, e_c)
         deg_b = terms[0][0] if terms else 0
         return den, deg_b, max([ec for _, ec, _ in terms], default=0), terms
