@@ -159,6 +159,47 @@ def test_crossing_report_rank2_sec71():
     assert crossed == 15
 
 
+def _off_cell_twists(a, line, sample):
+    """Twists just off a wall cell, sample -/+ delta * normal: delta is below
+    half the distance, along the normal, from the sample to every line
+    through two distinct weights that the sample is off."""
+    n = line.normal
+    delta = Fraction(1)
+    for p, q in itertools.combinations(a.support_weights(), 2):
+        other = Line2D.through(V(p), V(q))
+        rate = abs(other.normal.dot(n))
+        gap = abs(other.normal.dot(sample) - other.offset)
+        if rate and gap:
+            delta = min(delta, gap / (2 * rate))
+    return sample - n.scale(delta), sample + n.scale(delta)
+
+
+def _family_or_empty(a, chi):
+    try:
+        return git_class(a, chi)
+    except IneffectiveTwist:
+        return frozenset()
+
+
+def test_crossing_report_every_sec71_wall_cell():
+    # each side of a one-zero wall cell is read from the cell itself, also
+    # on the effective region's edges, where the outer side is empty
+    a = _sec71()
+    cc = wall_chamber_decomposition(a)
+    cells = [(w.line, c) for w in cc.walls for c in w.cells]
+    assert len(cells) == 24
+    one_sided = 0
+    for line, cell in cells:
+        lo, hi = (_family_or_empty(a, t) for t in _off_cell_twists(a, line, cell.sample))
+        rep = crossing_report(cc, cell)
+        assert (rep.gained, rep.lost) == (hi - lo, lo - hi)
+        assert rep.wall_only == cell.family - (lo | hi)
+        assert rep.degenerate == (lo == hi)
+        assert rep.wall_cell == cell
+        one_sided += not (lo and hi)
+    assert one_sided == 9
+
+
 def test_flip_report_degenerate_flag():
     fam = frozenset({frozenset({0})})
     wall = frozenset({frozenset({0}), frozenset({1})})
