@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -268,6 +268,8 @@ class ChamberComplex:
     chambers: tuple[Chamber, ...]
     vertices: tuple[VertexFace, ...]
     effective: EffectiveRegion
+    # families over the signs of the wall lines (rank 2) or weight values
+    labels: _SignFamilies = field(repr=False, compare=False)
 
     def wall_values(self) -> list[Fraction]:
         """Rank-1 wall positions."""
@@ -338,7 +340,7 @@ def _rank1_complex(a: TorusAction) -> ChamberComplex:
         for lo, hi in zip(values, values[1:])
         for q in [Fraction(lo + hi, 2)]
     )
-    return ChamberComplex(1, walls, chambers, (), eff)
+    return ChamberComplex(1, walls, chambers, (), eff, labels)
 
 
 def _rank2_complex(a: TorusAction) -> ChamberComplex:
@@ -445,7 +447,9 @@ def _assemble(
         ):
             vertices.append(VertexFace(face.sample, family(face.signs), face.signs))
     vertices.sort(key=lambda v: v.point.sort_key())
-    return ChamberComplex(2, tuple(walls), tuple(chambers), tuple(vertices), eff)
+    return ChamberComplex(
+        2, tuple(walls), tuple(chambers), tuple(vertices), eff, labels
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -477,35 +481,28 @@ def _flip_families(
     return FlipReport(cell, gained, lost, wall_only, not gained and not lost)
 
 
-def crossing_report(
-    a: TorusAction,
-    complex_: ChamberComplex,
-    wall_cell: WallCell,
-    chamber_left: Chamber,
-    chamber_right: Chamber,
-) -> FlipReport:
-    """Support-family diff across one wall cell.
+def crossing_report(complex_: ChamberComplex, wall_cell: WallCell) -> FlipReport:
+    """Support-family diff across one wall cell of the complex, from the
+    side where its line is negative (rank 1: below the wall value) to the
+    side where it is positive.
 
-    The chambers must be the two faces obtained from the cell by resolving
-    its zero sign; anything else raises NotAdjacent.
+    Each side is the cell with its zero sign flipped, and its family is read
+    from the complex's sign table, so the sides need not be the complex's
+    chambers; a side outside the effective region has the empty family.  A
+    cell that is not one of the complex's raises NotAdjacent.
     """
+    if not any(wall_cell in wall.cells for wall in complex_.walls):
+        raise NotAdjacent("not a wall cell of this complex")
+    signs = wall_cell.signs
     if complex_.rank == 1:
         v = wall_cell.sample.entries[0]
-        lo_ok = chamber_left.interval and chamber_left.interval[1] == v
-        hi_ok = chamber_right.interval and chamber_right.interval[0] == v
-        if not (lo_ok and hi_ok):
-            raise NotAdjacent("chambers do not meet the wall from both sides")
-    else:
-        zero_at = [i for i, s in enumerate(wall_cell.signs) if s == 0]
-        if len(zero_at) != 1:
-            raise NotAdjacent("not a one-codimensional wall cell")
-        idx = zero_at[0]
-        expect = {_flip(wall_cell.signs, idx, 1), _flip(wall_cell.signs, idx, -1)}
-        if {chamber_left.signs, chamber_right.signs} != expect:
-            raise NotAdjacent("chambers are not the two sides of this cell")
-    return _flip_families(
-        chamber_left.family, chamber_right.family, wall_cell.family, wall_cell
+        signs = tuple((v > w) - (v < w) for w in complex_.wall_values())
+    idx = signs.index(0)
+    left, right = (
+        complex_.labels.supports(complex_.labels.family(_flip(signs, idx, side)) or 0)
+        for side in (-1, 1)
     )
+    return _flip_families(left, right, wall_cell.family, wall_cell)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -120,7 +121,7 @@ def test_crossing_report_rank1():
     wall0 = next(w for w in cc.walls if w.cells[0].sample.entries[0] == 0)
     left = next(ch for ch in cc.chambers if ch.interval == (Fraction(-1), Fraction(0)))
     right = next(ch for ch in cc.chambers if ch.interval == (Fraction(0), Fraction(2)))
-    rep = crossing_report(a, cc, wall0.cells[0], left, right)
+    rep = crossing_report(cc, wall0.cells[0])
     assert rep.gained == frozenset({frozenset({1, 2})})
     assert rep.lost == frozenset({frozenset({0, 1})})
     # the support of the weight-0 coordinate is semistable on the wall only
@@ -128,8 +129,13 @@ def test_crossing_report_rank1():
     assert not rep.degenerate
     # the wall family is the side families plus the wall-only semistables
     assert wall0.cells[0].family == left.family | right.family | rep.wall_only
+    # below the least weight no support is semistable
+    low = next(w for w in cc.walls if w.cells[0].sample.entries[0] == -1)
+    rep = crossing_report(cc, low.cells[0])
+    assert rep.lost == frozenset()
+    assert rep.gained == git_class(a, V([Fraction(-1, 2)]))
     with pytest.raises(NotAdjacent):
-        crossing_report(a, cc, wall0.cells[0], left, left)
+        crossing_report(cc, wall_chamber_decomposition(_sec71()).walls[0].cells[0])
 
 
 def test_crossing_report_rank2_sec71():
@@ -145,17 +151,16 @@ def test_crossing_report_rank2_sec71():
         right = by_signs.get(_flip(cell.signs, idx, 1))
         if left is None or right is None:
             continue
-        rep = crossing_report(a, cc, cell, left, right)
+        rep = crossing_report(cc, cell)
         lo, hi = git_class(a, left.sample), git_class(a, right.sample)
+        assert (lo, hi) == (left.family, right.family)
         assert (rep.gained, rep.lost) == (hi - lo, lo - hi)
         assert rep.wall_only == cell.family - (lo | hi)
         assert rep.degenerate == (lo == hi)
         crossed += 1
-        far = next(ch for ch in cc.chambers if ch not in (left, right))
+        # a cell the complex does not have
         with pytest.raises(NotAdjacent):
-            crossing_report(a, cc, cell, left, far)
-        with pytest.raises(NotAdjacent):
-            crossing_report(a, cc, cell, left, left)
+            crossing_report(cc, dataclasses.replace(cell, signs=left.signs))
     assert crossed == 15
 
 
