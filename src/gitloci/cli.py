@@ -28,11 +28,13 @@ from .stability import (
     OneParamSubgroup,
     SweepStatus,
     SweepVerdict,
+    TORUS_STATUS,
     adapted_region,
     admissible_cone,
     cocharacter_fan,
     h_stable_explicit,
     stab_u_dimension,
+    support_positions,
     torus_status,
     uhat_stable_explicit,
 )
@@ -362,11 +364,11 @@ def _cmd_stability(spec: LoadedSpec, args) -> dict:
     action = _twist_for(spec, args)
     results = {}
     if args.point == "all" and "all" not in spec.points:
-        for sp in action.iter_supports():
-            key = ",".join(str(i) for i in _jsupport(sp))
-            results[key] = torus_status(
-                action, sp, relative_interior=args.relative_interior
-            ).value
+        text = {pos: status.value for pos, status in TORUS_STATUS.items()}
+        for support, pos in support_positions(
+            action, action.twist, relative=args.relative_interior
+        ):
+            results[",".join(map(str, sorted(support)))] = text[pos]
     else:
         name, pt = _point_for(spec, args)
         sp = pt if isinstance(pt, SupportPoint) else pt.support(action)

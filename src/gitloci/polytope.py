@@ -19,11 +19,14 @@ system [[M_T, 1], [1^T, 0]] by the integer elimination of `qpoly`, which
 gives integer coefficient numerators over one denominator, so the sign tests
 are integer tests; a Fraction is built only for each output coordinate.
 
-Membership runs in one integer kernel, `hull_position`: integer points
-against a rational query, translated so that the query is the origin and
-scaled by its denominator.  Dimension 1 compares extremes, dimension 2 takes
-an integer hull and orientations, higher dimensions solve one exact
-simplex program on `linprog`'s integer tableau.
+Membership of one hull runs in one integer kernel, `hull_position`:
+integer points against a rational query, translated so that the query is
+the origin and scaled by its denominator.  Dimension 1 compares extremes,
+dimension 2 takes an integer hull and orientations, higher dimensions solve
+one exact simplex program on `linprog`'s integer tableau.  Every support of
+an action at once is placed by `stability.support_positions` from
+per-factor tables, with no hull per support, at rank <= 2; at higher rank
+it calls `hull_position` per support.
 
 `PointSet`, `hull_membership`, `min_norm_point`, `min_norm_point_oracle`
 and `convex_hull_2d` are `Fraction` entry points over those kernels that no

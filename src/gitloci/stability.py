@@ -12,16 +12,21 @@ G beta, the form dual of beta (G the inner product's Gram matrix): it pairs
 with weights as <., beta> does, up to a positive factor, so its least
 weight on the support is attained on beta's face and mu(x, lambda_beta) < 0.
 Under the identity form G beta = beta.
+
+A support's torus status is its weight hull's position against the twist:
+`torus_status` places one hull, and `support_positions` every support at
+once, from per-factor tables of the hulls' support functions.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .action import (
     ExplicitPoint,
@@ -43,6 +48,7 @@ from .polytope import (
     cone_has_interior_point,
     hull_min_norm,
     hull_position,
+    primitive_line,
 )
 from .qpoly import (
     BiPoly,
@@ -50,6 +56,7 @@ from .qpoly import (
     InnerProduct,
     RationalVector,
     analyze_common_zeros,
+    clear_denominators,
     common_zero_avoiding,
 )
 
@@ -146,6 +153,14 @@ class TorusStatus(str, Enum):
     UNSTABLE = "unstable"
 
 
+# interior means stable, boundary strictly semistable, outside unstable
+TORUS_STATUS = {
+    HullPosition.INTERIOR: TorusStatus.STABLE,
+    HullPosition.BOUNDARY: TorusStatus.STRICTLY_SEMISTABLE,
+    HullPosition.OUTSIDE: TorusStatus.UNSTABLE,
+}
+
+
 def hm_mu(a: TorusAction, x: SupportPoint, rho: OneParamSubgroup) -> Fraction:
     """mu(x, rho) = max over the support of -<rho, alpha_i - chi>.
 
@@ -172,11 +187,83 @@ def torus_status(
     boundary, strictly semistable; outside, unstable.
     """
     pos = hull_position(a.support_weights(x), a.twist, relative=relative_interior)
-    if pos is HullPosition.INTERIOR:
-        return TorusStatus.STABLE
-    if pos is HullPosition.BOUNDARY:
-        return TorusStatus.STRICTLY_SEMISTABLE
-    return TorusStatus.UNSTABLE
+    return TORUS_STATUS[pos]
+
+
+def support_positions(
+    a: TorusAction, chi: RationalVector, *, relative: bool = False
+) -> Iterator[tuple[frozenset[int], HullPosition]]:
+    """Every support's weight hull against chi, as (coordinate set,
+    position) in `support_sets` order: the Hilbert-Mumford criterion checked
+    on a finite set of one-parameter subgroups.
+
+    A support's weight hull is the Minkowski sum of its factors' hulls, so
+    its support function h(u), the greatest <u, w> over the hull, is the
+    sum over the factors of the greatest <u, w_j> over the support's
+    coordinates j in that factor.  With d the denominator of chi, the slack
+    d * h(u) - <u, d * chi> is then a sum of entries of one table per
+    factor, indexed by the factor's coordinate subsets.  chi is outside the
+    hull if some slack is negative and interior if all are positive; with
+    `relative`, in the relative interior if each is positive or the hull
+    has zero width along it (slack(u) + slack(-u) = 0); on the boundary
+    otherwise.
+
+    This is exact for rank <= 2 on the directions u = +-e_k (the axes, which
+    place a point hull and the ends of a segment hull) and, in the plane,
+    +- the perpendiculars of the within-factor weight differences: every
+    edge of a planar Minkowski sum is parallel to an edge of a summand, so
+    these contain every edge normal of every support's hull.  The factors
+    before the last are summed into prefix rows, and the last factor's rows
+    are streamed against them.  Rank >= 3 has no such finite set here, and
+    each support runs `hull_position`.
+    """
+    if a.rank > 2:
+        for s in a.support_sets():
+            weights = a.support_weights(SupportPoint(s))
+            yield s, hull_position(weights, chi, relative=relative)
+        return
+    ints = [tuple(map(int, w.entries)) for w in a.weights]
+    half = {tuple(int(i == k) for i in range(a.rank)) for k in range(a.rank)}
+    if a.rank == 2:
+        for blk in a.factor_partition:
+            for i, j in itertools.combinations(blk, 2):
+                (px, py), (qx, qy) = ints[i], ints[j]
+                if ints[i] != ints[j]:
+                    half.add(primitive_line(qy - py, px - qx, 0)[:2])
+    dirs = sorted(half)
+    k = len(dirs)
+    dirs += [tuple(-x for x in u) for u in dirs]  # u and -u are k apart
+    (dchi,), d = clear_denominators([chi.entries])
+    values = [[d * sum(map(operator.mul, u, w)) for u in dirs] for w in ints]
+    rows = []  # per factor: (subset, its greatest values) by factor_subsets
+    for subsets in a.factor_subsets():
+        table: dict[tuple[int, ...], list[int]] = {}
+        for s in subsets:
+            # s minus its last coordinate comes earlier, one size smaller
+            table[s] = values[s[0]] if len(s) == 1 else list(
+                map(max, table[s[:-1]], values[s[-1]])
+            )
+        rows.append(list(table.items()))
+    prefixes = [((), [-sum(map(operator.mul, u, dchi)) for u in dirs])]
+    for factor in rows[:-1]:
+        prefixes = [
+            (s0 + s, list(map(operator.add, acc, row)))
+            for s0, acc in prefixes
+            for s, row in factor
+        ]
+    for s0, acc in prefixes:
+        for s, row in rows[-1]:
+            slack = list(map(operator.add, acc, row))
+            least = min(slack)
+            if least < 0:
+                pos = HullPosition.OUTSIDE
+            elif least > 0 or relative and all(
+                lo + hi == 0 or lo and hi for lo, hi in zip(slack[:k], slack[k:])
+            ):
+                pos = HullPosition.INTERIOR
+            else:
+                pos = HullPosition.BOUNDARY
+            yield frozenset(s0 + s), pos
 
 
 def support_beta(a: TorusAction, x: SupportPoint) -> RationalVector:

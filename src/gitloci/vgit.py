@@ -52,7 +52,7 @@ from .polytope import (
     primitive_line,
 )
 from .qpoly import integer_row_reduce
-from .stability import RankUnsupported
+from .stability import RankUnsupported, support_positions
 
 
 class IneffectiveTwist(ValueError):
@@ -106,9 +106,7 @@ def git_class(a: TorusAction, chi: RationalVector) -> frozenset[frozenset[int]]:
 def _family_at(a: TorusAction, chi: RationalVector) -> frozenset[frozenset[int]]:
     """The semistable support family at a twist, empty when ineffective."""
     return frozenset(
-        sp.support
-        for sp in a.iter_supports()
-        if hull_position(a.support_weights(sp), chi) is not HullPosition.OUTSIDE
+        s for s, pos in support_positions(a, chi) if pos is not HullPosition.OUTSIDE
     )
 
 

@@ -8,6 +8,8 @@ against.  No code of the package calls them.
 reference for `polytope._hull_membership_lp`.  `facet_normal_candidates` is
 a finite certificate set for the semistability of a rank <= 2 support, the
 reference for hull membership and for the Hilbert-Mumford minimisers.
+`support_positions_scan` places every support's weight hull by one
+`hull_position` call each, the reference for `stability.support_positions`.
 `verify_stratification_oracle` checks the stratification by full scans: every
 (support, sub-support) pair for the closure order, and every support against
 every beta for the retraction; it is the reference for
@@ -261,6 +263,17 @@ def facet_normal_candidates(points: Sequence[RationalVector]) -> list[RationalVe
         inner = RationalVector([-d.entries[1], d.entries[0]])  # CCW inner normal
         candidates.append(inner)
     return candidates
+
+
+def support_positions_scan(
+    a: TorusAction, chi: RationalVector, relative: bool = False
+) -> list[tuple[frozenset[int], HullPosition]]:
+    """Every support's hull position against chi in `support_sets` order,
+    from its own Segre weights: one `hull_position` call per support."""
+    return [
+        (s, hull_position(a.support_weights(SupportPoint(s)), chi, relative=relative))
+        for s in a.support_sets()
+    ]
 
 
 def verify_stratification_oracle(a: TorusAction) -> StratificationReport:

@@ -652,6 +652,47 @@ def test_chambers_finds_edge_lines_without_fraction_lines(monkeypatch, tmp_path)
         assert json.loads(text)["result"]["walls"], path
 
 
+def test_support_families_build_no_hull_per_support(monkeypatch, tmp_path):
+    # `stability --point all` and `git_class` read every support off the
+    # per-factor tables: no hull, sumset or hull test for any support
+    from gitloci import polytope, stability, vgit
+    from gitloci.action import TorusAction
+    from gitloci.qpoly import RationalVector
+
+    calls = {"hull_position": 0, "convex_hull_2d_int": 0, "support_weights": 0}
+
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("hull_position", "convex_hull_2d_int"):
+        for module in (polytope, stability, vgit):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name), name))
+    monkeypatch.setattr(
+        TorusAction,
+        "support_weights",
+        counted(TorusAction.support_weights, "support_weights"),
+    )
+    spec = tmp_path / "chambers0.json"
+    spec.write_text(json.dumps(_CHAMBERS_INPUT))
+    path = str(CORPUS / "sec7_1.json")
+    for extra in ([], ["--relative-interior"]):
+        code, text = _run(["stability", "--input", path, "--point", "all", *extra], tmp_path)
+        assert code == 0 and len(json.loads(text)["result"]["statuses"]) == 343
+    for source in (path, str(spec)):
+        chi = RationalVector([Fraction(1, 3), Fraction(-2, 7)])
+        assert vgit.git_class(load_spec(source).action, chi)
+    assert calls == dict.fromkeys(calls, 0)
+    # the counters see the single-support route
+    action = load_spec(path).action
+    stability.torus_status(action, next(action.iter_supports()))
+    assert calls == {"hull_position": 1, "convex_hull_2d_int": 1, "support_weights": 1}
+
+
 # p3g: three P2 factors with generic weights, 21 distinct weights and 343
 # supports, whose 9 MB chambers report is too large for a golden file
 _P3G_INPUT = {

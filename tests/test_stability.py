@@ -1,6 +1,7 @@
 import inspect
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,11 +10,13 @@ from gitloci.action import (
     GroupSpec,
     SupportPoint,
     TorusAction,
+    build_external_extension,
     build_product_action,
     evaluate_point,
     orbit_point,
 )
-from gitloci.polytope import Cone
+from gitloci.cli import load_spec
+from gitloci.polytope import Cone, convex_hull_2d_int
 from gitloci.qpoly import BiPoly, InnerProduct, RationalVector
 from gitloci.stability import (
     AdaptedRegion,
@@ -34,13 +37,15 @@ from gitloci.stability import (
     hm_M,
     hm_mu,
     stab_u_dimension,
+    support_positions,
     torus_status,
     uhat_stable_explicit,
     universal_1ps,
     x_min,
 )
-from oracles import facet_normal_candidates
+from oracles import facet_normal_candidates, support_positions_scan
 
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 V = RationalVector
 IP1 = InnerProduct.identity(1)
 IP2 = InnerProduct.identity(2)
@@ -94,6 +99,101 @@ def test_torus_status_has_no_lambda_parameter():
     # one-parameter independence is structural: the signature takes no flow
     params = inspect.signature(torus_status).parameters
     assert "lam" not in params and "lambda_" not in params
+
+
+def _hull_midpoints(a, rng, count):
+    """Midpoints of hull edges (rank 1: of the extremes) of random supports'
+    weights: on the boundary of the hull of the support they come from."""
+    supports = list(a.support_sets())
+    out = []
+    for s in rng.sample(supports, min(count, len(supports))):
+        weights = a.support_weights(SupportPoint(s))
+        hull = (
+            [weights[0], weights[-1]] if a.rank == 1 else convex_hull_2d_int(weights)
+        )
+        p, q = rng.choice(list(zip(hull, hull[1:] + hull[:1])))
+        out.append(V([Fraction(x + y, 2) for x, y in zip(p, q)]))
+    return out
+
+
+def _twists(a, rng):
+    """At weights, at hull edge midpoints, outside the effective region
+    (past the greatest first coordinate) and at random rationals."""
+    weights = a.support_weights()
+    beyond = max(w[0] for w in weights) + Fraction(1, 3)
+    return [
+        *(V(w) for w in rng.sample(weights, min(3, len(weights)))),
+        *_hull_midpoints(a, rng, 3),
+        V([beyond, *(Fraction(rng.randint(-3, 3)) for _ in range(a.rank - 1))]),
+        *(
+            V([Fraction(rng.randint(-12, 12), rng.randint(1, 5)) for _ in range(a.rank)])
+            for _ in range(3)
+        ),
+    ]
+
+
+def _assert_positions_match_scan(a, twists):
+    for chi in twists:
+        for relative in (False, True):
+            got = list(support_positions(a, chi, relative=relative))
+            assert got == support_positions_scan(a, chi, relative), (chi, relative)
+
+
+def test_support_positions_match_scan_on_corpus():
+    rng = random.Random(17)
+    for path in sorted(CORPUS.glob("*.json")):
+        a = load_spec(str(path)).action
+        assert a.rank <= 2, path
+        _assert_positions_match_scan(a, [a.twist, *_twists(a, rng)])
+
+
+def _random_factor(rng, rank):
+    """Weights of one factor: P0, one weight repeated, collinear weights
+    (a segment hull) or free ones."""
+    def vec():
+        return [rng.randint(-3, 3) for _ in range(rank)]
+
+    kind = rng.choice(["p0", "repeated", "collinear", "free", "free"])
+    if kind == "p0":
+        return [vec()]
+    n = rng.randint(2, 4)
+    if kind == "repeated":
+        w = vec()
+        return [w] + [rng.choice([w, vec()]) for _ in range(n - 1)]
+    if kind == "collinear":
+        p, d = vec(), vec()
+        return [[x + t * y for x, y in zip(p, d)] for t in rng.sample(range(-2, 3), n)]
+    return [vec() for _ in range(n)]
+
+
+def test_support_positions_match_scan_on_random_products():
+    rng = random.Random(3)
+    # explicit degenerate products besides the random ones: only P0 and
+    # repeated-weight factors (point hulls) and only parallel segments
+    fixed = [
+        (2, [[[1, 2]], [[0, -1], [0, -1]], [[2, 2], [2, 2], [2, 2]]]),
+        (2, [[[0, 0], [1, 1], [3, 3]], [[-1, -1], [2, 2]], [[5, 5]]]),
+        (1, [[[2]], [[-1], [-1]]]),
+    ]
+    cases = fixed + [
+        (rank, [_random_factor(rng, rank) for _ in range(rng.randint(1, 3))])
+        for rank in (1, 2)
+        for _ in range(25)
+    ]
+    for rank, factors in cases:
+        a = build_product_action(
+            [TorusAction(rank, [V(w) for w in ws], InnerProduct.identity(rank)) for ws in factors]
+        )
+        _assert_positions_match_scan(a, _twists(a, rng))
+
+
+def test_support_positions_rank3_runs_the_scan():
+    a, _ = _sec71()
+    ext = build_external_extension(a, [0, 1, 2, 0, 2, 1, 1, 0, 2], 10)
+    assert ext.rank == 3
+    _assert_positions_match_scan(
+        ext, [V([Fraction(1, 2), Fraction(-1, 3), Fraction(9, 2)]), V([1, 0, 0])]
+    )
 
 
 def test_destabilising_beta_examples():
