@@ -308,10 +308,6 @@ def _jfamily(family) -> list[list[int]]:
     return sorted(sorted(s) for s in family)
 
 
-def _jsupport(s: SupportPoint) -> list[int]:
-    return sorted(s.support)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------

@@ -496,6 +496,7 @@ def crossing_report(complex_: ChamberComplex, wall_cell: WallCell) -> FlipReport
         v = wall_cell.sample.entries[0]
         signs = tuple((v > w) - (v < w) for w in complex_.wall_values())
     idx = signs.index(0)
+    # an ineffective side has no mask (None); mask 0 renders the empty family
     left, right = (
         complex_.labels.supports(complex_.labels.family(_flip(signs, idx, side)) or 0)
         for side in (-1, 1)
