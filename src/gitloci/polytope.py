@@ -24,9 +24,9 @@ integer points against a rational query, translated so that the query is
 the origin and scaled by its denominator.  Dimension 1 compares extremes,
 dimension 2 takes an integer hull and orientations, higher dimensions solve
 one exact simplex program on `linprog`'s integer tableau.  Every support of
-an action at once is placed by `stability.support_positions` from
-per-factor tables, with no hull per support, at rank <= 2; at higher rank
-it calls `hull_position` per support.
+an action is placed at once, at any rank, by `stability.support_positions`
+from per-factor tables, on the normals (`primitive_normal`) of hyperplanes
+spanned by within-factor weight differences and axes.
 
 `PointSet`, `hull_membership`, `min_norm_point`, `min_norm_point_oracle`
 and `convex_hull_2d` are `Fraction` entry points over those kernels that no
@@ -476,6 +476,22 @@ def primitive_line(*coeffs: int) -> tuple[int, ...]:
     if next(filter(None, coeffs)) < 0:
         g = -g
     return tuple(v // g for v in coeffs)
+
+
+def primitive_normal(vectors: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
+    """The primitive normal, signed as by `primitive_line`, of the hyperplane
+    spanned by n - 1 integer vectors in dimension n, or None when they are
+    dependent: the kernel of the reduced rows, their last pivot D at the
+    free column and minus each row's free entry at that row's pivot."""
+    rows, pivots, det = integer_row_reduce(vectors)
+    if len(pivots) < len(vectors):
+        return None
+    normal = [0] * (len(vectors) + 1)
+    (free,) = set(range(len(normal))).difference(pivots)
+    normal[free] = det
+    for row, pc in zip(rows, pivots):
+        normal[pc] = -row[free]
+    return primitive_line(*normal)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .action import (
     ExplicitPoint,
@@ -49,6 +49,7 @@ from .polytope import (
     hull_min_norm,
     hull_position,
     primitive_line,
+    primitive_normal,
 )
 from .qpoly import (
     BiPoly,
@@ -208,29 +209,25 @@ def support_positions(
     has zero width along it (slack(u) + slack(-u) = 0); on the boundary
     otherwise.
 
-    This is exact for rank <= 2 on the directions u = +-e_k (the axes, which
-    place a point hull and the ends of a segment hull) and, in the plane,
-    +- the perpendiculars of the within-factor weight differences: every
-    edge of a planar Minkowski sum is parallel to an edge of a summand, so
-    these contain every edge normal of every support's hull.  The factors
-    before the last are summed into prefix rows, and the last factor's rows
-    are streamed against them.  Rank >= 3 has no such finite set here, and
-    each support runs `hull_position`.
+    The directions u are +- the primitive normals of the hyperplanes spanned
+    by rank - 1 independent vectors among the within-factor weight
+    differences and the axes, exact at every rank: each edge of a Minkowski
+    sum is parallel to an edge of a summand, here a within-factor
+    difference, so each facet of a full-dimensional hull spans such a
+    hyperplane; where the hull is lower-dimensional, axes complete its span
+    and each relative facet's to ones that cut out its affine span and its
+    relative facets.  At rank 1 this is +-e_1; at rank 2, the axes and the
+    perpendiculars of the differences.  The factors before the last are
+    summed into prefix rows, and the last factor's rows are streamed.
     """
-    if a.rank > 2:
-        for s in a.support_sets():
-            weights = a.support_weights(SupportPoint(s))
-            yield s, hull_position(weights, chi, relative=relative)
-        return
     ints = [tuple(map(int, w.entries)) for w in a.weights]
-    half = {tuple(int(i == k) for i in range(a.rank)) for k in range(a.rank)}
-    if a.rank == 2:
-        for blk in a.factor_partition:
-            for i, j in itertools.combinations(blk, 2):
-                (px, py), (qx, qy) = ints[i], ints[j]
-                if ints[i] != ints[j]:
-                    half.add(primitive_line(qy - py, px - qx, 0)[:2])
-    dirs = sorted(half)
+    spanning = {tuple(int(i == k) for i in range(a.rank)) for k in range(a.rank)}
+    for blk in a.factor_partition:
+        for i, j in itertools.combinations(blk, 2):
+            if ints[i] != ints[j]:
+                spanning.add(primitive_line(*map(operator.sub, ints[i], ints[j])))
+    combos = itertools.combinations(spanning, a.rank - 1)
+    dirs = sorted(set(filter(None, map(primitive_normal, combos))))
     k = len(dirs)
     dirs += [tuple(-x for x in u) for u in dirs]  # u and -u are k apart
     (dchi,), d = clear_denominators([chi.entries])
@@ -266,12 +263,6 @@ def support_positions(
             yield frozenset(s0 + s), pos
 
 
-def support_beta(a: TorusAction, x: SupportPoint) -> RationalVector:
-    """Minimum-norm point of the support's twisted weight hull: Wolfe on its
-    distinct integer weights, shifted by the twist."""
-    return hull_min_norm(a.support_weights(x), a.twist, a.ip)
-
-
 def destabilising_beta(
     a: TorusAction, x: SupportPoint, *, require_unstable: bool = False
 ) -> tuple[RationalVector, Optional[OneParamSubgroup]]:
@@ -282,7 +273,7 @@ def destabilising_beta(
     beta = 0 exactly when x is semistable; then there is no distinguished
     subgroup and `require_unstable` turns that case into an error.
     """
-    beta = support_beta(a, x)
+    beta = hull_min_norm(a.support_weights(x), a.twist, a.ip)
     if beta.is_zero():
         if require_unstable:
             raise ZeroBeta("x is semistable; no destabilising 1PS")
@@ -570,6 +561,14 @@ def achievable_supports(
     achievable there, and elimination runs only for the candidates the grid
     did not meet.
     """
+    return list(_achievable(x, a, g, lambda sp: True))
+
+
+def _achievable(
+    x: ExplicitPoint, a: TorusAction, g: GroupSpec, keep: Callable[[SupportPoint], bool]
+) -> Iterator[AchievableSupport]:
+    """`achievable_supports`, lazily, over the candidates that `keep` takes:
+    the others are not decided."""
     orbit = orbit_point(x, g)
     local = _orbit_by_global_index(a, orbit)
     gen = generic_support(orbit, a)
@@ -595,24 +594,22 @@ def achievable_supports(
                     opts.append(sub)
         per_factor_options.append(sorted(set(opts), key=sorted))
 
-    results = []
     for combo in itertools.product(*per_factor_options):
         support = frozenset(itertools.chain.from_iterable(combo))
         sp = SupportPoint(support)
+        if not keep(sp):
+            continue
+        if support in grid_found:
+            yield AchievableSupport(sp, CZStatus.YES, grid_found[support])
+            continue
         vanish = [
             local[i]
             for i in gen.support
             if i not in support and not local[i].is_zero()
         ]
         avoid = [local[i] for i in sorted(support)]
-        if support in grid_found:
-            results.append(
-                AchievableSupport(sp, CZStatus.YES, grid_found[support])
-            )
-            continue
         res = common_zero_avoiding(vanish, avoid)
-        results.append(AchievableSupport(sp, res.status, res.witness))
-    return results
+        yield AchievableSupport(sp, res.status, res.witness)
 
 
 def h_stable_explicit(
@@ -623,12 +620,11 @@ def h_stable_explicit(
 
     An achievable non-stable support is a witness of instability; candidates
     the elimination cannot settle make the verdict Undecided only when they
-    would matter (a non-stable status).
+    would matter (a non-stable status).  So only the non-stable candidates
+    are decided, in `achievable_supports`' order, up to the first witness.
     """
     return _sweep_verdict(
-        cand
-        for cand in achievable_supports(x, a, g)
-        if torus_status(a, cand.support) is not TorusStatus.STABLE
+        _achievable(x, a, g, lambda sp: torus_status(a, sp) is not TorusStatus.STABLE)
     )
 
 

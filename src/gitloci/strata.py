@@ -36,9 +36,9 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .action import SupportPoint, TorusAction
-from .polytope import HullPosition, corral_points, hull_position
+from .polytope import HullPosition, corral_points, hull_min_norm, hull_position
 from .qpoly import RationalVector
-from .stability import OneParamSubgroup, TorusStatus, support_beta, torus_status
+from .stability import OneParamSubgroup, TorusStatus, torus_status
 
 
 class NotInY(ValueError):
@@ -133,7 +133,7 @@ def stratum_of(a: TorusAction, x: SupportPoint) -> StratumLabel:
     the Y-membership conditions by the supporting-hyperplane property of the
     closest point.
     """
-    beta = support_beta(a, x)
+    beta = hull_min_norm(a.support_weights(x), a.twist, a.ip)
     bi = BetaIndex.from_beta(a, beta)
     if beta.is_zero():
         return StratumLabel(bi, in_Z(a, x, beta), True, True)
@@ -207,7 +207,7 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
     for sp in supports:
         weights = a.support_weights(sp)
         if weights not in by_weights:
-            beta = support_beta(a, sp)
+            beta = hull_min_norm(weights, a.twist, a.ip)
             by_weights[weights] = beta, a.ip.norm_sq(beta)
         beta, norms[sp.support] = by_weights[weights]
         by_support[sp.support] = beta

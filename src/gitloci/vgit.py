@@ -50,8 +50,8 @@ from .polytope import (
     convex_hull_2d_int,
     hull_position,
     primitive_line,
+    primitive_normal,
 )
-from .qpoly import integer_row_reduce
 from .stability import RankUnsupported, support_positions
 
 
@@ -299,23 +299,11 @@ def wall_hyperplane_candidates(
     deduplicated and canonically scaled.  Over-generated: no pruning and no
     face graph in rank >= 3.
     """
-    weights = a.support_weights()  # sorted
-    if a.rank == 1:
-        return [(RationalVector([1]), Fraction(w)) for (w,) in weights]
     seen: set[tuple[int, ...]] = set()
-    for p0, *rest in itertools.combinations(weights, a.rank):
-        # the normal spans the kernel of the difference rows; affinely
-        # dependent points leave a kernel of dimension >= 2
-        diffs = [[x - y for x, y in zip(p, p0)] for p in rest]
-        rows, pivots, det = integer_row_reduce(diffs)
-        free = [c for c in range(a.rank) if c not in pivots]
-        if len(free) != 1:
-            continue
-        normal = [0] * a.rank
-        normal[free[0]] = det
-        for row, pc in zip(rows, pivots):
-            normal[pc] = -row[free[0]]
-        seen.add(primitive_line(*normal, sum(x * y for x, y in zip(normal, p0))))
+    for p0, *rest in itertools.combinations(a.support_weights(), a.rank):
+        normal = primitive_normal([[x - y for x, y in zip(p, p0)] for p in rest])
+        if normal is not None:  # None for affinely dependent points
+            seen.add((*normal, sum(x * y for x, y in zip(normal, p0))))
     return [(RationalVector(key[:-1]), Fraction(key[-1])) for key in sorted(seen)]
 
 

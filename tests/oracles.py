@@ -13,7 +13,10 @@ reference for hull membership and for the Hilbert-Mumford minimisers.
 `verify_stratification_oracle` checks the stratification by full scans: every
 (support, sub-support) pair for the closure order, and every support against
 every beta for the retraction; it is the reference for
-`strata.verify_stratification`.  `common_zero_exists_oracle` and
+`strata.verify_stratification`.  `h_stable_explicit_oracle` decides every
+orbit candidate by `stability.achievable_supports` and then keeps the
+non-stable ones, the reference for `stability.h_stable_explicit`, which
+decides only those.  `common_zero_exists_oracle` and
 `common_zero_avoiding_oracle` are the two common-zero decisions as they stood
 before `qpoly.common_zero_avoiding` became the only one, each reading its own
 fields of the elimination's zero-set description; they and that elimination
@@ -31,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from gitloci import strata
-from gitloci.action import SupportPoint, TorusAction
+from gitloci import stability, strata
+from gitloci.action import ExplicitPoint, GroupSpec, SupportPoint, TorusAction
 from gitloci.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED
 from gitloci.polytope import (
     DimensionMismatch,
@@ -276,12 +279,24 @@ def support_positions_scan(
     ]
 
 
+def h_stable_explicit_oracle(
+    x: ExplicitPoint, a: TorusAction, g: GroupSpec
+) -> stability.SweepVerdict:
+    """The full group's sweep verdict with every candidate decided first:
+    `achievable_supports` filtered by torus status."""
+    return stability._sweep_verdict(
+        cand
+        for cand in stability.achievable_supports(x, a, g)
+        if stability.torus_status(a, cand.support) is not stability.TorusStatus.STABLE
+    )
+
+
 def verify_stratification_oracle(a: TorusAction) -> StratificationReport:
     """The stratification report by full scans: (ii) compares every valid
     support with every valid sub-support, and (iii) takes every support's
     least Segre value against every nonzero beta.
 
-    `support_beta` and `_functional` are looked up on `gitloci.strata` at
+    `hull_min_norm` and `_functional` are looked up on `gitloci.strata` at
     call time, so a test that patches them there reaches this reference too.
     """
     supports = list(a.iter_supports())
@@ -296,7 +311,7 @@ def verify_stratification_oracle(a: TorusAction) -> StratificationReport:
     for sp in supports:
         weights = a.support_weights(sp)
         if weights not in by_weights:
-            beta = strata.support_beta(a, sp)
+            beta = strata.hull_min_norm(weights, a.twist, a.ip)
             by_weights[weights] = beta, a.ip.norm_sq(beta)
         beta, norms[sp.support] = by_weights[weights]
         by_support[sp.support] = beta

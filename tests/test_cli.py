@@ -693,6 +693,38 @@ def test_support_families_build_no_hull_per_support(monkeypatch, tmp_path):
     assert calls == {"hull_position": 1, "convex_hull_2d_int": 1, "support_weights": 1}
 
 
+def test_extension_families_run_no_lp(monkeypatch, tmp_path):
+    # the rank-3 and rank-4 extensions' families come off the same tables:
+    # no hull test and no simplex program for any support
+    from gitloci import linprog, polytope, stability, vgit
+    from gitloci.action import build_external_extension
+    from gitloci.qpoly import RationalVector
+
+    calls = {"hull_position": 0, "solve_lp": 0}
+
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        for module in (linprog, polytope, stability, vgit):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name), name))
+    code, text = _run(["external-equiv", "--input", str(CORPUS / "external_toy.json")], tmp_path)
+    assert code == 0 and json.loads(text)["result"]["passed"]
+    sec71 = load_spec(str(CORPUS / "sec7_1.json")).action
+    ext = build_external_extension(sec71, [i % 3 for i in range(9)], 10)
+    chi = RationalVector([Fraction(1, 2), Fraction(-1, 3), Fraction(9, 2)])
+    assert vgit.git_class(ext, chi)
+    assert calls == dict.fromkeys(calls, 0)
+    # the counters see the single-hull route at rank 3
+    polytope.hull_position(ext.support_weights(), chi)
+    assert calls == {"hull_position": 1, "solve_lp": 1}
+
+
 # p3g: three P2 factors with generic weights, 21 distinct weights and 343
 # supports, whose 9 MB chambers report is too large for a golden file
 _P3G_INPUT = {

@@ -10,6 +10,7 @@ from gitloci.action import (
     GroupSpec,
     SupportPoint,
     TorusAction,
+    build_double_extension,
     build_external_extension,
     build_product_action,
     evaluate_point,
@@ -43,7 +44,11 @@ from gitloci.stability import (
     universal_1ps,
     x_min,
 )
-from oracles import facet_normal_candidates, support_positions_scan
+from oracles import (
+    facet_normal_candidates,
+    h_stable_explicit_oracle,
+    support_positions_scan,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 V = RationalVector
@@ -103,15 +108,19 @@ def test_torus_status_has_no_lambda_parameter():
 
 def _hull_midpoints(a, rng, count):
     """Midpoints of hull edges (rank 1: of the extremes) of random supports'
-    weights: on the boundary of the hull of the support they come from."""
+    weights, on the boundary of the hull of the support they come from; at
+    rank >= 3, midpoints of random pairs of the support's weights."""
     supports = list(a.support_sets())
     out = []
     for s in rng.sample(supports, min(count, len(supports))):
         weights = a.support_weights(SupportPoint(s))
-        hull = (
-            [weights[0], weights[-1]] if a.rank == 1 else convex_hull_2d_int(weights)
-        )
-        p, q = rng.choice(list(zip(hull, hull[1:] + hull[:1])))
+        if a.rank > 2:
+            p, q = rng.choice(weights), rng.choice(weights)
+        else:
+            hull = (
+                [weights[0], weights[-1]] if a.rank == 1 else convex_hull_2d_int(weights)
+            )
+            p, q = rng.choice(list(zip(hull, hull[1:] + hull[:1])))
         out.append(V([Fraction(x + y, 2) for x, y in zip(p, q)]))
     return out
 
@@ -149,11 +158,13 @@ def test_support_positions_match_scan_on_corpus():
 
 def _random_factor(rng, rank):
     """Weights of one factor: P0, one weight repeated, collinear weights
-    (a segment hull) or free ones."""
+    (a segment hull), coplanar ones (a planar hull, at rank >= 3) or free
+    ones."""
     def vec():
         return [rng.randint(-3, 3) for _ in range(rank)]
 
-    kind = rng.choice(["p0", "repeated", "collinear", "free", "free"])
+    kinds = ["p0", "repeated", "collinear", "free", "free"]
+    kind = rng.choice(kinds + ["coplanar"] * (rank > 2))
     if kind == "p0":
         return [vec()]
     n = rng.randint(2, 4)
@@ -163,6 +174,12 @@ def _random_factor(rng, rank):
     if kind == "collinear":
         p, d = vec(), vec()
         return [[x + t * y for x, y in zip(p, d)] for t in rng.sample(range(-2, 3), n)]
+    if kind == "coplanar":
+        p, d, e = vec(), vec(), vec()
+        return [
+            [x + s * y + t * z for x, y, z in zip(p, d, e)]
+            for s, t in ((rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n))
+        ]
     return [vec() for _ in range(n)]
 
 
@@ -175,9 +192,11 @@ def test_support_positions_match_scan_on_random_products():
         (2, [[[0, 0], [1, 1], [3, 3]], [[-1, -1], [2, 2]], [[5, 5]]]),
         (1, [[[2]], [[-1], [-1]]]),
     ]
+    # at most two factors at rank 4, where the scan's one simplex program
+    # per support is the cost; the extensions test places five there
     cases = fixed + [
-        (rank, [_random_factor(rng, rank) for _ in range(rng.randint(1, 3))])
-        for rank in (1, 2)
+        (rank, [_random_factor(rng, rank) for _ in range(rng.randint(1, 3 - (rank > 3)))])
+        for rank in (1, 2, 3, 4)
         for _ in range(25)
     ]
     for rank, factors in cases:
@@ -187,12 +206,30 @@ def test_support_positions_match_scan_on_random_products():
         _assert_positions_match_scan(a, _twists(a, rng))
 
 
-def test_support_positions_rank3_runs_the_scan():
+def test_support_positions_match_scan_on_extensions():
+    # sec7_1 with one external axis (rank 3) and with two (rank 4), and the
+    # double extension of external_toy (rank 3), whose weights are coplanar
     a, _ = _sec71()
     ext = build_external_extension(a, [0, 1, 2, 0, 2, 1, 1, 0, 2], 10)
     assert ext.rank == 3
     _assert_positions_match_scan(
         ext, [V([Fraction(1, 2), Fraction(-1, 3), Fraction(9, 2)]), V([1, 0, 0])]
+    )
+    double, twist_l, twist_m = build_double_extension(
+        a, [i % 3 for i in range(9)], [(2 * i + 1) % 3 for i in range(9)], 10, 0, 0,
+        Fraction(1, 2),
+    )
+    assert double.rank == 4
+    _assert_positions_match_scan(double, [double.twist + twist_l, double.twist + twist_m])
+    toy = load_spec(str(CORPUS / "external_toy.json"))
+    ext = toy.external
+    double, twist_l, twist_m = build_double_extension(
+        toy.action, ext["m_lambda"], ext["m_mu"], ext["N"], 0, 0, Fraction(1, 2)
+    )
+    assert double.rank == 3
+    rng = random.Random(29)
+    _assert_positions_match_scan(
+        double, [double.twist + twist_l, double.twist + twist_m, *_twists(double, rng)]
     )
 
 
@@ -467,6 +504,68 @@ def test_h_stable_cross_check_with_grid():
             assert grid_ok, name
         if not grid_ok:
             assert verdict is not SweepStatus.STABLE, name
+
+
+def _seeded_sweep(rng):
+    """An explicit point of sec7_1 and a group whose u-matrices are upper or
+    lower unitriangular with entries of degree <= 2 in (b, c)."""
+    monomials = [B, C, B * B, B * C, C * C]
+
+    def entry():
+        e = ZERO
+        for m in rng.sample(monomials, rng.randint(0, 2)):
+            e = e + m.scale(rng.choice((-2, -1, 1, 2)))
+        return e
+
+    def matrix():
+        upper = rng.random() < 0.5
+        return [
+            [ONE if i == j else entry() if (j > i) == upper else ZERO for j in range(3)]
+            for i in range(3)
+        ]
+
+    coords = [[rng.choice((0, 0, 1, 1, -1, 2)) for _ in range(3)] for _ in range(3)]
+    for block in coords:
+        block[rng.randrange(3)] = 1  # no factor of zeros
+    g = GroupSpec([V([1, -1]), V([2, 1])], 2, [matrix() for _ in range(3)])
+    return ExplicitPoint(coords), g
+
+
+def test_h_stable_decides_only_non_stable_candidates(monkeypatch):
+    from gitloci import stability
+
+    cases = []
+    for path in sorted(CORPUS.glob("*.json")):
+        spec = load_spec(str(path))
+        if spec.group is not None:
+            cases += [
+                (x, spec.action, spec.group)
+                for x in spec.points.values()
+                if isinstance(x, ExplicitPoint)
+            ]
+    prod, _ = _sec71()
+    rng = random.Random(41)
+    cases += [(x, prod, g) for x, g in (_seeded_sweep(rng) for _ in range(24))]
+    # h_stable_explicit places each candidate just before deciding it, so
+    # the last status placed is the status of the candidate being decided
+    placed, reached = [], []
+    real_status, real_decide = stability.torus_status, stability.common_zero_avoiding
+
+    def status(*args, **kwargs):
+        placed.append(real_status(*args, **kwargs))
+        return placed[-1]
+
+    def decide(vanish, avoid):
+        reached.append(placed[-1])
+        return real_decide(vanish, avoid)
+
+    monkeypatch.setattr(stability, "torus_status", status)
+    monkeypatch.setattr(stability, "common_zero_avoiding", decide)
+    got = [h_stable_explicit(x, a, g) for x, a, g in cases]
+    monkeypatch.undo()
+    assert reached and TorusStatus.STABLE not in reached
+    assert got == [h_stable_explicit_oracle(x, a, g) for x, a, g in cases]
+    assert {v.status for v in got} == set(SweepStatus)
 
 
 def test_stab_u_dimension_examples():

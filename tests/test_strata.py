@@ -343,13 +343,13 @@ def _count_closure_full_scans(monkeypatch):
 def test_wrong_wolfe_violations_match_oracle(monkeypatch, sec7_1):
     # zero on two-weight sets and doubled on three-weight sets: sub-supports
     # drop below their supports, and Y-members lose or change their label
-    real = strata.support_beta
+    real = strata.hull_min_norm
 
-    def wrong(a, x):
-        beta = real(a, x)
-        return beta.scale({2: 0, 3: 2}.get(len(a.support_weights(x)), 1))
+    def wrong(weights, q, ip):
+        beta = real(weights, q, ip)
+        return beta.scale({2: 0, 3: 2}.get(len(weights), 1))
 
-    monkeypatch.setattr(strata, "support_beta", wrong)
+    monkeypatch.setattr(strata, "hull_min_norm", wrong)
     full_scans = _count_closure_full_scans(monkeypatch)
     # P1 x P1 with twisted weights 5..8: every factor has two coordinates,
     # so the failing immediate pairs empty a two-coordinate factor part
