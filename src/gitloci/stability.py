@@ -191,34 +191,16 @@ def torus_status(
     return TORUS_STATUS[pos]
 
 
-def support_positions(
-    a: TorusAction, chi: RationalVector, *, relative: bool = False
-) -> Iterator[tuple[frozenset[int], HullPosition]]:
-    """Every support's weight hull against chi, as (coordinate set,
-    position) in `support_sets` order: the Hilbert-Mumford criterion checked
-    on a finite set of one-parameter subgroups.
-
-    A support's weight hull is the Minkowski sum of its factors' hulls, so
-    its support function h(u), the greatest <u, w> over the hull, is the
-    sum over the factors of the greatest <u, w_j> over the support's
-    coordinates j in that factor.  With d the denominator of chi, the slack
-    d * h(u) - <u, d * chi> is then a sum of entries of one table per
-    factor, indexed by the factor's coordinate subsets.  chi is outside the
-    hull if some slack is negative and interior if all are positive; with
-    `relative`, in the relative interior if each is positive or the hull
-    has zero width along it (slack(u) + slack(-u) = 0); on the boundary
-    otherwise.
-
-    The directions u are +- the primitive normals of the hyperplanes spanned
-    by rank - 1 independent vectors among the within-factor weight
-    differences and the axes, exact at every rank: each edge of a Minkowski
-    sum is parallel to an edge of a summand, here a within-factor
-    difference, so each facet of a full-dimensional hull spans such a
-    hyperplane; where the hull is lower-dimensional, axes complete its span
-    and each relative facet's to ones that cut out its affine span and its
-    relative facets.  At rank 1 this is +-e_1; at rank 2, the axes and the
-    perpendiculars of the differences.  The factors before the last are
-    summed into prefix rows, and the last factor's rows are streamed.
+def _directions(a: TorusAction) -> list[tuple[int, ...]]:
+    """+- the primitive normals of the hyperplanes spanned by rank - 1
+    independent vectors among the within-factor weight differences and the
+    axes, u and -u half the list apart.  They decide every support's hull:
+    each edge of a Minkowski sum is parallel to an edge of a summand, here a
+    within-factor difference, so each facet of a full-dimensional hull
+    spans such a hyperplane; where the hull is lower-dimensional, axes
+    complete its span and each relative facet's to ones that cut out its
+    affine span and its relative facets.  At rank 1 this is +-e_1; at rank
+    2, the axes and the perpendiculars of the differences.
     """
     ints = [tuple(map(int, w.entries)) for w in a.weights]
     spanning = {tuple(int(i == k) for i in range(a.rank)) for k in range(a.rank)}
@@ -228,9 +210,22 @@ def support_positions(
                 spanning.add(primitive_line(*map(operator.sub, ints[i], ints[j])))
     combos = itertools.combinations(spanning, a.rank - 1)
     dirs = sorted(set(filter(None, map(primitive_normal, combos))))
-    k = len(dirs)
-    dirs += [tuple(-x for x in u) for u in dirs]  # u and -u are k apart
+    return dirs + [tuple(-x for x in u) for u in dirs]
+
+
+def _slacks(
+    a: TorusAction, dirs: Sequence[tuple[int, ...]], chi: RationalVector
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Every support's slacks d * h(u) - <u, d * chi> along `dirs`, as
+    (coordinates, slacks) in `support_sets` order, d the denominator of chi
+    (at chi = 0, the support function h).  A support's weight hull is the
+    Minkowski sum of its factors' hulls, so h(u) is the sum over the factors
+    of the greatest <u, w_j> over the support's coordinates j there, one
+    entry of a table per factor by coordinate subset.  The factors before
+    the last are summed into prefix rows, and the last factor's are streamed.
+    """
     (dchi,), d = clear_denominators([chi.entries])
+    ints = [tuple(map(int, w.entries)) for w in a.weights]
     values = [[d * sum(map(operator.mul, u, w)) for u in dirs] for w in ints]
     rows = []  # per factor: (subset, its greatest values) by factor_subsets
     for subsets in a.factor_subsets():
@@ -250,17 +245,33 @@ def support_positions(
         ]
     for s0, acc in prefixes:
         for s, row in rows[-1]:
-            slack = list(map(operator.add, acc, row))
-            least = min(slack)
-            if least < 0:
-                pos = HullPosition.OUTSIDE
-            elif least > 0 or relative and all(
-                lo + hi == 0 or lo and hi for lo, hi in zip(slack[:k], slack[k:])
-            ):
-                pos = HullPosition.INTERIOR
-            else:
-                pos = HullPosition.BOUNDARY
-            yield frozenset(s0 + s), pos
+            yield s0 + s, list(map(operator.add, acc, row))
+
+
+def support_positions(
+    a: TorusAction, chi: RationalVector, *, relative: bool = False
+) -> Iterator[tuple[frozenset[int], HullPosition]]:
+    """Every support's weight hull against chi, as (coordinate set,
+    position) in `support_sets` order: the Hilbert-Mumford criterion on the
+    one-parameter subgroups `_directions`, exact at every rank.  chi is
+    outside the hull if some slack is negative and interior if all are
+    positive; with `relative`, in the relative interior if each is positive
+    or the hull has zero width along it (slack(u) + slack(-u) = 0); on the
+    boundary otherwise.
+    """
+    dirs = _directions(a)
+    k = len(dirs) // 2
+    for s, slack in _slacks(a, dirs, chi):
+        least = min(slack)
+        if least < 0:
+            pos = HullPosition.OUTSIDE
+        elif least > 0 or relative and all(
+            lo + hi == 0 or lo and hi for lo, hi in zip(slack[:k], slack[k:])
+        ):
+            pos = HullPosition.INTERIOR
+        else:
+            pos = HullPosition.BOUNDARY
+        yield frozenset(s), pos
 
 
 def destabilising_beta(

@@ -6,17 +6,17 @@ line (rank 1).  A wall is where some support becomes strictly semistable,
 which is on the boundary of that support's weight hull.  So in rank 2 every
 wall lies on a hull-edge line, the line of a polygon hull's edge or of a
 segment hull itself, and the complex is the one arrangement of those lines,
-decomposed once and labelled face by face.  Wall lines are found,
-deduplicated, ordered and signed as canonical integer triples (a, b, c) of
-a*x + b*y = c from the integer weights; each distinct one becomes a
-`Line2D` (the same triple) once, for the arrangement and the report.
+decomposed once and labelled face by face.  Wall lines are sums of
+per-factor weight values along the directions of
+`stability.support_positions`, found as canonical integer triples
+(a, b, c) of a*x + b*y = c; each distinct one becomes a `Line2D` (the same
+triple) once, for the arrangement and the report.
 
-Families are read off sign vectors, with no hull arithmetic per face.  A
-twist is in a polygon hull iff it is on no edge line's outer side.  A
-segment or point hull is cut out the same way by its own line and by other
-edge lines through its endpoints, which exist unless all weights are
-collinear.  So each support is a short list of (line, forbidden sign)
-conditions, checked against a face's signs.
+Families are read off sign vectors, with no hull arithmetic per face.  In
+every rank each support has one rule: it is semistable unless the twist is
+beyond a wall line <u, x> = h(u), for h the support's support function and
+u one of the same directions.  So each support is a short list of (line,
+forbidden sign) conditions, checked against a face's signs.
 
 A chamber is one GIT-equivalence class: the chamber faces with one support
 family form one chamber, sampled at the least of their samples.  GIT
@@ -26,7 +26,6 @@ joined through cells on which the family does not change.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,10 +48,9 @@ from .polytope import (
     chamber_decomposition_2d,
     convex_hull_2d_int,
     hull_position,
-    primitive_line,
     primitive_normal,
 )
-from .stability import RankUnsupported, support_positions
+from .stability import RankUnsupported, _directions, _slacks, support_positions
 
 
 class IneffectiveTwist(ValueError):
@@ -113,9 +111,9 @@ def _family_at(a: TorusAction, chi: RationalVector) -> frozenset[frozenset[int]]
 class _SignFamilies:
     """Support families as a function of a face's sign vector.
 
-    Each support's hull becomes a few conditions (index, forbidden sign): the
-    support is semistable on a face exactly when no condition's index carries
-    its forbidden sign there.  Per index and sign, the supports forbidding it
+    Each support is a few conditions (index, forbidden sign): it is
+    semistable on a face exactly when no condition's index carries its
+    forbidden sign there.  Per index and sign, the supports forbidding it
     form one bitmask, so a family costs one OR per index.  Families stay
     bitmasks, which compare as families do, until `supports` renders one.
     """
@@ -151,16 +149,31 @@ class _SignFamilies:
         return family
 
 
-def _rank1_families(a: TorusAction, values: Sequence[int]) -> _SignFamilies:
-    """Families over the signs of q - v for the sorted distinct weight values
-    v: a support is semistable iff q >= its least and q <= its greatest."""
-    position = {v: i for i, v in enumerate(values)}
+def _sign_families(
+    a: TorusAction, dirs: Sequence[tuple[int, ...]], lines: Sequence[tuple[int, ...]]
+) -> _SignFamilies:
+    """Families over the signs of the wall lines (*normal, offset), whose
+    normals are among `dirs`: each support forbids the outer side of every
+    wall line <u, x> = h(u), u in `dirs` and h its support function (the
+    slacks at the origin).
+
+    These conditions hold on the hull and cut it out: in rank 1 by its two
+    ends; in rank 2 a polygon by its edges, a segment by its own line, both
+    sides, and by a wall line through each end not parallel to it, and a
+    point by two non-parallel wall lines through it, both sides.  Those
+    exist unless all weights are collinear: a weight p with one coordinate
+    added is a segment support at p, and if all of these segments were
+    parallel every weight would lie on one line through p.
+    """
+    at = {u: {} for u in dirs}  # per direction: wall height -> condition
+    for i, (*normal, c) in enumerate(lines):
+        at[tuple(normal)][c] = (i, 1)
+        at[tuple(-x for x in normal)][-c] = (i, -1)
     keys, conditions = [], []
-    for sp in a.iter_supports():
-        ws = a.support_weights(sp)  # sorted, so the extremes come first and last
-        keys.append(sp.support)
-        conditions.append([(position[ws[0][0]], -1), (position[ws[-1][0]], 1)])
-    return _SignFamilies(keys, conditions, len(values))
+    for s, heights in _slacks(a, dirs, RationalVector.zero(a.rank)):
+        keys.append(frozenset(s))
+        conditions.append([c for c in map(dict.get, at.values(), heights) if c])
+    return _SignFamilies(keys, conditions, len(lines))
 
 
 def _rank2_walls(a: TorusAction) -> tuple[list[Line2D], _SignFamilies]:
@@ -168,29 +181,28 @@ def _rank2_walls(a: TorusAction) -> tuple[list[Line2D], _SignFamilies]:
     first pair of distinct weights comes among all pairs, and the families
     over their signs.
 
-    A polygon hull forbids the outer side of each edge's line.  A segment
-    forbids both sides of its own line, and beyond each endpoint the far side
-    of another edge line through that endpoint.  A point forbids both sides
-    of the first two edge lines through it.  Those lines exist: a weight p
-    with one coordinate added is a segment support at p, and if all of these
-    segments were parallel every weight would lie on one line through p.
+    Each edge is parallel to a within-factor weight difference, so its
+    normal u is among `_directions`.  Along u a support's face is the sum of
+    its factors' faces, an edge exactly when some factor f has two distinct
+    weights at its greatest value v, on the line <u, x> = v + the sum of
+    one value h_g of u at a weight of each other factor g.  Those two
+    weights and the h_g's coordinates make a support with that edge, so
+    every such sum is an edge line, found with no pass over the supports.
     """
-    points = a.support_weights()
-    position = {v: k for k, v in enumerate(points)}
-
-    @functools.cache
-    def through(p: int, q: int) -> tuple[int, int, int]:
-        (px, py), (qx, qy) = points[p], points[q]
-        nx, ny = py - qy, qx - px
-        return primitive_line(nx, ny, nx * px + ny * py)
-
-    hulls = []
+    points, w = a.support_weights(), a.weights
+    dirs = _directions(a)
     edges: set[tuple[int, int, int]] = set()
-    for sp in a.iter_supports():
-        hull = [position[v] for v in convex_hull_2d_int(a.support_weights(sp))]
-        hulls.append((sp.support, hull))
-        if len(hull) > 1:
-            edges.update(through(p, q) for p, q in zip(hull, hull[1:] + hull[:1]))
+    # the first half are the canonical normals, and -u gives the same lines
+    for u in dirs[: len(dirs) // 2]:
+        val = a.coordinate_values(RationalVector(u))
+        values = [{val[i] for i in blk} for blk in a.factor_partition]
+        for f, blk in enumerate(a.factor_partition):
+            pairs = itertools.combinations(blk, 2)
+            sums = {val[i] for i, j in pairs if val[i] == val[j] and w[i] != w[j]}
+            for g, vs in enumerate(values):
+                if g != f and sums:
+                    sums = {x + y for x in sums for y in vs}
+            edges.update((*u, c) for c in sums)
     sides = {
         (nx, ny, c): _signs(nx * x + ny * y - c for x, y in points)
         for nx, ny, c in edges
@@ -200,29 +212,7 @@ def _rank2_walls(a: TorusAction) -> tuple[list[Line2D], _SignFamilies]:
         return [k for k, s in enumerate(sides[ln]) if not s][:2]
 
     triples = sorted(edges, key=first_pair)
-    index = {ln: i for i, ln in enumerate(triples)}
-    table = [sides[ln] for ln in triples]
-    # the edge lines through each weight, in line order
-    at = [[i for i, row in enumerate(table) if not row[k]] for k in range(len(points))]
-
-    keys, conditions = [], []
-    for support, hull in hulls:
-        n = len(hull)
-        if n >= 3:
-            edge = [index[through(hull[i], hull[(i + 1) % n])] for i in range(n)]
-            conds = [(e, -table[e][hull[(i + 2) % n]]) for i, e in enumerate(edge)]
-        elif n == 2:
-            p, q = hull
-            own = index[through(p, q)]
-            tp = next(i for i in at[p] if i != own)
-            tq = next(i for i in at[q] if i != own)
-            conds = [(own, 1), (own, -1), (tp, -table[tp][q]), (tq, -table[tq][p])]
-        else:
-            conds = [(i, s) for i in at[hull[0]][:2] for s in (1, -1)]
-        keys.append(support)
-        conditions.append(conds)
-    lines = [Line2D(*ln) for ln in triples]
-    return lines, _SignFamilies(keys, conditions, len(lines))
+    return [Line2D(*ln) for ln in triples], _sign_families(a, dirs, triples)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +300,7 @@ def wall_hyperplane_candidates(
 def _rank1_complex(a: TorusAction) -> ChamberComplex:
     eff = effective_cone(a)
     values = [w for (w,) in a.support_weights()]  # sorted, distinct integers
-    labels = _rank1_families(a, values)
+    labels = _sign_families(a, _directions(a), [(1, v) for v in values])
 
     def family(q: Fraction) -> frozenset[frozenset[int]]:
         return labels.supports(labels.family([(q > v) - (q < v) for v in values]))
@@ -337,14 +327,14 @@ def _rank2_complex(a: TorusAction) -> ChamberComplex:
         raise DegenerateWeights(
             "all weights are collinear: the effective region has no interior"
         )
-    hull = convex_hull_2d_int(a.support_weights())
     lines, labels = _rank2_walls(a)
-    dec = chamber_decomposition_2d(Arrangement2D(lines, _expanded_region(hull)))
+    region = _expanded_region(eff.vertices)
+    dec = chamber_decomposition_2d(Arrangement2D(lines, region))
     families = {face.signs: labels.family(face.signs) for face in dec.faces}
     return _assemble(dec, families, labels, eff)
 
 
-def _expanded_region(hull: Sequence[Sequence[int]]) -> list[Halfspace]:
+def _expanded_region(hull: Sequence[RationalVector]) -> list[Halfspace]:
     """The open polygon of the CCW hull scaled by 2 about its centroid c,
     whose vertices are 2 * v - c.  An edge's inner normal is 2 * (-dy, dx)
     for the hull edge (dx, dy) from v, and its offset <normal, 2 * v - c>,
@@ -543,8 +533,6 @@ def verify_external_change(
     must equal the single lambda-extension family; symmetrically for mu.
     Twist overrides exist for negative controls.
     """
-    if a.rank > 2:
-        raise RankUnsupported("external-change check is exact for rank <= 2 only")
     epsilon = Fraction(epsilon)
     r_lambda = min(int(v) for v in m_lambda)
     r_mu = min(int(v) for v in m_mu)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gitloci.action import TorusAction, build_product_action
+from gitloci.action import TorusAction, build_external_extension, build_product_action
 from gitloci.polytope import (
     Arrangement2D,
     Line2D,
@@ -26,7 +26,6 @@ from gitloci.vgit import (
     _family_at,
     _flip,
     _flip_families,
-    _rank1_families,
     _rank2_walls,
     _SignFamilies,
     crossing_report,
@@ -364,6 +363,23 @@ def test_external_change_toy_passes_and_control_fails(external_toy):
     assert not rep_bad.lambda_check
 
 
+def test_external_change_on_a_rank3_base():
+    # sec7_1 with one external axis: the four families come off the
+    # per-factor tables, exact at every rank
+    base = build_external_extension(_sec71(), [i % 3 for i in range(9)], 10)
+    base = base.with_twist(V([Fraction(1, 3), Fraction(1, 5), 1]))
+    m_lambda = [int(i in (2, 10)) for i in range(11)]
+    m_mu = [int(i == 5) for i in range(11)]
+    rep = verify_external_change(base, m_lambda, m_mu, 10, Fraction(1, 2))
+    assert rep.passed
+    assert (len(rep.single_lambda_family), len(rep.single_mu_family)) == (72, 84)
+    bad = V([0, 0, 0, 0, Fraction(21, 2)])
+    control = verify_external_change(
+        base, m_lambda, m_mu, 10, Fraction(1, 2), twist_lambda_override=bad
+    )
+    assert not control.lambda_check
+
+
 def test_external_change_trivial_weights_degenerate():
     a = TorusAction(1, [V([0]), V([0])], IP1)
     rep = verify_external_change(a, [0, 0], [0, 0], 8, Fraction(1, 2))
@@ -579,7 +595,7 @@ def test_sign_labels_match_family_oracle_rank1():
         actions.append(build_product_action(factors))
     for a in actions:
         values = sorted({w.entries[0] for w in a.distinct_segre_weights()})
-        labels = _rank1_families(a, values)
+        labels = wall_chamber_decomposition(a).labels
         probes = set(values) | {values[0] - 1, values[-1] + 1}
         probes |= {(lo + hi) / 2 for lo, hi in zip(values, values[1:])}
         for q in sorted(probes):
@@ -634,17 +650,20 @@ def _p4():
     return build_product_action([fV, fV, fVd, fV])
 
 
-def test_edge_line_walls_match_pruned_pair_lines():
-    rng = random.Random(6421)
-    three = build_product_action(
+def _p3g():
+    return build_product_action(
         [
             TorusAction(2, [V([1, 0]), V([0, 1]), V([-1, -1])], IP2),
             TorusAction(2, [V([2, 0]), V([0, 1]), V([-1, -2])], IP2),
             TorusAction(2, [V([-1, 0]), V([0, -1]), V([1, 1])], IP2),
         ]
     )
+
+
+def test_edge_line_walls_match_pruned_pair_lines():
+    rng = random.Random(6421)
     actions = [_random_p2xp2(rng) for _ in range(8)]
-    actions += _collinear_and_coinciding() + [_sec71(), three, _p4()]
+    actions += _collinear_and_coinciding() + [_sec71(), _p3g(), _p4()]
     for a in actions:
         cc = wall_chamber_decomposition(a)
         assert cc == _pruned_complex(a), a.weights
@@ -724,8 +743,14 @@ def _random_rank2(rng):
 
 
 def test_integer_edge_lines_match_fraction_oracle():
+    # the walls are the oracle's edge lines, and their families, though
+    # built from other conditions, are the oracle's on every face of the
+    # walls' arrangement and on both sides of every cell
     rng = random.Random(1123)
-    actions = _collinear_and_coinciding() + [_sec71()]
+    repeated = TorusAction(2, [V([0, 0]), V([0, 0]), V([1, 0])], IP2)
+    plane = TorusAction(2, [V([0, 0]), V([1, 0]), V([0, 1])], IP2)
+    actions = _collinear_and_coinciding() + [_sec71(), _p3g(), _p4()]
+    actions.append(build_product_action([repeated, plane]))
     actions += [_random_p2xp2(rng) for _ in range(6)]
     actions += [_random_rank2(rng) for _ in range(12)]
     hull_sizes = set()
@@ -735,13 +760,41 @@ def test_integer_edge_lines_match_fraction_oracle():
         o_lines, _, o_keys, o_conditions = _fraction_walls(a, weights)
         assert lines == o_lines, a.weights
         oracle = _SignFamilies(o_keys, o_conditions, len(o_lines))
-        assert labels._keys == oracle._keys
-        assert labels._forbid == oracle._forbid, a.weights
+        region = _expanded_region(effective_cone(a).vertices)
+        dec = chamber_decomposition_2d(Arrangement2D(lines, region))
+        signs = [f.signs for f in dec.faces]
+        signs += [_flip(c.signs, c.line_index, s) for c in dec.cells() for s in (1, -1)]
+        for sv in signs:
+            got = _rendered(labels, labels.family(sv))
+            assert got == _rendered(oracle, oracle.family(sv)), (a.weights, sv)
         hull_sizes |= {
             min(len(convex_hull_2d_int(a.support_weights(sp))), 3)
             for sp in a.iter_supports()
         }
     assert hull_sizes == {1, 2, 3}  # point, segment and polygon supports
+
+
+def test_walls_build_no_hull_per_support(monkeypatch):
+    # walls and families come off per-factor values and tables: one hull,
+    # of all the weights, and no sumset for any support
+    from gitloci import polytope, vgit
+
+    calls = {"convex_hull_2d_int": 0, "support_weights": 0}
+    hull, weights = polytope.convex_hull_2d_int, TorusAction.support_weights
+
+    def counted_hull(points):
+        calls["convex_hull_2d_int"] += 1
+        return hull(points)
+
+    def counted_weights(self, support=None):
+        calls["support_weights"] += support is not None
+        return weights(self, support)
+
+    for module in (polytope, vgit):
+        monkeypatch.setattr(module, "convex_hull_2d_int", counted_hull)
+    monkeypatch.setattr(TorusAction, "support_weights", counted_weights)
+    assert wall_chamber_decomposition(_sec71()).walls
+    assert calls == {"convex_hull_2d_int": 1, "support_weights": 0}
 
 
 # ---------------------------------------------------------------------------
