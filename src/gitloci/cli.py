@@ -454,6 +454,15 @@ def _cmd_chambers(spec: LoadedSpec, args) -> dict:
 def _cmd_strata(spec: LoadedSpec, args) -> dict:
     action = _twist_for(spec, args)
     rep = verify_stratification(action)
+    # each beta rendered once: the report shares one entries tuple among a
+    # beta's supports, so its identity keys the text (hashing the Fractions
+    # would cost more than rendering them)
+    text: dict[int, list[str]] = {}
+    supports = {}
+    for s, beta in sorted(rep.support_beta.items(), key=lambda kv: sorted(kv[0])):
+        if id(beta) not in text:
+            text[id(beta)] = [_jq(v) for v in beta]
+        supports[",".join(str(i) for i in sorted(s))] = text[id(beta)]
     return {
         "betas": [
             {"beta": _jvec(b.beta), "norm_sq": _jq(b.norm_sq)} for b in rep.betas
@@ -462,12 +471,7 @@ def _cmd_strata(spec: LoadedSpec, args) -> dict:
             ",".join(_jq(v) for v in key): size
             for key, size in sorted(rep.stratum_sizes.items())
         },
-        "supports": {
-            ",".join(str(i) for i in sorted(s)): [_jq(v) for v in beta]
-            for s, beta in sorted(
-                rep.support_beta.items(), key=lambda kv: sorted(kv[0])
-            )
-        },
+        "supports": supports,
         "violations": list(rep.violations),
         "ok": rep.ok,
     }

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -101,9 +102,13 @@ class OneParamSubgroup:
     @staticmethod
     def dual_to(beta: RationalVector, ip: InnerProduct) -> "OneParamSubgroup":
         """lambda_beta: the smallest integral positive multiple of G beta, so
-        that <lambda_beta, alpha> is a positive multiple of <alpha, beta>."""
-        gb = RationalVector(RationalVector(row).dot(beta) for row in ip.gram)
-        return OneParamSubgroup.from_vector(gb)
+        that <lambda_beta, alpha> is a positive multiple of <alpha, beta>.
+        With d the denominator of beta, G (d beta) is an integer vector on
+        that ray, divided by the gcd of its entries."""
+        (db,), _ = clear_denominators([beta.entries])
+        gb = [sum(map(operator.mul, row, db)) for row in ip.gram]
+        g = math.gcd(*gb) or 1  # beta = 0 is refused by the constructor
+        return OneParamSubgroup([v // g for v in gb])
 
     def pairing(self, w: RationalVector) -> Fraction:
         return self.cochar.dot(w)

@@ -18,10 +18,15 @@ is in Y when its least Segre value is <lambda_beta, beta + chi>, and its
 retraction keeps each factor's argmin.
 
 `verify_stratification` decides each property for every valid support
-without comparing all pairs.  The closure order is checked on immediate
-sub-supports, since every valid sub-support is reached from its support
-through valid supports one coordinate at a time; all pairs are compared
-only to list violations once an immediate pair fails.  A stratum's
+without forming a support's weights or comparing all pairs.  beta is the
+minimum-norm point of a support's weight hull, the Minkowski sum of its
+factors' hulls, so Wolfe runs once per distinct hull, on vertices summed
+from per-factor tables of each coordinate subset's hull vertices.  The
+closure order is checked on immediate sub-supports, since every valid
+sub-support is reached from its support through valid supports one
+coordinate at a time: norm-squares are ranked as integers in support order,
+where each immediate sub-support sits at a fixed offset.  All pairs are
+compared only to list violations once an immediate pair fails.  A stratum's
 Y-members are enumerated rather than searched for: the least Segre value is
 a sum of per-factor minima, so a depth-first search over the factors, cut
 only where the remaining factors' minima cannot reach the level, yields
@@ -30,13 +35,21 @@ every member and no other support.
 
 from __future__ import annotations
 
+import collections
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .action import SupportPoint, TorusAction
-from .polytope import HullPosition, corral_points, hull_min_norm, hull_position
+from .polytope import (
+    HullPosition,
+    convex_hull_2d_int,
+    corral_points,
+    hull_min_norm,
+    hull_position,
+)
 from .qpoly import RationalVector
 from .stability import OneParamSubgroup, TorusStatus, torus_status
 
@@ -186,65 +199,64 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
     vanishing); (iii) the Y-semistable locus is the retraction preimage of
     the Z-semistable one, pointwise.  Violations are reported as data.
 
-    (ii) compares each support with its immediate sub-supports, those with
-    one coordinate removed from a factor that keeps one: a valid sub-support
-    is reached from its support through valid supports one coordinate at a
-    time, and a norm-square lower at the end of that chain is lower at some
-    step.  Only when an immediate pair fails are all pairs compared, which
-    lists every violation.  (iii) takes each beta's Y-members from
-    `_y_members`, which yields all of them in support order without testing
-    every support, and runs one hull test per distinct retracted weight set.
+    (i) runs Wolfe once per distinct weight hull, on the hull's vertices
+    from `_support_hulls`: beta is the hull's minimum-norm point, so no
+    support's full sumset is formed.  (ii) compares each support with its
+    immediate sub-supports, those with one coordinate removed from a factor
+    that keeps one: a valid sub-support is reached from its support through
+    valid supports one coordinate at a time, and a norm-square lower at the
+    end of that chain is lower at some step.  `_closure_order_holds` makes
+    these comparisons on integer norm ranks by flat index.  Only when an
+    immediate pair fails are all pairs compared, which lists every
+    violation.  (iii) takes each beta's Y-members from `_y_members`, which
+    yields all of them in support order without testing every support, and
+    runs one hull test per distinct retracted weight set.
     """
-    supports = list(a.iter_supports())
+    subsets = a.factor_subsets()
+    sets = list(a.support_sets())
+    hulls, vertices = _support_hulls(a, subsets)
+    # beta depends on a support only through its weight hull
     betas: dict[tuple[Fraction, ...], BetaIndex] = {}
-    by_support: dict[frozenset[int], RationalVector] = {}
+    by_hull: dict[int, BetaIndex] = {}
+    for h in dict.fromkeys(hulls):
+        beta = hull_min_norm(vertices[h], a.twist, a.ip)
+        bi = betas.get(beta.entries)
+        if bi is None:
+            bi = betas[beta.entries] = BetaIndex.from_beta(a, beta)
+        by_hull[h] = bi
+    rank = {v: r for r, v in enumerate(sorted({bi.norm_sq for bi in betas.values()}))}
+    hull_rank = {h: rank[bi.norm_sq] for h, bi in by_hull.items()}
+    norms = [hull_rank[h] for h in hulls]
+    by_support = {s: by_hull[h] for s, h in zip(sets, hulls)}
     sizes: dict[tuple[Fraction, ...], int] = {}
+    for h, count in collections.Counter(hulls).items():
+        key = by_hull[h].beta.entries
+        sizes[key] = sizes.get(key, 0) + count
     violations: list[dict] = []
 
-    norms: dict[frozenset[int], Fraction] = {}
-    # beta depends on a support only through its distinct weights
-    by_weights: dict[tuple[tuple[int, ...], ...], tuple[RationalVector, Fraction]] = {}
-    for sp in supports:
-        weights = a.support_weights(sp)
-        if weights not in by_weights:
-            beta = hull_min_norm(weights, a.twist, a.ip)
-            by_weights[weights] = beta, a.ip.norm_sq(beta)
-        beta, norms[sp.support] = by_weights[weights]
-        by_support[sp.support] = beta
-        key = beta.entries
-        sizes[key] = sizes.get(key, 0) + 1
-        if key not in betas:
-            betas[key] = BetaIndex.from_beta(a, beta)
-
     # (ii) closure order under sub-supports
-    if any(
-        norms[sp.support - {i}] < norms[sp.support]
-        for sp in supports
-        for part in a.per_factor_support(sp)
-        if len(part) > 1
-        for i in part
-    ):
-        for sp in supports:
-            base = norms[sp.support]
-            for sub in a.support_sets(sp):
-                if norms[sub] < base:
+    if not _closure_order_holds(subsets, norms):
+        by_set = dict(zip(sets, norms))
+        for s, base in zip(sets, norms):
+            for sub in a.support_sets(SupportPoint(s)):
+                if by_set[sub] < base:
                     violations.append(
                         {
                             "kind": "closure-order",
-                            "support": sorted(sp.support),
+                            "support": sorted(s),
                             "sub_support": sorted(sub),
                         }
                     )
 
     # (iii) Yss = p^{-1}(Zss) for every nonzero index
-    subsets = a.factor_subsets()
     for key, bi in sorted(betas.items()):
-        if bi.beta.is_zero():
+        if bi.lambda_beta is None:
             continue
-        values, level = _functional(a, bi.beta)
+        untwisted = bi.beta + a.twist  # beta against the untwisted weights
+        level = bi.lambda_beta.pairing(untwisted)
         if level.denominator != 1:
             continue  # Segre values are integers: no Y-members
-        untwisted = bi.beta + a.twist  # beta against the untwisted weights
+        values = a.coordinate_values(bi.lambda_beta.cochar)
         # Zss membership per retracted weight set, read once per retraction
         by_weights_ss: dict[tuple[tuple[int, ...], ...], bool] = {}
         by_retraction: dict[tuple[int, ...], bool] = {}
@@ -255,7 +267,9 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
                     pos = hull_position(weights, untwisted)
                     by_weights_ss[weights] = pos is not HullPosition.OUTSIDE
                 by_retraction[retracted] = by_weights_ss[weights]
-            lhs = by_support[support] == bi.beta  # lambda_beta adapted to it
+            # its own beta is this one (one BetaIndex per beta): lambda_beta
+            # is adapted to it
+            lhs = by_support[support] is bi
             if lhs != by_retraction[retracted]:
                 violations.append(
                     {
@@ -266,8 +280,103 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
                 )
 
     ordered = [betas[k] for k in sorted(betas)]
-    labels = {s: beta.entries for s, beta in by_support.items()}
+    labels = {s: bi.beta.entries for s, bi in by_support.items()}
     return StratificationReport(tuple(ordered), sizes, labels, tuple(violations))
+
+
+_Points = tuple[tuple[int, ...], ...]
+
+
+def _vertices(points: set[tuple[int, ...]], rank: int) -> _Points:
+    """The sorted vertices of the hull of distinct integer points: the
+    extremes at rank 1 and `convex_hull_2d_int` at rank 2.  Above that every
+    point is kept, a superset of the vertices with the same hull."""
+    if rank == 1:
+        return tuple(sorted({min(points), max(points)}))
+    if rank == 2:
+        return tuple(sorted(convex_hull_2d_int(points)))
+    return tuple(sorted(points))
+
+
+def _support_hulls(
+    a: TorusAction, subsets: list[list[tuple[int, ...]]]
+) -> tuple[list[int], list[_Points]]:
+    """Every support's untwisted weight hull, as a number in `support_sets`
+    order, and the vertices of each numbered hull (numbers also go to the
+    factors' hulls and to partial sums).
+
+    A support's hull is the Minkowski sum of its factors' hulls, and every
+    vertex of that sum is a sum of the factors' vertices.  So each factor's
+    subsets are tabled by the vertices of their weights, and a support's
+    vertices are formed one factor at a time, pruned after each step.  Each
+    step sums every row of the factors before it, so a prefix is summed
+    once for all of the factors after it, and a sum is formed once per
+    distinct pair of hulls.
+    """
+    ints = [tuple(map(int, w.entries)) for w in a.weights]
+    numbers: dict[_Points, int] = {}
+    vertices: list[_Points] = []
+
+    def number(pts: _Points) -> int:
+        if pts not in numbers:
+            numbers[pts] = len(vertices)
+            vertices.append(pts)
+        return numbers[pts]
+
+    sums: dict[tuple[int, int], int] = {}
+
+    def add(p: int, q: int) -> int:
+        if (p, q) not in sums:
+            pts = {
+                tuple(map(operator.add, x, y)) for x in vertices[p] for y in vertices[q]
+            }
+            sums[p, q] = number(_vertices(pts, a.rank))
+        return sums[p, q]
+
+    tables = [
+        [number(_vertices({ints[i] for i in s}, a.rank)) for s in factor]
+        for factor in subsets
+    ]
+    rows = tables[0]
+    for table in tables[1:]:
+        rows = [add(p, q) for p in rows for q in table]
+    return rows, vertices
+
+
+def _closure_order_holds(
+    subsets: list[list[tuple[int, ...]]], norms: list[int]
+) -> bool:
+    """Whether no support's norm rank exceeds an immediate sub-support's, for
+    ranks given in `support_sets` order.
+
+    A support's flat index there is sum_k j_k * stride_k, j_k the index of
+    its subset in factor k's `factor_subsets` and stride_k the product of the
+    later factors' subset counts.  Removing one coordinate from subset j
+    gives an earlier subset c of the same factor, so the immediate
+    sub-support sits at the support's index plus (c - j) * stride_k; these
+    offsets are tabled per factor and subset.
+    """
+    steps = []
+    stride = 1
+    for factor in reversed(subsets):
+        index = {s: j for j, s in enumerate(factor)}
+        # a single coordinate is never removed: the factor must keep one
+        steps.append(
+            [
+                tuple((index[s[:m] + s[m + 1 :]] - j) * stride for m in range(len(s)))
+                if len(s) > 1
+                else ()
+                for j, s in enumerate(factor)
+            ]
+        )
+        stride *= len(factor)
+    for idx, parts in enumerate(itertools.product(*reversed(steps))):
+        base = norms[idx]
+        for part in parts:
+            for off in part:
+                if norms[idx + off] < base:
+                    return False
+    return True
 
 
 def _y_members(

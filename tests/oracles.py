@@ -8,8 +8,11 @@ against.  No code of the package calls them.
 reference for `polytope._hull_membership_lp`.  `facet_normal_candidates` is
 a finite certificate set for the semistability of a rank <= 2 support, the
 reference for hull membership and for the Hilbert-Mumford minimisers.
-`support_positions_scan` places every support's weight hull by one
-`hull_position` call each, the reference for `stability.support_positions`.
+`dual_to_oracle` is lambda_beta as the primitive multiple of the `Fraction`
+vector G beta, the reference for `stability.OneParamSubgroup.dual_to`, which
+works on the integers.  `support_positions_scan` places every support's
+weight hull by one `hull_position` call each, the reference for
+`stability.support_positions`.
 `verify_stratification_oracle` checks the stratification by full scans: every
 (support, sub-support) pair for the closure order, and every support against
 every beta for the retraction; it is the reference for
@@ -49,6 +52,7 @@ from gitloci.qpoly import (
     CommonZeroResult,
     CZStatus,
     EmptyInput,
+    InnerProduct,
     RationalVector,
     _divisors,
     _grid_witnesses,
@@ -266,6 +270,15 @@ def facet_normal_candidates(points: Sequence[RationalVector]) -> list[RationalVe
         inner = RationalVector([-d.entries[1], d.entries[0]])  # CCW inner normal
         candidates.append(inner)
     return candidates
+
+
+def dual_to_oracle(
+    beta: RationalVector, ip: InnerProduct
+) -> stability.OneParamSubgroup:
+    """lambda_beta from the `Fraction` vector G beta, by `RationalVector.dot`
+    on each row of the Gram matrix."""
+    gb = RationalVector(RationalVector(row).dot(beta) for row in ip.gram)
+    return stability.OneParamSubgroup.from_vector(gb)
 
 
 def support_positions_scan(

@@ -45,6 +45,7 @@ from gitloci.stability import (
     x_min,
 )
 from oracles import (
+    dual_to_oracle,
     facet_normal_candidates,
     h_stable_explicit_oracle,
     support_positions_scan,
@@ -667,3 +668,27 @@ def test_lambda_beta_destabilises_under_any_form():
             assert hm_mu(a, sp, lam) == -lam.pairing(beta) < 0
             assert BetaIndex.from_beta(a, beta).lambda_beta == lam
             checked += 1
+
+
+def test_dual_to_matches_fraction_oracle():
+    rng = random.Random(2020)
+    forms = [
+        IP1,
+        IP2,
+        InnerProduct([[2, 1], [1, 3]]),
+        InnerProduct.identity(3),
+        InnerProduct([[3, -1, 0], [-1, 2, 1], [0, 1, 4]]),
+    ]
+    checked = 0
+    for ip in forms:
+        for _ in range(40):
+            beta = V(
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(ip.rank)]
+            )
+            if beta.is_zero():
+                with pytest.raises(ValueError):
+                    OneParamSubgroup.dual_to(beta, ip)
+                continue
+            assert OneParamSubgroup.dual_to(beta, ip) == dual_to_oracle(beta, ip)
+            checked += 1
+    assert checked > 150

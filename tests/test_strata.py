@@ -6,8 +6,13 @@ import pytest
 from oracles import verify_stratification_oracle
 
 from gitloci import strata
-from gitloci.action import SupportPoint, TorusAction, build_product_action
-from gitloci.polytope import PointSet, min_norm_point
+from gitloci.action import (
+    SupportPoint,
+    TorusAction,
+    build_external_extension,
+    build_product_action,
+)
+from gitloci.polytope import PointSet, convex_hull_2d_int, min_norm_point
 from gitloci.qpoly import InnerProduct, RationalVector
 from gitloci.stability import TorusStatus, destabilising_beta, torus_status
 from gitloci.strata import (
@@ -325,6 +330,148 @@ def test_verify_stratification_matches_full_scan_oracle(ex1_7, sec7_1):
         assert rep == verify_stratification_oracle(a), a
 
 
+# two P^3 lines under a rank-1 torus, the shape of the benchmark's rank-1
+# strata inputs: 225 supports, 60 distinct weight hulls
+TWO_LINES = ((-3, 2, -2, 1), (3, 1, -3, 0))
+
+
+def _lines(*factors):
+    return build_product_action(
+        [TorusAction(1, [V([w]) for w in ws], IP1) for ws in factors]
+    )
+
+
+def _plane(*factors):
+    return build_product_action(
+        [TorusAction(2, [V(w) for w in ws], IP2) for ws in factors]
+    )
+
+
+def test_verify_stratification_matches_oracle_where_vertices_prune(sec7_1):
+    # inputs where a factor's or a partial sum's weights are not all hull
+    # vertices, so Wolfe sees fewer points than the oracle's sumsets
+    twist = V([Fraction(1, 2), Fraction(-1, 3)])
+    collinear = _plane([(0, 0), (1, 0), (2, 0)], [(0, 1), (-1, 0), (1, -1)])
+    inside = _plane([(0, 0), (3, 0), (0, 3), (1, 1)], [(-1, -1), (1, 0)])
+    repeated = _plane([(1, 0), (1, 0), (0, 1)], [(-1, 0), (0, -1), (0, 0)])
+    actions = [
+        collinear,
+        collinear.with_twist(V([1, Fraction(1, 2)])),
+        inside,
+        inside.with_twist(twist),
+        repeated,
+        repeated.with_twist(twist),
+        _lines(*TWO_LINES),
+        _lines(*TWO_LINES).with_twist(V([Fraction(3, 2)])),
+    ]
+    rng = random.Random(2026)
+    for rank, ip in ((1, IP1), (2, IP2), (2, InnerProduct([[2, 1], [1, 3]]))):
+        for _ in range(6):
+            factors = [
+                TorusAction(
+                    rank,
+                    [
+                        V([rng.randint(-2, 2) for _ in range(rank)])
+                        for _ in range(rng.randint(2, 4))
+                    ],
+                    ip,
+                )
+                for _ in range(rng.randint(2, 3))
+            ]
+            twist = V(
+                [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rank)]
+            )
+            actions.append(build_product_action(factors).with_twist(twist))
+    # rank 3, where every distinct weight is passed to Wolfe
+    ext = build_external_extension(sec7_1.action, [0, 1, 2, 0, 2, 1, 1, 0, 2], 10)
+    actions += [ext, ext.with_twist(V([Fraction(1, 2), Fraction(-1, 3), 5]))]
+    for a in actions:
+        rep = verify_stratification(a)
+        want = verify_stratification_oracle(a)
+        assert list(rep.violations) == list(want.violations), a
+        assert rep == want, a
+
+
+def test_verify_stratification_reads_no_support_sumset(monkeypatch, sec7_1):
+    # check (i) keys Wolfe on per-factor vertex tables: no support's weights
+    # are formed before check (iii) retracts its Y-members, and Wolfe runs
+    # once per distinct weight hull
+    log = []
+    inner_weights = TorusAction.support_weights
+
+    def counted_weights(self, support=None):
+        if support is not None:
+            log.append("weights")
+        return inner_weights(self, support)
+
+    monkeypatch.setattr(TorusAction, "support_weights", counted_weights)
+    inner_members = strata._y_members
+
+    def marked_members(*args):
+        log.append("check (iii)")
+        return inner_members(*args)
+
+    monkeypatch.setattr(strata, "_y_members", marked_members)
+    wolfe = []
+    inner_wolfe = strata.hull_min_norm
+
+    def counted_wolfe(points, q, ip):
+        wolfe.append(tuple(points))
+        return inner_wolfe(points, q, ip)
+
+    monkeypatch.setattr(strata, "hull_min_norm", counted_wolfe)
+    lines = _lines(*TWO_LINES)
+    for a in (sec7_1.action, lines):
+        log.clear()
+        wolfe.clear()
+        assert verify_stratification(a).ok
+        before = log[: log.index("check (iii)")] if "check (iii)" in log else log
+        assert before == []
+        assert len(set(wolfe)) == len(wolfe)
+    hulls = {
+        (min(ws), max(ws))
+        for ws in (inner_weights(lines, sp) for sp in lines.iter_supports())
+    }
+    assert len(wolfe) == len(hulls) == 60
+
+
+def test_closure_order_walk_matches_set_differences():
+    # the flat-index walk against immediate sub-supports found by removing
+    # each coordinate from each factor part that keeps one, on norm ranks
+    # with no failing pair, one planted failing pair, and random ones
+    rng = random.Random(77)
+    layouts = [
+        [[0]],
+        [[0, 1, 2]],
+        [[0, 1], [2, 3]],
+        [[0], [1, 2, 3]],
+        [[0, 1, 2], [3], [4, 5]],
+    ]
+    for layout in layouts:
+        coords = sum(map(len, layout))
+        a = TorusAction(1, [V([0])] * coords, IP1, factor_partition=layout)
+        subsets = a.factor_subsets()
+        sets = list(a.support_sets())
+        position = {sp: k for k, sp in enumerate(sets)}
+        pairs = [
+            (position[sp], position[sp - {i}])
+            for sp in sets
+            for part in a.per_factor_support(SupportPoint(sp))
+            if len(part) > 1
+            for i in part
+        ]
+        monotone = [len(layout) * 9 - len(sp) for sp in sets]
+        assert strata._closure_order_holds(subsets, monotone)
+        for sup, sub in pairs:
+            planted = list(monotone)
+            planted[sub] = -1
+            assert not strata._closure_order_holds(subsets, planted), (layout, sup, sub)
+        for _ in range(30):
+            norms = [rng.randint(0, 3) for _ in sets]
+            want = all(norms[sub] >= norms[sup] for sup, sub in pairs)
+            assert strata._closure_order_holds(subsets, norms) == want, layout
+
+
 def _count_closure_full_scans(monkeypatch):
     """Count the `support_sets(within=...)` calls, which only the full
     closure-order scan makes."""
@@ -340,14 +487,31 @@ def _count_closure_full_scans(monkeypatch):
     return calls
 
 
+def _hull_size(points):
+    """A size of the hull of integer points that does not depend on which
+    points besides its vertices are given: its integer points at rank 1,
+    its vertices at rank 2, every point at rank 3 (where
+    `verify_stratification` passes Wolfe the whole distinct sumset, as the
+    oracle does)."""
+    points = list(points)
+    if len(points[0]) == 1:
+        return max(points)[0] - min(points)[0] + 1
+    if len(points[0]) == 2:
+        return len(convex_hull_2d_int(points))
+    return len(set(points))
+
+
 def test_wrong_wolfe_violations_match_oracle(monkeypatch, sec7_1):
-    # zero on two-weight sets and doubled on three-weight sets: sub-supports
-    # drop below their supports, and Y-members lose or change their label
+    # zero on hulls of size two and doubled on hulls of size three or four:
+    # sub-supports drop below their supports, and Y-members lose or change
+    # their label.  The size is read from the hull, not from the point
+    # count: the oracle passes Wolfe a support's sumset, the check its
+    # hull's vertices.
     real = strata.hull_min_norm
 
     def wrong(weights, q, ip):
         beta = real(weights, q, ip)
-        return beta.scale({2: 0, 3: 2}.get(len(weights), 1))
+        return beta.scale({2: 0, 3: 2, 4: 2}.get(_hull_size(weights), 1))
 
     monkeypatch.setattr(strata, "hull_min_norm", wrong)
     full_scans = _count_closure_full_scans(monkeypatch)
