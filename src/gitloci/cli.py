@@ -459,7 +459,7 @@ def _cmd_strata(spec: LoadedSpec, args) -> dict:
     # would cost more than rendering them)
     text: dict[int, list[str]] = {}
     supports = {}
-    for s, beta in sorted(rep.support_beta.items(), key=lambda kv: sorted(kv[0])):
+    for s, beta in rep.support_beta.items():
         if id(beta) not in text:
             text[id(beta)] = [_jq(v) for v in beta]
         supports[",".join(str(i) for i in sorted(s))] = text[id(beta)]

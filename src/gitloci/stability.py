@@ -207,7 +207,7 @@ def _directions(a: TorusAction) -> list[tuple[int, ...]]:
     affine span and its relative facets.  At rank 1 this is +-e_1; at rank
     2, the axes and the perpendiculars of the differences.
     """
-    ints = [tuple(map(int, w.entries)) for w in a.weights]
+    ints = a._int_weights
     spanning = {tuple(int(i == k) for i in range(a.rank)) for k in range(a.rank)}
     for blk in a.factor_partition:
         for i, j in itertools.combinations(blk, 2):
@@ -220,19 +220,20 @@ def _directions(a: TorusAction) -> list[tuple[int, ...]]:
 
 def _slacks(
     a: TorusAction, dirs: Sequence[tuple[int, ...]], chi: RationalVector
-) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """Every support's slacks d * h(u) - <u, d * chi> along `dirs`, as
-    (coordinates, slacks) in `support_sets` order, d the denominator of chi
-    (at chi = 0, the support function h).  A support's weight hull is the
+) -> Iterator[list[int]]:
+    """Every support's slacks d * h(u) - <u, d * chi> along `dirs`, one row
+    per support in `support_sets` order, d the denominator of chi (at
+    chi = 0, the support function h).  A support's weight hull is the
     Minkowski sum of its factors' hulls, so h(u) is the sum over the factors
     of the greatest <u, w_j> over the support's coordinates j there, one
     entry of a table per factor by coordinate subset.  The factors before
     the last are summed into prefix rows, and the last factor's are streamed.
     """
     (dchi,), d = clear_denominators([chi.entries])
-    ints = [tuple(map(int, w.entries)) for w in a.weights]
-    values = [[d * sum(map(operator.mul, u, w)) for u in dirs] for w in ints]
-    rows = []  # per factor: (subset, its greatest values) by factor_subsets
+    values = [
+        [d * sum(map(operator.mul, u, w)) for u in dirs] for w in a._int_weights
+    ]
+    rows = []  # per factor: its subsets' greatest values, by factor_subsets
     for subsets in a.factor_subsets():
         table: dict[tuple[int, ...], list[int]] = {}
         for s in subsets:
@@ -240,17 +241,15 @@ def _slacks(
             table[s] = values[s[0]] if len(s) == 1 else list(
                 map(max, table[s[:-1]], values[s[-1]])
             )
-        rows.append(list(table.items()))
-    prefixes = [((), [-sum(map(operator.mul, u, dchi)) for u in dirs])]
+        rows.append(list(table.values()))
+    prefixes = [[-sum(map(operator.mul, u, dchi)) for u in dirs]]
     for factor in rows[:-1]:
         prefixes = [
-            (s0 + s, list(map(operator.add, acc, row)))
-            for s0, acc in prefixes
-            for s, row in factor
+            list(map(operator.add, acc, row)) for acc in prefixes for row in factor
         ]
-    for s0, acc in prefixes:
-        for s, row in rows[-1]:
-            yield s0 + s, list(map(operator.add, acc, row))
+    for acc in prefixes:
+        for row in rows[-1]:
+            yield list(map(operator.add, acc, row))
 
 
 def support_positions(
@@ -266,7 +265,7 @@ def support_positions(
     """
     dirs = _directions(a)
     k = len(dirs) // 2
-    for s, slack in _slacks(a, dirs, chi):
+    for s, slack in zip(a.support_sets(), _slacks(a, dirs, chi)):
         least = min(slack)
         if least < 0:
             pos = HullPosition.OUTSIDE
@@ -276,7 +275,7 @@ def support_positions(
             pos = HullPosition.INTERIOR
         else:
             pos = HullPosition.BOUNDARY
-        yield frozenset(s), pos
+        yield s, pos
 
 
 def destabilising_beta(

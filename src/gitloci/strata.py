@@ -30,7 +30,8 @@ compared only to list violations once an immediate pair fails.  A stratum's
 Y-members are enumerated rather than searched for: the least Segre value is
 a sum of per-factor minima, so a depth-first search over the factors, cut
 only where the remaining factors' minima cannot reach the level, yields
-every member and no other support.
+every member by its flat position in support order, with its retraction's.
+Z-semistability is then one test per retraction hull and beta, on its vertices.
 """
 
 from __future__ import annotations
@@ -208,9 +209,10 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
     end of that chain is lower at some step.  `_closure_order_holds` makes
     these comparisons on integer norm ranks by flat index.  Only when an
     immediate pair fails are all pairs compared, which lists every
-    violation.  (iii) takes each beta's Y-members from `_y_members`, which
-    yields all of them in support order without testing every support, and
-    runs one hull test per distinct retracted weight set.
+    violation.  (iii) takes the flat indices of each beta's Y-members and
+    of their retractions from `_y_members`, without testing every support,
+    and reads a member's beta from its hull and the retraction's
+    Z-semistability from one hull test per retraction hull and beta.
     """
     subsets = a.factor_subsets()
     sets = list(a.support_sets())
@@ -227,7 +229,6 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
     rank = {v: r for r, v in enumerate(sorted({bi.norm_sq for bi in betas.values()}))}
     hull_rank = {h: rank[bi.norm_sq] for h, bi in by_hull.items()}
     norms = [hull_rank[h] for h in hulls]
-    by_support = {s: by_hull[h] for s, h in zip(sets, hulls)}
     sizes: dict[tuple[Fraction, ...], int] = {}
     for h, count in collections.Counter(hulls).items():
         key = by_hull[h].beta.entries
@@ -257,30 +258,26 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
         if level.denominator != 1:
             continue  # Segre values are integers: no Y-members
         values = a.coordinate_values(bi.lambda_beta.cochar)
-        # Zss membership per retracted weight set, read once per retraction
-        by_weights_ss: dict[tuple[tuple[int, ...], ...], bool] = {}
-        by_retraction: dict[tuple[int, ...], bool] = {}
-        for support, retracted in _y_members(subsets, values, int(level)):
-            if retracted not in by_retraction:
-                weights = a.support_weights(SupportPoint(retracted))
-                if weights not in by_weights_ss:
-                    pos = hull_position(weights, untwisted)
-                    by_weights_ss[weights] = pos is not HullPosition.OUTSIDE
-                by_retraction[retracted] = by_weights_ss[weights]
+        # Zss membership per retraction's hull number, decided once per hull
+        z_ss: dict[int, bool] = {}
+        for idx, ridx in _y_members(subsets, values, int(level)):
+            h = hulls[ridx]
+            if h not in z_ss:
+                pos = hull_position(vertices[h], untwisted)
+                z_ss[h] = pos is not HullPosition.OUTSIDE
             # its own beta is this one (one BetaIndex per beta): lambda_beta
             # is adapted to it
-            lhs = by_support[support] is bi
-            if lhs != by_retraction[retracted]:
+            if (by_hull[hulls[idx]] is bi) != z_ss[h]:
                 violations.append(
                     {
                         "kind": "retraction-semistability",
-                        "support": sorted(support),
+                        "support": sorted(sets[idx]),
                         "beta": [str(v) for v in bi.beta.entries],
                     }
                 )
 
     ordered = [betas[k] for k in sorted(betas)]
-    labels = {s: bi.beta.entries for s, bi in by_support.items()}
+    labels = {s: by_hull[h].beta.entries for s, h in zip(sets, hulls)}
     return StratificationReport(tuple(ordered), sizes, labels, tuple(violations))
 
 
@@ -313,7 +310,6 @@ def _support_hulls(
     once for all of the factors after it, and a sum is formed once per
     distinct pair of hulls.
     """
-    ints = [tuple(map(int, w.entries)) for w in a.weights]
     numbers: dict[_Points, int] = {}
     vertices: list[_Points] = []
 
@@ -334,7 +330,7 @@ def _support_hulls(
         return sums[p, q]
 
     tables = [
-        [number(_vertices({ints[i] for i in s}, a.rank)) for s in factor]
+        [number(_vertices({a._int_weights[i] for i in s}, a.rank)) for s in factor]
         for factor in subsets
     ]
     rows = tables[0]
@@ -381,39 +377,41 @@ def _closure_order_holds(
 
 def _y_members(
     subsets: list[list[tuple[int, ...]]], values: Sequence[int], level: int
-) -> Iterator[tuple[frozenset[int], tuple[int, ...]]]:
+) -> Iterator[tuple[int, int]]:
     """The supports whose least Segre value is `level`, each with its
-    retraction's coordinates, in `support_sets` order.
+    retraction, as flat indices in `support_sets` order, in that order.
 
     A support's least Segre value is the sum of its per-factor minima, so
-    each factor's subsets are tabled with their least value and argmin, and
-    the factors are searched depth-first in `factor_subsets` order.  A
-    partial sum is dropped once the remaining factors' least or greatest
-    minima (their least and greatest coordinate values) cannot bring it to
-    the level, which never drops a member.
+    each factor's subsets are tabled with their least value and the flat
+    offsets (as in `_closure_order_holds`) of the subset and its argmin,
+    and the factors are searched depth-first, summing offsets.  A partial
+    sum is dropped once the remaining factors' least or greatest minima
+    (their least and greatest coordinate values) cannot bring it to the
+    level, which never drops a member.
     """
-    tables = []
-    for factor in subsets:
+    # from the last factor: its rows, and the sums of minima from it on
+    tables, least, greatest, stride = [], [0], [0], 1
+    for factor in reversed(subsets):
+        index = {s: j for j, s in enumerate(factor)}
         rows = []
-        for s in factor:
+        for j, s in enumerate(factor):
             lo = min(values[i] for i in s)
-            rows.append((lo, s, tuple(i for i in s if values[i] == lo)))
+            arg = tuple(i for i in s if values[i] == lo)
+            rows.append((lo, j * stride, index[arg] * stride))
         tables.append(rows)
-    # the least and greatest sums of minima over the factors from k on
-    least, greatest = [0], [0]
-    for rows in reversed(tables):
         least.append(least[-1] + min(r[0] for r in rows))
         greatest.append(greatest[-1] + max(r[0] for r in rows))
-    least.reverse()
-    greatest.reverse()
+        stride *= len(factor)
+    for seq in (tables, least, greatest):
+        seq.reverse()
 
-    def walk(k, total, support, retracted):
+    def walk(k, total, idx, ridx):
         if k == len(tables):
-            yield frozenset(support), retracted
+            yield idx, ridx
             return
-        for lo, s, arg in tables[k]:
+        for lo, j, r in tables[k]:
             rest = level - total - lo
             if least[k + 1] <= rest <= greatest[k + 1]:
-                yield from walk(k + 1, total + lo, support + s, retracted + arg)
+                yield from walk(k + 1, total + lo, idx + j, ridx + r)
 
-    return walk(0, 0, (), ())
+    return walk(0, 0, 0, 0)

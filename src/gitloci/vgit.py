@@ -169,11 +169,11 @@ def _sign_families(
     for i, (*normal, c) in enumerate(lines):
         at[tuple(normal)][c] = (i, 1)
         at[tuple(-x for x in normal)][-c] = (i, -1)
-    keys, conditions = [], []
-    for s, heights in _slacks(a, dirs, RationalVector.zero(a.rank)):
-        keys.append(frozenset(s))
-        conditions.append([c for c in map(dict.get, at.values(), heights) if c])
-    return _SignFamilies(keys, conditions, len(lines))
+    conditions = [
+        [c for c in map(dict.get, at.values(), heights) if c]
+        for heights in _slacks(a, dirs, RationalVector.zero(a.rank))
+    ]
+    return _SignFamilies(list(a.support_sets()), conditions, len(lines))
 
 
 def _rank2_walls(a: TorusAction) -> tuple[list[Line2D], _SignFamilies]:

@@ -393,25 +393,18 @@ def test_verify_stratification_matches_oracle_where_vertices_prune(sec7_1):
 
 
 def test_verify_stratification_reads_no_support_sumset(monkeypatch, sec7_1):
-    # check (i) keys Wolfe on per-factor vertex tables: no support's weights
-    # are formed before check (iii) retracts its Y-members, and Wolfe runs
-    # once per distinct weight hull
+    # every check reads supports by flat position in per-factor tables: no
+    # support's weights are formed (check (iii) tests each retraction's
+    # hull vertices), and Wolfe runs once per distinct weight hull
     log = []
     inner_weights = TorusAction.support_weights
 
     def counted_weights(self, support=None):
         if support is not None:
-            log.append("weights")
+            log.append(support)
         return inner_weights(self, support)
 
     monkeypatch.setattr(TorusAction, "support_weights", counted_weights)
-    inner_members = strata._y_members
-
-    def marked_members(*args):
-        log.append("check (iii)")
-        return inner_members(*args)
-
-    monkeypatch.setattr(strata, "_y_members", marked_members)
     wolfe = []
     inner_wolfe = strata.hull_min_norm
 
@@ -425,8 +418,7 @@ def test_verify_stratification_reads_no_support_sumset(monkeypatch, sec7_1):
         log.clear()
         wolfe.clear()
         assert verify_stratification(a).ok
-        before = log[: log.index("check (iii)")] if "check (iii)" in log else log
-        assert before == []
+        assert log == []
         assert len(set(wolfe)) == len(wolfe)
     hulls = {
         (min(ws), max(ws))
@@ -470,6 +462,45 @@ def test_closure_order_walk_matches_set_differences():
             norms = [rng.randint(0, 3) for _ in sets]
             want = all(norms[sub] >= norms[sup] for sup, sub in pairs)
             assert strata._closure_order_holds(subsets, norms) == want, layout
+
+
+def test_y_members_walk_matches_support_scan():
+    # the positional walk, decoded through `support_sets`, against a scan of
+    # every support: the members of a level are the supports whose least
+    # Segre value is that level, in support order, each retracting onto its
+    # per-factor argmin; levels are every attained value and one that is not
+    rng = random.Random(2121)
+
+    def weight(rank):
+        return [rng.randint(-2, 2) for _ in range(rank)]
+
+    for rank in (1, 2, 3):
+        ip = InnerProduct.identity(rank)
+        for _ in range(4):
+            factors = []
+            for _ in range(rng.randint(1, 3)):
+                ws = [weight(rank)]
+                for _ in range(rng.randint(0, 3)):
+                    # some weights repeat an earlier one of their factor
+                    ws.append(rng.choice(ws) if rng.random() < 0.3 else weight(rank))
+                factors.append(TorusAction(rank, [V(w) for w in ws], ip))
+            a = build_product_action(factors)
+            subsets = a.factor_subsets()
+            sets = list(a.support_sets())
+            for _ in range(3):
+                cochar = V([rng.randint(-3, 3) for _ in range(rank)])
+                values = a.coordinate_values(cochar)
+                scan = []
+                for s in sets:
+                    sp = SupportPoint(s)
+                    argmin = frozenset().union(*a.segre_argmin(values, sp))
+                    scan.append((s, a.segre_min(values, sp), argmin))
+                attained = sorted({m for _, m, _ in scan})
+                for level in attained + [attained[-1] + 1]:
+                    walk = strata._y_members(subsets, values, level)
+                    got = [(sets[i], sets[r]) for i, r in walk]
+                    want = [(s, r) for s, m, r in scan if m == level]
+                    assert got == want, (factors, values, level)
 
 
 def _count_closure_full_scans(monkeypatch):
