@@ -6,11 +6,12 @@ returns Interior.  The relative-interior reading (the `relative` argument,
 behind the CLI's --relative-interior) also calls a point inside a
 lower-dimensional hull Interior.  The minimum-norm point is computed by
 Wolfe's algorithm.  An independent path enumerates corrals: affinely
-independent subsets of at most dim + 1 points whose affine minimum-norm
-point lies in their hull.  By Caratheodory every minimum-norm point of a
-subset is one of these, so the enumeration (polynomial, O(n^(dim+1))
-subsets) serves both as the test oracle for Wolfe and as the stratum index
-set.
+independent subsets of at most dim points whose affine minimum-norm point
+lies in their hull, and the origin when one hull test puts it in the hull
+of all the points (it is the minimum-norm point of any corral of dim + 1).
+By Caratheodory every minimum-norm point of a subset is one of these, so
+the enumeration (polynomial, O(n^dim) subsets) serves both as the test
+oracle for Wolfe and as the stratum index set.
 
 Both run on one integer kernel.  The points' denominators (and the
 twist's) are cleared once and the integer Gram matrix <p_i, p_j>_G is built
@@ -354,24 +355,32 @@ def corral_points(
     points: Sequence[RationalVector], ip: InnerProduct
 ) -> Iterator[RationalVector]:
     """The affine minimum-norm point of every affinely independent subset of
-    at most dim + 1 of the (distinct) points whose KKT coefficients are all
-    nonnegative; smaller subsets first, each size in combinations order.
+    at most dim of the (distinct) points whose KKT coefficients are all
+    nonnegative, smaller subsets first, each size in combinations order;
+    then the origin, once, when it lies in the points' hull.
 
     Each yield is the minimum-norm point of its subset's hull; conversely
     the minimum-norm point of any subset lies in the relative interior of a
-    face, hence (Caratheodory) of such a subset.  So these are exactly the
-    minimum-norm points of all nonempty subsets, repeats included, from
-    O(n^(dim+1)) small solves.  They run on the integer kernel: the common
-    denominator is cleared and the Gram matrix built once, and each subset
-    is one fraction-free bordered solve.
+    face, hence (Caratheodory) of such a subset or of dim + 1 affinely
+    independent points.  Those span the space, so theirs is the origin, the
+    minimum-norm point of some subset exactly when it lies in the hull: one
+    `hull_position` stands for that tier.  So these are exactly the
+    minimum-norm points of all nonempty subsets, from O(n^dim) small
+    solves.  They run on the integer kernel: the common denominator is
+    cleared and the Gram matrix built once, and each subset is one
+    fraction-free bordered solve.
     """
     ints, d = clear_denominators(p.entries for p in points)
     gram = _gram(ints, ip)
-    for size in range(1, min(len(ints), len(ints[0]) + 1) + 1):
+    dim = len(ints[0])
+    for size in range(1, min(len(ints), dim) + 1):
         for subset in itertools.combinations(range(len(ints)), size):
             coeffs = _bordered_solve(gram, subset)
             if coeffs is not None and min(coeffs) >= 0:
                 yield _combination(ints, subset, coeffs, d)
+    origin = RationalVector.zero(dim)
+    if hull_position(ints, origin) is not HullPosition.OUTSIDE:
+        yield origin
 
 
 def min_norm_point_oracle(S: PointSet, ip: InnerProduct) -> RationalVector:

@@ -581,7 +581,9 @@ def rational_roots(p: BiPoly, var: str) -> tuple[list[Fraction], bool]:
     lowest terms has n | f(0) and d | the leading coefficient, and d*x - n
     divides f over Z (Gauss's lemma), so (d - n) | f(1) and (d + n) | f(-1).
     A candidate passing those tests is tried by the homogeneous Horner sum
-    d^deg f(n/d), and each root found is divided out exactly.
+    d^deg f(n/d), and each root found is divided out exactly.  The search
+    gives up (not split) when f(0) or f's leading coefficient is past
+    _ROOT_SEARCH_LIMIT.
     """
     cs = _poly_trim(_univariate_coeffs(p, var))
     if not cs:
@@ -599,10 +601,10 @@ def rational_roots(p: BiPoly, var: str) -> tuple[list[Fraction], bool]:
         ints = ints[k:]
     if len(ints) == 1:
         return roots, True
-    if abs(ints[0]) > _ROOT_SEARCH_LIMIT or abs(ints[-1]) > _ROOT_SEARCH_LIMIT:
-        return roots, False
     content = math.gcd(*ints)
     work = [a // content for a in ints]
+    if abs(work[0]) > _ROOT_SEARCH_LIMIT or abs(work[-1]) > _ROOT_SEARCH_LIMIT:
+        return roots, False
     candidates = [
         (sign * n, d)
         for n in _divisors(work[0])

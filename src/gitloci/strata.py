@@ -83,8 +83,9 @@ def beta_index_set(a: TorusAction) -> list[BetaIndex]:
     sorted by entries.
 
     These are the corral points of the distinct twisted weights: the affine
-    minimum-norm points of affinely independent subsets of at most rank + 1
-    weights that lie in their subset's hull, O(n^(rank+1)) small solves.
+    minimum-norm points of affinely independent subsets of at most rank
+    weights that lie in their subset's hull, O(n^rank) small solves, and
+    the origin when one hull test puts it in the hull of all the weights.
     """
     weights = a.distinct_segre_weights(twisted=True)
     found = {beta.entries: beta for beta in corral_points(weights, a.ip)}

@@ -33,6 +33,7 @@ candidate p/q and synthetic division, the reference for the integer search.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -421,6 +422,8 @@ def rational_roots(p: BiPoly, var: str) -> tuple[list[Fraction], bool]:
         ints = ints[k:]
     if len(ints) == 1:
         return roots, True
+    content = math.gcd(*ints)
+    ints = [v // content for v in ints]
     if abs(ints[0]) > _ROOT_SEARCH_LIMIT or abs(ints[-1]) > _ROOT_SEARCH_LIMIT:
         return roots, False
     candidates = [

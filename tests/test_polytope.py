@@ -143,12 +143,26 @@ def _reference_affine_min_norm(pts, ip):
     return y, coeffs
 
 
-def _reference_corral_points(points, ip):
-    for size in range(1, min(len(points), points[0].dim + 1) + 1):
+def _reference_corrals(points, ip, top):
+    """Fraction solves of the affinely independent subsets of at most `top`
+    points with nonnegative coefficients, smaller subsets first, each size
+    in combinations order."""
+    for size in range(1, min(len(points), top) + 1):
         for subset in itertools.combinations(points, size):
             solved = _reference_affine_min_norm(subset, ip)
             if solved is not None and all(a >= 0 for a in solved[1]):
                 yield solved[0]
+
+
+def _reference_corral_points(points, ip):
+    """The corrals of at most dim points, then the origin once when it is
+    the minimum-norm point of a corral of at most dim + 1 points (by
+    Caratheodory, when it is in the hull), decided by that full enumeration
+    and not by a hull test."""
+    dim = points[0].dim
+    yield from _reference_corrals(points, ip, dim)
+    if any(y.is_zero() for y in _reference_corrals(points, ip, dim + 1)):
+        yield RationalVector.zero(dim)
 
 
 _FORMS = {
@@ -203,6 +217,35 @@ def test_corral_points_match_rational_reference_in_order():
     for S, ip in _rational_cases(3141, 150):
         pts = S.deduplicated()
         assert list(corral_points(pts, ip)) == list(_reference_corral_points(pts, ip))
+
+
+def _integer_cases(seed, count):
+    """Distinct integer point sets in dims 1-3, small enough that the
+    origin is often inside, on a face of, or outside their hull."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.choice([1, 2, 3])
+        pts = {
+            tuple(rng.randint(-3, 3) for _ in range(dim))
+            for _ in range(rng.randint(1, 7))
+        }
+        yield PointSet(V(p) for p in sorted(pts)), rng.choice(_FORMS[dim])
+
+
+def test_corral_points_are_the_full_enumeration_as_a_set():
+    # dropping the subsets of dim + 1 points for one origin test keeps the
+    # set of corral points that all subsets of at most dim + 1 points give
+    seen = {"origin": 0, "origin from the top tier only": 0, "no origin": 0}
+    for S, ip in [*_rational_cases(3141, 150), *_integer_cases(4242, 150)]:
+        pts = S.deduplicated()
+        full = {y.entries for y in _reference_corrals(pts, ip, S.dim + 1)}
+        assert {y.entries for y in corral_points(pts, ip)} == full, (pts, ip.gram)
+        origin = RationalVector.zero(S.dim).entries
+        low = {y.entries for y in _reference_corrals(pts, ip, S.dim)}
+        seen["origin"] += origin in full
+        seen["origin from the top tier only"] += origin in full and origin not in low
+        seen["no origin"] += origin not in full
+    assert min(seen.values()) >= 50, seen
 
 
 def test_wolfe_meets_variational_certificate_on_rational_points():

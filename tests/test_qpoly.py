@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -251,8 +252,9 @@ def _poly_times(f: list[int], g: list[int]) -> list[int]:
 
 def _random_root_polynomial(rng: random.Random, var: str) -> BiPoly:
     """A product of linear factors d*x - n, often repeated, sometimes with x^k,
-    an irreducible quadratic or a random cofactor, scaled by a rational that
-    may push the cleared coefficients past the root search's limit."""
+    an irreducible quadratic, a random cofactor or a quadratic cofactor
+    whose leading coefficient is past the root search's limit, scaled by a
+    rational that may push the content past that limit."""
     cs = [1]
     for _ in range(rng.randint(0, 3)):
         n, d = rng.randint(-8, 8), rng.randint(1, 5)
@@ -265,6 +267,10 @@ def _random_root_polynomial(rng: random.Random, var: str) -> BiPoly:
         cs = _poly_times(cs, [rng.choice([2, 3, 5, 6, 7]), 0, rng.choice([1, 2, 3])])
     elif shape < 0.35:
         cs = _poly_times(cs, [rng.randint(-9, 9) for _ in range(rng.randint(2, 3))])
+    elif shape < 0.45:
+        # +-1 + L*x^2 with L not a square: no rational root, and a primitive
+        # leading coefficient that the search gives up on
+        cs = _poly_times(cs, [rng.choice([1, -1]), 0, rng.choice([11, 101]) * 10**6 + 1])
     if rng.random() < 0.2:
         cs = [0] * rng.randint(1, 2) + cs
     scale = rng.random()
@@ -280,7 +286,7 @@ def _random_root_polynomial(rng: random.Random, var: str) -> BiPoly:
 
 def test_rational_roots_matches_fraction_reference():
     rng = random.Random(1616)
-    seen = {"repeated": 0, "zero": 0, "not split": 0, "give up": 0}
+    seen = {"repeated": 0, "zero": 0, "not split": 0, "give up": 0, "big content": 0}
     checked = 0
     while checked < 2000:
         var = rng.choice(["b", "c"])
@@ -294,12 +300,19 @@ def test_rational_roots_matches_fraction_reference():
         seen["zero"] += Fraction(0) in roots
         seen["not split"] += not split
         (ints,), _ = clear_denominators([[q for _, q in p.coeffs]])
-        seen["give up"] += max(map(abs, ints)) > _ROOT_SEARCH_LIMIT and not split
+        content = math.gcd(*ints)
+        give_up = max(abs(ints[0]), abs(ints[-1])) // content > _ROOT_SEARCH_LIMIT
+        assert not (give_up and split)
+        seen["give up"] += give_up
+        seen["big content"] += content > _ROOT_SEARCH_LIMIT and not give_up
         seen["repeated"] += split and len(roots) < p.degree(var)
     assert min(seen.values()) >= 50, seen
-    # content above the limit: the give-up is taken before the content goes
+    # content above the limit: the limit reads the primitive coefficients
     big = (B - ONE).scale(3 * 10**7)
-    assert rational_roots(big, "b") == rational_roots_oracle(big, "b") == ([], False)
+    assert rational_roots(big, "b") == rational_roots_oracle(big, "b") == (
+        [Fraction(1)],
+        True,
+    )
 
 
 def test_wider_curve_scan_skips_the_listed_fibres(monkeypatch):

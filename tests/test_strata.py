@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from oracles import verify_stratification_oracle
 
-from gitloci import strata
+from gitloci import polytope, strata
 from gitloci.action import (
     SupportPoint,
     TorusAction,
@@ -101,6 +101,48 @@ def test_beta_index_set_matches_wolfe_subset_sweep(ex1_7, sec7_1, external_toy):
     for a in actions:
         got = [b.beta.entries for b in beta_index_set(a)]
         assert got == _wolfe_subset_sweep(a), a.weights
+
+
+def test_beta_index_set_origin_from_the_full_rank_tier():
+    # 0 interior only to a simplex of rank + 1 weights (the triangle, and
+    # the tetrahedron on hull_position's LP branch) or on a segment of
+    # collinear weights, each against a case whose hull misses 0
+    p2 = [V([1, 0]), V([0, 1]), V([-1, -1])]
+    triangle = TorusAction(2, p2, IP2)  # no segment passes through 0
+    outside = triangle.with_twist(V([2, 2]))
+    ip3 = InnerProduct.identity(3)
+    tetrahedron = TorusAction(
+        3, [V([1, 0, 0]), V([0, 1, 0]), V([0, 0, 1]), V([-1, -1, -1])], ip3
+    )
+    off_centre = tetrahedron.with_twist(V([1, 1, 1]))
+    segment = TorusAction(2, [V([1, 1]), V([-2, -2]), V([3, 3])], IP2)
+    short = TorusAction(2, [V([1, 1]), V([3, 3])], IP2)
+    for a, origin in [
+        (triangle, True),
+        (outside, False),
+        (tetrahedron, True),
+        (off_centre, False),
+        (segment, True),
+        (short, False),
+    ]:
+        betas = beta_index_set(a)
+        assert any(b.beta.is_zero() for b in betas) is origin, a.weights
+        assert [b.beta.entries for b in betas] == _wolfe_subset_sweep(a), a.weights
+
+
+def test_beta_index_set_solves_subsets_of_at_most_rank_weights(sec7_1, monkeypatch):
+    sizes = []
+    solve = polytope._bordered_solve
+
+    def counted(gram, subset):
+        sizes.append(len(subset))
+        return solve(gram, subset)
+
+    monkeypatch.setattr(polytope, "_bordered_solve", counted)
+    a = sec7_1.action
+    assert len(beta_index_set(a)) == 41
+    # C(12, 1) + C(12, 2) solves over the 12 distinct weights
+    assert len(sizes) == 78 and max(sizes) <= a.rank
 
 
 def test_stratum_of_examples():
