@@ -591,16 +591,6 @@ class Decomposition:
         return [f for f in self.faces if f.kind == "vertex"]
 
 
-def _mid(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
-    if lo is None and hi is None:
-        return Fraction(0)
-    if lo is None:
-        return hi - 1
-    if hi is None:
-        return lo + 1
-    return (lo + hi) / 2
-
-
 def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
     """Complete face list of a line arrangement inside an open convex region.
 
@@ -633,6 +623,18 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
     step s along side * n changes w_j / (m * Q) by s * side * R_j, so the
     nearest crossing is at the least |w_j| / (m * Q * |R_j|) over the planes
     with w_j * side * R_j < 0.
+
+    Each line works on one integer scale.  With L the lcm of the nonzero
+    |S_j| over all planes, plane j crosses at t = T_j / (m * L) with the
+    integer T_j = -E_j * (L / S_j), so the interval's ends and the crossings
+    are compared, deduped and sorted as integers.  Every sample lies at
+    t = P / Q with the one Q = 2 * m * L: a vertex at P = 2 * T_j, a cell at
+    P = T_lo + T_hi, at P = 2 * T_hi - Q or 2 * T_lo + Q (t one past its cut)
+    where unbounded on one side, and at P = 0 on a line with no ends.  Q
+    scales the reduced denominator by a positive integer, which changes no
+    sign of w_j and no ratio between them.  `Fraction`s are built only for
+    what a face carries: each sample coordinate as one numerator over its
+    denominator, and a cell's interval ends as T / (m * L).
     """
     lines = arr.lines
     n_lines = len(lines)
@@ -649,19 +651,22 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
         E = [(p if a else q) * c - m * o for p, q, o in planes]
         S = [q * a - p * b for p, q, _ in planes]
         R = [p * a + q * b for p, q, _ in planes]
-        bx, by = (Fraction(c, a), 0) if a else (0, Fraction(c, b))
         bounds = list(zip(E[n_lines:], S[n_lines:]))
         if any(s == 0 and e <= 0 for e, s in bounds):
             continue  # a parallel region boundary the line is not inside
-        lo = max((Fraction(-e, m * s) for e, s in bounds if s > 0), default=None)
-        hi = min((Fraction(-e, m * s) for e, s in bounds if s < 0), default=None)
+        L = math.lcm(*filter(None, S))
+        Q = 2 * m * L
+        lo = max((-e * (L // s) for e, s in bounds if s > 0), default=None)
+        hi = min((-e * (L // s) for e, s in bounds if s < 0), default=None)
         if lo is not None and hi is not None and lo >= hi:
             continue
-        crossings: set[Fraction] = set()
+        # the sample base + (P/Q) * d is (bx - b * P, by + a * P) / Q
+        bx, by = (2 * L * c, 0) if a else (0, 2 * L * c)
+        crossings: set[int] = set()
         for jdx in range(n_lines):
             if jdx == idx or S[jdx] == 0:
                 continue
-            t = Fraction(-E[jdx], m * S[jdx])
+            t = -E[jdx] * (L // S[jdx])
             if (lo is not None and t <= lo) or (hi is not None and t >= hi):
                 continue
             if t in crossings:
@@ -670,20 +675,24 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
             # a cut first met at a later line is a vertex on no earlier
             # line, so each vertex is emitted once, in (idx, partner) order
             if jdx > idx:
-                Q, mP = t.denominator, m * t.numerator
+                mP = 2 * m * t
                 signs = _signs(e * Q + mP * s for e, s in zip(E[:n_lines], S))
-                sample = RationalVector([bx - b * t, by + a * t])
+                sample = _point(bx - 2 * b * t, by + 2 * a * t, Q)
                 vertices.append(Face("vertex", sample, signs))
-        edges: list[Optional[Fraction]] = [lo, *sorted(crossings), hi]
+        edges: list[Optional[int]] = [lo, *sorted(crossings), hi]
         for seg_lo, seg_hi in zip(edges, edges[1:]):
-            t = _mid(seg_lo, seg_hi)
-            Q, mP = t.denominator, m * t.numerator
+            if seg_lo is None:
+                P = 0 if seg_hi is None else 2 * seg_hi - Q
+            else:
+                P = 2 * seg_lo + Q if seg_hi is None else seg_lo + seg_hi
+            mP = m * P
             w = [e * Q + mP * s for e, s in zip(E, S)]
             signs = _signs(w[:n_lines])
-            x, y = bx - b * t, by + a * t
-            cells.append(
-                Face("cell", RationalVector([x, y]), signs, idx, (seg_lo, seg_hi))
+            x, y = bx - b * P, by + a * P
+            ends = tuple(
+                t if t is None else Fraction(t, m * L) for t in (seg_lo, seg_hi)
             )
+            cells.append(Face("cell", _point(x, y, Q), signs, idx, ends))
             for side in (1, -1):
                 sv = signs[:idx] + (side,) + signs[idx + 1 :]
                 if sv in chambers:
@@ -695,8 +704,10 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
                     v, r = abs(wj), abs(rj)
                     if best is None or v * best[1] < best[0] * r:
                         best = v, r
-                off = Fraction(best[0], 2 * m * Q * best[1]) if best else Fraction(1)
-                chambers[sv] = RationalVector([x + side * a * off, y + side * b * off])
+                # a step of side * (v / (Q * k)) * n: v / (2 * m * Q * r) or 1
+                v, k = (best[0], 2 * m * best[1]) if best else (Q, 1)
+                dx, dy = side * a * v, side * b * v
+                chambers[sv] = _point(x * k + dx, y * k + dy, Q * k)
     if not cells:
         sample = region_interior_point(arr.region, 2)
         if sample is None:
@@ -705,6 +716,10 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
     ordered = sorted(chambers.items(), key=lambda kv: kv[1].entries)
     faces = vertices + cells + [Face("chamber", sample, sv) for sv, sample in ordered]
     return Decomposition(lines, tuple(faces))
+
+
+def _point(x: int, y: int, den: int) -> RationalVector:
+    return RationalVector([Fraction(x, den), Fraction(y, den)])
 
 
 def _signs(values: Iterable[int]) -> tuple[int, ...]:

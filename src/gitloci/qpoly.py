@@ -70,8 +70,12 @@ class RationalVector:
     entries: tuple[Fraction, ...]
 
     def __init__(self, entries: Iterable[Fraction | int | str]):
+        # an exact Fraction is kept: Fraction(e) would rebuild it through
+        # the numbers.Rational path
         object.__setattr__(
-            self, "entries", tuple(Fraction(e) for e in entries)
+            self,
+            "entries",
+            tuple(e if type(e) is Fraction else Fraction(e) for e in entries),
         )
         if not self.entries:
             raise ValueError("RationalVector needs at least one entry")

@@ -28,6 +28,10 @@ and `qpoly.common_zero_avoiding`.  Their elimination finds roots and curve
 points with `rational_roots` and `_curve_points` as they stood before
 `qpoly.rational_roots` moved to integers: a `Fraction` Horner test of every
 candidate p/q and synthetic division, the reference for the integer search.
+`chamber_decomposition_2d_fraction` is the 2D arrangement decomposition as
+it stood with its crossings, their dedupe and sort and its cell midpoints on
+`Fraction`s, the reference for `polytope.chamber_decomposition_2d`, which
+works on one integer scale per line.
 """
 
 from __future__ import annotations
@@ -42,10 +46,16 @@ from gitloci import stability, strata
 from gitloci.action import ExplicitPoint, GroupSpec, SupportPoint, TorusAction
 from gitloci.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED
 from gitloci.polytope import (
+    Arrangement2D,
+    Decomposition,
     DimensionMismatch,
+    EmptyRegion,
+    Face,
     HullPosition,
+    _signs,
     convex_hull_2d,
     hull_position,
+    region_interior_point,
 )
 from gitloci.qpoly import (
     _ROOT_SEARCH_LIMIT,
@@ -661,3 +671,92 @@ def common_zero_avoiding_oracle(
         return CommonZeroResult(CZStatus.UNDECIDED)
 
     return CommonZeroResult(CZStatus.UNDECIDED)
+
+
+def _mid(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
+    if lo is None and hi is None:
+        return Fraction(0)
+    if lo is None:
+        return hi - 1
+    if hi is None:
+        return lo + 1
+    return (lo + hi) / 2
+
+
+def chamber_decomposition_2d_fraction(arr: Arrangement2D) -> Decomposition:
+    """`chamber_decomposition_2d` as it stood before each line moved to one
+    integer scale: every crossing a `Fraction`, deduped in a set of them and
+    sorted by their comparisons, and every cell sampled at `_mid` of its
+    `Fraction` ends.  The integer kernel must return an equal `Decomposition`.
+    """
+    lines = arr.lines
+    n_lines = len(lines)
+    # a positive multiple of a plane keeps its signs and their ratios
+    planes = [(ln.a, ln.b, ln.c) for ln in lines]
+    for hs in arr.region:
+        planes += clear_denominators([(*hs.normal.entries, hs.offset)])[0]
+    vertices: list[Face] = []
+    cells: list[Face] = []
+    chambers: dict[tuple[int, ...], RationalVector] = {}
+    for idx in range(n_lines):
+        a, b, c = planes[idx]
+        m = a or b  # positive: a canonical line leads with a positive entry
+        E = [(p if a else q) * c - m * o for p, q, o in planes]
+        S = [q * a - p * b for p, q, _ in planes]
+        R = [p * a + q * b for p, q, _ in planes]
+        bx, by = (Fraction(c, a), 0) if a else (0, Fraction(c, b))
+        bounds = list(zip(E[n_lines:], S[n_lines:]))
+        if any(s == 0 and e <= 0 for e, s in bounds):
+            continue  # a parallel region boundary the line is not inside
+        lo = max((Fraction(-e, m * s) for e, s in bounds if s > 0), default=None)
+        hi = min((Fraction(-e, m * s) for e, s in bounds if s < 0), default=None)
+        if lo is not None and hi is not None and lo >= hi:
+            continue
+        crossings: set[Fraction] = set()
+        for jdx in range(n_lines):
+            if jdx == idx or S[jdx] == 0:
+                continue
+            t = Fraction(-E[jdx], m * S[jdx])
+            if (lo is not None and t <= lo) or (hi is not None and t >= hi):
+                continue
+            if t in crossings:
+                continue
+            crossings.add(t)
+            # a cut first met at a later line is a vertex on no earlier
+            # line, so each vertex is emitted once, in (idx, partner) order
+            if jdx > idx:
+                Q, mP = t.denominator, m * t.numerator
+                signs = _signs(e * Q + mP * s for e, s in zip(E[:n_lines], S))
+                sample = RationalVector([bx - b * t, by + a * t])
+                vertices.append(Face("vertex", sample, signs))
+        edges: list[Optional[Fraction]] = [lo, *sorted(crossings), hi]
+        for seg_lo, seg_hi in zip(edges, edges[1:]):
+            t = _mid(seg_lo, seg_hi)
+            Q, mP = t.denominator, m * t.numerator
+            w = [e * Q + mP * s for e, s in zip(E, S)]
+            signs = _signs(w[:n_lines])
+            x, y = bx - b * t, by + a * t
+            cells.append(
+                Face("cell", RationalVector([x, y]), signs, idx, (seg_lo, seg_hi))
+            )
+            for side in (1, -1):
+                sv = signs[:idx] + (side,) + signs[idx + 1 :]
+                if sv in chambers:
+                    continue
+                best: Optional[tuple[int, int]] = None  # least |w_j| / |R_j|
+                for wj, rj in zip(w, R):
+                    if wj * side * rj >= 0:
+                        continue  # the step moves away from plane j
+                    v, r = abs(wj), abs(rj)
+                    if best is None or v * best[1] < best[0] * r:
+                        best = v, r
+                off = Fraction(best[0], 2 * m * Q * best[1]) if best else Fraction(1)
+                chambers[sv] = RationalVector([x + side * a * off, y + side * b * off])
+    if not cells:
+        sample = region_interior_point(arr.region, 2)
+        if sample is None:
+            raise EmptyRegion("region has no interior point")
+        chambers[tuple(ln.side(sample) for ln in lines)] = sample
+    ordered = sorted(chambers.items(), key=lambda kv: kv[1].entries)
+    faces = vertices + cells + [Face("chamber", sample, sv) for sv, sample in ordered]
+    return Decomposition(lines, tuple(faces))

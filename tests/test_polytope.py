@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -29,7 +30,12 @@ from gitloci.polytope import (
 from gitloci.linprog import OPTIMAL, lp_maximize_free
 from gitloci.qpoly import InnerProduct, RationalVector, clear_denominators
 from gitloci.vgit import _expanded_region
-from oracles import facet_normal_candidates, hull_membership_two_lp, row_reduce
+from oracles import (
+    chamber_decomposition_2d_fraction,
+    facet_normal_candidates,
+    hull_membership_two_lp,
+    row_reduce,
+)
 
 V = RationalVector
 IP2 = InnerProduct.identity(2)
@@ -766,3 +772,72 @@ def test_non_canonical_lines_decompose_as_their_canonical_forms():
         dec = chamber_decomposition_2d(Arrangement2D(canonical, region))
         assert dec.lines == tuple(dict.fromkeys(canonical))
         assert _faces_with_ends(dec) == _reference_decomposition(dec.lines, region)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against the Fraction kernel it replaced
+# ---------------------------------------------------------------------------
+
+
+def _scale_cases():
+    """Arrangements whose lines' integer scales differ from the differential
+    cases': rational region offsets over 3, 5 and 7, lines of many distinct
+    directions (a large lcm L of the |S_j|), horizontal lines, no region,
+    parallel lines, boundaries parallel to a line and lines missing the
+    region."""
+    rng = random.Random(4093)
+
+    def direction(span):
+        while True:
+            a, b = rng.randint(-span, span), rng.randint(-span, span)
+            if (a, b) != (0, 0):
+                return V([a, b])
+
+    for _ in range(12):  # a polygon around a centre, offsets over 3, 5, 7
+        centre = V([Fraction(rng.randint(-6, 6), rng.choice((1, 2))) for _ in "xy"])
+        region = []
+        for _ in range(rng.randint(3, 6)):
+            n = direction(5)
+            gap = Fraction(rng.randint(1, 20), rng.choice((3, 5, 7)))
+            region.append(Halfspace(n, n.dot(centre) - gap, rng.random() < 0.7))
+        lines = []
+        for _ in range(rng.randint(6, 12)):
+            n = direction(9)
+            shift = Fraction(rng.randint(-12, 12), rng.choice((1, 3, 5, 7)))
+            lines.append(Line2D.canonical(n, n.dot(centre) + shift))
+        yield "scales", lines, region
+    horizontal = [Line2D(0, 1, k) for k in (-2, 0, 1)]
+    slanted = [Line2D(1, 0, 1), Line2D(2, 3, 1), Line2D(1, -1, 0)]
+    wedge = Cone([(V([1, 0]), True), (V([1, 2]), False)]).to_region()
+    for region in (_square(3), wedge, []):
+        yield "horizontal", horizontal + slanted, region
+    yield "plane", [Line2D(3, -5, 2)], []
+    yield "plane", [Line2D(0, 2, 1)], []
+    yield "plane", slanted + [Line2D(5, 7, -3)], []
+    parallel = [Line2D(1, 2, k) for k in (-9, -2, 0, 3, 4)]
+    for region in (_square(3), wedge, []):
+        yield "parallel", parallel, region
+    # x = 1 lies inside the square, beside its boundaries x > -3 and x < 3;
+    # x = 5 and y = -4 lie outside
+    for lines in ([Line2D(1, 0, 1)], [Line2D(1, 0, 5)], [Line2D(0, 1, -4)]):
+        yield "beside", lines + [Line2D(1, 1, 0)], _square(3)
+    yield "miss", [Line2D(1, 1, 7), Line2D(0, 1, 5), Line2D(1, 0, -4)], _square(3)
+
+
+def test_chamber_decomposition_matches_fraction_kernel():
+    scales = []
+    for kind, lines, region in itertools.chain(_differential_cases(), _scale_cases()):
+        arr = Arrangement2D(lines, region)
+        dec = chamber_decomposition_2d(arr)
+        assert dec == chamber_decomposition_2d_fraction(arr), (kind, lines, region)
+        if kind == "scales":
+            planes = [(ln.a, ln.b) for ln in arr.lines]
+            for hs in region:
+                (row,), _ = clear_denominators([(*hs.normal.entries, hs.offset)])
+                planes.append(row[:2])
+            scales += [
+                math.lcm(*filter(None, (q * ln.a - p * ln.b for p, q in planes)))
+                for ln in arr.lines
+            ]
+    # lines of many directions: the per-line scale reaches past 10^6
+    assert max(scales) > 10**6

@@ -414,6 +414,24 @@ def test_vector_primitive_integral():
         RationalVector([0, 0]).primitive_integral()
 
 
+def test_vector_entries_are_exact_fractions():
+    class Sub(Fraction):
+        pass
+
+    third = Fraction(1, 3)
+    assert RationalVector([third, 2]).entries[0] is third
+    for entry, value in [
+        (7, Fraction(7)),
+        ("2/4", Fraction(1, 2)),
+        (True, Fraction(1)),
+        (Sub(-3, 6), Fraction(-1, 2)),
+    ]:
+        (got,) = RationalVector([entry]).entries
+        assert type(got) is Fraction and got == value == Fraction(entry)
+    with pytest.raises(ValueError):
+        RationalVector([])
+
+
 def _leibniz_det(m):
     n = len(m)
     if n == 0:

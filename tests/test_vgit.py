@@ -34,7 +34,7 @@ from gitloci.vgit import (
     verify_external_change,
     wall_chamber_decomposition,
 )
-from oracles import row_reduce
+from oracles import chamber_decomposition_2d_fraction, row_reduce
 
 V = RationalVector
 IP1 = InnerProduct.identity(1)
@@ -795,6 +795,67 @@ def test_walls_build_no_hull_per_support(monkeypatch):
     monkeypatch.setattr(TorusAction, "support_weights", counted_weights)
     assert wall_chamber_decomposition(_sec71()).walls
     assert calls == {"convex_hull_2d_int": 1, "support_weights": 0}
+
+
+def _wall_arrangement(a):
+    lines, _ = _rank2_walls(a)
+    return Arrangement2D(lines, _expanded_region(effective_cone(a).vertices))
+
+
+def test_decomposition_builds_no_fraction_arithmetic(monkeypatch):
+    # each line works on one integer scale: Fractions are only built for the
+    # faces' samples and intervals, and compared by the final chamber sort
+    arr = _wall_arrangement(_sec71())
+    calls = dict.fromkeys(
+        ["__hash__", "__add__", "__sub__", "__mul__", "__rmul__", "__truediv__"], 0
+    )
+
+    def counted(name):
+        original = getattr(Fraction, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Fraction, name, counted(name))
+    dec = chamber_decomposition_2d(arr)
+    monkeypatch.undo()
+    assert calls == dict.fromkeys(calls, 0)
+    assert len(dec.faces) == 133
+
+
+def _p2xp2_image(rng):
+    """A seeded P2 x P2 product under an integral affine map: a unimodular
+    matrix from three shears and a translation per factor."""
+    (a, b), (c, d) = (1, 0), (0, 1)
+    for _ in range(3):
+        k = rng.choice((-2, -1, 1, 2))
+        if rng.random() < 0.5:
+            a, b = a + k * c, b + k * d
+        else:
+            c, d = c + k * a, d + k * b
+    factors = []
+    for _ in range(2):
+        tx, ty = rng.randint(-2, 2), rng.randint(-2, 2)
+        weights = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(3)]
+        moved = [V([a * x + b * y + tx, c * x + d * y + ty]) for x, y in weights]
+        factors.append(TorusAction(2, moved, IP2))
+    return build_product_action(factors)
+
+
+def test_complex_arrangements_decompose_as_the_fraction_kernel():
+    rng = random.Random(2207)
+    actions = [_sec71(), _p3g(), _p4()]
+    while len(actions) < 9:
+        a = _p2xp2_image(rng)
+        if len(convex_hull_2d_int(a.support_weights())) >= 3:
+            actions.append(a)
+    for a in actions:
+        arr = _wall_arrangement(a)
+        assert chamber_decomposition_2d(arr) == chamber_decomposition_2d_fraction(arr)
 
 
 # ---------------------------------------------------------------------------
