@@ -16,7 +16,6 @@ from .polytope import (
     Arrangement2D,
     Cone,
     Face,
-    Halfspace,
     HullPosition,
     Line2D,
     PointSet,

@@ -54,7 +54,7 @@ class SupportPoint:
     support: frozenset[int]
 
     def __init__(self, indices: Iterable[int]):
-        s = frozenset(int(i) for i in indices)
+        s = frozenset(map(operator.index, indices))
         if not s:
             raise InvalidSupport("support must be nonempty")
         object.__setattr__(self, "support", s)

@@ -85,7 +85,7 @@ def _rational(value: Any, context: str) -> Fraction:
     try:
         if isinstance(value, str):
             return parse_rational(value)
-        if isinstance(value, int):
+        if type(value) is int:  # a JSON bool is an int to Python
             return Fraction(value)
     except ValueError:
         pass
@@ -164,7 +164,7 @@ def load_spec(path: str) -> LoadedSpec:
             idx = []
             for bi, (blk, local) in enumerate(zip(action.factor_partition, blocks)):
                 for i in _list(local, f"{ctx}.support[{bi}]"):
-                    if not isinstance(i, int) or i < 0 or i >= len(blk):
+                    if not 0 <= _integer(i, f"{ctx}.support[{bi}]") < len(blk):
                         raise SpecError(f"{ctx}.support: index {i} out of range")
                     idx.append(blk[i])
             sp = SupportPoint(idx)
@@ -417,8 +417,8 @@ def _cmd_chambers(spec: LoadedSpec, args) -> dict:
         walls.append(
             {
                 "line": {
-                    "normal": _jvec(w.line.normal),
-                    "offset": _jq(w.line.offset),
+                    "normal": [str(w.line.a), str(w.line.b)],
+                    "offset": str(w.line.c),
                 },
                 "cells": [
                     {
@@ -447,7 +447,7 @@ def _cmd_chambers(spec: LoadedSpec, args) -> dict:
         "walls": walls,
         "chambers": chambers,
         "vertices": vertices,
-        "effective_vertices": [_jvec(v) for v in cc.effective.vertices],
+        "effective_vertices": [list(map(str, v)) for v in cc.effective.vertices],
     }
 
 

@@ -29,10 +29,12 @@ an action is placed at once, at any rank, by `stability.support_positions`
 from per-factor tables, on the normals (`primitive_normal`) of hyperplanes
 spanned by within-factor weight differences and axes.
 
-`PointSet`, `hull_membership`, `min_norm_point`, `min_norm_point_oracle`
-and `convex_hull_2d` are `Fraction` entry points over those kernels that no
-path of the package calls; they stay as the tests' and the benchmark's names
-for them.
+The 2D arrangement is integer at its interface too: `Line2D`s and the
+region's planes are integer triples, and `chamber_decomposition_2d` builds
+`Fraction`s only for what its faces carry.  `PointSet`, `hull_membership`,
+`min_norm_point`, `min_norm_point_oracle` and `convex_hull_2d` are
+`Fraction` entry points over the kernels above that no path of the package
+calls; they stay as the tests' and the benchmark's names for them.
 """
 
 from __future__ import annotations
@@ -394,15 +396,6 @@ def min_norm_point_oracle(S: PointSet, ip: InnerProduct) -> RationalVector:
 
 
 @dataclass(frozen=True)
-class Halfspace:
-    """<normal, x> >= offset, strict if flagged."""
-
-    normal: RationalVector
-    offset: Fraction
-    strict: bool
-
-
-@dataclass(frozen=True)
 class Cone:
     """Intersection of homogeneous halfspaces through the origin."""
 
@@ -424,29 +417,23 @@ class Cone:
                 return False
         return True
 
-    def to_region(self) -> list[Halfspace]:
-        return [
-            Halfspace(normal, Fraction(0), strict)
-            for normal, strict in self.halfspaces
-        ]
-
 
 def region_interior_point(
-    region: Sequence[Halfspace], dim: int
+    region: Sequence[Sequence[int]], dim: int
 ) -> Optional[RationalVector]:
     """A rational point strictly inside the region, or None.
 
-    Maximises a margin t with t capped at 1; strict and non-strict
-    constraints alike must hold with margin, which is exactly interiority.
+    The region is the open set where <normal, x> > offset for every integer
+    plane (*normal, offset) of it, in dimension dim.  Maximises a margin t,
+    capped at 1, with <normal, x> - t >= offset on every plane: a positive
+    optimum is exactly an interior point.
     """
     if not region:
         return RationalVector.zero(dim) if dim else None
-    objective = [Fraction(0)] * dim + [Fraction(1)]
-    ges = []
-    for hs in region:
-        ges.append((list(hs.normal.entries) + [Fraction(-1)], hs.offset))
-    ges.append(([Fraction(0)] * dim + [Fraction(-1)], Fraction(-1)))  # t <= 1
-    ges.append(([Fraction(0)] * dim + [Fraction(1)], Fraction(0)))  # t >= 0
+    objective = [0] * dim + [1]
+    ges = [([*plane[:-1], -1], plane[-1]) for plane in region]
+    ges.append(([0] * dim + [-1], -1))  # t <= 1
+    ges.append(([0] * dim + [1], 0))  # t >= 0
     status, x, value = lp_maximize_free(objective, [], ges)
     if status != OPTIMAL or value is None or value <= 0:
         return None
@@ -454,7 +441,9 @@ def region_interior_point(
 
 
 def cone_has_interior_point(cone: Cone, dim: int) -> Optional[RationalVector]:
-    """An integral point with all pairings strictly positive, or None.
+    """A primitive integral nonzero point pairing strictly positively with
+    the normals of the strict rows and nonnegatively with the others, or
+    None.
 
     By homogeneity, strict feasibility is equivalent to feasibility of
     <normal, x> >= 1 for the strict rows.
@@ -505,9 +494,9 @@ def primitive_normal(vectors: Sequence[Sequence[int]]) -> Optional[tuple[int, ..
 
 @dataclass(frozen=True)
 class Line2D:
-    """The line a*x + b*y = c as its canonical integer triple (primitive,
-    with a positive leading entry of (a, b)), which the constructor takes
-    any integer multiple of."""
+    """The line a*x + b*y = c, held as its canonical integer triple
+    (`primitive_line`: primitive, the leading nonzero entry of (a, b)
+    positive); the constructor takes any nonzero integer multiple of it."""
 
     a: int
     b: int
@@ -519,43 +508,19 @@ class Line2D:
         for name, v in zip("abc", primitive_line(a, b, c)):
             object.__setattr__(self, name, v)
 
-    @staticmethod
-    def canonical(normal: RationalVector, offset: Fraction) -> "Line2D":
-        """The line <normal, x> = offset of a rational normal and offset."""
-        (triple,), _ = clear_denominators([(*normal.entries, offset)])
-        return Line2D(*triple)
-
-    @staticmethod
-    def through(p: RationalVector, q: RationalVector) -> "Line2D":
-        d = q - p
-        normal = RationalVector([-d.entries[1], d.entries[0]])
-        return Line2D.canonical(normal, normal.dot(p))
-
-    @property
-    def normal(self) -> RationalVector:
-        return RationalVector([self.a, self.b])
-
-    @property
-    def offset(self) -> Fraction:
-        return Fraction(self.c)
-
-    def side(self, x: RationalVector) -> int:
-        x0, x1 = x.entries
-        v = self.a * x0 + self.b * x1 - self.c
-        return (v > 0) - (v < 0)
-
-    def direction(self) -> RationalVector:
-        return RationalVector([-self.b, self.a])
-
 
 @dataclass(frozen=True)
 class Arrangement2D:
-    """Distinct lines in first-seen order, and an open region."""
+    """Distinct lines in first-seen order, and an open convex region: the
+    points with a*x + b*y > c for every integer plane (a, b, c) of
+    `region`, of which any positive multiple means the same."""
 
     lines: tuple[Line2D, ...]
-    region: tuple[Halfspace, ...]
+    region: tuple[tuple[int, int, int], ...]
 
-    def __init__(self, lines: Iterable[Line2D], region: Iterable[Halfspace]):
+    def __init__(
+        self, lines: Iterable[Line2D], region: Iterable[tuple[int, int, int]]
+    ):
         object.__setattr__(self, "lines", tuple(dict.fromkeys(lines)))
         object.__setattr__(self, "region", tuple(region))
 
@@ -564,8 +529,9 @@ class Arrangement2D:
 class Face:
     """One cell of the decomposition, carrying a certified sample point.
 
-    A rank-2 cell's `interval` is in parameters t of base + t * direction()
-    along its line, from the line's axis intercept as base (None where the
+    A rank-2 cell's `interval` holds the parameters t of its ends, at
+    base + t * (-b, a) on its line a*x + b*y = c, from the line's axis
+    intercept base = (c / a, 0), or (0, c / b) when a = 0 (None where the
     cell is unbounded).
     """
 
@@ -599,7 +565,7 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
     rational sample point and its sign vector over the arrangement lines.
     Vertices come first, then each line's cells, then the chambers.
 
-    Each line is parametrised as base + t * direction from its axis
+    Each line is parametrised as base + t * (-b, a) from its axis
     intercept.  The region's halfspaces clip it in closed form to an open
     interval of t; the line is active when that interval is nonempty.  The
     other lines cut it, and a cut by a later line is a vertex strictly inside
@@ -611,11 +577,11 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
     LP runs only when no line is active, to find the region's one chamber or
     that it is empty.
 
-    All of it is integer arithmetic.  Every line and region halfspace is
-    scaled to an integer triple (n_j, o_j).  For the line with normal
-    n = (a, b), offset c and direction d = (-b, a), the base is (c/m, 0) with
-    m = a, or (0, c/m) with m = b when a = 0; m > 0 as the line is
-    canonical.  Per plane j the integers
+    All of it is integer arithmetic on the planes (n_j, o_j): the lines'
+    triples, then the region's.  For the line with normal n = (a, b), offset
+    c and direction d = (-b, a), the base is (c/m, 0) with m = a, or
+    (0, c/m) with m = b when a = 0; m > 0 as the line is canonical.  Per
+    plane j the integers
         E_j = m * (<n_j, base> - o_j),  S_j = <n_j, d>,  R_j = <n_j, n>
     give <n_j, x> - o_j = w_j / (m * Q) at x = base + (P/Q) * d, with
     w_j = E_j * Q + m * P * S_j.  So plane j meets the line at
@@ -639,9 +605,7 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
     lines = arr.lines
     n_lines = len(lines)
     # a positive multiple of a plane keeps its signs and their ratios
-    planes = [(ln.a, ln.b, ln.c) for ln in lines]
-    for hs in arr.region:
-        planes += clear_denominators([(*hs.normal.entries, hs.offset)])[0]
+    planes = [(ln.a, ln.b, ln.c) for ln in lines] + list(arr.region)
     vertices: list[Face] = []
     cells: list[Face] = []
     chambers: dict[tuple[int, ...], RationalVector] = {}
@@ -712,7 +676,8 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
         sample = region_interior_point(arr.region, 2)
         if sample is None:
             raise EmptyRegion("region has no interior point")
-        chambers[tuple(ln.side(sample) for ln in lines)] = sample
+        x, y = sample.entries
+        chambers[_signs(a * x + b * y - c for a, b, c in planes[:n_lines])] = sample
     ordered = sorted(chambers.items(), key=lambda kv: kv[1].entries)
     faces = vertices + cells + [Face("chamber", sample, sv) for sv, sample in ordered]
     return Decomposition(lines, tuple(faces))

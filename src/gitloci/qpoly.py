@@ -304,10 +304,11 @@ class BiPoly:
             for (eb, ec), q in coeffs.items():
                 if not isinstance(q, Fraction):
                     q = Fraction(q)
+                eb, ec = operator.index(eb), operator.index(ec)
                 if eb < 0 or ec < 0:
                     raise ValueError("exponents must be nonnegative")
                 if q != 0:
-                    items.append(((int(eb), int(ec)), q))
+                    items.append(((eb, ec), q))
         items.sort(key=lambda kv: kv[0], reverse=True)
         object.__setattr__(self, "coeffs", tuple(items))
 

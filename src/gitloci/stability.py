@@ -446,13 +446,19 @@ def cocharacter_fan(a: TorusAction, cone: Cone) -> CocharacterFan:
         )
     if a.rank != 2:
         raise RankUnsupported("exact fan enumeration is limited to rank <= 2")
-    lines = []
-    for blk in a.factor_partition:
-        for i, j in itertools.combinations(blk, 2):
-            d = a.weights[i] - a.weights[j]
-            if not d.is_zero():
-                lines.append(Line2D.canonical(d, Fraction(0)))
-    arr = Arrangement2D(lines, cone.to_region())
+    w = a._int_weights
+    lines = [
+        Line2D(w[i][0] - w[j][0], w[i][1] - w[j][1], 0)
+        for blk in a.factor_partition
+        for i, j in itertools.combinations(blk, 2)
+        if w[i] != w[j]
+    ]
+    # the open cone: each normal with its denominators cleared, offset 0
+    region = [
+        (*clear_denominators([normal.entries])[0][0], 0)
+        for normal, _ in cone.halfspaces
+    ]
+    arr = Arrangement2D(lines, region)
     try:
         dec = chamber_decomposition_2d(arr)
     except EmptyRegion as exc:

@@ -40,7 +40,6 @@ from .polytope import (
     Arrangement2D,
     Decomposition,
     Face,
-    Halfspace,
     HullPosition,
     Line2D,
     RationalVector,
@@ -68,14 +67,14 @@ class DegenerateWeights(ValueError):
 @dataclass(frozen=True)
 class EffectiveRegion:
     """Hull of all Segre weights: exactly the twists admitting a semistable
-    support."""
+    support.  Its vertices are integer tuples: the two extreme weights in
+    rank 1 (one if they coincide), the CCW hull in rank 2."""
 
     dim: int
-    vertices: tuple[RationalVector, ...]
+    vertices: tuple[tuple[int, ...], ...]
 
     def contains(self, chi: RationalVector) -> bool:
-        ints = [tuple(map(int, v.entries)) for v in self.vertices]
-        return hull_position(ints, chi) is not HullPosition.OUTSIDE
+        return hull_position(self.vertices, chi) is not HullPosition.OUTSIDE
 
 
 def effective_cone(a: TorusAction) -> EffectiveRegion:
@@ -87,7 +86,7 @@ def effective_cone(a: TorusAction) -> EffectiveRegion:
         hull = dict.fromkeys([weights[0], weights[-1]])
     else:
         hull = convex_hull_2d_int(weights)
-    return EffectiveRegion(a.rank, tuple(map(RationalVector, hull)))
+    return EffectiveRegion(a.rank, tuple(hull))
 
 
 def git_class(a: TorusAction, chi: RationalVector) -> frozenset[frozenset[int]]:
@@ -279,22 +278,21 @@ def wall_chamber_decomposition(a: TorusAction) -> ChamberComplex:
     raise RankUnsupported("wall/chamber enumeration is exact for rank <= 2 only")
 
 
-def wall_hyperplane_candidates(
-    a: TorusAction,
-) -> list[tuple[RationalVector, Fraction]]:
-    """Candidate wall hyperplanes in any rank, as (normal, offset) pairs.
+def wall_hyperplane_candidates(a: TorusAction) -> list[tuple[int, ...]]:
+    """Candidate wall hyperplanes in any rank, as sorted integer tuples
+    (*normal, offset) of <normal, x> = offset.
 
     These are the affine hyperplanes spanned by affinely independent
     rank-tuples of distinct weights (weight values themselves in rank 1),
-    deduplicated and canonically scaled.  Over-generated: no pruning and no
-    face graph in rank >= 3.
+    deduplicated and canonically scaled (`primitive_line`).  Over-generated:
+    no pruning and no face graph in rank >= 3.
     """
     seen: set[tuple[int, ...]] = set()
     for p0, *rest in itertools.combinations(a.support_weights(), a.rank):
         normal = primitive_normal([[x - y for x, y in zip(p, p0)] for p in rest])
         if normal is not None:  # None for affinely dependent points
             seen.add((*normal, sum(x * y for x, y in zip(normal, p0))))
-    return [(RationalVector(key[:-1]), Fraction(key[-1])) for key in sorted(seen)]
+    return sorted(seen)
 
 
 def _rank1_complex(a: TorusAction) -> ChamberComplex:
@@ -334,18 +332,20 @@ def _rank2_complex(a: TorusAction) -> ChamberComplex:
     return _assemble(dec, families, labels, eff)
 
 
-def _expanded_region(hull: Sequence[RationalVector]) -> list[Halfspace]:
-    """The open polygon of the CCW hull scaled by 2 about its centroid c,
-    whose vertices are 2 * v - c.  An edge's inner normal is 2 * (-dy, dx)
-    for the hull edge (dx, dy) from v, and its offset <normal, 2 * v - c>,
-    over the centroid's denominator n, the number of vertices."""
+def _expanded_region(hull: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """The open polygon of the integer CCW hull scaled by 2 about its
+    centroid c = s / n (s the vertex sum, n the vertex count), whose
+    vertices are 2 * v - c, as the integer planes of `Arrangement2D`.  An
+    edge from v along (dx, dy) has the inner normal 2 * (-dy, dx) and the
+    offset <normal, 2 * v - c>; times n, that is the plane
+    (n * normal, 2 * n * <normal, v> - <normal, s>)."""
     n = len(hull)
     sx, sy = (sum(coord) for coord in zip(*hull))
     region = []
     for (px, py), (qx, qy) in zip(hull, [*hull[1:], hull[0]]):
         nx, ny = 2 * (py - qy), 2 * (qx - px)
-        offset = Fraction(2 * n * (nx * px + ny * py) - nx * sx - ny * sy, n)
-        region.append(Halfspace(RationalVector([nx, ny]), offset, True))
+        offset = 2 * n * (nx * px + ny * py) - nx * sx - ny * sy
+        region.append((n * nx, n * ny, offset))
     return region
 
 

@@ -31,7 +31,9 @@ candidate p/q and synthetic division, the reference for the integer search.
 `chamber_decomposition_2d_fraction` is the 2D arrangement decomposition as
 it stood with its crossings, their dedupe and sort and its cell midpoints on
 `Fraction`s, the reference for `polytope.chamber_decomposition_2d`, which
-works on one integer scale per line.
+works on one integer scale per line.  `plane`, `line_through` and `line_side`
+state rational planes, lines through points and signs at points in the
+arrangement's integer terms.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from gitloci.polytope import (
     EmptyRegion,
     Face,
     HullPosition,
+    Line2D,
     _signs,
     convex_hull_2d,
     hull_position,
@@ -673,6 +676,29 @@ def common_zero_avoiding_oracle(
     return CommonZeroResult(CZStatus.UNDECIDED)
 
 
+def plane(normal: RationalVector, offset: Fraction | int) -> tuple[int, ...]:
+    """The integer plane (*normal, offset), denominators cleared, of
+    <normal, x> = offset: a positive multiple, so a region plane of
+    `Arrangement2D` or a `Line2D`'s arguments."""
+    (row,), _ = clear_denominators([(*normal.entries, Fraction(offset))])
+    return row
+
+
+def line_through(p: Sequence[Fraction | int], q: Sequence[Fraction | int]) -> Line2D:
+    """The line through two distinct points of the plane, rational or
+    integer: normal (-dy, dx) for q - p = (dx, dy), through p."""
+    (px, py), (qx, qy) = p, q
+    normal = RationalVector([py - qy, qx - px])
+    return Line2D(*plane(normal, normal.dot(RationalVector([px, py]))))
+
+
+def line_side(line: Line2D, x: RationalVector) -> int:
+    """The sign of a * x + b * y - c at x."""
+    x0, x1 = x.entries
+    v = line.a * x0 + line.b * x1 - line.c
+    return (v > 0) - (v < 0)
+
+
 def _mid(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
     if lo is None and hi is None:
         return Fraction(0)
@@ -692,9 +718,7 @@ def chamber_decomposition_2d_fraction(arr: Arrangement2D) -> Decomposition:
     lines = arr.lines
     n_lines = len(lines)
     # a positive multiple of a plane keeps its signs and their ratios
-    planes = [(ln.a, ln.b, ln.c) for ln in lines]
-    for hs in arr.region:
-        planes += clear_denominators([(*hs.normal.entries, hs.offset)])[0]
+    planes = [(ln.a, ln.b, ln.c) for ln in lines] + list(arr.region)
     vertices: list[Face] = []
     cells: list[Face] = []
     chambers: dict[tuple[int, ...], RationalVector] = {}
@@ -756,7 +780,7 @@ def chamber_decomposition_2d_fraction(arr: Arrangement2D) -> Decomposition:
         sample = region_interior_point(arr.region, 2)
         if sample is None:
             raise EmptyRegion("region has no interior point")
-        chambers[tuple(ln.side(sample) for ln in lines)] = sample
+        chambers[tuple(line_side(ln, sample) for ln in lines)] = sample
     ordered = sorted(chambers.items(), key=lambda kv: kv[1].entries)
     faces = vertices + cells + [Face("chamber", sample, sv) for sv, sample in ordered]
     return Decomposition(lines, tuple(faces))

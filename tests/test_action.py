@@ -234,7 +234,9 @@ def test_group_spec_validation():
 @pytest.mark.parametrize("value", [1.7, 1.0, Fraction(1), "1"])
 def test_integer_arguments_are_not_truncated(value):
     # each of these passed through int() once: GroupSpec([], 1.7, []) had
-    # u_params 1 and TorusAction(1.5, ...) rank 1
+    # u_params 1, TorusAction(1.5, ...) rank 1 and SupportPoint([1.7]) {1}
+    with pytest.raises(TypeError):
+        SupportPoint([0, value])
     with pytest.raises(TypeError):
         GroupSpec([], value, [])
     with pytest.raises(TypeError):

@@ -257,6 +257,12 @@ def test_benchmark_entry_points_exist():
     torus_action = importlib.import_module("gitloci.action").TorusAction
     for method in (*tables["COUNTED_METHODS"], "support_count"):
         assert method in vars(torus_action), method
+    # the decomposition span's size reads its argument's lines and its
+    # result's faces
+    polytope = importlib.import_module("gitloci.polytope")
+    arr = polytope.Arrangement2D([polytope.Line2D(1, 0, 0)], [])
+    dec = polytope.chamber_decomposition_2d(arr)
+    assert (len(arr.lines), len(dec.faces)) == (1, 3)
 
 
 _NO_EXPANSION_ARGVS = [
@@ -522,6 +528,8 @@ def test_non_list_fields_are_validation_errors(field, patch, tmp_path, capsys):
         ("external.m_lambda[0]", {"m_lambda": [[1]]}),
         ("external.m_lambda[1]", {"m_lambda": [1, "0"]}),
         ("external.m_mu[1]", {"m_mu": [2, False]}),
+        ("external.epsilon", {"epsilon": True}),
+        ("external.epsilon", {"epsilon": False}),
     ],
 )
 def test_non_integer_external_fields_are_validation_errors(
@@ -544,15 +552,24 @@ def test_non_integer_external_fields_are_validation_errors(
         ("group.u_params", {"group": {"u_params": "1"}}),
         ("group.u_params", {"group": {"u_params": 0.5}}),
         ("group.u_params", {"group": {"u_params": None}}),
+        ("factors[0].weights[1]", {"factors": [{"weights": [[-1], [True]]}]}),
+        ("twist", {"twist": [False]}),
+        ("points.p", {"points": {"p": {"coords": [[1, True, 0]]}}}),
+        ("group.adjoint_weights[0]", {"group": {"adjoint_weights": [[True]]}}),
+        ("points.p.support[0]", {"points": {"p": {"support": [[True]]}}}),
+        ("points.p.support[0]", {"points": {"p": {"support": [[0, False]]}}}),
     ],
 )
 def test_non_integer_spec_fields_are_validation_errors(field, patch, tmp_path, capsys):
-    # the schema types rank, the form's entries and u_params as integers; a
-    # float must not be truncated into a form or group that was not given
+    # the schema types rank, the form's entries, u_params and support indices
+    # as integers, and weights, twists, coordinates and adjoint weights as
+    # integers or rational strings; a float must not be truncated into a form
+    # or group that was not given, nor JSON true or false read as 1 or 0
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**_VALID_SPEC, **patch}))
     assert run(["beta", "--input", str(path)]) == 2
     assert field in capsys.readouterr().err
+
 
 
 # ---------------------------------------------------------------------------
@@ -637,19 +654,33 @@ _CHAMBERS_INPUT = {
 
 
 def test_chambers_finds_edge_lines_without_fraction_lines(monkeypatch, tmp_path):
-    # hull-edge lines are integer triples; no Line2D is built per pair
-    from gitloci.polytope import Line2D
+    # the arrangements that `chambers` and `fan` decompose hold integers
+    # only: every line's triple and every plane of the region
+    from gitloci.polytope import Arrangement2D
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("Line2D.through called by chambers")
+    built = []
+    init = Arrangement2D.__init__
+
+    def recording(self, lines, region):
+        init(self, lines, region)
+        built.append(self)
 
     spec = tmp_path / "chambers0.json"
     spec.write_text(json.dumps(_CHAMBERS_INPUT))
-    monkeypatch.setattr(Line2D, "through", staticmethod(refuse))
-    for path in (CORPUS / "sec7_1.json", spec):
-        code, text = _run(["chambers", "--input", str(path)], tmp_path)
-        assert code == 0, path
-        assert json.loads(text)["result"]["walls"], path
+    monkeypatch.setattr(Arrangement2D, "__init__", recording)
+    for argv in (
+        ["chambers", "--input", str(CORPUS / "sec7_1.json")],
+        ["chambers", "--input", str(spec)],
+        ["fan", "--input", str(CORPUS / "sec7_1.json")],
+    ):
+        built.clear()
+        code, text = _run(argv, tmp_path)
+        assert code == 0 and len(built) == 1, argv
+        (arr,) = built
+        assert arr.lines and arr.region, argv
+        values = [v for ln in arr.lines for v in (ln.a, ln.b, ln.c)]
+        values += [v for plane in arr.region for v in plane]
+        assert all(type(v) is int for v in values), argv
 
 
 def test_support_families_build_no_hull_per_support(monkeypatch, tmp_path):

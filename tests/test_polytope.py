@@ -10,7 +10,6 @@ from gitloci.polytope import (
     Cone,
     DimensionMismatch,
     EmptyRegion,
-    Halfspace,
     HullPosition,
     Line2D,
     PointSet,
@@ -19,6 +18,7 @@ from gitloci.polytope import (
     _gram,
     chamber_decomposition_2d,
     convex_hull_2d,
+    convex_hull_2d_int,
     corral_points,
     hull_membership,
     hull_min_norm,
@@ -34,6 +34,9 @@ from oracles import (
     chamber_decomposition_2d_fraction,
     facet_normal_candidates,
     hull_membership_two_lp,
+    line_side,
+    line_through,
+    plane,
     row_reduce,
 )
 
@@ -290,14 +293,17 @@ def test_facet_normal_candidates_certify_membership():
         assert outside == separated
 
 
-def _square(side: int = 2):
-    s = Fraction(side)
-    return [
-        Halfspace(V([1, 0]), -s, True),
-        Halfspace(V([-1, 0]), -s, True),
-        Halfspace(V([0, 1]), -s, True),
-        Halfspace(V([0, -1]), -s, True),
-    ]
+def _square(r: int = 2):
+    """The open square |x|, |y| < r."""
+    return [(1, 0, -r), (-1, 0, -r), (0, 1, -r), (0, -1, -r)]
+
+
+_WEDGE = [(1, 0, 0), (1, 2, 0)]  # x > 0 and x + 2 * y > 0
+
+
+def _inside(region, x):
+    x0, x1 = x.entries
+    return all(a * x0 + b * x1 > c for a, b, c in region)
 
 
 def test_line_canonical_is_the_primitive_integral_triple():
@@ -312,17 +318,17 @@ def test_line_canonical_is_the_primitive_integral_triple():
         prim = V([*normal.entries, offset]).primitive_integral()
         if next(v for v in prim.entries[:2] if v) < 0:
             prim = -prim
-        line = Line2D.canonical(normal, offset)
-        assert (*line.normal.entries, line.offset) == prim.entries
-        assert all(type(e) is Fraction for e in (*line.normal.entries, line.offset))
-        assert Line2D.canonical(normal.scale(-3), -3 * offset) == line
+        line = Line2D(*plane(normal, offset))
+        assert (line.a, line.b, line.c) == prim.entries
+        assert all(type(e) is int for e in (line.a, line.b, line.c))
+        assert Line2D(*plane(normal.scale(-3), -3 * offset)) == line
     with pytest.raises(ValueError):
-        Line2D.canonical(V([0, 0]), Fraction(1))
+        Line2D(*plane(V([0, 0]), Fraction(1)))
 
 
 def test_chamber_decomposition_one_line():
     dec = chamber_decomposition_2d(
-        Arrangement2D([Line2D.canonical(V([1, 0]), Fraction(0))], _square())
+        Arrangement2D([Line2D(1, 0, 0)], _square())
     )
     assert len(dec.chambers()) == 2
     assert len(dec.cells()) == 1
@@ -332,10 +338,7 @@ def test_chamber_decomposition_one_line():
 def test_chamber_decomposition_two_crossing_lines():
     dec = chamber_decomposition_2d(
         Arrangement2D(
-            [
-                Line2D.canonical(V([1, 0]), Fraction(0)),
-                Line2D.canonical(V([0, 1]), Fraction(0)),
-            ],
+            [Line2D(1, 0, 0), Line2D(0, 1, 0)],
             _square(),
         )
     )
@@ -347,8 +350,8 @@ def test_chamber_decomposition_two_crossing_lines():
 def test_chamber_decomposition_matches_sign_sweep_oracle():
     # three rays through the origin inside the halfplane x > 0, mirroring the
     # rank-1 ray picture with slopes -1, 0, 2
-    lines = [Line2D.canonical(V([a, -1]), Fraction(0)) for a in (-1, 0, 2)]
-    region = [Halfspace(V([1, 0]), Fraction(0), True)]
+    lines = [Line2D(a, -1, 0) for a in (-1, 0, 2)]
+    region = [(1, 0, 0)]
     dec = chamber_decomposition_2d(Arrangement2D(lines, region))
 
     # oracle: sign vectors realised on a dense rational grid
@@ -358,7 +361,7 @@ def test_chamber_decomposition_matches_sign_sweep_oracle():
             x, y = Fraction(i, 4), Fraction(j, 4)
             signs = tuple(
                 (v > 0) - (v < 0)
-                for v in (ln.normal.dot(V([x, y])) - ln.offset for ln in dec.lines)
+                for v in (ln.a * x + ln.b * y - ln.c for ln in dec.lines)
             )
             if 0 not in signs:
                 seen.add(signs)
@@ -369,16 +372,12 @@ def test_chamber_decomposition_matches_sign_sweep_oracle():
 
 
 def test_chamber_faces_disjoint_and_signs_reproduce():
-    lines = [
-        Line2D.canonical(V([1, 0]), Fraction(0)),
-        Line2D.canonical(V([0, 1]), Fraction(0)),
-        Line2D.canonical(V([1, 1]), Fraction(1)),
-    ]
+    lines = [Line2D(1, 0, 0), Line2D(0, 1, 0), Line2D(1, 1, 1)]
     dec = chamber_decomposition_2d(Arrangement2D(lines, _square(3)))
     sign_vectors = [f.signs for f in dec.faces]
     assert len(sign_vectors) == len(set(sign_vectors))
     for f in dec.faces:
-        recomputed = tuple(ln.side(f.sample) for ln in dec.lines)
+        recomputed = tuple(line_side(ln, f.sample) for ln in dec.lines)
         assert recomputed == f.signs
         zeros = sum(1 for s in f.signs if s == 0)
         if f.kind == "chamber":
@@ -390,17 +389,11 @@ def test_chamber_faces_disjoint_and_signs_reproduce():
 
 
 def test_empty_region_raises():
-    disjoint = [
-        Halfspace(V([1, 0]), Fraction(1), True),
-        Halfspace(V([-1, 0]), Fraction(0), True),
-    ]
-    # a line without interior: x >= 0 and -x >= 0
-    flat = [
-        Halfspace(V([1, 0]), Fraction(0), False),
-        Halfspace(V([-1, 0]), Fraction(0), False),
-    ]
+    disjoint = [(1, 0, 1), (-1, 0, 0)]
+    # two opposite sides on one line: x > 0 and -x > 0
+    flat = [(1, 0, 0), (-1, 0, 0)]
     # no lines; a line along the flat region; a line across it
-    axes = [Line2D.canonical(n, Fraction(0)) for n in (V([1, 0]), V([0, 1]))]
+    axes = [Line2D(1, 0, 0), Line2D(0, 1, 0)]
     line_sets = [[], axes[:1], axes[1:]]
     for region in (disjoint, flat):
         for lines in line_sets:
@@ -534,22 +527,21 @@ def _random_arrangement(rng, centre):
     pencil = set()
     while len(pencil) < 3:
         n = normal()
-        pencil.add(Line2D.canonical(n, n.dot(centre)))
+        pencil.add(Line2D(*plane(n, n.dot(centre))))
     n = normal()
-    lines = sorted(pencil, key=lambda ln: (ln.normal.entries, ln.offset))
-    lines += [Line2D.canonical(n, n.dot(centre) + k) for k in (-1, 1)]
+    lines = sorted(pencil, key=lambda ln: (ln.a, ln.b, ln.c))
+    lines += [Line2D(*plane(n, n.dot(centre) + k)) for k in (-1, 1)]
     for _ in range(2):
         offset = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
-        lines.append(Line2D.canonical(normal(), offset))
+        lines.append(Line2D(*plane(normal(), offset)))
     return lines
 
 
 def test_chamber_signs_reproduce_on_random_arrangements():
     rng = random.Random(5762)
-    cone = Cone([(V([1, 0]), True), (V([1, 2]), False)])
     for trial in range(16):
         if trial % 2:
-            region = cone.to_region()
+            region = _WEDGE
             centre = V([rng.randint(1, 3), rng.randint(0, 2)])
         else:
             region = _square(3)
@@ -562,8 +554,9 @@ def test_chamber_signs_reproduce_on_random_arrangements():
         )
         assert len({f.signs for f in dec.faces}) == len(dec.faces)
         for f in dec.faces:
-            assert tuple(ln.side(f.sample) for ln in dec.lines) == f.signs, (trial, f)
-            assert all(hs.normal.dot(f.sample) > hs.offset for hs in region)
+            signs = tuple(line_side(ln, f.sample) for ln in dec.lines)
+            assert signs == f.signs, (trial, f)
+            assert _inside(region, f.sample)
         flipped = set()
         for cell in dec.cells():
             for side in (1, -1):
@@ -575,9 +568,8 @@ def test_chamber_signs_reproduce_on_random_arrangements():
         for i in range(-11, 12):
             for j in range(-11, 12):
                 x = V([Fraction(i, 4), Fraction(j, 4)])
-                signs = tuple(ln.side(x) for ln in dec.lines)
-                inside = all(hs.normal.dot(x) > hs.offset for hs in region)
-                if inside and 0 not in signs:
+                signs = tuple(line_side(ln, x) for ln in dec.lines)
+                if _inside(region, x) and 0 not in signs:
                     assert signs in flipped, (trial, x)
 
 
@@ -585,18 +577,18 @@ def _reference_decomposition(lines, region):
     """The decomposition by the earlier algorithm: a base point per line from
     an LP for a point of the line strictly inside the region, vertices from
     pairwise intersections tested against the region, and signs from
-    `Line2D.side`.  Faces are (kind, sample, signs, line_index, ends), with a
+    `line_side`.  Faces are (kind, sample, signs, line_index, ends), with a
     cell's interval as its two end points (None where unbounded)."""
     if region_interior_point(region, 2) is None:
         raise EmptyRegion("region has no interior point")
 
     def signs_at(x):
-        return tuple(ln.side(x) for ln in lines)
+        return tuple(line_side(ln, x) for ln in lines)
 
     bases = {}
     for i, line in enumerate(lines):
-        eqs = [(list(line.normal.entries) + [0], line.offset)]
-        ges = [(list(hs.normal.entries) + [-1], hs.offset) for hs in region]
+        eqs = [([line.a, line.b, 0], line.c)]
+        ges = [([a, b, -1], c) for a, b, c in region]
         ges += [([0, 0, -1], -1), ([0, 0, 1], 0)]
         status, x, value = lp_maximize_free([0, 0, 1], eqs, ges)
         if status == OPTIMAL and value > 0:
@@ -608,36 +600,37 @@ def _reference_decomposition(lines, region):
     faces = []
     seen = set()
     for i, j in itertools.combinations(bases, 2):
-        (a1, b1), (a2, b2) = lines[i].normal.entries, lines[j].normal.entries
-        c1, c2 = lines[i].offset, lines[j].offset
+        (a1, b1, c1), (a2, b2, c2) = (
+            (ln.a, ln.b, ln.c) for ln in (lines[i], lines[j])
+        )
         det = a1 * b2 - b1 * a2
         if det == 0:
             continue
-        pt = V([(c1 * b2 - b1 * c2) / det, (a1 * c2 - c1 * a2) / det])
-        inside = all(hs.normal.dot(pt) > hs.offset for hs in region)
-        if inside and pt.entries not in seen:
+        pt = V([Fraction(c1 * b2 - b1 * c2, det), Fraction(a1 * c2 - c1 * a2, det)])
+        if _inside(region, pt) and pt.entries not in seen:
             seen.add(pt.entries)
             faces.append(("vertex", pt, signs_at(pt), None, None))
 
-    planes = [(ln.normal, ln.offset) for ln in lines]
-    planes += [(hs.normal, hs.offset) for hs in region]
+    bounds = [(V([a, b]), c) for a, b, c in region]
+    planes = [(V([ln.a, ln.b]), ln.c) for ln in lines] + bounds
     chambers = {}
     for i, base in bases.items():
-        line, d = lines[i], lines[i].direction()
+        n, d = planes[i][0], V([-lines[i].b, lines[i].a])
         lo = hi = None
-        for hs in region:
-            nd = hs.normal.dot(d)
+        for normal, offset in bounds:
+            nd = normal.dot(d)
             if nd != 0:
-                t = (hs.offset - hs.normal.dot(base)) / nd
+                t = (offset - normal.dot(base)) / nd
                 if nd > 0:
                     lo = t if lo is None else max(lo, t)
                 else:
                     hi = t if hi is None else min(hi, t)
         cuts = set()
         for j in bases:
-            nd = lines[j].normal.dot(d)
+            normal, offset = planes[j]
+            nd = normal.dot(d)
             if j != i and nd != 0:
-                t = (lines[j].offset - lines[j].normal.dot(base)) / nd
+                t = (offset - normal.dot(base)) / nd
                 if (lo is None or t > lo) and (hi is None or t < hi):
                     cuts.add(t)
         edges = [lo, *sorted(cuts), hi]
@@ -657,11 +650,11 @@ def _reference_decomposition(lines, region):
                 # half the step along side * normal to the nearest crossing
                 steps = []
                 for normal, offset in planes:
-                    rate = side * normal.dot(line.normal)
+                    rate = side * normal.dot(n)
                     if rate != 0 and (offset - normal.dot(sample)) / rate > 0:
                         steps.append((offset - normal.dot(sample)) / rate)
                 step = min(steps) / 2 if steps else Fraction(1)
-                chambers[sv] = sample + line.normal.scale(side * step)
+                chambers[sv] = sample + n.scale(side * step)
     for sv, sample in sorted(chambers.items(), key=lambda kv: kv[1].entries):
         faces.append(("chamber", sample, sv, None, None))
     return faces
@@ -669,15 +662,15 @@ def _reference_decomposition(lines, region):
 
 def _faces_with_ends(dec):
     """Faces as in `_reference_decomposition`: a rank-2 cell's interval is in
-    parameters along the line's direction from its axis intercept."""
+    parameters t of base + t * (-b, a) from its line's axis intercept."""
     out = []
     for f in dec.faces:
         ends = None
         if f.kind == "cell":
             line = dec.lines[f.line_index]
-            a, b = line.normal.entries
-            base = V([line.offset / a, 0]) if a else V([0, line.offset / b])
-            d = line.direction()
+            a, b, c = line.a, line.b, line.c
+            base = V([Fraction(c, a), 0]) if a else V([0, Fraction(c, b)])
+            d = V([-b, a])
             ends = tuple(None if t is None else base + d.scale(t) for t in f.interval)
         out.append((f.kind, f.sample, f.signs, f.line_index, ends))
     return out
@@ -698,39 +691,39 @@ def _differential_cases():
     for _ in range(8):  # bounded regions of the chamber complexes
         while True:
             weights = list({point().entries: None for _ in range(rng.randint(4, 6))})
-            hull = convex_hull_2d([V(w) for w in weights])
+            weights = [tuple(map(int, w)) for w in weights]
+            hull = convex_hull_2d_int(weights)
             if len(hull) >= 3:
                 break
-        pairs = list(itertools.combinations([V(w) for w in weights], 2))
-        lines = [Line2D.through(p, q) for p, q in rng.sample(pairs, min(8, len(pairs)))]
+        pairs = list(itertools.combinations(weights, 2))
+        lines = [line_through(p, q) for p, q in rng.sample(pairs, min(8, len(pairs)))]
         yield "polygon", lines, _expanded_region(hull)
     for _ in range(8):  # fans: lines through the apex of a cone
         halfspaces = [(normal(), rng.random() < 0.5) for _ in range(rng.randint(1, 2))]
         cone = Cone(halfspaces)
-        lines = [Line2D.canonical(normal(), Fraction(0)) for _ in range(4)]
-        lines.append(Line2D.canonical(normal(), Fraction(rng.randint(1, 3))))
-        yield "cone", lines, cone.to_region()
+        lines = [Line2D(*plane(normal(), 0)) for _ in range(4)]
+        lines.append(Line2D(*plane(normal(), rng.randint(1, 3))))
+        yield "cone", lines, [plane(n, 0) for n, _ in cone.halfspaces]
     for _ in range(4):  # the full plane
         centre = point(2)
-        yield "plane", [Line2D.canonical(normal(), Fraction(rng.randint(-3, 3)))], []
+        yield "plane", [Line2D(*plane(normal(), rng.randint(-3, 3)))], []
         normals = [normal() for _ in range(3)]
-        pencil = {Line2D.canonical(n, n.dot(centre)) for n in normals}
-        yield "plane", sorted(pencil, key=lambda ln: ln.normal.entries), []
-    wedge = Cone([(V([1, 0]), True), (V([1, 2]), False)]).to_region()
+        pencil = {Line2D(*plane(n, n.dot(centre))) for n in normals}
+        yield "plane", sorted(pencil, key=lambda ln: (ln.a, ln.b)), []
     for trial in range(8):  # pencils, parallel pairs and random lines
         centre = point(2)
-        region = _square(3) if trial % 2 else wedge
+        region = _square(3) if trial % 2 else _WEDGE
         yield "pencil", _random_arrangement(rng, centre), region
     # halfspaces parallel to lines, which hold on them or drop them
     region = _square(3)
-    parallel = [Line2D.canonical(V([0, 1]), Fraction(k)) for k in (-4, -3, 0, 2, 3)]
-    parallel += [Line2D.canonical(V([1, 0]), Fraction(k, 2)) for k in (-7, -6, 1)]
-    yield "parallel", parallel + [Line2D.canonical(V([1, 1]), Fraction(1))], region
+    parallel = [Line2D(0, 1, k) for k in (-4, -3, 0, 2, 3)]
+    parallel += [Line2D(*plane(V([1, 0]), Fraction(k, 2))) for k in (-7, -6, 1)]
+    yield "parallel", parallel + [Line2D(1, 1, 1)], region
     # lines that miss the region, with and without one that meets it
-    miss = [Line2D.canonical(V([1, 1]), Fraction(k)) for k in (7, -9)]
-    miss.append(Line2D.canonical(V([1, -2]), Fraction(12)))
+    miss = [Line2D(1, 1, k) for k in (7, -9)]
+    miss.append(Line2D(1, -2, 12))
     yield "miss", miss, region
-    yield "miss", miss + [Line2D.canonical(V([1, 2]), Fraction(1))], region
+    yield "miss", miss + [Line2D(1, 2, 1)], region
 
 
 def test_chamber_decomposition_matches_lp_reference():
@@ -756,7 +749,7 @@ def test_non_canonical_lines_decompose_as_their_canonical_forms():
         (V([1, 0]), Fraction(1)),
         (V([Fraction(3, 2), 1]), Fraction(-1, 2)),
     ]
-    canonical = [Line2D.canonical(normal, offset) for normal, offset in raw]
+    canonical = [Line2D(*plane(normal, offset)) for normal, offset in raw]
     assert [(ln.a, ln.b, ln.c) for ln in canonical] == [
         (1, 0, 1), (2, -2, -1), (0, 2, -3), (1, 0, 1), (3, 2, -1),
     ]
@@ -768,7 +761,7 @@ def test_non_canonical_lines_decompose_as_their_canonical_forms():
             assert scaled == ln and (scaled.a, scaled.b, scaled.c) == (ln.a, ln.b, ln.c)
     with pytest.raises(ValueError):
         Line2D(0, 0, 1)
-    for region in (_square(3), Cone([(V([1, 0]), True), (V([1, 2]), False)]).to_region()):
+    for region in (_square(3), _WEDGE):
         dec = chamber_decomposition_2d(Arrangement2D(canonical, region))
         assert dec.lines == tuple(dict.fromkeys(canonical))
         assert _faces_with_ends(dec) == _reference_decomposition(dec.lines, region)
@@ -799,23 +792,23 @@ def _scale_cases():
         for _ in range(rng.randint(3, 6)):
             n = direction(5)
             gap = Fraction(rng.randint(1, 20), rng.choice((3, 5, 7)))
-            region.append(Halfspace(n, n.dot(centre) - gap, rng.random() < 0.7))
+            rng.random()  # drew a side's strictness, which an open region ignores
+            region.append(plane(n, n.dot(centre) - gap))
         lines = []
         for _ in range(rng.randint(6, 12)):
             n = direction(9)
             shift = Fraction(rng.randint(-12, 12), rng.choice((1, 3, 5, 7)))
-            lines.append(Line2D.canonical(n, n.dot(centre) + shift))
+            lines.append(Line2D(*plane(n, n.dot(centre) + shift)))
         yield "scales", lines, region
     horizontal = [Line2D(0, 1, k) for k in (-2, 0, 1)]
     slanted = [Line2D(1, 0, 1), Line2D(2, 3, 1), Line2D(1, -1, 0)]
-    wedge = Cone([(V([1, 0]), True), (V([1, 2]), False)]).to_region()
-    for region in (_square(3), wedge, []):
+    for region in (_square(3), _WEDGE, []):
         yield "horizontal", horizontal + slanted, region
     yield "plane", [Line2D(3, -5, 2)], []
     yield "plane", [Line2D(0, 2, 1)], []
     yield "plane", slanted + [Line2D(5, 7, -3)], []
     parallel = [Line2D(1, 2, k) for k in (-9, -2, 0, 3, 4)]
-    for region in (_square(3), wedge, []):
+    for region in (_square(3), _WEDGE, []):
         yield "parallel", parallel, region
     # x = 1 lies inside the square, beside its boundaries x > -3 and x < 3;
     # x = 5 and y = -4 lie outside
@@ -832,9 +825,7 @@ def test_chamber_decomposition_matches_fraction_kernel():
         assert dec == chamber_decomposition_2d_fraction(arr), (kind, lines, region)
         if kind == "scales":
             planes = [(ln.a, ln.b) for ln in arr.lines]
-            for hs in region:
-                (row,), _ = clear_denominators([(*hs.normal.entries, hs.offset)])
-                planes.append(row[:2])
+            planes += [(a, b) for a, b, _ in region]
             scales += [
                 math.lcm(*filter(None, (q * ln.a - p * ln.b for p, q in planes)))
                 for ln in arr.lines

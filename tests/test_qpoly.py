@@ -405,6 +405,15 @@ def test_inner_product_rejects_non_integer_entries(entry):
         InnerProduct([[2, 1], [1, entry]])
 
 
+@pytest.mark.parametrize("exponent", [1.5, 1.0, Fraction(3, 2), Fraction(1), "1"])
+def test_bipoly_rejects_non_integer_exponents(exponent):
+    # int() would truncate b^1.5 to b
+    with pytest.raises(TypeError):
+        BiPoly({(exponent, 0): 1})
+    with pytest.raises(TypeError):
+        BiPoly({(0, 0): 1, (1, exponent): 2})
+
+
 def test_vector_primitive_integral():
     v = RationalVector([Fraction(3, 2), Fraction(3, 2)])
     assert v.primitive_integral().entries == (1, 1)

@@ -9,7 +9,6 @@ import pytest
 from gitloci.action import TorusAction, build_external_extension, build_product_action
 from gitloci.polytope import (
     Arrangement2D,
-    Line2D,
     chamber_decomposition_2d,
     convex_hull_2d,
     convex_hull_2d_int,
@@ -34,7 +33,12 @@ from gitloci.vgit import (
     verify_external_change,
     wall_chamber_decomposition,
 )
-from oracles import chamber_decomposition_2d_fraction, row_reduce
+from oracles import (
+    chamber_decomposition_2d_fraction,
+    line_side,
+    line_through,
+    row_reduce,
+)
 
 V = RationalVector
 IP1 = InnerProduct.identity(1)
@@ -54,13 +58,13 @@ def _sec71():
 
 def test_effective_cone_examples():
     eff = effective_cone(_a1())
-    assert [v.entries[0] for v in eff.vertices] == [-1, 2]
+    assert eff.vertices == ((-1,), (2,))
     assert eff.contains(V([Fraction(1, 2)]))
     assert eff.contains(V([-1]))
     assert not eff.contains(V([3]))
 
     single = effective_cone(TorusAction(1, [V([5])], IP1))
-    assert [v.entries[0] for v in single.vertices] == [5]
+    assert single.vertices == ((5,),)
     assert single.contains(V([5])) and not single.contains(V([4]))
 
     hexagon = effective_cone(_sec71())
@@ -167,12 +171,12 @@ def _off_cell_twists(a, line, sample):
     """Twists just off a wall cell, sample -/+ delta * normal: delta is below
     half the distance, along the normal, from the sample to every line
     through two distinct weights that the sample is off."""
-    n = line.normal
+    n = V([line.a, line.b])
     delta = Fraction(1)
     for p, q in itertools.combinations(a.support_weights(), 2):
-        other = Line2D.through(V(p), V(q))
-        rate = abs(other.normal.dot(n))
-        gap = abs(other.normal.dot(sample) - other.offset)
+        other = line_through(p, q)
+        rate = abs(other.a * line.a + other.b * line.b)
+        gap = abs(V([other.a, other.b]).dot(sample) - other.c)
         if rate and gap:
             delta = min(delta, gap / (2 * rate))
     return sample - n.scale(delta), sample + n.scale(delta)
@@ -251,9 +255,7 @@ def test_wall_chamber_rank2_matches_grid_oracle():
     for i in range(-8, 9):
         for j in range(-8, 9):
             chi = V([Fraction(i, 4), Fraction(j, 4)])
-            if any(
-                w.line.normal.dot(chi) == w.line.offset for w in cc.walls
-            ):
+            if any(line_side(w.line, chi) == 0 for w in cc.walls):
                 continue
             try:
                 fams_grid.add(git_class(a, chi))
@@ -274,7 +276,7 @@ def test_spurious_cells_pruned_and_chambers_merged():
     for i in range(0, 44):
         for j in range(-44, 45):
             chi = V([Fraction(i, 8), Fraction(j, 8)])
-            if any(w.line.normal.dot(chi) == w.line.offset for w in cc.walls):
+            if any(line_side(w.line, chi) == 0 for w in cc.walls):
                 continue
             try:
                 grid_families.add(git_class(a, chi))
@@ -313,9 +315,7 @@ def test_sec71_chamber_count_matches_sign_oracle():
     for i in range(-7, 8):
         for j in range(-7, 8):
             chi = V([Fraction(i, 2), Fraction(j, 2)])
-            if any(
-                w.line.normal.dot(chi) == w.line.offset for w in cc.walls
-            ):
+            if any(line_side(w.line, chi) == 0 for w in cc.walls):
                 continue
             try:
                 fams_grid.add(git_class(prod, chi))
@@ -426,9 +426,7 @@ def test_wall_hyperplane_candidates_any_rank():
     from gitloci.vgit import wall_hyperplane_candidates
 
     a = _a1()
-    assert [(tuple(n.entries), o) for n, o in wall_hyperplane_candidates(a)] == [
-        ((1,), -1), ((1,), 0), ((1,), 2),
-    ]
+    assert wall_hyperplane_candidates(a) == [(1, -1), (1, 0), (1, 2)]
     # rank 3: hyperplanes through affinely independent weight triples,
     # emitted as a deduplicated list with no face graph
     ip3 = InnerProduct.identity(3)
@@ -439,8 +437,8 @@ def test_wall_hyperplane_candidates_any_rank():
     )
     planes = wall_hyperplane_candidates(a3)
     assert len(planes) == 4  # one hyperplane per weight triple
-    for normal, offset in planes:
-        on = sum(1 for w in a3.weights if normal.dot(w) == offset)
+    for *normal, offset in planes:
+        on = sum(1 for w in a3.weights if V(normal).dot(w) == offset)
         assert on == 3
 
 
@@ -463,7 +461,7 @@ def _rational_hyperplane_candidates(a):
         if next(v for v in triple.entries if v) < 0:
             triple = -triple
         seen.add(triple.entries)
-    return [(V(key[:-1]), key[-1]) for key in sorted(seen)]
+    return sorted(seen)
 
 
 def _random_rank3_factor(rng):
@@ -490,7 +488,7 @@ def _first_pass(a):
     """The decomposition of all pair lines of the distinct weights in the
     expanded region, a refinement of the complex's arrangement."""
     weights = a.distinct_segre_weights()
-    lines = [Line2D.through(p, q) for p, q in itertools.combinations(weights, 2)]
+    lines = [line_through(p, q) for p, q in itertools.combinations(weights, 2)]
     region = _expanded_region(effective_cone(a).vertices)
     return chamber_decomposition_2d(Arrangement2D(lines, region))
 
@@ -638,7 +636,8 @@ def _pruned_complex(a):
     kept = [dec.lines[k] for k in _contributing_lines(dec, families)]
     dec = chamber_decomposition_2d(Arrangement2D(kept, _expanded_region(eff.vertices)))
     families = {
-        f.signs: labels.family([ln.side(f.sample) for ln in walls]) for f in dec.faces
+        f.signs: labels.family([line_side(ln, f.sample) for ln in walls])
+        for f in dec.faces
     }
     return _assemble(dec, families, labels, eff)
 
@@ -681,13 +680,13 @@ def test_edge_line_walls_match_pruned_pair_lines():
 
 def _fraction_walls(a, weights):
     """The edge lines, their sign table at the weights and the support
-    conditions, found on `Fraction`s: `Line2D.through` per hull edge and
-    `Line2D.side` per weight, as `_rank2_walls` did before integer triples."""
+    conditions, found on `Fraction`s: `line_through` per hull edge and
+    `line_side` per weight, as `_rank2_walls` did before integer triples."""
     position = {tuple(map(int, w.entries)): k for k, w in enumerate(weights)}
 
     @functools.cache
     def through(p, q):
-        return Line2D.through(weights[p], weights[q])
+        return line_through(weights[p], weights[q])
 
     hulls, edges = [], set()
     for sp in a.iter_supports():
@@ -695,7 +694,7 @@ def _fraction_walls(a, weights):
         hulls.append((sp.support, hull))
         if len(hull) > 1:
             edges.update(through(p, q) for p, q in zip(hull, hull[1:] + hull[:1]))
-    sides = {ln: tuple(ln.side(w) for w in weights) for ln in edges}
+    sides = {ln: tuple(line_side(ln, w) for w in weights) for ln in edges}
     lines = sorted(
         edges, key=lambda ln: [k for k, s in enumerate(sides[ln]) if not s][:2]
     )
@@ -923,22 +922,18 @@ def test_chambers_are_the_union_find_git_classes():
 
 
 def _crossing(l1, l2):
-    (a1, b1), (a2, b2) = l1.normal.entries, l2.normal.entries
+    (a1, b1, c1), (a2, b2, c2) = (l1.a, l1.b, l1.c), (l2.a, l2.b, l2.c)
     det = a1 * b2 - b1 * a2
     if det == 0:
         return None
-    c1, c2 = l1.offset, l2.offset
-    return V([(c1 * b2 - b1 * c2) / det, (a1 * c2 - c1 * a2) / det])
+    return V([Fraction(c1 * b2 - b1 * c2, det), Fraction(a1 * c2 - c1 * a2, det)])
 
 
 def _half_step(lines, x, v):
     """Half the least t > 0 at which x + t * v meets one of the lines (1 if
     none), so that x + step * v lies on no line strictly between."""
-    ts = [
-        (ln.offset - ln.normal.dot(x)) / ln.normal.dot(v)
-        for ln in lines
-        if ln.normal.dot(v) != 0
-    ]
+    normals = [(V([ln.a, ln.b]), ln.c) for ln in lines]
+    ts = [(c - n.dot(x)) / n.dot(v) for n, c in normals if n.dot(v) != 0]
     return min((t for t in ts if t > 0), default=Fraction(2)) / 2
 
 
@@ -949,7 +944,7 @@ def _wall_vertices_oracle(a, cc):
     line.  Steps stay short of every pair line of the weights, on which all
     family changes lie.  Families are from `git_class` (hull membership)."""
     weights = a.distinct_segre_weights()
-    pair_lines = {Line2D.through(p, q) for p, q in itertools.combinations(weights, 2)}
+    pair_lines = {line_through(p, q) for p, q in itertools.combinations(weights, 2)}
     crossings = {}
     for w1, w2 in itertools.combinations(cc.walls, 2):
         p = _crossing(w1.line, w2.line)
@@ -958,9 +953,10 @@ def _wall_vertices_oracle(a, cc):
 
     def wall_reaches(p):
         for wall in cc.walls:
-            if wall.line.side(p) != 0:
+            if line_side(wall.line, p) != 0:
                 continue
-            n, d = wall.line.normal, wall.line.direction()
+            ln = wall.line
+            n, d = V([ln.a, ln.b]), V([-ln.b, ln.a])
             for v in (d, -d):
                 x = p + v.scale(_half_step(pair_lines, p, v))
                 here = _family_at(a, x)
