@@ -361,6 +361,19 @@ def test_fan_sec71_multiple_pieces():
     assert not res.unique
 
 
+def test_fan_lone_chamber_sample_ignores_adjoint_weight_scale():
+    # the one weight-difference line x = 0 bounds the open quadrant, so the
+    # quadrant is one chamber, sampled by the region's LP; positive
+    # multiples of the adjoint weights cut out the same cone
+    a = TorusAction(2, [V([0, 0]), V([1, 0])], IP2)
+    samples = set()
+    for s, t in [(1, 1), (3, 1), (1, 3), (2, 5)]:
+        cone = admissible_cone(GroupSpec([V([s, 0]), V([0, t])], 0, []), 2)
+        (piece,) = cocharacter_fan(a, cone).pieces
+        samples.add(piece.sample)
+    assert len(samples) == 1
+
+
 def test_fan_rank2_cone_without_interior_raises_empty_cone():
     prod, _ = _sec71()
     ray = Cone([(V([1, -1]), False), (V([-1, 1]), False)])
