@@ -1,16 +1,18 @@
 """Data model for linearised torus actions with graded unipotent extras.
 
-A TorusAction records one integer weight vector per homogeneous coordinate,
-a rational character twist, an inner product, and a partition of the
-coordinates into projective factors.  Products are stored factored and
-never Segre-expanded in a computation: a point of a product has a nonzero
-coordinate in every factor, so support logic stays per-factor.  A support's
-distinct Segre weights are the per-factor sumset of its coordinates' integer
-weights (`support_weights`), which hull membership and Wolfe run on.  A
-functional is given by its value on each coordinate: its least Segre value
-is the sum of the per-factor minima (`segre_min`), attained on the products
-of the per-factor argmins (`segre_argmin`).  Hilbert-Mumford values, flow
-limits and the strata's hyperplane tests all use this one kernel.
+A TorusAction records one weight per homogeneous coordinate, a character
+and so an integer tuple; a rational character twist; an inner product; and
+a partition of the coordinates into projective factors.  Products are
+stored factored and never Segre-expanded in a computation: a point of a
+product has a nonzero coordinate in every factor, so support logic stays
+per-factor.  A support's distinct Segre weights are the per-factor sumset
+of its coordinates' weights (`support_weights`), which hull membership and
+Wolfe run on.  A functional is given by its value on each coordinate, as a
+cocharacter (an integer tuple too) is by `coordinate_values`: its least
+Segre value is the sum of the per-factor minima (`segre_min`), attained on
+the products of the per-factor argmins (`segre_argmin`).  Hilbert-Mumford
+values, flow limits and the strata's hyperplane tests all use this one
+kernel.
 
 Conventions:
   * cocharacter/weight pairings are plain dot products;
@@ -116,12 +118,21 @@ def _entry_is_zero(e: Fraction | BiPoly) -> bool:
     return e.is_zero() if isinstance(e, BiPoly) else e == 0
 
 
+def integer_tuple(v: Iterable[Fraction | int]) -> tuple[int, ...]:
+    """An integral vector (a RationalVector or integral rationals) as an
+    integer tuple."""
+    entries = tuple(v)
+    if any(e.denominator != 1 for e in entries):
+        raise ValueError("entries must be integral")
+    return tuple(e.numerator for e in entries)
+
+
 @dataclass(frozen=True)
 class TorusAction:
     """A rank-r torus action on a product of projective coordinate spaces."""
 
     rank: int
-    weights: tuple[RationalVector, ...]
+    weights: tuple[tuple[int, ...], ...]
     twist: RationalVector
     ip: InnerProduct
     factor_partition: tuple[tuple[int, ...], ...]
@@ -129,7 +140,7 @@ class TorusAction:
     def __init__(
         self,
         rank: int,
-        weights: Sequence[RationalVector],
+        weights: Sequence[RationalVector | Sequence[int]],
         ip: InnerProduct,
         twist: Optional[RationalVector] = None,
         factor_partition: Optional[Sequence[Sequence[int]]] = None,
@@ -137,14 +148,11 @@ class TorusAction:
         rank = operator.index(rank)
         if rank < 1:
             raise ValueError("rank must be positive")
-        weights = tuple(weights)
+        weights = tuple(map(integer_tuple, weights))
         if not weights:
             raise ValueError("action needs at least one coordinate")
-        for w in weights:
-            if w.dim != rank:
-                raise RankMismatch("weight dimension differs from rank")
-            if not w.is_integral():
-                raise ValueError("coordinate weights must be integral")
+        if any(len(w) != rank for w in weights):
+            raise RankMismatch("weight dimension differs from rank")
         if twist is None:
             twist = RationalVector.zero(rank)
         if twist.dim != rank:
@@ -168,9 +176,6 @@ class TorusAction:
         object.__setattr__(self, "twist", twist)
         object.__setattr__(self, "ip", ip)
         object.__setattr__(self, "factor_partition", blocks)
-        object.__setattr__(
-            self, "_int_weights", tuple(tuple(map(int, w.entries)) for w in weights)
-        )
         object.__setattr__(self, "_block_sets", tuple(map(frozenset, blocks)))
         object.__setattr__(self, "_coords", frozenset(seen))
 
@@ -242,10 +247,9 @@ class TorusAction:
 
     # -- functionals given per coordinate ---------------------------------
 
-    def coordinate_values(self, cochar: RationalVector) -> list[int]:
-        """<cochar, alpha_i> for every coordinate i, for an integral cochar."""
-        c = tuple(map(int, cochar.entries))
-        return [sum(map(operator.mul, c, w)) for w in self._int_weights]
+    def coordinate_values(self, cochar: Sequence[int]) -> list[int]:
+        """<cochar, alpha_i> for every coordinate i, for an integer cochar."""
+        return [sum(map(operator.mul, cochar, w)) for w in self.weights]
 
     def _blocks(self, support: Optional[SupportPoint]):
         if support is None:
@@ -291,15 +295,13 @@ class TorusAction:
         else:
             blocks = [list(blk) for blk in self.factor_partition]
         shift = self.twist if twisted else RationalVector.zero(self.rank)
-        out = []
-        for combo in itertools.product(*blocks):
-            entries = [-s for s in shift.entries]
-            for i in combo:
-                w = self.weights[i].entries
-                for k in range(self.rank):
-                    entries[k] += w[k]
-            out.append(RationalVector(entries))
-        return out
+        return [
+            RationalVector(
+                sum(axis) - s
+                for axis, s in zip(zip(*(self.weights[i] for i in combo)), shift)
+            )
+            for combo in itertools.product(*blocks)
+        ]
 
     def support_weights(
         self, support: Optional[SupportPoint] = None
@@ -316,7 +318,7 @@ class TorusAction:
         acc = {(0,) * self.rank}
         for blk in self.factor_partition:
             block = {
-                self._int_weights[i]
+                self.weights[i]
                 for i in blk
                 if support is None or i in support.support
             }
@@ -348,7 +350,7 @@ def build_product_action(factors: Sequence[TorusAction]) -> TorusAction:
             raise RankMismatch("all factors must share the torus rank")
         if f.ip != ip:
             raise RankMismatch("all factors must share the inner product")
-    weights: list[RationalVector] = []
+    weights: list[tuple[int, ...]] = []
     partition: list[list[int]] = []
     twist = RationalVector.zero(rank)
     for f in factors:
@@ -490,14 +492,11 @@ def build_external_extension(
     N = operator.index(N)
     if N <= 0:
         raise ValueError("N must be positive")
-    m = list(map(operator.index, gm_weights))
-    new_weights = [
-        RationalVector(list(w.entries) + [m[i]]) for i, w in enumerate(a.weights)
-    ]
+    m = map(operator.index, gm_weights)
+    zero = (0,) * a.rank
+    new_weights = [(*w, mi) for w, mi in zip(a.weights, m)]
+    new_weights += [(*zero, 0), (*zero, N)]
     base = a.num_coords
-    zero = [Fraction(0)] * a.rank
-    new_weights.append(RationalVector(zero + [0]))
-    new_weights.append(RationalVector(zero + [N]))
     partition = [list(blk) for blk in a.factor_partition] + [[base, base + 1]]
     twist = RationalVector(list(a.twist.entries) + [Fraction(0)])
     return TorusAction(
@@ -511,7 +510,7 @@ def forget_extension_axis(a: TorusAction) -> TorusAction:
     if len(a.factor_partition) < 2 or len(a.factor_partition[-1]) != 2:
         raise ValueError("last factor is not an extension line")
     keep = [i for blk in a.factor_partition[:-1] for i in blk]
-    weights = [RationalVector(a.weights[i].entries[:-1]) for i in sorted(keep)]
+    weights = [a.weights[i][:-1] for i in sorted(keep)]
     gram = [row[: a.rank - 1] for row in a.ip.gram[: a.rank - 1]]
     partition = [list(blk) for blk in a.factor_partition[:-1]]
     twist = RationalVector(a.twist.entries[:-1])

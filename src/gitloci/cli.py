@@ -351,7 +351,7 @@ def _lambda_for(args, rank: int) -> OneParamSubgroup:
     if len(parts) != rank:
         raise SpecError(f"--lambda needs {rank} comma-separated integers")
     try:
-        return OneParamSubgroup(RationalVector([int(p) for p in parts]))
+        return OneParamSubgroup([int(p) for p in parts])
     except ValueError as exc:
         raise SpecError(f"--lambda: {exc}") from exc
 
@@ -383,7 +383,7 @@ def _cmd_beta(spec: LoadedSpec, args) -> dict:
                 "beta": _jvec(bi.beta),
                 "norm_sq": _jq(bi.norm_sq),
                 "lambda": (
-                    [str(int(e)) for e in bi.lambda_beta.cochar.entries]
+                    list(map(str, bi.lambda_beta.cochar))
                     if bi.lambda_beta
                     else None
                 ),
@@ -495,7 +495,7 @@ def _cmd_adapted(spec: LoadedSpec, args) -> dict:
     region = adapted_region(action, lam, eps)
     t = lam.pairing(action.twist)
     return {
-        "lambda": [str(int(e)) for e in lam.cochar.entries],
+        "lambda": list(map(str, lam.cochar)),
         "adapted_interval": [_jq(region.lower), _jq(region.upper)],
         "well_adapted_interval": [_jq(v) for v in region.well_adapted_interval()],
         "epsilon": _jq(region.epsilon),
@@ -514,7 +514,7 @@ def _cmd_fan(spec: LoadedSpec, args) -> dict:
         pieces.append(
             {
                 "kind": p.face.kind,
-                "sample": [str(int(e)) for e in p.sample.cochar.entries],
+                "sample": list(map(str, p.sample.cochar)),
                 "min_support": sorted(p.min_support),
             }
         )

@@ -172,11 +172,6 @@ class InnerProduct:
             if len(pivots) < k or det <= 0:
                 raise ValueError("gram matrix must be positive definite")
         object.__setattr__(self, "gram", rows)
-        object.__setattr__(
-            self,
-            "_is_identity",
-            all(rows[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)),
-        )
 
     @staticmethod
     def identity(rank: int) -> "InnerProduct":
@@ -189,31 +184,24 @@ class InnerProduct:
         return len(self.gram)
 
     def pairing(self, u: RationalVector, v: RationalVector) -> Fraction:
+        """u . G v."""
         if u.dim != self.rank or v.dim != self.rank:
             raise ValueError("vector dimension does not match form rank")
-        if self._is_identity:
-            return sum(
-                (a * b for a, b in zip(u.entries, v.entries)), Fraction(0)
-            )
-        total = Fraction(0)
-        for i, ui in enumerate(u.entries):
-            if ui == 0:
-                continue
-            row = self.gram[i]
-            total += ui * sum(
-                (row[j] * vj for j, vj in enumerate(v.entries)), Fraction(0)
-            )
-        return total
+        return sum(
+            (a * g * b for a, row in zip(u, self.gram) for g, b in zip(row, v)),
+            Fraction(0),
+        )
 
     def norm_sq(self, v: RationalVector) -> Fraction:
         return self.pairing(v, v)
 
-    def dual_norm_sq(self, v: RationalVector) -> Fraction:
-        """v . G^-1 v, the norm of a cocharacter under the dual form: with d
-        the denominator of v, G x = d * v is solved over the integers."""
-        (dv,), d = clear_denominators([v.entries])
+    def dual_norm_sq(self, v: Iterable[Fraction | int]) -> Fraction:
+        """v . G^-1 v, the norm of a cocharacter (any rational vector of the
+        form's rank) under the dual form: with d the denominator of v,
+        G x = d * v is solved over the integers."""
+        (dv,), d = clear_denominators([v])
         rows, _, det = integer_row_reduce(
-            [[*row, e] for row, e in zip(self.gram, dv)]
+            [[*row, e] for row, e in zip(self.gram, dv, strict=True)]
         )
         return Fraction(sum(e * row[-1] for e, row in zip(dv, rows)), det * d * d)
 

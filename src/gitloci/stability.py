@@ -1,8 +1,10 @@
 """Hilbert-Mumford machinery for linearised torus actions.
 
-mu(x, rho) is the maximum of the negated rho-weights over the nonzero
-coordinates of x, computed after shifting by the character twist; its
-normalisation M = mu/|rho| is kept exact by comparing signs and
+A one-parameter subgroup rho is a cocharacter, held as an integer tuple and
+paired with the integer weights by the dot product; twists, betas and
+samples stay rational.  mu(x, rho) is the maximum of the negated rho-weights
+over the nonzero coordinates of x, computed after shifting by the character
+twist; its normalisation M = mu/|rho| is kept exact by comparing signs and
 cross-multiplied squares instead of taking square roots.
 
 Instability is measured by the norm of the minimum-norm point beta of the
@@ -35,6 +37,7 @@ from .action import (
     SupportPoint,
     TorusAction,
     generic_support,
+    integer_tuple,
     orbit_point,
 )
 from .polytope import (
@@ -81,17 +84,14 @@ class ZeroBeta(ValueError):
 
 @dataclass(frozen=True)
 class OneParamSubgroup:
-    """A nonzero integral cocharacter, kept as given."""
+    """A nonzero cocharacter, an integer tuple, kept as given."""
 
-    cochar: RationalVector
+    cochar: tuple[int, ...]
 
     def __init__(self, cochar: RationalVector | Sequence[int]):
-        if not isinstance(cochar, RationalVector):
-            cochar = RationalVector(cochar)
-        if cochar.is_zero():
+        cochar = integer_tuple(cochar)
+        if not any(cochar):
             raise ValueError("a one-parameter subgroup must be nonzero")
-        if not cochar.is_integral():
-            raise ValueError("cocharacter entries must be integral")
         object.__setattr__(self, "cochar", cochar)
 
     @staticmethod
@@ -110,8 +110,9 @@ class OneParamSubgroup:
         g = math.gcd(*gb) or 1  # beta = 0 is refused by the constructor
         return OneParamSubgroup([v // g for v in gb])
 
-    def pairing(self, w: RationalVector) -> Fraction:
-        return self.cochar.dot(w)
+    def pairing(self, w: Iterable[Fraction | int]) -> Fraction:
+        """<cochar, w> for a rational vector w of the same dimension."""
+        return sum((c * e for c, e in zip(self.cochar, w, strict=True)), Fraction(0))
 
 
 @functools.total_ordering
@@ -207,7 +208,7 @@ def _directions(a: TorusAction) -> list[tuple[int, ...]]:
     affine span and its relative facets.  At rank 1 this is +-e_1; at rank
     2, the axes and the perpendiculars of the differences.
     """
-    ints = a._int_weights
+    ints = a.weights
     spanning = {tuple(int(i == k) for i in range(a.rank)) for k in range(a.rank)}
     for blk in a.factor_partition:
         for i, j in itertools.combinations(blk, 2):
@@ -231,7 +232,7 @@ def _slacks(
     """
     (dchi,), d = clear_denominators([chi.entries])
     values = [
-        [d * sum(map(operator.mul, u, w)) for u in dirs] for w in a._int_weights
+        [d * sum(map(operator.mul, u, w)) for u in dirs] for w in a.weights
     ]
     rows = []  # per factor: its subsets' greatest values, by factor_subsets
     for subsets in a.factor_subsets():
@@ -382,15 +383,21 @@ def adapted_region(
 ) -> AdaptedRegion:
     """The twist interval adapted to the flow, with its well-adapted slab.
 
-    Default epsilon is a thousandth of the slab width (nothing in the theory
-    pins a value; only existence of some positive epsilon is used).
+    The flow's two least Segre values bound it, read per factor: the least
+    is the sum of the per-factor minima, and the next adds the least gap
+    between a factor's two least values.  Default epsilon is a thousandth
+    of the slab width (nothing in the theory pins a value; only existence
+    of some positive epsilon is used).
     """
-    values = sorted({lam.pairing(RationalVector(w)) for w in a.support_weights()})
-    if len(values) < 2:
+    values = a.coordinate_values(lam.cochar)
+    least = [sorted({values[i] for i in blk})[:2] for blk in a.factor_partition]
+    gaps = [v[1] - v[0] for v in least if len(v) == 2]
+    if not gaps:
         raise NoAdaptedTwist("the flow has a single weight; no adapted twist exists")
-    lower, upper = values[0], values[1]
+    lower = sum(v[0] for v in least)
+    upper = lower + min(gaps)
     if epsilon is None:
-        epsilon = (upper - lower) / 1000
+        epsilon = Fraction(upper - lower, 1000)
     return AdaptedRegion(lower, upper, lam, Fraction(epsilon))
 
 
@@ -446,18 +453,20 @@ def cocharacter_fan(a: TorusAction, cone: Cone) -> CocharacterFan:
         )
     if a.rank != 2:
         raise RankUnsupported("exact fan enumeration is limited to rank <= 2")
-    w = a._int_weights
+    w = a.weights
     lines = [
         Line2D(w[i][0] - w[j][0], w[i][1] - w[j][1], 0)
         for blk in a.factor_partition
         for i, j in itertools.combinations(blk, 2)
         if w[i] != w[j]
     ]
-    # the open cone: each normal with its denominators cleared, offset 0
-    region = [
-        (*clear_denominators([normal.entries])[0][0], 0)
-        for normal, _ in cone.halfspaces
-    ]
+    # the open cone: each normal cleared and made primitive, offset 0, so
+    # that a lone chamber's sample does not depend on the normals' scale
+    region = []
+    for normal, _ in cone.halfspaces:
+        n = clear_denominators([normal])[0][0]
+        g = math.gcd(*n) or 1  # a zero normal leaves the open cone empty
+        region.append((*(x // g for x in n), 0))
     arr = Arrangement2D(lines, region)
     try:
         dec = chamber_decomposition_2d(arr)

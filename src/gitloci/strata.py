@@ -331,7 +331,7 @@ def _support_hulls(
         return sums[p, q]
 
     tables = [
-        [number(_vertices({a._int_weights[i] for i in s}, a.rank)) for s in factor]
+        [number(_vertices({a.weights[i] for i in s}, a.rank)) for s in factor]
         for factor in subsets
     ]
     rows = tables[0]

@@ -193,7 +193,7 @@ def _rank2_walls(a: TorusAction) -> tuple[list[Line2D], _SignFamilies]:
     edges: set[tuple[int, int, int]] = set()
     # the first half are the canonical normals, and -u gives the same lines
     for u in dirs[: len(dirs) // 2]:
-        val = a.coordinate_values(RationalVector(u))
+        val = a.coordinate_values(u)
         values = [{val[i] for i in blk} for blk in a.factor_partition]
         for f, blk in enumerate(a.factor_partition):
             pairs = itertools.combinations(blk, 2)
@@ -300,17 +300,23 @@ def _rank1_complex(a: TorusAction) -> ChamberComplex:
     values = [w for (w,) in a.support_weights()]  # sorted, distinct integers
     labels = _sign_families(a, _directions(a), [(1, v) for v in values])
 
+    def signs(q: Fraction) -> tuple[int, ...]:
+        return tuple((q > v) - (q < v) for v in values)
+
     def family(q: Fraction) -> frozenset[frozenset[int]]:
-        return labels.supports(labels.family([(q > v) - (q < v) for v in values]))
+        return labels.supports(labels.family(signs(q)))
 
     # every value is a wall, as the point support there is semistable only
     # there, and every twist between values is effective
     walls = tuple(
-        Wall(Line2D(1, 0, v), (WallCell(RationalVector([v]), None, family(v), (0,)),))
+        Wall(
+            Line2D(1, 0, v),
+            (WallCell(RationalVector([v]), None, family(v), signs(v)),),
+        )
         for v in values
     )
     chambers = tuple(
-        Chamber(RationalVector([q]), family(q), (), (lo, hi))
+        Chamber(RationalVector([q]), family(q), signs(q), (lo, hi))
         for lo, hi in zip(values, values[1:])
         for q in [Fraction(lo + hi, 2)]
     )
@@ -470,9 +476,6 @@ def crossing_report(complex_: ChamberComplex, wall_cell: WallCell) -> FlipReport
     if not any(wall_cell in wall.cells for wall in complex_.walls):
         raise NotAdjacent("not a wall cell of this complex")
     signs = wall_cell.signs
-    if complex_.rank == 1:
-        v = wall_cell.sample.entries[0]
-        signs = tuple((v > w) - (v < w) for w in complex_.wall_values())
     idx = signs.index(0)
     # an ineffective side has no mask (None); mask 0 renders the empty family
     left, right = (

@@ -80,7 +80,7 @@ def test_criterion_02_hexagon(sec7_1):
     # factor weights, then detect hull vertices by LP membership against
     # the other points (simplex path, not the monotone chain under test)
     blocks = [
-        [tuple(int(e) for e in action.weights[i].entries) for i in blk]
+        [action.weights[i] for i in blk]
         for blk in action.factor_partition
     ]
     sums = sorted(
@@ -260,7 +260,7 @@ def test_criterion_11_scale_and_permutation_invariance(ex1_7, sec7_1):
         base[0] = 1
         lam = OneParamSubgroup(V(base))
         for n in (2, 3, 7):
-            lam_n = OneParamSubgroup(lam.cochar.scale(n))
+            lam_n = OneParamSubgroup([n * c for c in lam.cochar])
             assert (
                 x_min(action, lam).per_factor_argmin
                 == x_min(action, lam_n).per_factor_argmin

@@ -88,7 +88,7 @@ def test_segre_weight_is_sum_of_factor_weights():
     for combo in itertools.product(*blocks):
         w = V([0, 0])
         for i in combo:
-            w = w + prod.weights[i]
+            w = w + V(prod.weights[i])
         expected.append(tuple(w.entries))
     assert sorted(tuple(w.entries) for w in prod.segre_weights()) == sorted(expected)
 
@@ -149,8 +149,8 @@ def test_segre_min_and_argmin_match_the_segre_expansion():
     for a in actions:
         for _ in range(4):
             cochar = V([rng.randint(-3, 3) for _ in range(a.rank)])
-            values = a.coordinate_values(cochar)
-            assert values == [cochar.dot(w) for w in a.weights]
+            values = a.coordinate_values(tuple(map(int, cochar)))
+            assert values == [cochar.dot(V(w)) for w in a.weights]
             for sp in [None, *a.iter_supports()]:
                 blocks = a.factor_partition if sp is None else a.per_factor_support(sp)
                 sums = {c: sum(values[i] for i in c) for c in itertools.product(*blocks)}
@@ -300,14 +300,14 @@ def test_double_extension_restricts_to_single():
     # k = 0 coordinates, mu axis dropped, reproduce the lambda extension
     old = a.num_coords
     for i, w in enumerate(dbl.weights[:old]):
-        assert w.entries[:-1] == ext_l.weights[i].entries
-        assert (w.entries[0], w.entries[2]) == ext_m.weights[i].entries
+        assert w[:-1] == ext_l.weights[i]
+        assert (w[0], w[2]) == ext_m.weights[i]
     # the lambda line block matches the single extension's line block
-    assert dbl.weights[old].entries[:-1] == ext_l.weights[old].entries
-    assert dbl.weights[old + 1].entries[:-1] == ext_l.weights[old + 1].entries
+    assert dbl.weights[old][:-1] == ext_l.weights[old]
+    assert dbl.weights[old + 1][:-1] == ext_l.weights[old + 1]
     # the mu line block matches, after dropping the lambda axis
-    assert (dbl.weights[old + 2].entries[0], dbl.weights[old + 2].entries[2]) == ext_m.weights[old].entries
-    assert (dbl.weights[old + 3].entries[0], dbl.weights[old + 3].entries[2]) == ext_m.weights[old + 1].entries
+    assert (dbl.weights[old + 2][0], dbl.weights[old + 2][2]) == ext_m.weights[old]
+    assert (dbl.weights[old + 3][0], dbl.weights[old + 3][2]) == ext_m.weights[old + 1]
 
 
 def test_support_validation():

@@ -233,6 +233,19 @@ def test_svg_module_feeds_nothing_back():
     assert "from .svg" not in init_text
 
 
+def test_weights_and_cocharacters_are_integer_tuples():
+    # weights are characters and flows cocharacters: both integral, held as
+    # int tuples with no Fraction beside them
+    for path in sorted(CORPUS.glob("*.json")):
+        action = load_spec(str(path)).action
+        for w in action.weights:
+            assert type(w) is tuple and all(type(e) is int for e in w), path
+        for bi in beta_index_set(action):
+            if bi.lambda_beta is not None:
+                lam = bi.lambda_beta.cochar
+                assert type(lam) is tuple and all(type(e) is int for e in lam), path
+
+
 def test_benchmark_entry_points_exist():
     # the benchmark traces these functions by name, checks reports with the
     # oracle and git_class, and builds hull queries and checks from the

@@ -238,7 +238,7 @@ def test_destabilising_beta_examples():
     a2 = TorusAction(2, [V([1, 2]), V([2, 1])], IP2)
     beta, lam = destabilising_beta(a2, SupportPoint([0, 1]))
     assert beta == V([Fraction(3, 2), Fraction(3, 2)])
-    assert lam.cochar == V([1, 1])
+    assert lam.cochar == (1, 1)
     a = _a1()
     beta, lam = destabilising_beta(a, SupportPoint([0, 2]))
     assert beta.is_zero() and lam is None
@@ -247,7 +247,7 @@ def test_destabilising_beta_examples():
     beta, lam = destabilising_beta(
         TorusAction(2, [V([2, 0])], IP2), SupportPoint([0])
     )
-    assert beta == V([2, 0]) and lam.cochar == V([1, 0])
+    assert beta == V([2, 0]) and lam.cochar == (1, 0)
 
 
 def test_beta_deterministic_under_permutation():
@@ -332,6 +332,40 @@ def test_adapted_region_examples():
 
     with pytest.raises(ValueError):
         AdaptedRegion(0, 1, OneParamSubgroup(V([1])), Fraction(2))
+
+
+def test_adapted_region_matches_the_segre_sumset():
+    # the flow's two least values over the distinct Segre weights (the
+    # sumset), against the per-factor reading; factors with one value under
+    # the flow, alone or beside others, and flows with no adapted twist
+    rng = random.Random(2503)
+    cases = [
+        (2, [[[1, 2]], [[0, 0], [0, 3]]], [1, 0]),
+        (2, [[[1, 2]], [[0, 0], [0, 3]], [[2, 1], [0, 0], [1, 1]]], [1, 0]),
+        (1, [[[3]], [[-1], [-1]]], [2]),
+        (1, [[[3]], [[-1], [4]], [[0], [2], [7]]], [-1]),
+    ]
+    for rank in (1, 2, 3):
+        for _ in range(25):
+            factors = [_random_factor(rng, rank) for _ in range(rng.randint(1, 3))]
+            lam = [rng.randint(-2, 2) for _ in range(rank)]
+            if any(lam):
+                cases.append((rank, factors, lam))
+    none = 0
+    for rank, factors, lam in cases:
+        ip = InnerProduct.identity(rank)
+        a = build_product_action([TorusAction(rank, ws, ip) for ws in factors])
+        flow = OneParamSubgroup(lam)
+        values = sorted({flow.pairing(w) for w in a.support_weights()})
+        if len(values) < 2:
+            none += 1
+            with pytest.raises(NoAdaptedTwist):
+                adapted_region(a, flow)
+            continue
+        region = adapted_region(a, flow)
+        assert (region.lower, region.upper) == tuple(values[:2]), (factors, lam)
+        assert region.epsilon == (values[1] - values[0]) / 1000
+    assert none >= 2
 
 
 def test_cocharacter_fan_rank1_single_piece():
@@ -656,7 +690,7 @@ def test_lambda_beta_destabilises_under_any_form():
     sp = SupportPoint([0, 2])
     beta, lam = destabilising_beta(a, sp)
     assert beta == V([Fraction(3, 26), Fraction(-9, 13)])
-    assert lam.cochar == V([-4, -5])
+    assert lam.cochar == (-4, -5)
     assert hm_mu(a, sp, lam) == -3
     assert BetaIndex.from_beta(a, beta).lambda_beta == lam
 
@@ -676,7 +710,7 @@ def test_lambda_beta_destabilises_under_any_form():
             if beta.is_zero():
                 continue
             dual = RationalVector([ip.pairing(e, beta) for e in (V([1, 0]), V([0, 1]))])
-            assert lam.cochar == dual.primitive_integral()
+            assert lam.cochar == tuple(dual.primitive_integral())
             # the least pairing over the support is attained on beta's face
             assert hm_mu(a, sp, lam) == -lam.pairing(beta) < 0
             assert BetaIndex.from_beta(a, beta).lambda_beta == lam

@@ -48,8 +48,8 @@ def test_beta_index_set_rank1():
     values = sorted(b.beta.entries[0] for b in betas)
     assert values == [-1, 0, 2]
     by_value = {b.beta.entries[0]: b for b in betas}
-    assert by_value[2].lambda_beta.cochar == V([1])
-    assert by_value[-1].lambda_beta.cochar == V([-1])
+    assert by_value[2].lambda_beta.cochar == (1,)
+    assert by_value[-1].lambda_beta.cochar == (-1,)
     assert by_value[0].lambda_beta is None
     assert by_value[2].norm_sq == 4
 
@@ -531,7 +531,7 @@ def test_y_members_walk_matches_support_scan():
             sets = list(a.support_sets())
             for _ in range(3):
                 cochar = V([rng.randint(-3, 3) for _ in range(rank)])
-                values = a.coordinate_values(cochar)
+                values = a.coordinate_values(tuple(map(int, cochar)))
                 scan = []
                 for s in sets:
                     sp = SupportPoint(s)

@@ -141,6 +141,35 @@ def test_crossing_report_rank1():
         crossing_report(cc, wall_chamber_decomposition(_sec71()).walls[0].cells[0])
 
 
+def test_rank1_cells_sign_the_wall_values(ex1_7):
+    # every wall cell has one zero, at its own wall, and each crossing reads
+    # its sides' families: the neighbouring chambers', or empty past the ends
+    rng = random.Random(2504)
+    actions = [ex1_7.action, _a1(), TorusAction(1, [V([5])], IP1)]
+    for _ in range(8):
+        factors = [
+            TorusAction(1, [[rng.randint(-3, 3)] for _ in range(rng.randint(1, 3))], IP1)
+            for _ in range(rng.randint(1, 3))
+        ]
+        actions.append(build_product_action(factors))
+    for a in actions:
+        cc = wall_chamber_decomposition(a)
+        values = cc.wall_values()
+        n = len(values)
+        for k, wall in enumerate(cc.walls):
+            assert wall.cells[0].signs == tuple((k > i) - (k < i) for i in range(n))
+        for ch in cc.chambers:
+            (q,) = ch.sample.entries
+            assert ch.signs == tuple((q > v) - (q < v) for v in values)
+        ends = [values[0] - 1, *values, values[-1] + 1]
+        mids = [V([Fraction(x + y, 2)]) for x, y in zip(ends, ends[1:])]
+        for k, wall in enumerate(cc.walls):
+            (cell,) = wall.cells
+            lo, hi = _family_or_empty(a, mids[k]), _family_or_empty(a, mids[k + 1])
+            rep = crossing_report(cc, cell)
+            assert rep == _flip_families(lo, hi, cell.family, cell), (a.weights, k)
+
+
 def test_crossing_report_rank2_sec71():
     # every one-zero wall cell whose two sides are both chambers of the
     # complex: the report is the git_class difference at the two samples
@@ -438,7 +467,7 @@ def test_wall_hyperplane_candidates_any_rank():
     planes = wall_hyperplane_candidates(a3)
     assert len(planes) == 4  # one hyperplane per weight triple
     for *normal, offset in planes:
-        on = sum(1 for w in a3.weights if V(normal).dot(w) == offset)
+        on = sum(1 for w in a3.weights if V(normal).dot(V(w)) == offset)
         assert on == 3
 
 
