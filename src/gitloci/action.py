@@ -121,7 +121,7 @@ def _entry_is_zero(e: Fraction | BiPoly) -> bool:
 def integer_tuple(v: Iterable[Fraction | int]) -> tuple[int, ...]:
     """An integral vector (a RationalVector or integral rationals) as an
     integer tuple."""
-    entries = tuple(v)
+    entries = [e if isinstance(e, (int, Fraction)) else Fraction(e) for e in v]
     if any(e.denominator != 1 for e in entries):
         raise ValueError("entries must be integral")
     return tuple(e.numerator for e in entries)
@@ -288,12 +288,10 @@ class TorusAction:
         """
         if support is not None:
             self.validate_support(support)
-            blocks = [
-                [i for i in blk if i in support.support]
-                for blk in self.factor_partition
-            ]
-        else:
-            blocks = [list(blk) for blk in self.factor_partition]
+        blocks = [
+            [i for i in blk if support is None or i in support.support]
+            for blk in self.factor_partition
+        ]
         shift = self.twist if twisted else RationalVector.zero(self.rank)
         return [
             RationalVector(

@@ -184,12 +184,13 @@ class InnerProduct:
         return len(self.gram)
 
     def pairing(self, u: RationalVector, v: RationalVector) -> Fraction:
-        """u . G v."""
+        """u . G v, summed in integers over the vectors' common denominator."""
         if u.dim != self.rank or v.dim != self.rank:
             raise ValueError("vector dimension does not match form rank")
-        return sum(
-            (a * g * b for a, row in zip(u, self.gram) for g, b in zip(row, v)),
-            Fraction(0),
+        (nu, nv), d = clear_denominators([u, v])
+        return Fraction(
+            sum(a * g * b for a, row in zip(nu, self.gram) for g, b in zip(row, nv)),
+            d * d,
         )
 
     def norm_sq(self, v: RationalVector) -> Fraction:
