@@ -1,18 +1,18 @@
 """Data model for linearised torus actions with graded unipotent extras.
 
-A TorusAction records one weight per homogeneous coordinate, a character
-and so an integer tuple; a rational character twist; an inner product; and
-a partition of the coordinates into projective factors.  Products are
-stored factored and never Segre-expanded in a computation: a point of a
-product has a nonzero coordinate in every factor, so support logic stays
-per-factor.  A support's distinct Segre weights are the per-factor sumset
-of its coordinates' weights (`support_weights`), which hull membership and
-Wolfe run on.  A functional is given by its value on each coordinate, as a
-cocharacter (an integer tuple too) is by `coordinate_values`: its least
-Segre value is the sum of the per-factor minima (`segre_min`), attained on
-the products of the per-factor argmins (`segre_argmin`).  Hilbert-Mumford
-values, flow limits and the strata's hyperplane tests all use this one
-kernel.
+A TorusAction records one weight per homogeneous coordinate (a character
+of the torus, so an integer tuple), a rational character twist, an inner
+product, and a partition of the coordinates into projective factors.
+Products are stored factored and never Segre-expanded in a computation: a
+point of a product has a nonzero coordinate in every factor, so support
+logic stays per-factor.  A support's distinct Segre weights are the
+per-factor sumset of its coordinates' weights (`support_weights`), which
+hull membership and Wolfe run on.  A functional is given by its value on
+each coordinate, a cocharacter's (an integer tuple too) by
+`coordinate_values`: its least Segre value is the sum of the per-factor
+minima (`segre_min`), attained on the products of the per-factor argmins
+(`segre_argmin`).  Hilbert-Mumford values, flow limits and the strata's
+hyperplane tests all use this one kernel.
 
 Conventions:
   * cocharacter/weight pairings are plain dot products;
