@@ -9,10 +9,12 @@ logic stays per-factor.  A support's distinct Segre weights are the
 per-factor sumset of its coordinates' weights (`support_weights`), which
 hull membership and Wolfe run on.  A functional is given by its value on
 each coordinate, a cocharacter's (an integer tuple too) by
-`coordinate_values`: its least Segre value is the sum of the per-factor
-minima (`segre_min`), attained on the products of the per-factor argmins
-(`segre_argmin`).  Hilbert-Mumford values, flow limits and the strata's
-hyperplane tests all use this one kernel.
+`coordinate_values`.  `levels` tables a cocharacter's distinct values per
+factor, ascending, each with the coordinates that take it: the least Segre
+value is the sum of the first levels' values, attained on the products of
+their coordinate sets.  Hilbert-Mumford values, flow limits, adapted
+twists, the strata's hyperplane tests and the rank-2 walls all read this
+one table.
 
 Conventions:
   * cocharacter/weight pairings are plain dot products;
@@ -251,27 +253,25 @@ class TorusAction:
         """<cochar, alpha_i> for every coordinate i, for an integer cochar."""
         return [sum(map(operator.mul, cochar, w)) for w in self.weights]
 
-    def _blocks(self, support: Optional[SupportPoint]):
-        if support is None:
-            return self.factor_partition
-        return self.per_factor_support(support)
-
-    def segre_min(self, values: Sequence, support: Optional[SupportPoint] = None):
-        """The least value over the Segre coordinates (of a support) of a
-        functional given by its value on each coordinate: the sum of the
-        per-factor minima."""
-        return sum(min(values[i] for i in blk) for blk in self._blocks(support))
-
-    def segre_argmin(
-        self, values: Sequence, support: Optional[SupportPoint] = None
-    ) -> tuple[frozenset[int], ...]:
-        """Per factor, the coordinates (of a support) of least value; the
-        Segre coordinates of least value are the products of these sets."""
-        out = []
-        for blk in self._blocks(support):
-            lo = min(values[i] for i in blk)
-            out.append(frozenset(i for i in blk if values[i] == lo))
-        return tuple(out)
+    def levels(
+        self, cochar: Sequence[int], support: Optional[SupportPoint] = None
+    ) -> tuple[tuple[tuple[int, frozenset[int]], ...], ...]:
+        """Per factor, the distinct values <cochar, alpha_i> over its
+        coordinates (those of a support when given), ascending, each paired
+        with the coordinates that take it.  The least Segre value is the sum
+        of the first levels' values, attained on the products of their
+        coordinate sets."""
+        value = self.coordinate_values(cochar).__getitem__
+        blocks = self.factor_partition
+        if support is not None:
+            blocks = self.per_factor_support(support)
+        return tuple(
+            tuple(
+                (v, frozenset(coords))
+                for v, coords in itertools.groupby(sorted(blk, key=value), value)
+            )
+            for blk in blocks
+        )
 
     # -- Segre weights -----------------------------------------------------
 
@@ -413,13 +413,19 @@ class GroupSpec:
 
 
 def orbit_point(x: ExplicitPoint, g: GroupSpec) -> ExplicitPoint:
-    """Coordinates of u.x as polynomials in the group parameters."""
+    """Coordinates of u.x as polynomials in the group parameters.  A group
+    with no matrices (the trivial radical) acts as the identity on every
+    factor."""
     if x.is_symbolic:
         raise ValueError("orbit_point expects rational coordinates")
-    if len(g.u_matrices) != len(x.coords):
+    mats = g.u_matrices or [
+        [[BiPoly.const(int(i == j)) for j in range(len(c))] for i in range(len(c))]
+        for c in x.coords
+    ]
+    if len(mats) != len(x.coords):
         raise LengthMismatch("group matrices do not match the point's factors")
     blocks = []
-    for mat, coords in zip(g.u_matrices, x.coords):
+    for mat, coords in zip(mats, x.coords):
         if len(mat) != len(coords):
             raise LengthMismatch("matrix size does not match factor size")
         new = []

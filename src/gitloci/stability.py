@@ -175,7 +175,7 @@ def hm_mu(a: TorusAction, x: SupportPoint, rho: OneParamSubgroup) -> Fraction:
     sum is minus the least Segre value of rho.
     """
     a.validate_support(x)
-    return rho.pairing(a.twist) - a.segre_min(a.coordinate_values(rho.cochar), x)
+    return rho.pairing(a.twist) - sum(f[0][0] for f in a.levels(rho.cochar, x))
 
 
 def hm_M(a: TorusAction, x: SupportPoint, rho: OneParamSubgroup) -> HMValue:
@@ -312,30 +312,11 @@ def admissible_cone(g: GroupSpec, rank: int) -> Cone:
     return cone
 
 
-@dataclass(frozen=True)
-class XMinData:
-    """Minimal-weight data of a one-parameter flow."""
-
-    per_factor_argmin: tuple[frozenset[int], ...]
-    min_weight: Fraction
-
-    def meets(self, per_factor: Sequence[frozenset[int]]) -> bool:
-        """Does a support have a coordinate of minimal weight in every factor?"""
-        return all(s & m for s, m in zip(per_factor, self.per_factor_argmin))
-
-    def contains(self, per_factor: Sequence[frozenset[int]]) -> bool:
-        """Is the support entirely inside the minimal weight space?"""
-        return all(s <= m for s, m in zip(per_factor, self.per_factor_argmin))
-
-
-def x_min(a: TorusAction, lam: OneParamSubgroup) -> XMinData:
-    """Per-factor argmin of the weight pairing, plus the minimal Segre weight.
-
-    Ties keep all minimal indices.  Basin membership for a support is
-    `meets`: a nonzero minimal-weight coordinate in every factor.
-    """
-    values = a.coordinate_values(lam.cochar)
-    return XMinData(a.segre_argmin(values), Fraction(a.segre_min(values)))
+def x_min(a: TorusAction, lam: OneParamSubgroup) -> tuple[frozenset[int], ...]:
+    """Per factor, the coordinates of least weight pairing with the flow (its
+    first level); ties keep all of them.  The minimal weight space is their
+    product, and a support is in its basin when it meets every one."""
+    return tuple(factor[0][1] for factor in a.levels(lam.cochar))
 
 
 @dataclass(frozen=True)
@@ -383,18 +364,17 @@ def adapted_region(
 ) -> AdaptedRegion:
     """The twist interval adapted to the flow, with its well-adapted slab.
 
-    The flow's two least Segre values bound it, read per factor: the least
-    is the sum of the per-factor minima, and the next adds the least gap
-    between a factor's two least values.  Default epsilon is a thousandth
+    The flow's two least Segre values bound it, read from its levels: the
+    least is the sum of the first levels, and the next adds the least gap
+    between a factor's first two levels.  Default epsilon is a thousandth
     of the slab width (nothing in the theory pins a value; only existence
     of some positive epsilon is used).
     """
-    values = a.coordinate_values(lam.cochar)
-    least = [sorted({values[i] for i in blk})[:2] for blk in a.factor_partition]
-    gaps = [v[1] - v[0] for v in least if len(v) == 2]
+    levels = a.levels(lam.cochar)
+    gaps = [f[1][0] - f[0][0] for f in levels if len(f) > 1]
     if not gaps:
         raise NoAdaptedTwist("the flow has a single weight; no adapted twist exists")
-    lower = sum(v[0] for v in least)
+    lower = sum(f[0][0] for f in levels)
     upper = lower + min(gaps)
     if epsilon is None:
         epsilon = Fraction(upper - lower, 1000)
@@ -448,9 +428,7 @@ def cocharacter_fan(a: TorusAction, cone: Cone) -> CocharacterFan:
             raise EmptyCone("cone has no interior cocharacter")
         lam = OneParamSubgroup(sample)
         face = Face("chamber", sample, ())
-        return CocharacterFan(
-            (FanPiece(face, lam, x_min(a, lam).per_factor_argmin),), None
-        )
+        return CocharacterFan((FanPiece(face, lam, x_min(a, lam)),), None)
     if a.rank != 2:
         raise RankUnsupported("exact fan enumeration is limited to rank <= 2")
     w = a.weights
@@ -477,7 +455,7 @@ def cocharacter_fan(a: TorusAction, cone: Cone) -> CocharacterFan:
         if face.sample.is_zero():
             continue  # the apex carries no flow
         lam = OneParamSubgroup.from_vector(face.sample)
-        pieces.append(FanPiece(face, lam, x_min(a, lam).per_factor_argmin))
+        pieces.append(FanPiece(face, lam, x_min(a, lam)))
     return CocharacterFan(tuple(pieces), dec)
 
 
@@ -500,12 +478,12 @@ def gm_stable_support(a: TorusAction, lam: OneParamSubgroup):
     A support satisfies it iff it meets the minimal weight space in every
     factor and is not entirely contained in it.
     """
-    data = x_min(a, lam)
+    argmin = x_min(a, lam)
 
     def predicate(x: SupportPoint) -> bool:
         a.validate_support(x)
-        per = a.per_factor_support(x)
-        return data.meets(per) and not data.contains(per)
+        pairs = list(zip(a.per_factor_support(x), argmin))
+        return all(s & m for s, m in pairs) and not all(s <= m for s, m in pairs)
 
     return predicate
 
@@ -553,9 +531,8 @@ def uhat_stable_explicit(
     vanishes everywhere: the orbit sits inside the minimal stratum.
     """
     orbit = orbit_point(x, g)
-    argmins = x_min(a, lam).per_factor_argmin
     local = _orbit_by_global_index(a, orbit)
-    pairs = list(zip(a.factor_partition, argmins))
+    pairs = list(zip(a.factor_partition, x_min(a, lam)))
     systems = [[local[i] for i in blk if i in argmin] for blk, argmin in pairs]
     systems.append([local[i] for blk, argmin in pairs for i in blk if i not in argmin])
     return _sweep_verdict(common_zero_avoiding(s, []) for s in systems)

@@ -12,10 +12,10 @@ least one exactly, retract onto the exact-pairing face by flowing along the
 associated one-parameter subgroup.
 
 That pairing is the functional <alpha, G beta>, and lambda_beta is its
-primitive integral multiple.  So every hyperplane test reads lambda_beta's
-value on each coordinate through the action's per-factor kernel: a support
-is in Y when its least Segre value is <lambda_beta, beta + chi>, and its
-retraction keeps each factor's argmin.
+primitive integral multiple.  So every hyperplane test reads the support's
+levels of lambda_beta (`TorusAction.levels`): a support is in Y when its
+first levels sum to <lambda_beta, beta + chi>, in Z when it has one level
+per factor as well, and its retraction keeps each factor's first level.
 
 `verify_stratification` decides each property for every valid support
 without forming a support's weights or comparing all pairs.  beta is the
@@ -108,12 +108,12 @@ class StratumLabel:
 
 def _functional(
     a: TorusAction, beta: RationalVector
-) -> tuple[list[int], Fraction]:
-    """lambda_beta's value on each coordinate, and the least Segre value of
-    a Y-member: <lambda_beta, beta + chi>, a positive multiple of
+) -> tuple[tuple[int, ...], Fraction]:
+    """lambda_beta's cocharacter, and the least Segre value of a Y-member:
+    <lambda_beta, beta + chi>, a positive multiple of
     |beta|^2 + <chi, beta>."""
     lam = OneParamSubgroup.dual_to(beta, a.ip)
-    return a.coordinate_values(lam.cochar), lam.pairing(beta + a.twist)
+    return lam.cochar, lam.pairing(beta + a.twist)
 
 
 def in_Y(a: TorusAction, x: SupportPoint, beta: RationalVector) -> bool:
@@ -122,8 +122,8 @@ def in_Y(a: TorusAction, x: SupportPoint, beta: RationalVector) -> bool:
     pairing over the support equals |beta|^2."""
     if beta.is_zero():
         return torus_status(a, x) is not TorusStatus.UNSTABLE
-    values, level = _functional(a, beta)
-    return a.segre_min(values, x) == level
+    cochar, level = _functional(a, beta)
+    return sum(f[0][0] for f in a.levels(cochar, x)) == level
 
 
 def in_Z(a: TorusAction, x: SupportPoint, beta: RationalVector) -> bool:
@@ -133,11 +133,9 @@ def in_Z(a: TorusAction, x: SupportPoint, beta: RationalVector) -> bool:
     if beta.is_zero():
         # degenerate reading: every twisted support weight is zero
         return all(w == a.twist.entries for w in a.support_weights(x))
-    values, level = _functional(a, beta)
-    return (
-        a.segre_min(values, x) == level
-        and frozenset().union(*a.segre_argmin(values, x)) == x.support
-    )
+    cochar, level = _functional(a, beta)
+    levels = a.levels(cochar, x)
+    return all(len(f) == 1 for f in levels) and sum(f[0][0] for f in levels) == level
 
 
 def stratum_of(a: TorusAction, x: SupportPoint) -> StratumLabel:
@@ -165,8 +163,8 @@ def p_beta(a: TorusAction, x: SupportPoint, b: BetaIndex) -> SupportPoint:
         raise NotInY("support is not in the Y-stratum of this index")
     if b.beta.is_zero():
         return x
-    values, _ = _functional(a, b.beta)
-    return SupportPoint(itertools.chain.from_iterable(a.segre_argmin(values, x)))
+    cochar, _ = _functional(a, b.beta)
+    return SupportPoint(itertools.chain(*(f[0][1] for f in a.levels(cochar, x))))
 
 
 def z_ss_check(a: TorusAction, x: SupportPoint, b: BetaIndex) -> bool:

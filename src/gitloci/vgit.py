@@ -193,11 +193,10 @@ def _rank2_walls(a: TorusAction) -> tuple[list[Line2D], _SignFamilies]:
     edges: set[tuple[int, int, int]] = set()
     # the first half are the canonical normals, and -u gives the same lines
     for u in dirs[: len(dirs) // 2]:
-        val = a.coordinate_values(u)
-        values = [{val[i] for i in blk} for blk in a.factor_partition]
-        for f, blk in enumerate(a.factor_partition):
-            pairs = itertools.combinations(blk, 2)
-            sums = {val[i] for i, j in pairs if val[i] == val[j] and w[i] != w[j]}
+        levels = a.levels(u)
+        values = [{v for v, _ in factor} for factor in levels]
+        for f, factor in enumerate(levels):
+            sums = {v for v, coords in factor if len({w[i] for i in coords}) > 1}
             for g, vs in enumerate(values):
                 if g != f and sums:
                     sums = {x + y for x in sums for y in vs}

@@ -38,7 +38,6 @@ arrangement's integer terms.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -364,13 +363,17 @@ def verify_stratification_oracle(a: TorusAction) -> StratificationReport:
     for key, bi in sorted(betas.items()):
         if bi.beta.is_zero():
             continue
-        values, level = strata._functional(a, bi.beta)
+        cochar, level = strata._functional(a, bi.beta)
+        values = a.coordinate_values(cochar)
         untwisted = bi.beta + a.twist  # beta against the untwisted weights
         for sp in supports:
-            if a.segre_min(values, sp) != level:
+            # per factor, the least value over the support and its argmin
+            blocks = [[i for i in blk if i in sp] for blk in a.factor_partition]
+            lows = [min(values[i] for i in blk) for blk in blocks]
+            if sum(lows) != level:
                 continue  # not in the Y-stratum of this index
             retracted = SupportPoint(
-                itertools.chain.from_iterable(a.segre_argmin(values, sp))
+                i for blk, lo in zip(blocks, lows) for i in blk if values[i] == lo
             )
             lhs = by_support[sp.support] == bi.beta  # lambda_beta adapted to sp
             pos = hull_position(a.support_weights(retracted), untwisted)

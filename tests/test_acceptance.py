@@ -261,10 +261,7 @@ def test_criterion_11_scale_and_permutation_invariance(ex1_7, sec7_1):
         lam = OneParamSubgroup(V(base))
         for n in (2, 3, 7):
             lam_n = OneParamSubgroup([n * c for c in lam.cochar])
-            assert (
-                x_min(action, lam).per_factor_argmin
-                == x_min(action, lam_n).per_factor_argmin
-            )
+            assert x_min(action, lam) == x_min(action, lam_n)
             try:
                 r1 = adapted_region(action, lam)
                 rn = adapted_region(action, lam_n)

@@ -126,9 +126,10 @@ def test_support_weights_are_the_distinct_segre_weights():
     assert len(prod.support_weights(SupportPoint(range(9)))) == 12
 
 
-def test_segre_min_and_argmin_match_the_segre_expansion():
-    # the per-factor kernel against the least value over every Segre
-    # coordinate of a support, and the coordinate tuples attaining it
+def test_levels_match_the_segre_expansion():
+    # each factor's levels against its coordinates' values, and the first
+    # levels against the least value over every Segre coordinate of a
+    # support and the coordinate tuples attaining it
     rng = random.Random(4711)
     actions = [_sec71_product()]
     for rank, n_factors in ((1, 2), (2, 2), (2, 3), (3, 2)):
@@ -149,14 +150,21 @@ def test_segre_min_and_argmin_match_the_segre_expansion():
     for a in actions:
         for _ in range(4):
             cochar = V([rng.randint(-3, 3) for _ in range(a.rank)])
-            values = a.coordinate_values(tuple(map(int, cochar)))
+            ints = tuple(map(int, cochar))
+            values = a.coordinate_values(ints)
             assert values == [cochar.dot(V(w)) for w in a.weights]
             for sp in [None, *a.iter_supports()]:
                 blocks = a.factor_partition if sp is None else a.per_factor_support(sp)
+                levels = a.levels(ints, sp)
+                assert len(levels) == len(blocks)
+                for factor, blk in zip(levels, blocks):
+                    assert [v for v, _ in factor] == sorted({values[i] for i in blk})
+                    for v, coords in factor:
+                        assert coords == {i for i in blk if values[i] == v}
                 sums = {c: sum(values[i] for i in c) for c in itertools.product(*blocks)}
                 least = min(sums.values())
-                assert a.segre_min(values, sp) == least
-                argmin = a.segre_argmin(values, sp)
+                assert sum(factor[0][0] for factor in levels) == least
+                argmin = [factor[0][1] for factor in levels]
                 assert set(itertools.product(*argmin)) == {
                     c for c, v in sums.items() if v == least
                 }

@@ -436,6 +436,32 @@ def test_twist_flag_equals_twist_in_the_spec(argv, tmp_path):
     assert by_flag == by_spec
 
 
+def test_matrix_free_group_sweeps_as_the_identity(tmp_path):
+    # "group": {} is the trivial unipotent radical: usweep and hstable give
+    # on every point the report that explicit identity matrices give
+    data = json.loads((CORPUS / "sec7_1.json").read_text())
+    eye = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+    paths = {}
+    for key, group in (("empty", {}), ("identity", {"u_matrices": [eye] * 3})):
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps({**data, "group": group}))
+    usweep = {}
+    for point in data["points"]:
+        for argv in (
+            ["usweep", "--point", point, "--lambda", "1,0"],
+            ["hstable", "--point", point],
+        ):
+            empty, identity = (
+                _run([argv[0], "--input", str(paths[key]), *argv[1:]], tmp_path)
+                for key in ("empty", "identity")
+            )
+            assert empty[0] == 0 and empty == identity, argv
+            if argv[0] == "usweep":
+                usweep[point] = json.loads(empty[1])["result"]["status"]
+    assert usweep["uhat_stable"] == "stable"
+    assert usweep["basin_miss"] == "unstable"
+
+
 def test_hstable_reads_twist(tmp_path):
     # at twist (1,0) the orbit of h_stable reaches a support whose hull has
     # the twist on its boundary; b = c = 1 is the witness

@@ -289,24 +289,22 @@ def test_admissible_cone_examples():
 
 def test_x_min_examples():
     a = _a1()
-    data = x_min(a, OneParamSubgroup(V([1])))
-    assert data.per_factor_argmin == (frozenset({0}),)
-    assert data.min_weight == -1
+    assert x_min(a, OneParamSubgroup(V([1]))) == (frozenset({0}),)
+    assert sum(f[0][0] for f in a.levels((1,))) == -1
     tie = TorusAction(1, [V([-1]), V([-1]), V([2])], IP1)
-    assert x_min(tie, OneParamSubgroup(V([1]))).per_factor_argmin == (
-        frozenset({0, 1}),
-    )
+    assert x_min(tie, OneParamSubgroup(V([1]))) == (frozenset({0, 1}),)
     prod, _ = _sec71()
-    data = x_min(prod, OneParamSubgroup(V([1, 0])))
-    assert data.per_factor_argmin == (frozenset({2}), frozenset({5}), frozenset({6}))
-    assert data.min_weight == -3  # the hexagon vertex (-3, -2) under <(1,0), .>
+    argmin = x_min(prod, OneParamSubgroup(V([1, 0])))
+    assert argmin == (frozenset({2}), frozenset({5}), frozenset({6}))
+    # the hexagon vertex (-3, -2) under <(1,0), .>
+    assert sum(f[0][0] for f in prod.levels((1, 0))) == -3
 
 
 def test_x_min_argmin_scale_invariant():
     prod, _ = _sec71()
     lam = OneParamSubgroup(V([1, 0]))
     lam3 = OneParamSubgroup(V([3, 0]))
-    assert x_min(prod, lam).per_factor_argmin == x_min(prod, lam3).per_factor_argmin
+    assert x_min(prod, lam) == x_min(prod, lam3)
 
 
 def test_adapted_region_examples():
@@ -451,9 +449,12 @@ def test_uhat_trivial_group_reduces_to_gm():
     g1 = GroupSpec([], 0, [[[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]])
     lam = OneParamSubgroup(V([1]))
     x = ExplicitPoint([[1, 0, 1]])
-    assert uhat_stable_explicit(x, a, g1, lam).status is SweepStatus.STABLE
     y = ExplicitPoint([[1, 0, 0]])
-    assert uhat_stable_explicit(y, a, g1, lam).status is SweepStatus.UNSTABLE
+    # a group with no matrices acts as the identity on every factor
+    for group in (g, g1):
+        assert orbit_point(x, group) == orbit_point(x, g1)
+        assert uhat_stable_explicit(x, a, group, lam).status is SweepStatus.STABLE
+        assert uhat_stable_explicit(y, a, group, lam).status is SweepStatus.UNSTABLE
 
 
 def test_uhat_single_factor_witness():
@@ -464,14 +465,14 @@ def test_uhat_single_factor_witness():
     )
     # pick the flow making index 0 the unique minimal coordinate
     lam = OneParamSubgroup(V([-1, 0]))
-    assert x_min(a, lam).per_factor_argmin == (frozenset({0}),)
+    assert x_min(a, lam) == (frozenset({0}),)
     verdict = uhat_stable_explicit(ExplicitPoint([[0, 1, 0]]), a, g, lam)
     assert verdict.status is SweepStatus.UNSTABLE
     assert verdict.witness == (0, 0)  # the orbit coordinate b vanishes at 0
     # under the flow with minimal coordinate 2 the orbit coordinate there is
     # invariant, so a nonzero constant keeps the whole orbit attracted
     lam2 = OneParamSubgroup(V([1, 0]))
-    assert x_min(a, lam2).per_factor_argmin == (frozenset({2}),)
+    assert x_min(a, lam2) == (frozenset({2}),)
     verdict = uhat_stable_explicit(ExplicitPoint([[0, 1, 1]]), a, g, lam2)
     assert verdict.status is SweepStatus.STABLE
 
@@ -484,7 +485,7 @@ def test_uhat_all_minimal_is_unstable_at_the_identity():
     a = TorusAction(1, [V([1]), V([1])], IP1)
     g = GroupSpec([], 1, [[[ONE, B], [ZERO, ONE]]])
     lam = OneParamSubgroup(V([1]))
-    assert x_min(a, lam).per_factor_argmin == (frozenset({0, 1}),)
+    assert x_min(a, lam) == (frozenset({0, 1}),)
     verdict = uhat_stable_explicit(ExplicitPoint([[1, 1]]), a, g, lam)
     assert verdict.status is SweepStatus.UNSTABLE
     assert verdict.witness == (0, 0)

@@ -530,13 +530,13 @@ def test_y_members_walk_matches_support_scan():
             subsets = a.factor_subsets()
             sets = list(a.support_sets())
             for _ in range(3):
-                cochar = V([rng.randint(-3, 3) for _ in range(rank)])
-                values = a.coordinate_values(tuple(map(int, cochar)))
+                cochar = tuple(rng.randint(-3, 3) for _ in range(rank))
+                values = a.coordinate_values(cochar)
                 scan = []
                 for s in sets:
-                    sp = SupportPoint(s)
-                    argmin = frozenset().union(*a.segre_argmin(values, sp))
-                    scan.append((s, a.segre_min(values, sp), argmin))
+                    first = [f[0] for f in a.levels(cochar, SupportPoint(s))]
+                    least = sum(v for v, _ in first)
+                    scan.append((s, least, frozenset().union(*(c for _, c in first))))
                 attained = sorted({m for _, m, _ in scan})
                 for level in attained + [attained[-1] + 1]:
                     walk = strata._y_members(subsets, values, level)
@@ -610,14 +610,14 @@ def test_wrong_wolfe_violations_match_oracle(monkeypatch, sec7_1):
 def test_verify_stratification_work_counts_sec71(monkeypatch, sec7_1):
     a = sec7_1.action
     full_scans = _count_closure_full_scans(monkeypatch)
-    segre_min_calls = []
-    inner_min = TorusAction.segre_min
+    level_calls = []
+    inner_levels = TorusAction.levels
 
-    def counted_min(self, values, support=None):
-        segre_min_calls.append(support)
-        return inner_min(self, values, support)
+    def counted_levels(self, cochar, support=None):
+        level_calls.append(support)
+        return inner_levels(self, cochar, support)
 
-    monkeypatch.setattr(TorusAction, "segre_min", counted_min)
+    monkeypatch.setattr(TorusAction, "levels", counted_levels)
     hull_calls = []
     inner_hull = strata.hull_position
 
@@ -628,7 +628,7 @@ def test_verify_stratification_work_counts_sec71(monkeypatch, sec7_1):
     monkeypatch.setattr(strata, "hull_position", counted_hull)
     rep = verify_stratification(a)
     assert rep.ok
-    assert segre_min_calls == [] and full_scans == []
+    assert level_calls == [] and full_scans == []
     # one hull test per distinct (beta, retracted weight set), not one per
     # Y-member (454 of them)
     assert len(set(hull_calls)) == len(hull_calls) == 87
