@@ -240,49 +240,123 @@ def _load_group(
 
 
 # ---------------------------------------------------------------------------
-# JSON rendering helpers (canonical: rationals as strings, sorted keys).
-# `_render` is the one report writer: its text is, byte for byte,
-# json.dumps(value, sort_keys=True, indent=2), built by string joins, as
+# JSON rendering (canonical: rationals as strings, sorted keys).
+# `_render` is the one report writer: the join of its pieces is, byte for
+# byte, json.dumps(value, sort_keys=True, indent=2), built by hand, as
 # `indent` makes json leave its C encoder for a pure-Python one.
 # ---------------------------------------------------------------------------
 
 
 _escape = json.encoder.encode_basestring_ascii
+_CHUNK = 1 << 20  # characters joined into one write
 
 
-def _render(value: Any, indent: str = "\n") -> str:
-    """JSON text of a report value whose lines break at `indent`: dicts with
-    string keys, lists (or tuples), strings, ints, bools and None.
-
-    A container's text is one join of its punctuation and its children's
-    texts, so a large child is copied once, not again by concatenation.
-    """
+def _flat(items, indent: str) -> str:
+    """A nonempty list of rendered scalars whose lines break at `indent`."""
     inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = []
-        for k in sorted(value):
-            parts += (",", inner, _escape(k), ": ", _render(value[k], inner))
-        parts[0] = "{"  # the first item's comma opens the object
-        parts.append(indent + "}")
-        return "".join(parts)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        kinds = set(map(type, value))
-        if kinds == {str}:
-            items = map(_escape, value)
-        elif kinds == {int}:  # exactly int: a bool is rendered on its own
-            items = map(int.__repr__, value)
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
+class _Memo(dict):
+    """A dict that fills in a missing key with `make(key)`."""
+
+    def __init__(self, make) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _support_key(support: frozenset) -> str:
+    """A support's sorted indices as the code points of a string: keys
+    compare as the index lists do, by C string comparison."""
+    return "".join(map(chr, sorted(support)))
+
+
+def _support_texts(indent: str) -> _Memo:
+    """The texts of supports whose lines break at `indent`, by key."""
+    return _Memo(lambda key: _flat(map(str, map(ord, key)), indent) if key else "[]")
+
+
+class _Writer:
+    """The text pieces of one report, appended to one list so that no text
+    is copied again at each nesting level.
+
+    A support family, a frozenset of frozensets of indices, is written as
+    the sorted list of its sorted supports.  Reports list a few distinct
+    supports and families many times over, so each support is sorted once,
+    and each support's text is built once per indent.  So is the text of
+    each family, and of each list of scalars, met again at the same indent:
+    a family is keyed by itself, a list by its id.
+    """
+
+    def __init__(self) -> None:
+        self.pieces: list[str] = []
+        self._keys = _Memo(_support_key)
+        self._rows = _Memo(_support_texts)  # by indent
+        self._texts: dict[tuple[frozenset | int, str], str] = {}
+
+    def family(self, family: frozenset, indent: str) -> str:
+        """The text of a support family whose lines break at `indent`."""
+        text = self._texts.get((family, indent))
+        if text is None:
+            keys = sorted(map(self._keys.__getitem__, family))
+            rows = self._rows[indent + "  "]
+            text = _flat(map(rows.__getitem__, keys), indent) if keys else "[]"
+            self._texts[family, indent] = text
+        return text
+
+    def emit(self, value: Any, indent: str, head: str = "") -> None:
+        """Append `head` and then the text of a report value whose lines
+        break at `indent`: dicts with string keys, lists (or tuples),
+        support families, strings, ints, bools and None.  A key and its
+        value's first text are one piece, unless the value is a family,
+        whose text is shared."""
+        if type(value) is str:  # most leaves
+            self.pieces.append(head + _escape(value))
+            return
+        put = self.pieces.append
+        if isinstance(value, dict):
+            if not value:
+                put(head + "{}")
+                return
+            inner = indent + "  "
+            sep = head + "{" + inner
+            for k in sorted(value):
+                self.emit(value[k], inner, sep + _escape(k) + ": ")
+                sep = "," + inner
+            put(indent + "}")
+        elif isinstance(value, (list, tuple)):
+            # the report holds the list while it is written: its id is its own
+            key = (id(value), indent)
+            text = self._texts.get(key)
+            if text is None:
+                kinds = set(map(type, value))
+                if not value:
+                    text = "[]"
+                elif kinds == {str}:
+                    text = _flat(map(_escape, value), indent)
+                elif kinds == {int}:  # exactly int: a bool is rendered on its own
+                    text = _flat(map(int.__repr__, value), indent)
+                else:
+                    inner = indent + "  "
+                    sep = head + "[" + inner
+                    for v in value:
+                        self.emit(v, inner, sep)
+                        sep = "," + inner
+                    put(indent + "]")
+                    return
+                self._texts[key] = text
+            put(head + text)
+        elif isinstance(value, frozenset):
+            put(head)  # a piece of its own: the family's text is shared
+            put(self.family(value, indent))
         else:
-            parts = []
-            for v in value:
-                parts += (",", inner, _render(v, inner))
-            parts[0] = "["
-            parts.append(indent + "]")
-            return "".join(parts)
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
+            put(head + _scalar(value))
+
+
+def _scalar(value: Any) -> str:
     if isinstance(value, str):
         return _escape(value)
     if value is None:
@@ -296,16 +370,34 @@ def _render(value: Any, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _render(value: Any) -> list[str]:
+    """The text pieces of a report value; see `_Writer.emit`."""
+    writer = _Writer()
+    writer.emit(value, "\n")
+    return writer.pieces
+
+
+def _write(pieces: list[str], fh) -> None:
+    """Write text pieces in joins of at least `_CHUNK` characters but the
+    last: one join and one write for a small report."""
+    chunk: list[str] = []
+    size = 0
+    for piece in pieces:
+        chunk.append(piece)
+        size += len(piece)
+        if size >= _CHUNK:
+            fh.write("".join(chunk))
+            chunk, size = [], 0
+    if chunk:
+        fh.write("".join(chunk))
+
+
 def _jq(q: Fraction) -> str:
     return str(q)
 
 
 def _jvec(v: RationalVector) -> list[str]:
     return [_jq(e) for e in v.entries]
-
-
-def _jfamily(family) -> list[list[int]]:
-    return sorted(sorted(s) for s in family)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +491,7 @@ def _cmd_chambers(spec: LoadedSpec, args) -> dict:
         walls = [
             {
                 "at": _jq(w.cells[0].sample.entries[0]),
-                "family": _jfamily(w.cells[0].family),
+                "family": w.cells[0].family,
             }
             for w in cc.walls
         ]
@@ -407,7 +499,7 @@ def _cmd_chambers(spec: LoadedSpec, args) -> dict:
             {
                 "interval": [_jq(ch.interval[0]), _jq(ch.interval[1])],
                 "sample": _jvec(ch.sample),
-                "family": _jfamily(ch.family),
+                "family": ch.family,
             }
             for ch in cc.chambers
         ]
@@ -423,7 +515,7 @@ def _cmd_chambers(spec: LoadedSpec, args) -> dict:
                 "cells": [
                     {
                         "sample": _jvec(cell.sample),
-                        "family": _jfamily(cell.family),
+                        "family": cell.family,
                         "signs": list(cell.signs),
                     }
                     for cell in w.cells
@@ -433,13 +525,13 @@ def _cmd_chambers(spec: LoadedSpec, args) -> dict:
     chambers = [
         {
             "sample": _jvec(ch.sample),
-            "family": _jfamily(ch.family),
+            "family": ch.family,
             "signs": list(ch.signs),
         }
         for ch in cc.chambers
     ]
     vertices = [
-        {"point": _jvec(v.point), "family": _jfamily(v.family)}
+        {"point": _jvec(v.point), "family": v.family}
         for v in cc.vertices
     ]
     return {
@@ -570,8 +662,8 @@ def _cmd_external_equiv(spec: LoadedSpec, args) -> dict:
         "lambda_check": rep.lambda_check,
         "mu_check": rep.mu_check,
         "passed": rep.passed,
-        "single_lambda_family": _jfamily(rep.single_lambda_family),
-        "single_mu_family": _jfamily(rep.single_mu_family),
+        "single_lambda_family": rep.single_lambda_family,
+        "single_mu_family": rep.single_mu_family,
     }
 
 
@@ -655,20 +747,25 @@ def run(argv: Sequence[str]) -> int:
     try:
         spec = load_spec(args.input)
         if args.command == "svg":
-            text = _cmd_svg(spec, args)
+            pieces = [_cmd_svg(spec, args)]
         else:
             payload = _COMMANDS[args.command](spec, args)
             report = {"command": args.command, "input": spec.name, "result": payload}
-            text = _render(report) + "\n"
+            pieces = _render(report)
+            pieces.append("\n")
             undecided = args.strict and _has_undecided(payload)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if not args.output:
+        _write(pieces, sys.stdout)
     else:
-        sys.stdout.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                _write(pieces, fh)
+        except OSError as exc:
+            print(f"error: cannot write output file: {exc}", file=sys.stderr)
+            return 2
     return 3 if undecided else 0
 
 

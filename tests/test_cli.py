@@ -11,11 +11,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
-from gitloci.cli import _render, load_spec, run
+from gitloci.cli import _render, _Writer, load_spec, run
 from gitloci.strata import beta_index_set
 
 REPO = Path(__file__).resolve().parent.parent
@@ -125,6 +125,18 @@ def test_validation_error_exit_code(tmp_path):
     }))
     code = run(["beta", "--input", str(bad2)])
     assert code == 2
+
+
+def test_unwritable_output_is_an_exit_2_error(tmp_path, capsys):
+    # a missing directory and a directory: open fails, no traceback
+    for out in (tmp_path / "no" / "such" / "dir" / "x.json", tmp_path):
+        args = ["chambers", "--input", str(CORPUS / "ex1_7.json"), "--output", str(out)]
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write output file: ")
+        assert "Traceback" not in captured.err
+    assert not (tmp_path / "no").exists()
 
 
 def test_error_messages_name_the_field(tmp_path, capsys):
@@ -626,7 +638,7 @@ def test_writer_matches_json_dumps_on_golden_reports():
     for path in goldens:
         text = path.read_text()
         report = json.loads(text)
-        assert _render(report) + "\n" == _dumps(report) + "\n" == text, path.name
+        assert "".join(_render(report)) + "\n" == _dumps(report) + "\n" == text, path.name
 
 
 # quotes, backslashes, control, non-ASCII and astral characters
@@ -651,7 +663,51 @@ _PAYLOADS = st.recursive(
 @settings(deadline=None)
 @given(_PAYLOADS)
 def test_writer_matches_json_dumps(value):
-    assert _render(value) == _dumps(value)
+    assert "".join(_render(value)) == _dumps(value)
+
+
+# support families: frozensets of frozensets of indices, possibly empty;
+# the writer sorts supports by string keys with one code point per index,
+# surrogates and the largest included
+_INDICES = st.integers(min_value=0, max_value=40) | st.integers(
+    min_value=0, max_value=0x10FFFF
+)
+_FAMILIES = st.frozensets(st.frozensets(_INDICES, max_size=8), max_size=12)
+
+
+def _rows(family):
+    return sorted(sorted(s) for s in family)
+
+
+@settings(deadline=None)
+@given(_FAMILIES, st.integers(min_value=0, max_value=6))
+@example(frozenset(), 0)
+@example(frozenset({frozenset()}), 3)
+def test_family_writer_matches_json_dumps(family, depth):
+    # one writer, two indents, each asked twice: the memo keeps them apart
+    writer = _Writer()
+    for d in (depth, depth + 2, depth):
+        indent = "\n" + "  " * d
+        expected = _dumps(_rows(family)).replace("\n", indent)
+        assert writer.family(family, indent) == expected
+
+
+def test_one_family_at_wall_cell_and_chamber_depth():
+    family = frozenset(
+        {frozenset({0, 3, 7}), frozenset({1, 3}), frozenset({0, 4}), frozenset({10, 2})}
+    )
+    other = frozenset({frozenset({5}), frozenset({1, 3})})  # shares a support
+    report = {
+        "walls": [{"cells": [{"family": family}, {"family": other}]}],
+        "chambers": [{"family": family}, {"family": frozenset()}],
+        "vertices": [{"family": other}],
+    }
+    plain = {
+        "walls": [{"cells": [{"family": _rows(family)}, {"family": _rows(other)}]}],
+        "chambers": [{"family": _rows(family)}, {"family": []}],
+        "vertices": [{"family": _rows(other)}],
+    }
+    assert "".join(_render(report)) == _dumps(plain)
 
 
 @pytest.mark.parametrize(
@@ -810,10 +866,85 @@ _P3G_INPUT = {
 }
 
 
+def _p4_input():
+    # sec7_1's three factors and a copy of its first point factor: 18
+    # distinct weights and 2,401 supports
+    sec71 = json.loads((CORPUS / "sec7_1.json").read_text())
+    return {**_P3G_INPUT, "name": "p4", "factors": sec71["factors"] + sec71["factors"][:1]}
+
+
+def _chambers_digest(spec, tmp_path):
+    path = tmp_path / f"{spec['name']}.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / f"{spec['name']}_chambers.json"
+    assert run(["chambers", "--input", str(path), "--output", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 def test_chambers_report_on_p3g_is_pinned(tmp_path):
+    digest = _chambers_digest(_P3G_INPUT, tmp_path)
+    assert digest == "1b5f4afa1cb4d799fbc712039b05b1e7198767b964f94143441f1a090ce570ab"
+
+
+def test_chambers_report_on_p4_is_pinned(tmp_path):
+    digest = _chambers_digest(_p4_input(), tmp_path)
+    assert digest == "fa59437fdfabbda279c9e200c280d54c559e63df8c18ee882465891825b5bd1a"
+
+
+class _Recorder:
+    """A stdout that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def test_chambers_report_is_written_in_chunks(tmp_path, monkeypatch):
+    from gitloci import cli
+
+    rendered = []
+
+    def recording(value):
+        rendered.append(render(value))
+        return rendered[-1]
+
+    render = cli._render
+    monkeypatch.setattr(cli, "_render", recording)
+    monkeypatch.setattr(sys, "stdout", _Recorder())
     spec = tmp_path / "p3g.json"
     spec.write_text(json.dumps(_P3G_INPUT))
     out = tmp_path / "p3g_chambers.json"
+    assert run(["chambers", "--input", str(spec)]) == 0
     assert run(["chambers", "--input", str(spec), "--output", str(out)]) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "1b5f4afa1cb4d799fbc712039b05b1e7198767b964f94143441f1a090ce570ab"
+    writes = sys.stdout.writes
+    printed = "".join(writes).encode()
+    assert out.read_bytes() == printed and len(printed) > 9 * 10**6
+    # a chunk closes at the first piece that takes it to the bound
+    assert len(writes) > 1
+    assert all(len(w) >= cli._CHUNK for w in writes[:-1])
+    assert max(map(len, writes)) <= cli._CHUNK + max(map(len, rendered[0]))
+    # a small report is one write
+    del writes[:]
+    assert run(["chambers", "--input", str(CORPUS / "ex1_7.json")]) == 0
+    assert len(writes) == 1
+
+
+def test_render_error_writes_nothing(tmp_path, monkeypatch, capsys):
+    from gitloci import cli
+
+    chambers = cli._COMMANDS["chambers"]
+    # a value no report holds, under a key that sorts after every other
+    monkeypatch.setitem(
+        cli._COMMANDS, "chambers", lambda spec, args: {**chambers(spec, args), "zz": 0.5}
+    )
+    spec = tmp_path / "p3g.json"
+    spec.write_text(json.dumps(_P3G_INPUT))
+    out = tmp_path / "p3g_chambers.json"
+    for extra in ([], ["--output", str(out)]):
+        with pytest.raises(TypeError):
+            run(["chambers", "--input", str(spec), *extra])
+        assert capsys.readouterr().out == ""
+    assert not out.exists()
