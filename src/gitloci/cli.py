@@ -287,24 +287,23 @@ class _Writer:
     the sorted list of its sorted supports.  Reports list a few distinct
     supports and families many times over, so each support is sorted once,
     and each support's text is built once per indent.  So is the text of
-    each family, and of each list of scalars, met again at the same indent:
-    a family is keyed by itself, a list by its id.
+    each family met again at the same indent, keyed by the family itself.
     """
 
     def __init__(self) -> None:
         self.pieces: list[str] = []
         self._keys = _Memo(_support_key)
         self._rows = _Memo(_support_texts)  # by indent
-        self._texts: dict[tuple[frozenset | int, str], str] = {}
+        self._families: dict[tuple[frozenset, str], str] = {}
 
     def family(self, family: frozenset, indent: str) -> str:
         """The text of a support family whose lines break at `indent`."""
-        text = self._texts.get((family, indent))
+        text = self._families.get((family, indent))
         if text is None:
             keys = sorted(map(self._keys.__getitem__, family))
             rows = self._rows[indent + "  "]
             text = _flat(map(rows.__getitem__, keys), indent) if keys else "[]"
-            self._texts[family, indent] = text
+            self._families[family, indent] = text
         return text
 
     def emit(self, value: Any, indent: str, head: str = "") -> None:
@@ -328,27 +327,21 @@ class _Writer:
                 sep = "," + inner
             put(indent + "}")
         elif isinstance(value, (list, tuple)):
-            # the report holds the list while it is written: its id is its own
-            key = (id(value), indent)
-            text = self._texts.get(key)
-            if text is None:
-                kinds = set(map(type, value))
-                if not value:
-                    text = "[]"
-                elif kinds == {str}:
-                    text = _flat(map(_escape, value), indent)
-                elif kinds == {int}:  # exactly int: a bool is rendered on its own
-                    text = _flat(map(int.__repr__, value), indent)
-                else:
-                    inner = indent + "  "
-                    sep = head + "[" + inner
-                    for v in value:
-                        self.emit(v, inner, sep)
-                        sep = "," + inner
-                    put(indent + "]")
-                    return
-                self._texts[key] = text
-            put(head + text)
+            if not value:
+                put(head + "[]")
+                return
+            kinds = set(map(type, value))
+            if kinds == {str}:
+                put(head + _flat(map(_escape, value), indent))
+            elif kinds == {int}:  # exactly int: a bool is rendered on its own
+                put(head + _flat(map(int.__repr__, value), indent))
+            else:
+                inner = indent + "  "
+                sep = head + "[" + inner
+                for v in value:
+                    self.emit(v, inner, sep)
+                    sep = "," + inner
+                put(indent + "]")
         elif isinstance(value, frozenset):
             put(head)  # a piece of its own: the family's text is shared
             put(self.family(value, indent))
