@@ -43,10 +43,6 @@ class LengthMismatch(ValueError):
     pass
 
 
-class BadMinimalWeight(ValueError):
-    pass
-
-
 class InvalidSupport(ValueError):
     pass
 
@@ -108,12 +104,7 @@ class ExplicitPoint:
         """Support of a rational point (nonzero coordinates, global indices)."""
         if self.is_symbolic:
             raise ValueError("use generic_support for symbolic points")
-        idx = []
-        for block, coords in zip(action.factor_partition, self.coords):
-            if len(block) != len(coords):
-                raise LengthMismatch("point does not match the factor layout")
-            idx.extend(g for g, v in zip(block, coords) if v != 0)
-        return SupportPoint(idx)
+        return generic_support(self, action)
 
 
 def _entry_is_zero(e: Fraction | BiPoly) -> bool:
@@ -526,8 +517,6 @@ def build_double_extension(
     m_lambda: Sequence[int],
     m_mu: Sequence[int],
     N: int,
-    r_lambda: int,
-    r_mu: int,
     epsilon: Fraction,
 ) -> tuple[TorusAction, RationalVector, RationalVector]:
     """Extend by two commuting external one-parameter groups at once.
@@ -538,8 +527,8 @@ def build_double_extension(
     single-extension cluster at offsets {0, N} x {0, N}.  Returns the
     extended action together with the two character twists
     (0, N + r_lambda - eps) and (N + r_mu - eps, 0), expressed in the last
-    two coordinates of the extended character space.  The supplied r values
-    must equal the minimal external weights.
+    two coordinates of the extended character space, where r_lambda and
+    r_mu are the least external weights, min(m_lambda) and min(m_mu).
     """
     if len(m_lambda) != a.num_coords or len(m_mu) != a.num_coords:
         raise LengthMismatch("need one external weight per coordinate")
@@ -548,19 +537,11 @@ def build_double_extension(
         raise ValueError("epsilon must be positive")
     ml = list(map(operator.index, m_lambda))
     mm = list(map(operator.index, m_mu))
-    if operator.index(r_lambda) != min(ml):
-        raise BadMinimalWeight(
-            f"r_lambda={r_lambda} but the minimal external weight is {min(ml)}"
-        )
-    if operator.index(r_mu) != min(mm):
-        raise BadMinimalWeight(
-            f"r_mu={r_mu} but the minimal external weight is {min(mm)}"
-        )
     N = operator.index(N)
     extended = build_external_extension(
         build_external_extension(a, ml, N), mm + [0, 0], N
     )
     pad = [Fraction(0)] * a.rank
-    twist_lambda = RationalVector(pad + [Fraction(0), N + r_lambda - epsilon])
-    twist_mu = RationalVector(pad + [N + r_mu - epsilon, Fraction(0)])
+    twist_lambda = RationalVector(pad + [Fraction(0), N + min(ml) - epsilon])
+    twist_mu = RationalVector(pad + [N + min(mm) - epsilon, Fraction(0)])
     return extended, twist_lambda, twist_mu

@@ -27,7 +27,10 @@ dimension 2 takes an integer hull and orientations, higher dimensions solve
 one exact simplex program on `linprog`'s integer tableau.  Every support of
 an action is placed at once, at any rank, by `stability.support_positions`
 from per-factor tables, on the normals (`primitive_normal`) of hyperplanes
-spanned by within-factor weight differences and axes.
+spanned by within-factor weight differences and axes.  The vertices of one
+integer hull come from `hull_vertices`: the extremes in dimension 1, the
+CCW hull in dimension 2, every distinct point above that; the effective
+region and the strata's support hulls are keyed by them.
 
 The 2D arrangement is integer at its interface too: `Line2D`s and the
 region's planes are integer triples, and `chamber_decomposition_2d` builds
@@ -45,7 +48,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .linprog import INFEASIBLE, OPTIMAL, lp_maximize_free, solve_lp
 from .qpoly import (
@@ -222,6 +225,20 @@ def convex_hull_2d_int(points: Sequence[tuple[int, int]]) -> list[tuple[int, int
     # each chain runs from one extreme to the other, so collinear points
     # leave just the two extremes
     return half(pts)[:-1] + half(reversed(pts))[:-1]
+
+
+def hull_vertices(
+    points: Collection[tuple[int, ...]], dim: int
+) -> tuple[tuple[int, ...], ...]:
+    """The vertices of the hull of integer points in dimension dim: the two
+    extremes in dimension 1 (one if they coincide), the CCW
+    `convex_hull_2d_int` in dimension 2.  Above that every distinct point is
+    kept, sorted: a superset of the vertices with the same hull."""
+    if dim == 1:
+        return tuple(dict.fromkeys((min(points), max(points))))
+    if dim == 2:
+        return tuple(convex_hull_2d_int(points))
+    return tuple(sorted(set(points)))
 
 
 def convex_hull_2d(points: Sequence[RationalVector]) -> list[RationalVector]:

@@ -4,8 +4,8 @@ A one-parameter subgroup rho is a cocharacter, held as an integer tuple and
 paired with the integer weights by the dot product; twists, betas and
 samples stay rational.  mu(x, rho) is the maximum of the negated rho-weights
 over the nonzero coordinates of x, computed after shifting by the character
-twist; its normalisation M = mu/|rho| is kept exact by comparing signs and
-cross-multiplied squares instead of taking square roots.
+twist; its normalisation M = mu/|rho| is kept exact by comparing the
+rational key sign(mu) mu^2/|rho|^2 instead of taking square roots.
 
 Instability is measured by the norm of the minimum-norm point beta of the
 support's twisted weight hull (a nonnegative number).  The associated
@@ -22,11 +22,10 @@ once, from per-factor tables of the hulls' support functions.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -43,7 +42,6 @@ from .action import (
 from .polytope import (
     Arrangement2D,
     Cone,
-    Decomposition,
     EmptyRegion,
     Face,
     HullPosition,
@@ -115,43 +113,25 @@ class OneParamSubgroup:
         return sum((c * e for c, e in zip(self.cochar, w, strict=True)), Fraction(0))
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class HMValue:
-    """mu / sqrt(norm_sq), compared without irrational arithmetic."""
+    """mu / sqrt(norm_sq), compared without irrational arithmetic: by the
+    exact key sign(mu) * mu^2 / norm_sq, which is monotone in mu / |rho|."""
 
-    mu: Fraction
-    norm_sq: Fraction
+    key: Fraction
+    mu: Fraction = field(compare=False)
+    norm_sq: Fraction = field(compare=False)
 
     def __init__(self, mu: Fraction | int, norm_sq: Fraction | int):
-        norm_sq = Fraction(norm_sq)
+        mu, norm_sq = Fraction(mu), Fraction(norm_sq)
         if norm_sq <= 0:
             raise ValueError("norm square must be positive")
-        object.__setattr__(self, "mu", Fraction(mu))
+        object.__setattr__(self, "key", abs(mu) * mu / norm_sq)
+        object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "norm_sq", norm_sq)
 
     def sign(self) -> int:
         return (self.mu > 0) - (self.mu < 0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HMValue):
-            return NotImplemented
-        if self.sign() != other.sign():
-            return False
-        return self.mu * self.mu * other.norm_sq == other.mu * other.mu * self.norm_sq
-
-    def __lt__(self, other: "HMValue") -> bool:
-        if self.sign() != other.sign():
-            return self.sign() < other.sign()
-        lhs = self.mu * self.mu * other.norm_sq
-        rhs = other.mu * other.mu * self.norm_sq
-        if self.sign() >= 0:
-            return lhs < rhs
-        return lhs > rhs
-
-    def __hash__(self) -> int:
-        # normalise mu^2/norm_sq with the sign for hashing
-        return hash((self.sign(), self.mu * self.mu / self.norm_sq))
 
 
 class TorusStatus(str, Enum):
@@ -400,11 +380,8 @@ class FanPiece:
 @dataclass(frozen=True)
 class CocharacterFan:
     pieces: tuple[FanPiece, ...]
-    decomposition: Optional[Decomposition]
 
     def chamber_pieces(self) -> list[FanPiece]:
-        if self.decomposition is None:
-            return list(self.pieces)
         return [p for p in self.pieces if p.face.kind == "chamber"]
 
     @property
@@ -428,7 +405,7 @@ def cocharacter_fan(a: TorusAction, cone: Cone) -> CocharacterFan:
             raise EmptyCone("cone has no interior cocharacter")
         lam = OneParamSubgroup(sample)
         face = Face("chamber", sample, ())
-        return CocharacterFan((FanPiece(face, lam, x_min(a, lam)),), None)
+        return CocharacterFan((FanPiece(face, lam, x_min(a, lam)),))
     if a.rank != 2:
         raise RankUnsupported("exact fan enumeration is limited to rank <= 2")
     w = a.weights
@@ -456,7 +433,7 @@ def cocharacter_fan(a: TorusAction, cone: Cone) -> CocharacterFan:
             continue  # the apex carries no flow
         lam = OneParamSubgroup.from_vector(face.sample)
         pieces.append(FanPiece(face, lam, x_min(a, lam)))
-    return CocharacterFan(tuple(pieces), dec)
+    return CocharacterFan(tuple(pieces))
 
 
 @dataclass(frozen=True)

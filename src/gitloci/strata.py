@@ -46,10 +46,10 @@ from typing import Iterator, Optional, Sequence
 from .action import SupportPoint, TorusAction
 from .polytope import (
     HullPosition,
-    convex_hull_2d_int,
     corral_points,
     hull_min_norm,
     hull_position,
+    hull_vertices,
 )
 from .qpoly import RationalVector
 from .stability import OneParamSubgroup, TorusStatus, torus_status
@@ -283,17 +283,6 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
 _Points = tuple[tuple[int, ...], ...]
 
 
-def _vertices(points: set[tuple[int, ...]], rank: int) -> _Points:
-    """The sorted vertices of the hull of distinct integer points: the
-    extremes at rank 1 and `convex_hull_2d_int` at rank 2.  Above that every
-    point is kept, a superset of the vertices with the same hull."""
-    if rank == 1:
-        return tuple(sorted({min(points), max(points)}))
-    if rank == 2:
-        return tuple(sorted(convex_hull_2d_int(points)))
-    return tuple(sorted(points))
-
-
 def _support_hulls(
     a: TorusAction, subsets: list[list[tuple[int, ...]]]
 ) -> tuple[list[int], list[_Points]]:
@@ -303,11 +292,11 @@ def _support_hulls(
 
     A support's hull is the Minkowski sum of its factors' hulls, and every
     vertex of that sum is a sum of the factors' vertices.  So each factor's
-    subsets are tabled by the vertices of their weights, and a support's
-    vertices are formed one factor at a time, pruned after each step.  Each
-    step sums every row of the factors before it, so a prefix is summed
-    once for all of the factors after it, and a sum is formed once per
-    distinct pair of hulls.
+    subsets are tabled by the vertices of their weights (`hull_vertices`),
+    and a support's vertices are formed one factor at a time, pruned after
+    each step.  Each step sums every row of the factors before it, so a
+    prefix is summed once for all of the factors after it, and a sum is
+    formed once per distinct pair of hulls.
     """
     numbers: dict[_Points, int] = {}
     vertices: list[_Points] = []
@@ -325,11 +314,11 @@ def _support_hulls(
             pts = {
                 tuple(map(operator.add, x, y)) for x in vertices[p] for y in vertices[q]
             }
-            sums[p, q] = number(_vertices(pts, a.rank))
+            sums[p, q] = number(hull_vertices(pts, a.rank))
         return sums[p, q]
 
     tables = [
-        [number(_vertices({a.weights[i] for i in s}, a.rank)) for s in factor]
+        [number(hull_vertices({a.weights[i] for i in s}, a.rank)) for s in factor]
         for factor in subsets
     ]
     rows = tables[0]

@@ -45,8 +45,8 @@ from .polytope import (
     RationalVector,
     _signs,
     chamber_decomposition_2d,
-    convex_hull_2d_int,
     hull_position,
+    hull_vertices,
     primitive_normal,
 )
 from .stability import RankUnsupported, _directions, _slacks, support_positions
@@ -81,12 +81,7 @@ def effective_cone(a: TorusAction) -> EffectiveRegion:
     """The effective twists, as the hull of all Segre weights."""
     if a.rank > 2:
         raise RankUnsupported("effective region is exact for rank <= 2 only")
-    weights = a.support_weights()  # sorted
-    if a.rank == 1:
-        hull = dict.fromkeys([weights[0], weights[-1]])
-    else:
-        hull = convex_hull_2d_int(weights)
-    return EffectiveRegion(a.rank, tuple(hull))
+    return EffectiveRegion(a.rank, hull_vertices(a.support_weights(), a.rank))
 
 
 def git_class(a: TorusAction, chi: RationalVector) -> frozenset[frozenset[int]]:
@@ -495,8 +490,6 @@ class ExternalChangeReport:
     mu_check: bool
     single_lambda_family: frozenset[frozenset[int]]
     single_mu_family: frozenset[frozenset[int]]
-    double_lambda_family: frozenset[frozenset[int]]
-    double_mu_family: frozenset[frozenset[int]]
 
     @property
     def passed(self) -> bool:
@@ -536,12 +529,10 @@ def verify_external_change(
     Twist overrides exist for negative controls.
     """
     epsilon = Fraction(epsilon)
-    r_lambda = min(int(v) for v in m_lambda)
-    r_mu = min(int(v) for v in m_mu)
     ext_l = build_external_extension(a, m_lambda, N)
     ext_m = build_external_extension(a, m_mu, N)
     double, twist_l, twist_m = build_double_extension(
-        a, m_lambda, m_mu, N, r_lambda, r_mu, epsilon
+        a, m_lambda, m_mu, N, epsilon
     )
     if twist_lambda_override is not None:
         twist_l = twist_lambda_override
@@ -560,6 +551,4 @@ def verify_external_change(
         _restrict(fam_double_m, n) == fam_single_m,
         fam_single_l,
         fam_single_m,
-        fam_double_l,
-        fam_double_m,
     )

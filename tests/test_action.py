@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from gitloci.action import (
-    BadMinimalWeight,
     ExplicitPoint,
     GroupSpec,
     InvalidSupport,
@@ -257,9 +256,9 @@ def test_integer_arguments_are_not_truncated(value):
     with pytest.raises(TypeError):
         build_external_extension(a, [value, 0], 5)
     with pytest.raises(TypeError):
-        build_double_extension(a, [1, 0], [0, 1], value, 0, 0, Fraction(1, 2))
+        build_double_extension(a, [1, 0], [0, 1], value, Fraction(1, 2))
     with pytest.raises(TypeError):
-        build_double_extension(a, [1, value], [0, 1], 5, 0, 0, Fraction(1, 2))
+        build_double_extension(a, [1, value], [0, 1], 5, Fraction(1, 2))
 
 
 def test_external_extension_examples():
@@ -282,7 +281,7 @@ def test_external_extension_examples():
 
 def test_double_extension_structure():
     a = TorusAction(1, [V([0]), V([1])], IP1)
-    ext, tw_l, tw_m = build_double_extension(a, [0, 0], [0, 0], 4, 0, 0, Fraction(1, 2))
+    ext, tw_l, tw_m = build_double_extension(a, [0, 0], [0, 0], 4, Fraction(1, 2))
     # eight Segre weights (alpha, 4j, 4k)
     segre = sorted(tuple(w.entries) for w in ext.segre_weights())
     expected = sorted(
@@ -291,12 +290,10 @@ def test_double_extension_structure():
     assert segre == expected
     assert tuple(tw_l.entries) == (0, 0, Fraction(7, 2))
     assert tuple(tw_m.entries) == (0, Fraction(7, 2), 0)
-
-
-def test_double_extension_validates_minimal_weights():
-    a = TorusAction(1, [V([0]), V([1])], IP1)
-    with pytest.raises(BadMinimalWeight):
-        build_double_extension(a, [2, 1], [0, 0], 4, 0, 0, Fraction(1, 2))
+    # the twists read the least external weights, here 1 and 3
+    _, tw_l, tw_m = build_double_extension(a, [2, 1], [3, 5], 4, Fraction(1, 2))
+    assert tuple(tw_l.entries) == (0, 0, Fraction(9, 2))
+    assert tuple(tw_m.entries) == (0, Fraction(13, 2), 0)
 
 
 def test_double_extension_restricts_to_single():
@@ -304,7 +301,7 @@ def test_double_extension_restricts_to_single():
     ml, mm = [1, 0], [3, 2]
     ext_l = build_external_extension(a, ml, 7)
     ext_m = build_external_extension(a, mm, 7)
-    dbl, _, _ = build_double_extension(a, ml, mm, 7, 0, 2, Fraction(1, 4))
+    dbl, _, _ = build_double_extension(a, ml, mm, 7, Fraction(1, 4))
     # k = 0 coordinates, mu axis dropped, reproduce the lambda extension
     old = a.num_coords
     for i, w in enumerate(dbl.weights[:old]):

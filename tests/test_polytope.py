@@ -23,6 +23,7 @@ from gitloci.polytope import (
     hull_membership,
     hull_min_norm,
     hull_position,
+    hull_vertices,
     min_norm_point,
     min_norm_point_oracle,
     region_interior_point,
@@ -405,6 +406,26 @@ def test_convex_hull_2d_strict_vertices():
     pts = [V([0, 0]), V([2, 0]), V([1, 0]), V([2, 2]), V([0, 2]), V([1, 1])]
     hull = convex_hull_2d(pts)
     assert {tuple(p.entries) for p in hull} == {(0, 0), (2, 0), (2, 2), (0, 2)}
+
+
+def test_hull_vertices_are_inputs_spanning_the_hull():
+    # every returned point is an input and no input lies outside their
+    # hull; in dimensions 1 and 2 no returned point is in the others' hull
+    rng = random.Random(2718)
+    for dim in (1, 2, 3):
+        for _ in range(40):
+            points = [
+                tuple(rng.randint(-3, 3) for _ in range(dim))
+                for _ in range(rng.randint(1, 9))
+            ]
+            verts = hull_vertices(points, dim)
+            assert set(verts) <= set(points) and len(set(verts)) == len(verts)
+            for p in points:
+                assert hull_position(verts, V(list(p))) is not HullPosition.OUTSIDE
+            if dim < 3 and len(verts) > 1:
+                for i, p in enumerate(verts):
+                    others = verts[:i] + verts[i + 1 :]
+                    assert hull_position(others, V(list(p))) is HullPosition.OUTSIDE
 
 
 def test_hull_membership_2d_fast_path_agrees_with_lp():

@@ -94,6 +94,38 @@ def test_hm_M_examples():
     assert HMValue(-1, 1) < HMValue(-1, 2)
 
 
+def test_hm_value_compares_as_cross_multiplied_squares():
+    # oracle: the sign first, then mu^2 * norm_sq' against mu'^2 * norm_sq,
+    # reversed for negative mu; `==`, `<` and `hash` read one exact key
+    def sign(mu):
+        return (mu > 0) - (mu < 0)
+
+    def equal(x, y):
+        return sign(x[0]) == sign(y[0]) and x[0] ** 2 * y[1] == y[0] ** 2 * x[1]
+
+    def less(x, y):
+        if sign(x[0]) != sign(y[0]):
+            return sign(x[0]) < sign(y[0])
+        lhs, rhs = x[0] ** 2 * y[1], y[0] ** 2 * x[1]
+        return lhs < rhs if sign(x[0]) >= 0 else lhs > rhs
+
+    rng = random.Random(28)
+    pairs = [(Fraction(0), 1), (Fraction(-2), 4), (Fraction(-1), 1), (Fraction(6), 9)]
+    pairs += [
+        (Fraction(rng.randint(-12, 12), 2), rng.randint(1, 9)) for _ in range(60)
+    ]
+    for x in pairs:
+        hx = HMValue(*x)
+        assert (hx.mu, hx.norm_sq, hx.sign()) == (x[0], x[1], sign(x[0]))
+        for y in pairs:
+            hy = HMValue(*y)
+            assert (hx == hy) == equal(x, y)
+            assert (hx < hy) == less(x, y)
+            assert (hx > hy) == less(y, x)
+            if hx == hy:
+                assert hash(hx) == hash(hy)
+
+
 def test_torus_status_examples():
     a = _a1()
     assert torus_status(a, SupportPoint([0, 2])) is TorusStatus.STABLE
@@ -217,7 +249,7 @@ def test_support_positions_match_scan_on_extensions():
         ext, [V([Fraction(1, 2), Fraction(-1, 3), Fraction(9, 2)]), V([1, 0, 0])]
     )
     double, twist_l, twist_m = build_double_extension(
-        a, [i % 3 for i in range(9)], [(2 * i + 1) % 3 for i in range(9)], 10, 0, 0,
+        a, [i % 3 for i in range(9)], [(2 * i + 1) % 3 for i in range(9)], 10,
         Fraction(1, 2),
     )
     assert double.rank == 4
@@ -225,7 +257,7 @@ def test_support_positions_match_scan_on_extensions():
     toy = load_spec(str(CORPUS / "external_toy.json"))
     ext = toy.external
     double, twist_l, twist_m = build_double_extension(
-        toy.action, ext["m_lambda"], ext["m_mu"], ext["N"], 0, 0, Fraction(1, 2)
+        toy.action, ext["m_lambda"], ext["m_mu"], ext["N"], Fraction(1, 2)
     )
     assert double.rank == 3
     rng = random.Random(29)
@@ -371,6 +403,8 @@ def test_cocharacter_fan_rank1_single_piece():
     cone = Cone([(V([1]), True)])
     fan = cocharacter_fan(a, cone)
     assert len(fan.pieces) == 1
+    # the one rank-1 piece is a chamber, so the fan is universal
+    assert fan.chamber_pieces() == list(fan.pieces) and fan.is_universal
     assert universal_1ps(a, cone).unique
 
 

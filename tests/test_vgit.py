@@ -805,7 +805,7 @@ def test_integer_edge_lines_match_fraction_oracle():
 def test_walls_build_no_hull_per_support(monkeypatch):
     # walls and families come off per-factor values and tables: one hull,
     # of all the weights, and no sumset for any support
-    from gitloci import polytope, vgit
+    from gitloci import polytope
 
     calls = {"convex_hull_2d_int": 0, "support_weights": 0}
     hull, weights = polytope.convex_hull_2d_int, TorusAction.support_weights
@@ -818,8 +818,7 @@ def test_walls_build_no_hull_per_support(monkeypatch):
         calls["support_weights"] += support is not None
         return weights(self, support)
 
-    for module in (polytope, vgit):
-        monkeypatch.setattr(module, "convex_hull_2d_int", counted_hull)
+    monkeypatch.setattr(polytope, "convex_hull_2d_int", counted_hull)
     monkeypatch.setattr(TorusAction, "support_weights", counted_weights)
     assert wall_chamber_decomposition(_sec71()).walls
     assert calls == {"convex_hull_2d_int": 1, "support_weights": 0}
