@@ -314,15 +314,6 @@ class TorusAction:
             acc = {tuple(map(operator.add, p, w)) for p in acc for w in block}
         return tuple(sorted(acc))
 
-    def distinct_segre_weights(self, twisted: bool = False) -> list[RationalVector]:
-        """The distinct Segre weights, sorted (translation by the twist keeps
-        their order)."""
-        shift = self.twist.entries if twisted else (0,) * self.rank
-        return [
-            RationalVector([e - s for e, s in zip(w, shift)])
-            for w in self.support_weights()
-        ]
-
 
 def build_product_action(factors: Sequence[TorusAction]) -> TorusAction:
     """Combine factor actions into the product action.

@@ -424,9 +424,16 @@ def _twist_for(spec: LoadedSpec, args) -> TorusAction:
         if len(parts) != action.rank:
             raise SpecError(f"--twist needs {action.rank} comma-separated rationals")
         action = action.with_twist(
-            RationalVector([parse_rational(p) for p in parts])
+            RationalVector([_flag_rational(p, "--twist") for p in parts])
         )
     return action
+
+
+def _flag_rational(text: str, flag: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise SpecError(f"{flag}: {exc}") from exc
 
 
 def _lambda_for(args, rank: int) -> OneParamSubgroup:
@@ -576,7 +583,7 @@ def _cmd_admissible_cone(spec: LoadedSpec, args) -> dict:
 def _cmd_adapted(spec: LoadedSpec, args) -> dict:
     action = _twist_for(spec, args)
     lam = _lambda_for(args, action.rank)
-    eps = parse_rational(args.epsilon) if args.epsilon else None
+    eps = _flag_rational(args.epsilon, "--epsilon") if args.epsilon else None
     region = adapted_region(action, lam, eps)
     t = lam.pairing(action.twist)
     return {
@@ -640,7 +647,7 @@ def _cmd_external_equiv(spec: LoadedSpec, args) -> dict:
     if spec.external is None:
         raise SpecError("this command needs an 'external' block in the input")
     eps = (
-        parse_rational(args.epsilon)
+        _flag_rational(args.epsilon, "--epsilon")
         if args.epsilon
         else _rational(spec.external.get("epsilon", "1/2"), "external.epsilon")
     )
@@ -746,7 +753,11 @@ def run(argv: Sequence[str]) -> int:
             report = {"command": args.command, "input": spec.name, "result": payload}
             pieces = _render(report)
             pieces.append("\n")
-            undecided = args.strict and _has_undecided(payload)
+            # only the verdicts count: a point's name may read "undecided"
+            undecided = args.strict and SweepStatus.UNDECIDED.value in (
+                payload.get("status"),
+                payload.get("stab_u_dimension"),
+            )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -760,14 +771,6 @@ def run(argv: Sequence[str]) -> int:
             print(f"error: cannot write output file: {exc}", file=sys.stderr)
             return 2
     return 3 if undecided else 0
-
-
-def _has_undecided(payload) -> bool:
-    if isinstance(payload, dict):
-        return any(_has_undecided(v) for v in payload.values())
-    if isinstance(payload, list):
-        return any(_has_undecided(v) for v in payload)
-    return payload == SweepStatus.UNDECIDED.value
 
 
 def main() -> None:

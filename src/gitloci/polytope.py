@@ -544,19 +544,13 @@ class Arrangement2D:
 
 @dataclass(frozen=True)
 class Face:
-    """One cell of the decomposition, carrying a certified sample point.
-
-    A rank-2 cell's `interval` holds the parameters t of its ends, at
-    base + t * (-b, a) on its line a*x + b*y = c, from the line's axis
-    intercept base = (c / a, 0), or (0, c / b) when a = 0 (None where the
-    cell is unbounded).
-    """
+    """One face of the decomposition: a certified sample point, its sign
+    vector over the lines and, for a cell, the index of its line."""
 
     kind: str  # "chamber" | "cell" | "vertex"
     sample: RationalVector
     signs: tuple[int, ...]
     line_index: Optional[int] = None
-    interval: Optional[tuple[Optional[Fraction], Optional[Fraction]]] = None
 
 
 @dataclass(frozen=True)
@@ -580,7 +574,8 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
     Faces partition the region: open 2-cells (chambers), open 1-cells on the
     lines (cells/walls), and vertices.  Every face carries an interior
     rational sample point and its sign vector over the arrangement lines.
-    Vertices come first, then each line's cells, then the chambers.
+    Vertices come first, then the cells line by line in ascending line
+    index, then the chambers.
 
     Each line is parametrised as base + t * (-b, a) from its axis
     intercept.  The region's halfspaces clip it in closed form to an open
@@ -617,7 +612,7 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
     scales the reduced denominator by a positive integer, which changes no
     sign of w_j and no ratio between them.  `Fraction`s are built only for
     what a face carries: each sample coordinate as one numerator over its
-    denominator, and a cell's interval ends as T / (m * L).
+    denominator.
     """
     lines = arr.lines
     n_lines = len(lines)
@@ -670,10 +665,7 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
             w = [e * Q + mP * s for e, s in zip(E, S)]
             signs = _signs(w[:n_lines])
             x, y = bx - b * P, by + a * P
-            ends = tuple(
-                t if t is None else Fraction(t, m * L) for t in (seg_lo, seg_hi)
-            )
-            cells.append(Face("cell", _point(x, y, Q), signs, idx, ends))
+            cells.append(Face("cell", _point(x, y, Q), signs, idx))
             for side in (1, -1):
                 sv = signs[:idx] + (side,) + signs[idx + 1 :]
                 if sv in chambers:

@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
 class EmptyInput(ValueError):
@@ -51,7 +51,8 @@ class EmptyInput(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"num"`` or ``"num/den"`` into a Fraction."""
+    """Parse ``"num"`` or ``"num/den"`` into a Fraction, den without a
+    leading zero and so nonzero, as in `action.schema.json`."""
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
@@ -462,7 +463,7 @@ def _parse_term(term: str, context: str) -> tuple[Fraction, int, int]:
     m = _TERM_RE.match(term)
     if not m or (m.group("coef") is None and not m.group("bpart") and not m.group("cpart")):
         raise ValueError(f"cannot parse term {term!r} in polynomial {context!r}")
-    coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+    coef = parse_rational(m.group("coef")) if m.group("coef") else Fraction(1)
     eb = ec = 0
     for name, part in (("b", m.group("bpart")), ("c", m.group("cpart"))):
         if not part:

@@ -87,7 +87,8 @@ def beta_index_set(a: TorusAction) -> list[BetaIndex]:
     weights that lie in their subset's hull, O(n^rank) small solves, and
     the origin when one hull test puts it in the hull of all the weights.
     """
-    weights = a.distinct_segre_weights(twisted=True)
+    shift = a.twist.entries
+    weights = [RationalVector(map(operator.sub, w, shift)) for w in a.support_weights()]
     found = {beta.entries: beta for beta in corral_points(weights, a.ip)}
     return [BetaIndex.from_beta(a, found[k]) for k in sorted(found)]
 

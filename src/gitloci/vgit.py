@@ -43,11 +43,9 @@ from .polytope import (
     HullPosition,
     Line2D,
     RationalVector,
-    _signs,
     chamber_decomposition_2d,
     hull_position,
     hull_vertices,
-    primitive_normal,
 )
 from .stability import RankUnsupported, _directions, _slacks, support_positions
 
@@ -70,7 +68,6 @@ class EffectiveRegion:
     support.  Its vertices are integer tuples: the two extreme weights in
     rank 1 (one if they coincide), the CCW hull in rank 2."""
 
-    dim: int
     vertices: tuple[tuple[int, ...], ...]
 
     def contains(self, chi: RationalVector) -> bool:
@@ -81,7 +78,7 @@ def effective_cone(a: TorusAction) -> EffectiveRegion:
     """The effective twists, as the hull of all Segre weights."""
     if a.rank > 2:
         raise RankUnsupported("effective region is exact for rank <= 2 only")
-    return EffectiveRegion(a.rank, hull_vertices(a.support_weights(), a.rank))
+    return EffectiveRegion(hull_vertices(a.support_weights(), a.rank))
 
 
 def git_class(a: TorusAction, chi: RationalVector) -> frozenset[frozenset[int]]:
@@ -196,13 +193,10 @@ def _rank2_walls(a: TorusAction) -> tuple[list[Line2D], _SignFamilies]:
                 if g != f and sums:
                     sums = {x + y for x in sums for y in vs}
             edges.update((*u, c) for c in sums)
-    sides = {
-        (nx, ny, c): _signs(nx * x + ny * y - c for x, y in points)
-        for nx, ny, c in edges
-    }
 
     def first_pair(ln: tuple[int, int, int]) -> list[int]:
-        return [k for k, s in enumerate(sides[ln]) if not s][:2]
+        nx, ny, c = ln
+        return [k for k, (x, y) in enumerate(points) if nx * x + ny * y == c][:2]
 
     triples = sorted(edges, key=first_pair)
     return [Line2D(*ln) for ln in triples], _sign_families(a, dirs, triples)
@@ -216,7 +210,6 @@ def _rank2_walls(a: TorusAction) -> tuple[list[Line2D], _SignFamilies]:
 @dataclass(frozen=True)
 class WallCell:
     sample: RationalVector
-    interval: Optional[tuple[Optional[Fraction], Optional[Fraction]]]
     family: frozenset[frozenset[int]]
     signs: tuple[int, ...]
 
@@ -262,31 +255,13 @@ class ChamberComplex:
 def wall_chamber_decomposition(a: TorusAction) -> ChamberComplex:
     """Walls, chambers and cells of the twist space, with support families.
 
-    Rank >= 3 has no face graph here; use wall_hyperplane_candidates for the
-    raw hyperplane list.
+    Exact in ranks 1 and 2; rank >= 3 raises RankUnsupported.
     """
     if a.rank == 1:
         return _rank1_complex(a)
     if a.rank == 2:
         return _rank2_complex(a)
     raise RankUnsupported("wall/chamber enumeration is exact for rank <= 2 only")
-
-
-def wall_hyperplane_candidates(a: TorusAction) -> list[tuple[int, ...]]:
-    """Candidate wall hyperplanes in any rank, as sorted integer tuples
-    (*normal, offset) of <normal, x> = offset.
-
-    These are the affine hyperplanes spanned by affinely independent
-    rank-tuples of distinct weights (weight values themselves in rank 1),
-    deduplicated and canonically scaled (`primitive_line`).  Over-generated:
-    no pruning and no face graph in rank >= 3.
-    """
-    seen: set[tuple[int, ...]] = set()
-    for p0, *rest in itertools.combinations(a.support_weights(), a.rank):
-        normal = primitive_normal([[x - y for x, y in zip(p, p0)] for p in rest])
-        if normal is not None:  # None for affinely dependent points
-            seen.add((*normal, sum(x * y for x, y in zip(normal, p0))))
-    return sorted(seen)
 
 
 def _rank1_complex(a: TorusAction) -> ChamberComplex:
@@ -305,7 +280,7 @@ def _rank1_complex(a: TorusAction) -> ChamberComplex:
     walls = tuple(
         Wall(
             Line2D(1, 0, v),
-            (WallCell(RationalVector([v]), None, family(v), signs(v)),),
+            (WallCell(RationalVector([v]), family(v), signs(v)),),
         )
         for v in values
     )
@@ -352,13 +327,6 @@ def _expanded_region(hull: Sequence[tuple[int, int]]) -> list[tuple[int, int, in
 _Families = dict[tuple[int, ...], Optional[int]]
 
 
-def _cells_by_line(dec: Decomposition) -> dict[int, list[Face]]:
-    out: dict[int, list[Face]] = {}
-    for face in dec.cells():
-        out.setdefault(face.line_index, []).append(face)
-    return out
-
-
 def _flip(signs: tuple[int, ...], idx: int, side: int) -> tuple[int, ...]:
     return signs[:idx] + (side,) + signs[idx + 1 :]
 
@@ -385,7 +353,8 @@ def _assemble(
 
     walls = []
     surviving_by_line: dict[int, list[tuple[int, ...]]] = {}
-    for idx, cells in sorted(_cells_by_line(dec).items()):
+    # the decomposition emits the cells line by line in ascending index
+    for idx, cells in itertools.groupby(dec.cells(), lambda c: c.line_index):
         surviving = []
         for face in cells:
             fam = families[face.signs]
@@ -399,8 +368,7 @@ def _assemble(
             surviving.sort(key=lambda c: c.sample.sort_key())
             surviving_by_line[idx] = [c.signs for c in surviving]
             cells_out = [
-                WallCell(c.sample, c.interval, family(c.signs), c.signs)
-                for c in surviving
+                WallCell(c.sample, family(c.signs), c.signs) for c in surviving
             ]
             walls.append(Wall(dec.lines[idx], tuple(cells_out)))
 

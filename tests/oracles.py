@@ -763,9 +763,7 @@ def chamber_decomposition_2d_fraction(arr: Arrangement2D) -> Decomposition:
             w = [e * Q + mP * s for e, s in zip(E, S)]
             signs = _signs(w[:n_lines])
             x, y = bx - b * t, by + a * t
-            cells.append(
-                Face("cell", RationalVector([x, y]), signs, idx, (seg_lo, seg_hi))
-            )
+            cells.append(Face("cell", RationalVector([x, y]), signs, idx))
             for side in (1, -1):
                 sv = signs[:idx] + (side,) + signs[idx + 1 :]
                 if sv in chambers:

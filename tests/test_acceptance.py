@@ -18,7 +18,7 @@ from gitloci.action import (
 from gitloci.linprog import lp_feasible
 from gitloci.polytope import (
     PointSet,
-    convex_hull_2d,
+    convex_hull_2d_int,
     min_norm_point,
     min_norm_point_oracle,
 )
@@ -72,8 +72,8 @@ def test_criterion_01_chamber_structure(ex1_7):
 def test_criterion_02_hexagon(sec7_1):
     t0 = time.monotonic()
     action = sec7_1.action
-    hull = convex_hull_2d(action.distinct_segre_weights())
-    got = {tuple(int(e) for e in v.entries) for v in hull}
+    hull = convex_hull_2d_int(action.support_weights())
+    got = set(hull)
     assert len(hull) == 6
 
     # independent oracle: enumerate all 27 vertex sums directly from the
@@ -156,7 +156,7 @@ def test_criterion_05_min_norm_oracle_equivalence():
 
 def test_criterion_06_hilbert_mumford_consistency(ex1_7, sec7_1, external_toy):
     for name, action in _corpus_actions(ex1_7, sec7_1, external_toy):
-        assert len(action.distinct_segre_weights()) <= 12
+        assert len(action.support_weights()) <= 12
         for sp in action.iter_supports():
             wts = action.segre_weights(sp, twisted=True)
             semistable = torus_status(action, sp) is not TorusStatus.UNSTABLE

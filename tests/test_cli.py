@@ -232,6 +232,60 @@ def test_strict_flag_exit_3_on_undecided(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "command, point, extra",
+    [("usweep", "uhat_stable", ["--lambda", "1,0"]), ("hstable", "h_stable", [])],
+)
+def test_strict_reads_only_the_verdicts(command, point, extra, tmp_path):
+    # a stable point named "undecided" is decided: its name is no verdict
+    data = json.loads((CORPUS / "sec7_1.json").read_text())
+    data["points"] = {"undecided": data["points"][point]}
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(data))
+    argv = [command, "--input", str(path), "--point", "undecided", *extra]
+    code, text = _run(argv + ["--strict"], tmp_path)
+    assert code == 0
+    result = json.loads(text)["result"]
+    assert result["point"] == "undecided" and result["status"] == "stable"
+
+
+def test_strict_exit_3_on_undecided_stabiliser_dimension(tmp_path, monkeypatch):
+    # a decided status with an undecided stabiliser dimension is undecided
+    from gitloci.stability import StabDimension
+
+    monkeypatch.setattr(
+        "gitloci.cli.stab_u_dimension", lambda pt, g: StabDimension.UNDECIDED
+    )
+    argv = ["hstable", "--input", str(CORPUS / "sec7_1.json"), "--point", "h_stable"]
+    assert _run(argv, tmp_path)[0] == 0
+    code, text = _run(argv + ["--strict"], tmp_path)
+    assert code == 3
+    result = json.loads(text)["result"]
+    assert result["status"] == "stable"
+    assert result["stab_u_dimension"] == "undecided"
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("chambers", "wall/chamber enumeration is exact for rank <= 2 only"),
+        ("fan", "exact fan enumeration is limited to rank <= 2"),
+    ],
+)
+def test_rank_3_chambers_and_fan_exit_2(command, message, tmp_path, capsys):
+    spec = {
+        "rank": 3,
+        "inner_product": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "factors": [{"weights": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]}],
+        "group": {"adjoint_weights": [[1, 0, 0]]},
+    }
+    path = tmp_path / "rank3.json"
+    path.write_text(json.dumps(spec))
+    code, text = _run([command, "--input", str(path)], tmp_path)
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_svg_module_feeds_nothing_back():
     # layering rule: only the CLI imports the renderer
     import gitloci
@@ -609,18 +663,36 @@ def test_non_integer_external_fields_are_validation_errors(
         ("group.adjoint_weights[0]", {"group": {"adjoint_weights": [[True]]}}),
         ("points.p.support[0]", {"points": {"p": {"support": [[True]]}}}),
         ("points.p.support[0]", {"points": {"p": {"support": [[0, False]]}}}),
+        ("twist", {"twist": ["1/0"]}),
+        ("factors[0].weights[1]", {"factors": [{"weights": [[-1], ["-2/0"]]}]}),
+        ("points.p", {"points": {"p": {"coords": [["1/0", "1", "0"]]}}}),
+        ("group.u_matrices[0][0][0]", {"group": {"u_matrices": [[["1/0*b"]]]}}),
     ],
 )
 def test_non_integer_spec_fields_are_validation_errors(field, patch, tmp_path, capsys):
     # the schema types rank, the form's entries, u_params and support indices
     # as integers, and weights, twists, coordinates and adjoint weights as
-    # integers or rational strings; a float must not be truncated into a form
-    # or group that was not given, nor JSON true or false read as 1 or 0
+    # integers or rational strings with a nonzero denominator; a float must
+    # not be truncated into a form or group that was not given, nor JSON true
+    # or false read as 1 or 0, nor a zero denominator divide by zero
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**_VALID_SPEC, **patch}))
     assert run(["beta", "--input", str(path)]) == 2
     assert field in capsys.readouterr().err
 
+
+@pytest.mark.parametrize(
+    "flag, value, argv",
+    [
+        ("--twist", "1/0,0", ["adapted", "sec7_1.json", "--lambda", "1,2"]),
+        ("--epsilon", "1/0", ["adapted", "sec7_1.json", "--lambda", "1,2"]),
+        ("--epsilon", "-1/00", ["external-equiv", "external_toy.json"]),
+    ],
+)
+def test_zero_denominator_flags_are_validation_errors(flag, value, argv, capsys):
+    command, name, *rest = argv
+    assert run([command, "--input", str(CORPUS / name), *rest, flag, value]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: not a rational literal")
 
 
 # ---------------------------------------------------------------------------
@@ -889,6 +961,15 @@ def test_chambers_report_on_p3g_is_pinned(tmp_path):
 def test_chambers_report_on_p4_is_pinned(tmp_path):
     digest = _chambers_digest(_p4_input(), tmp_path)
     assert digest == "fa59437fdfabbda279c9e200c280d54c559e63df8c18ee882465891825b5bd1a"
+
+
+def test_chambers_report_on_p4g_is_pinned(tmp_path):
+    # p3g and a fourth generic factor: 45 distinct weights, 2,401 supports
+    # and 95 wall lines, the largest arrangement of the pinned reports
+    fourth = {"name": "f3", "weights": [[1, 1], [0, -1], [-2, 1]]}
+    p4g = {**_P3G_INPUT, "name": "p4g", "factors": [*_P3G_INPUT["factors"], fourth]}
+    digest = _chambers_digest(p4g, tmp_path)
+    assert digest == "2f8eda71eb7553b02017e387db28f58d95ef076ef2ec505ca220b60403fb69ab"
 
 
 class _Recorder:

@@ -598,8 +598,7 @@ def _reference_decomposition(lines, region):
     """The decomposition by the earlier algorithm: a base point per line from
     an LP for a point of the line strictly inside the region, vertices from
     pairwise intersections tested against the region, and signs from
-    `line_side`.  Faces are (kind, sample, signs, line_index, ends), with a
-    cell's interval as its two end points (None where unbounded)."""
+    `line_side`.  Faces are (kind, sample, signs, line_index)."""
     if region_interior_point(region, 2) is None:
         raise EmptyRegion("region has no interior point")
 
@@ -616,7 +615,7 @@ def _reference_decomposition(lines, region):
             bases[i] = V(x[:2])
     if not bases:
         sample = region_interior_point(region, 2)
-        return [("chamber", sample, signs_at(sample), None, None)]
+        return [("chamber", sample, signs_at(sample), None)]
 
     faces = []
     seen = set()
@@ -630,7 +629,7 @@ def _reference_decomposition(lines, region):
         pt = V([Fraction(c1 * b2 - b1 * c2, det), Fraction(a1 * c2 - c1 * a2, det)])
         if _inside(region, pt) and pt.entries not in seen:
             seen.add(pt.entries)
-            faces.append(("vertex", pt, signs_at(pt), None, None))
+            faces.append(("vertex", pt, signs_at(pt), None))
 
     bounds = [(V([a, b]), c) for a, b, c in region]
     planes = [(V([ln.a, ln.b]), ln.c) for ln in lines] + bounds
@@ -661,9 +660,8 @@ def _reference_decomposition(lines, region):
             else:
                 t = b - 1 if a is None else a + 1 if b is None else (a + b) / 2
             sample = base + d.scale(t)
-            ends = tuple(None if e is None else base + d.scale(e) for e in (a, b))
             signs = signs_at(sample)
-            faces.append(("cell", sample, signs, i, ends))
+            faces.append(("cell", sample, signs, i))
             for side in (1, -1):
                 sv = signs[:i] + (side,) + signs[i + 1 :]
                 if sv in chambers:
@@ -677,24 +675,13 @@ def _reference_decomposition(lines, region):
                 step = min(steps) / 2 if steps else Fraction(1)
                 chambers[sv] = sample + n.scale(side * step)
     for sv, sample in sorted(chambers.items(), key=lambda kv: kv[1].entries):
-        faces.append(("chamber", sample, sv, None, None))
+        faces.append(("chamber", sample, sv, None))
     return faces
 
 
-def _faces_with_ends(dec):
-    """Faces as in `_reference_decomposition`: a rank-2 cell's interval is in
-    parameters t of base + t * (-b, a) from its line's axis intercept."""
-    out = []
-    for f in dec.faces:
-        ends = None
-        if f.kind == "cell":
-            line = dec.lines[f.line_index]
-            a, b, c = line.a, line.b, line.c
-            base = V([Fraction(c, a), 0]) if a else V([0, Fraction(c, b)])
-            d = V([-b, a])
-            ends = tuple(None if t is None else base + d.scale(t) for t in f.interval)
-        out.append((f.kind, f.sample, f.signs, f.line_index, ends))
-    return out
+def _faces(dec):
+    """Faces as in `_reference_decomposition`."""
+    return [(f.kind, f.sample, f.signs, f.line_index) for f in dec.faces]
 
 
 def _differential_cases():
@@ -752,7 +739,7 @@ def test_chamber_decomposition_matches_lp_reference():
     for kind, lines, region in _differential_cases():
         dec = chamber_decomposition_2d(Arrangement2D(lines, region))
         expected = _reference_decomposition(dec.lines, region)
-        assert _faces_with_ends(dec) == expected, (kind, lines, region)
+        assert _faces(dec) == expected, (kind, lines, region)
         kinds.add(kind)
         if kind == "miss" and len(lines) == 3:
             assert [f.kind for f in dec.faces] == ["chamber"]
@@ -785,7 +772,7 @@ def test_non_canonical_lines_decompose_as_their_canonical_forms():
     for region in (_square(3), _WEDGE):
         dec = chamber_decomposition_2d(Arrangement2D(canonical, region))
         assert dec.lines == tuple(dict.fromkeys(canonical))
-        assert _faces_with_ends(dec) == _reference_decomposition(dec.lines, region)
+        assert _faces(dec) == _reference_decomposition(dec.lines, region)
 
 
 # ---------------------------------------------------------------------------

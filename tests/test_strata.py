@@ -76,7 +76,7 @@ def test_beta_index_set_many_weights():
 def _wolfe_subset_sweep(a):
     """Reference index set: Wolfe on all 2^n subsets of the distinct twisted
     weights, sorted by entries."""
-    weights = a.distinct_segre_weights(twisted=True)
+    weights = [V(w) - a.twist for w in a.support_weights()]
     found = set()
     for size in range(1, len(weights) + 1):
         for combo in itertools.combinations(weights, size):

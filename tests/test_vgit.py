@@ -20,7 +20,6 @@ from gitloci.vgit import (
     IneffectiveTwist,
     NotAdjacent,
     _assemble,
-    _cells_by_line,
     _expanded_region,
     _family_at,
     _flip,
@@ -37,7 +36,6 @@ from oracles import (
     chamber_decomposition_2d_fraction,
     line_side,
     line_through,
-    row_reduce,
 )
 
 V = RationalVector
@@ -451,63 +449,6 @@ def test_monotonicity_wall_contains_neighbour_intersection():
                 assert w.cells[0].family >= (left & right)
 
 
-def test_wall_hyperplane_candidates_any_rank():
-    from gitloci.vgit import wall_hyperplane_candidates
-
-    a = _a1()
-    assert wall_hyperplane_candidates(a) == [(1, -1), (1, 0), (1, 2)]
-    # rank 3: hyperplanes through affinely independent weight triples,
-    # emitted as a deduplicated list with no face graph
-    ip3 = InnerProduct.identity(3)
-    a3 = TorusAction(
-        3,
-        [V([1, 0, 0]), V([0, 1, 0]), V([0, 0, 1]), V([-1, -1, -1])],
-        ip3,
-    )
-    planes = wall_hyperplane_candidates(a3)
-    assert len(planes) == 4  # one hyperplane per weight triple
-    for *normal, offset in planes:
-        on = sum(1 for w in a3.weights if V(normal).dot(V(w)) == offset)
-        assert on == 3
-
-
-def _rational_hyperplane_candidates(a):
-    """The candidate hyperplanes found over Q: the kernel of the difference
-    rows of each weight tuple from `row_reduce`, scaled to its primitive
-    integral multiple with a positive leading normal entry."""
-    weights = a.distinct_segre_weights()
-    seen = set()
-    for combo in itertools.combinations(weights, a.rank):
-        rows, pivots, _ = row_reduce([(p - combo[0]).entries for p in combo[1:]])
-        free = [c for c in range(a.rank) if c not in pivots]
-        if len(free) != 1:
-            continue
-        normal = [Fraction(0)] * a.rank
-        normal[free[0]] = Fraction(1)
-        for row, pc in zip(rows, pivots):
-            normal[pc] = -row[free[0]]
-        triple = V([*normal, V(normal).dot(combo[0])]).primitive_integral()
-        if next(v for v in triple.entries if v) < 0:
-            triple = -triple
-        seen.add(triple.entries)
-    return sorted(seen)
-
-
-def _random_rank3_factor(rng):
-    count = rng.randint(1, 3)
-    weights = [V([rng.randint(-2, 2) for _ in range(3)]) for _ in range(count)]
-    return TorusAction(3, weights, InnerProduct.identity(3))
-
-
-def test_wall_hyperplane_candidates_match_rational_reference():
-    from gitloci.vgit import wall_hyperplane_candidates
-
-    rng = random.Random(8128)
-    for _ in range(12):
-        a = build_product_action([_random_rank3_factor(rng) for _ in range(2)])
-        assert wall_hyperplane_candidates(a) == _rational_hyperplane_candidates(a)
-
-
 # ---------------------------------------------------------------------------
 # Sign-vector face labels against the hull-membership oracle
 # ---------------------------------------------------------------------------
@@ -516,7 +457,7 @@ def test_wall_hyperplane_candidates_match_rational_reference():
 def _first_pass(a):
     """The decomposition of all pair lines of the distinct weights in the
     expanded region, a refinement of the complex's arrangement."""
-    weights = a.distinct_segre_weights()
+    weights = a.support_weights()
     lines = [line_through(p, q) for p, q in itertools.combinations(weights, 2)]
     region = _expanded_region(effective_cone(a).vertices)
     return chamber_decomposition_2d(Arrangement2D(lines, region))
@@ -534,9 +475,9 @@ def _random_p2xp2(rng):
                 for _ in range(2)
             ]
         )
-        weights = a.distinct_segre_weights()
+        weights = a.support_weights()
         # at most 7 distinct weights keeps the oracle's face count small
-        if len(weights) <= 7 and len(convex_hull_2d(weights)) >= 3:
+        if len(weights) <= 7 and len(convex_hull_2d_int(weights)) >= 3:
             return a
 
 
@@ -621,7 +562,7 @@ def test_sign_labels_match_family_oracle_rank1():
             factors.append(TorusAction(1, weights, IP1))
         actions.append(build_product_action(factors))
     for a in actions:
-        values = sorted({w.entries[0] for w in a.distinct_segre_weights()})
+        values = [Fraction(v) for (v,) in a.support_weights()]
         labels = wall_chamber_decomposition(a).labels
         probes = set(values) | {values[0] - 1, values[-1] + 1}
         probes |= {(lo + hi) / 2 for lo, hi in zip(values, values[1:])}
@@ -640,19 +581,18 @@ def test_sign_labels_match_family_oracle_rank1():
 def _contributing_lines(dec, families):
     """The lines of `dec` with a cell where the family changes across the
     line or on it, or that bounds the effective region."""
-    keep = []
-    for idx, cells in sorted(_cells_by_line(dec).items()):
-        for face in cells:
-            fam = families[face.signs]
-            if fam is None:
-                continue
-            sides = [families.get(_flip(face.signs, idx, s)) for s in (1, -1)]
-            if all(f is None for f in sides) or any(
-                f is not None and f != fam for f in sides
-            ):
-                keep.append(idx)
-                break
-    return keep
+    keep = set()
+    for face in dec.cells():
+        fam = families[face.signs]
+        if fam is None:
+            continue
+        idx = face.line_index
+        sides = [families.get(_flip(face.signs, idx, s)) for s in (1, -1)]
+        if all(f is None for f in sides) or any(
+            f is not None and f != fam for f in sides
+        ):
+            keep.add(idx)
+    return sorted(keep)
 
 
 def _pruned_complex(a):
@@ -784,7 +724,7 @@ def test_integer_edge_lines_match_fraction_oracle():
     hull_sizes = set()
     for a in actions:
         lines, labels = _rank2_walls(a)
-        weights = a.distinct_segre_weights()
+        weights = [V(w) for w in a.support_weights()]
         o_lines, _, o_keys, o_conditions = _fraction_walls(a, weights)
         assert lines == o_lines, a.weights
         oracle = _SignFamilies(o_keys, o_conditions, len(o_lines))
@@ -831,7 +771,7 @@ def _wall_arrangement(a):
 
 def test_decomposition_builds_no_fraction_arithmetic(monkeypatch):
     # each line works on one integer scale: Fractions are only built for the
-    # faces' samples and intervals, and compared by the final chamber sort
+    # faces' samples, and compared by the final chamber sort
     arr = _wall_arrangement(_sec71())
     calls = dict.fromkeys(
         ["__hash__", "__add__", "__sub__", "__mul__", "__rmul__", "__truediv__"], 0
@@ -882,7 +822,11 @@ def test_complex_arrangements_decompose_as_the_fraction_kernel():
             actions.append(a)
     for a in actions:
         arr = _wall_arrangement(a)
-        assert chamber_decomposition_2d(arr) == chamber_decomposition_2d_fraction(arr)
+        dec = chamber_decomposition_2d(arr)
+        assert dec == chamber_decomposition_2d_fraction(arr)
+        # `_assemble` groups the cells by line in the order they come
+        indices = [c.line_index for c in dec.cells()]
+        assert indices == sorted(indices)
 
 
 # ---------------------------------------------------------------------------
@@ -901,13 +845,13 @@ def _union_find_chambers(dec, families, labels):
             x = parent[x]
         return x
 
-    for idx, cells in _cells_by_line(dec).items():
-        for face in cells:
-            fam = families[face.signs]
-            left, right = _flip(face.signs, idx, 1), _flip(face.signs, idx, -1)
-            if fam is not None and families.get(left) == families.get(right) == fam:
-                roots = find(left), find(right)
-                parent[max(roots)] = min(roots)
+    for face in dec.cells():
+        fam = families[face.signs]
+        idx = face.line_index
+        left, right = _flip(face.signs, idx, 1), _flip(face.signs, idx, -1)
+        if fam is not None and families.get(left) == families.get(right) == fam:
+            roots = find(left), find(right)
+            parent[max(roots)] = min(roots)
     groups = {}
     for face in dec.chambers():
         if families[face.signs] is not None:
@@ -971,7 +915,7 @@ def _wall_vertices_oracle(a, cc):
     the family there is nonempty and not the family on both sides off that
     line.  Steps stay short of every pair line of the weights, on which all
     family changes lie.  Families are from `git_class` (hull membership)."""
-    weights = a.distinct_segre_weights()
+    weights = a.support_weights()
     pair_lines = {line_through(p, q) for p, q in itertools.combinations(weights, 2)}
     crossings = {}
     for w1, w2 in itertools.combinations(cc.walls, 2):
@@ -1052,8 +996,8 @@ def test_rank2_complex_invariant_under_coordinate_shuffles():
 
             assert [w.line for w in cc2.walls] == [w.line for w in cc.walls]
             for w, w2 in zip(cc.walls, cc2.walls):
-                assert [(c.sample, c.interval, c.signs) for c in w2.cells] == [
-                    (c.sample, c.interval, c.signs) for c in w.cells
+                assert [(c.sample, c.signs) for c in w2.cells] == [
+                    (c.sample, c.signs) for c in w.cells
                 ]
                 assert [c.family for c in w2.cells] == [moved(c.family) for c in w.cells]
             assert [(c.sample, c.signs) for c in cc2.chambers] == [
