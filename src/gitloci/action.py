@@ -82,8 +82,10 @@ class ExplicitPoint:
     def __init__(self, coords: Sequence[Sequence[Fraction | int | str | BiPoly]]):
         blocks = []
         for block in coords:
+            # an exact Fraction is kept, as in RationalVector
             entries = tuple(
-                e if isinstance(e, BiPoly) else Fraction(e) for e in block
+                e if type(e) is Fraction or isinstance(e, BiPoly) else Fraction(e)
+                for e in block
             )
             if all(_entry_is_zero(e) for e in entries):
                 raise InvalidSupport(
@@ -368,19 +370,21 @@ class GroupSpec:
             n = len(rows)
             if any(len(r) != n for r in rows):
                 raise ValueError("u-matrices must be square")
-            for i in range(n):
-                for j in range(n):
-                    e = rows[i][j]
-                    if u_params < 2 and e.uses("c"):
+            for i, row in enumerate(rows):
+                for j, e in enumerate(row):
+                    # terms descend in (e_b, e_c): a b exponent shows in the
+                    # first, the constant term (the value at (0, 0)) is last
+                    terms = e.coeffs
+                    if u_params < 2 and any(ec for (_, ec), _ in terms):
                         raise ValueError(
                             "matrix entry uses parameter c but u_params < 2"
                         )
-                    if u_params < 1 and e.uses("b"):
+                    if u_params < 1 and terms and terms[0][0][0]:
                         raise ValueError(
                             "matrix entry uses parameter b but u_params < 1"
                         )
-                    expected = Fraction(1) if i == j else Fraction(0)
-                    if e.eval_at(0, 0) != expected:
+                    const = terms[-1][1] if terms and terms[-1][0] == (0, 0) else 0
+                    if const != int(i == j):
                         raise ValueError(
                             "u-matrix at parameters (0,0) must be the identity"
                         )
@@ -412,11 +416,12 @@ def orbit_point(x: ExplicitPoint, g: GroupSpec) -> ExplicitPoint:
             raise LengthMismatch("matrix size does not match factor size")
         new = []
         for row in mat:
-            acc = BiPoly.zero()
+            acc: dict[tuple[int, int], Fraction] = {}
             for entry, v in zip(row, coords):
-                if v != 0:
-                    acc = acc + entry.scale(v)
-            new.append(acc)
+                if v:
+                    for k, q in entry.coeffs:
+                        acc[k] = acc.get(k, 0) + q * v
+            new.append(BiPoly(acc))
         blocks.append(new)
     return ExplicitPoint(blocks)
 

@@ -19,9 +19,9 @@ from typing import Any, Optional, Sequence
 from .action import (
     ExplicitPoint,
     GroupSpec,
+    InvalidSupport,
     SupportPoint,
     TorusAction,
-    build_product_action,
 )
 from .qpoly import BiPoly, InnerProduct, RationalVector, parse_rational
 from .stability import (
@@ -92,10 +92,14 @@ def _rational(value: Any, context: str) -> Fraction:
     raise SpecError(f"{context}: expected a rational literal, got {value!r}")
 
 
-def _vector(value: Any, rank: int, context: str) -> RationalVector:
+def _entries(value: Any, rank: int, context: str) -> list[Fraction]:
     if not isinstance(value, list) or len(value) != rank:
         raise SpecError(f"{context}: expected a list of {rank} rationals")
-    return RationalVector([_rational(v, context) for v in value])
+    return [_rational(v, context) for v in value]
+
+
+def _vector(value: Any, rank: int, context: str) -> RationalVector:
+    return RationalVector(_entries(value, rank, context))
 
 
 def load_spec(path: str) -> LoadedSpec:
@@ -122,26 +126,29 @@ def load_spec(path: str) -> LoadedSpec:
         ip = InnerProduct(gram)
     except ValueError as exc:
         raise SpecError(f"inner_product: {exc}") from exc
+    if ip.rank != rank:
+        raise SpecError(f"inner_product: a form of rank {ip.rank}, not {rank}")
 
+    # the product action, built once from every factor's weights
     factors_data = _require(data, "factors", "top level")
     if not isinstance(factors_data, list) or not factors_data:
         raise SpecError("factors: expected a nonempty list")
-    factor_actions = []
+    weights: list[tuple[int, ...]] = []
+    partition = []
     for fi, fdata in enumerate(factors_data):
         ctx = f"factors[{fi}]"
         wts = _require(_object(fdata, ctx), "weights", ctx)
         if not isinstance(wts, list) or not wts:
             raise SpecError(f"{ctx}.weights: expected a nonempty list")
-        weights = []
+        start = len(weights)
         for wi, w in enumerate(wts):
-            vec = _vector(w, rank, f"{ctx}.weights[{wi}]")
-            if not vec.is_integral():
+            entries = _entries(w, rank, f"{ctx}.weights[{wi}]")
+            if any(q.denominator != 1 for q in entries):
                 raise SpecError(f"{ctx}.weights[{wi}]: weights must be integral")
-            weights.append(vec)
-        factor_actions.append(TorusAction(rank, weights, ip))
-    action = build_product_action(factor_actions)
-    if "twist" in data:
-        action = action.with_twist(_vector(data["twist"], rank, "twist"))
+            weights.append(tuple(q.numerator for q in entries))
+        partition.append(range(start, len(weights)))
+    twist = _vector(data["twist"], rank, "twist") if "twist" in data else None
+    action = TorusAction(rank, weights, ip, twist, partition)
 
     group = None
     if "group" in data:
@@ -179,14 +186,13 @@ def load_spec(path: str) -> LoadedSpec:
                 action.factor_partition
             ):
                 raise SpecError(f"{ctx}.coords: one list per factor required")
+            coords = []
+            for bi, blk in enumerate(blocks):
+                bctx = f"{ctx}.coords[{bi}]"
+                coords.append([_rational(v, bctx) for v in _list(blk, bctx)])
             try:
-                points[pname] = ExplicitPoint(
-                    [
-                        [_rational(v, ctx) for v in _list(blk, f"{ctx}.coords[{bi}]")]
-                        for bi, blk in enumerate(blocks)
-                    ]
-                )
-            except ValueError as exc:
+                points[pname] = ExplicitPoint(coords)
+            except InvalidSupport as exc:
                 raise SpecError(f"{ctx}.coords: {exc}") from exc
         else:
             raise SpecError(f"{ctx}: needs either 'support' or 'coords'")

@@ -43,7 +43,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+# numerator and denominator, the denominator without a leading zero and so
+# nonzero, as in `action.schema.json`
+_RATIONAL = r"(-?\d+)(?:/([1-9]\d*))?"
+_RATIONAL_RE = re.compile(rf"^{_RATIONAL}$")
 
 
 class EmptyInput(ValueError):
@@ -54,9 +57,17 @@ def parse_rational(text: str) -> Fraction:
     """Parse ``"num"`` or ``"num/den"`` into a Fraction, den without a
     leading zero and so nonzero, as in `action.schema.json`."""
     text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    m = _RATIONAL_RE.match(text)
+    if not m:
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    return _matched_rational(m)
+
+
+def _matched_rational(m: re.Match) -> Fraction:
+    """The rational of a `_RATIONAL` match, from its integers: Fraction(str)
+    would parse the text a second time."""
+    num, den = m.group(1, 2)
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def format_rational(q: Fraction) -> str:
@@ -117,9 +128,6 @@ class RationalVector:
         """Canonical cocharacter/weight pairing (plain dot product)."""
         self._check_dim(other)
         return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
-
-    def is_integral(self) -> bool:
-        return all(e.denominator == 1 for e in self.entries)
 
     def primitive_integral(self) -> "RationalVector":
         """The shortest integral vector on the ray through this one.
@@ -271,10 +279,12 @@ def montante_step(rows: list[list[int]], r: int, col: int, prev: int) -> int:
 
 _VARS = ("b", "c")
 
+# a term: a rational coefficient, then b and c, each optional; a present
+# parameter's sign group matches "" or "-", an absent one's None
 _TERM_RE = re.compile(
-    r"^(?P<coef>-?\d+(?:/\d+)?)?"
-    r"(?P<bpart>\*?-?b(?:\^\d+)?)?"
-    r"(?P<cpart>\*?-?c(?:\^\d+)?)?$"
+    rf"^(?:{_RATIONAL})?"
+    r"(?:\*?(?P<bsign>-?)b(?:\^(?P<bexp>\d+))?)?"
+    r"(?:\*?(?P<csign>-?)c(?:\^(?P<cexp>\d+))?)?$"
 )
 
 
@@ -375,8 +385,7 @@ class BiPoly:
         """(D, deg_b, deg_c, terms): D is the least common denominator of
         the coefficients and terms the (e_b, e_c, D * q) of every term.
         Cleared inline, not by `clear_denominators`: on a few terms its row
-        handling costs more than the clearing, and a spec load pays it once
-        per u-matrix entry."""
+        handling costs more than the clearing."""
         den = math.lcm(*[q.denominator for _, q in self.coeffs])
         terms = tuple(
             [
@@ -455,31 +464,20 @@ class BiPoly:
                 raise ValueError(f"empty term in polynomial {text!r}")
             coef, eb, ec = _parse_term(term, text)
             k = (eb, ec)
-            d[k] = d.get(k, Fraction(0)) + coef
+            d[k] = d[k] + coef if k in d else coef
         return BiPoly(d)
 
 
 def _parse_term(term: str, context: str) -> tuple[Fraction, int, int]:
     m = _TERM_RE.match(term)
-    if not m or (m.group("coef") is None and not m.group("bpart") and not m.group("cpart")):
+    if not m or m.group(1, "bsign", "csign") == (None, None, None):
         raise ValueError(f"cannot parse term {term!r} in polynomial {context!r}")
-    coef = parse_rational(m.group("coef")) if m.group("coef") else Fraction(1)
-    eb = ec = 0
-    for name, part in (("b", m.group("bpart")), ("c", m.group("cpart"))):
-        if not part:
-            continue
-        part = part.lstrip("*")
-        if part.startswith("-"):
-            coef = -coef
-            part = part[1:]
-        if "^" in part:
-            exp = int(part.split("^")[1])
-        else:
-            exp = 1
-        if name == "b":
-            eb = exp
-        else:
-            ec = exp
+    _, _, bsign, bexp, csign, cexp = m.groups()
+    coef = _matched_rational(m) if m.group(1) else Fraction(1)
+    if (bsign == "-") != (csign == "-"):
+        coef = -coef
+    eb = 0 if bsign is None else int(bexp or 1)
+    ec = 0 if csign is None else int(cexp or 1)
     return coef, eb, ec
 
 

@@ -238,6 +238,103 @@ def test_group_spec_validation():
         GroupSpec([], 1, [[[ONE, ONE], [ZERO, ONE]]])  # not identity at (0,0)
 
 
+def _random_bipoly(rng, max_exp=2):
+    return BiPoly(
+        {
+            (rng.randint(0, max_exp), rng.randint(0, max_exp)): Fraction(
+                rng.randint(-3, 3), rng.randint(1, 3)
+            )
+            for _ in range(rng.randint(0, 3))
+        }
+    )
+
+
+def test_group_spec_term_check_matches_uses_and_eval_at():
+    # oracle: the rules as written with BiPoly.uses and eval_at(0, 0), entry
+    # by entry: c first, then b, then the identity at the origin
+    def old_error(u_params, mat):
+        for i, row in enumerate(mat):
+            for j, e in enumerate(row):
+                if u_params < 2 and e.uses("c"):
+                    return "uses parameter c"
+                if u_params < 1 and e.uses("b"):
+                    return "uses parameter b"
+                if e.eval_at(0, 0) != (Fraction(1) if i == j else Fraction(0)):
+                    return "must be the identity"
+        return None
+
+    rng = random.Random(30)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(1, 3)
+        u_params = rng.randint(0, 2)
+        mat = [[_random_bipoly(rng) for _ in range(n)] for _ in range(n)]
+        # mostly near the identity, so that accepted matrices occur too
+        for i in range(n):
+            for j in range(n):
+                if rng.random() < 0.6:
+                    e = mat[i][j]
+                    const = dict(e.coeffs).get((0, 0), Fraction(0))
+                    mat[i][j] = e + BiPoly.const(int(i == j) - const)
+                if rng.random() < 0.4 and u_params < 2:
+                    mat[i][j] = mat[i][j].substitute("c", 0)
+                if rng.random() < 0.4 and u_params < 1:
+                    mat[i][j] = mat[i][j].substitute("b", 0)
+        expected = old_error(u_params, mat)
+        seen.add(expected)
+        if expected is None:
+            assert GroupSpec([], u_params, [mat]).u_matrices == (
+                tuple(map(tuple, mat)),
+            )
+        else:
+            with pytest.raises(ValueError, match=expected):
+                GroupSpec([], u_params, [mat])
+    assert seen == {
+        None, "uses parameter c", "uses parameter b", "must be the identity"
+    }
+
+
+def test_orbit_point_matches_scale_and_add():
+    # oracle: each row summed as BiPoly.scale and BiPoly.__add__, entry by
+    # entry, skipping zero coordinates
+    def old_orbit(x, mats):
+        return [
+            [
+                sum(
+                    (e.scale(v) for e, v in zip(row, coords) if v != 0),
+                    BiPoly.zero(),
+                )
+                for row in mat
+            ]
+            for mat, coords in zip(mats, x.coords)
+        ]
+
+    def unipotent(e, i, j):
+        # the identity at the origin, which GroupSpec asks for
+        return e + BiPoly.const(int(i == j) - dict(e.coeffs).get((0, 0), 0))
+
+    rng = random.Random(30)
+    groups = [_sec71_group()]
+    for _ in range(40):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        mats = [
+            [[unipotent(_random_bipoly(rng), i, j) for j in range(n)] for i in range(n)]
+            for n in sizes
+        ]
+        groups.append(GroupSpec([], 2, mats))
+    for g in groups:
+        mats = g.u_matrices
+        for _ in range(10):
+            coords = []
+            for mat in mats:
+                block = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in mat]
+                block[rng.randrange(len(block))] = Fraction(rng.choice([-2, 1, 3]))
+                coords.append(block)
+            x = ExplicitPoint(coords)
+            orbit = orbit_point(x, g).coords
+            assert [list(block) for block in orbit] == old_orbit(x, mats)
+
+
 @pytest.mark.parametrize("value", [1.7, 1.0, Fraction(1), "1"])
 def test_integer_arguments_are_not_truncated(value):
     # each of these passed through int() once: GroupSpec([], 1.7, []) had

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -15,7 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
+from gitloci.action import TorusAction, build_product_action
 from gitloci.cli import _render, _Writer, load_spec, run
+from gitloci.qpoly import BiPoly, InnerProduct, RationalVector
 from gitloci.strata import beta_index_set
 
 REPO = Path(__file__).resolve().parent.parent
@@ -667,6 +670,7 @@ def test_non_integer_external_fields_are_validation_errors(
         ("factors[0].weights[1]", {"factors": [{"weights": [[-1], ["-2/0"]]}]}),
         ("points.p", {"points": {"p": {"coords": [["1/0", "1", "0"]]}}}),
         ("group.u_matrices[0][0][0]", {"group": {"u_matrices": [[["1/0*b"]]]}}),
+        ("inner_product", {"inner_product": [[1, 0], [0, 1]]}),
     ],
 )
 def test_non_integer_spec_fields_are_validation_errors(field, patch, tmp_path, capsys):
@@ -674,11 +678,109 @@ def test_non_integer_spec_fields_are_validation_errors(field, patch, tmp_path, c
     # as integers, and weights, twists, coordinates and adjoint weights as
     # integers or rational strings with a nonzero denominator; a float must
     # not be truncated into a form or group that was not given, nor JSON true
-    # or false read as 1 or 0, nor a zero denominator divide by zero
+    # or false read as 1 or 0, nor a zero denominator divide by zero; the
+    # form's size is the rank
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**_VALID_SPEC, **patch}))
     assert run(["beta", "--input", str(path)]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ([[1.5, 0, 0]], "points.p.coords[0]: expected a rational literal, got 1.5"),
+        ([[0, "x", 0]], "points.p.coords[0]: expected a rational literal, got 'x'"),
+        ([[0, 0, 0]], "points.p.coords: a projective point needs a nonzero"),
+    ],
+)
+def test_bad_coordinates_name_their_block_once(patch, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_VALID_SPEC, "points": {"p": {"coords": patch}}}))
+    assert run(["beta", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def _factor_by_factor(data):
+    """The action as load_spec built it factor by factor: one TorusAction
+    per factor, their product, then the spec's twist."""
+    rank, ip = data["rank"], InnerProduct(data["inner_product"])
+    factors = [
+        TorusAction(rank, [RationalVector(w) for w in f["weights"]], ip)
+        for f in data["factors"]
+    ]
+    action = build_product_action(factors)
+    if "twist" in data:
+        action = action.with_twist(RationalVector(data["twist"]))
+    return action
+
+
+def _random_spec(rng):
+    rank = rng.randint(1, 3)
+    diagonal = [rng.randint(1, 3) for _ in range(rank)]
+    gram = [[diagonal[i] if i == j else 0 for j in range(rank)] for i in range(rank)]
+    if rank > 1 and rng.random() < 0.5:
+        gram[0][1] = gram[1][0] = rng.choice([-1, 1])
+        gram[0][0] = gram[1][1] = 2
+
+    def entry(q):
+        return rng.choice([q, str(q)])
+
+    data = {
+        "rank": rank,
+        "inner_product": gram,
+        "factors": [
+            {
+                "weights": [
+                    [entry(rng.randint(-3, 3)) for _ in range(rank)]
+                    for _ in range(rng.randint(1, 4))
+                ]
+            }
+            for _ in range(rng.randint(1, 4))
+        ],
+    }
+    if rng.random() < 0.7:
+        data["twist"] = [
+            rng.choice([rng.randint(-4, 4), f"{rng.randint(-4, 4)}/{rng.randint(1, 5)}"])
+            for _ in range(rank)
+        ]
+    return data
+
+
+def test_load_spec_builds_the_factor_by_factor_action(tmp_path):
+    rng = random.Random(30)
+    specs = [json.loads(p.read_text()) for p in sorted(CORPUS.glob("*.json"))]
+    specs += [_random_spec(rng) for _ in range(60)]
+    for k, data in enumerate(specs):
+        path = tmp_path / f"spec{k}.json"
+        path.write_text(json.dumps(data))
+        got, want = load_spec(str(path)).action, _factor_by_factor(data)
+        assert (got.weights, got.factor_partition, got.twist, got.ip) == (
+            want.weights,
+            want.factor_partition,
+            want.twist,
+            want.ip,
+        )
+
+
+def test_one_load_of_sec7_1_builds_one_action_and_evaluates_nothing(monkeypatch):
+    # the work of a load, machine-independently: the product action is
+    # built once, and the u-matrices are checked from their terms
+    counts = {"TorusAction": 0, "eval_at": 0}
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        TorusAction, "__init__", counting("TorusAction", TorusAction.__init__)
+    )
+    monkeypatch.setattr(BiPoly, "eval_at", counting("eval_at", BiPoly.eval_at))
+    load_spec(str(CORPUS / "sec7_1.json"))
+    assert counts == {"TorusAction": 1, "eval_at": 0}
 
 
 @pytest.mark.parametrize(
