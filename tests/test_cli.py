@@ -1074,6 +1074,40 @@ def test_chambers_report_on_p4g_is_pinned(tmp_path):
     assert digest == "2f8eda71eb7553b02017e387db28f58d95ef076ef2ec505ca220b60403fb69ab"
 
 
+# five specs of the sweeps benchmark at seed 1, with each one's four flows:
+# between them their eliminations reach every zero-set kind, and their
+# verdicts are unstable with witnesses, stable and undecided
+SPECS = REPO / "tests" / "specs"
+_SWEEP_FLOWS = {
+    "sweep4": ("1,0", "0,1", "1,-1", "-1,2"),
+    "sweep10": ("-1,2", "1,0", "2,1", "0,1"),
+    "sweep15": ("1,0", "2,1", "1,-1", "1,1"),
+    "sweep19": ("0,1", "1,-1", "-1,2", "1,0"),
+    "sweep29": ("1,1", "1,0", "-1,2", "0,1"),
+}
+
+
+def _sweep_argvs():
+    for name, flows in _SWEEP_FLOWS.items():
+        spec = str(SPECS / f"{name}.json")
+        for lam in flows:
+            yield ["usweep", "--input", spec, "--point", "p", "--lambda", lam]
+        yield ["hstable", "--input", spec, "--point", "p"]
+
+
+def _sweep_stdout(capsys):
+    printed = []
+    for argv in _sweep_argvs():
+        assert run(argv) == 0
+        printed.append(capsys.readouterr().out)
+    return "".join(printed)
+
+
+def test_sweep_reports_on_the_bench_specs_are_pinned(capsys):
+    digest = hashlib.sha256(_sweep_stdout(capsys).encode()).hexdigest()
+    assert digest == "856b682835d2ac4bd5567f541a9977c586d6ca9798dde5ebe239457373bfd55b"
+
+
 class _Recorder:
     """A stdout that keeps each write."""
 
