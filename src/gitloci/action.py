@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .qpoly import BiPoly, InnerProduct, RationalVector
+from .qpoly import BiPoly, InnerProduct, RationalVector, as_fraction
 
 
 class RankMismatch(ValueError):
@@ -84,7 +84,7 @@ class ExplicitPoint:
         for block in coords:
             # an exact Fraction is kept, as in RationalVector
             entries = tuple(
-                e if type(e) is Fraction or isinstance(e, BiPoly) else Fraction(e)
+                e if type(e) is Fraction or isinstance(e, BiPoly) else as_fraction(e)
                 for e in block
             )
             if all(_entry_is_zero(e) for e in entries):

@@ -20,14 +20,23 @@ is scaled to integers by the one denominator-clearing helper,
 `clear_denominators`.
 
 Polynomials are restricted to at most two parameters, named ``b`` and ``c``.
-That is enough for the bundled two-dimensional unipotent groups.  The one
-common-zero decision is `common_zero_avoiding`: does some common zero of one
-list avoid every zero of another?  `common_zero_exists` is it with nothing to
-avoid.  It reads the elimination's `ZeroSetInfo` and returns ``UNDECIDED``,
-rather than guessing, in three cases only: the elimination degenerated
-(kind "unknown") and no listed point avoids; a single curve whose wider
-rational grid finds no point off the avoided zeros; and lines and points that
-are not known to be the whole zero set, none of which avoids.
+That is enough for the bundled two-dimensional unipotent groups.
+Elimination runs on the integer forms D * p that `BiPoly` keeps, with no
+intermediate `Fraction` or `BiPoly`: zero tests at integer points by
+`BiPoly.cleared_value`, curve fibres b = b0 as integer coefficient lists
+(`_fibre`) searched by `_integer_roots`, resultants as Sylvester
+determinants over Z[x] by Bareiss's fraction-free elimination, and gcds by
+the primitive pseudo-remainder sequence over Z.  Each builds a `Fraction`
+only for its result.
+
+The one common-zero decision is `common_zero_avoiding`: does some common
+zero of one list avoid every zero of another?  `common_zero_exists` is it
+with nothing to avoid.  It reads the elimination's `ZeroSetInfo` and returns
+``UNDECIDED``, rather than guessing, in three cases only: the elimination
+degenerated (kind "unknown") and no listed point avoids; a single curve
+whose wider rational grid finds no point off the avoided zeros; and lines
+and points that are not known to be the whole zero set, none of which
+avoids.
 """
 
 from __future__ import annotations
@@ -70,6 +79,18 @@ def _matched_rational(m: re.Match) -> Fraction:
     return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
+def as_fraction(e: Fraction | int | str) -> Fraction:
+    """e as an exact Fraction: a Fraction is kept, an int, a bool or a
+    rational literal converted.  A float is refused with TypeError: its
+    binary value (0.1 is 3602879701896397/36028797018963968) is rarely the
+    rational meant."""
+    if type(e) is Fraction:
+        return e
+    if isinstance(e, float):
+        raise TypeError(f"a float is not an exact rational: {e!r}")
+    return Fraction(e)
+
+
 def format_rational(q: Fraction) -> str:
     """Canonical string form ``num`` or ``num/den`` (denominator > 0)."""
     return str(Fraction(q))
@@ -82,12 +103,12 @@ class RationalVector:
     entries: tuple[Fraction, ...]
 
     def __init__(self, entries: Iterable[Fraction | int | str]):
-        # an exact Fraction is kept: Fraction(e) would rebuild it through
-        # the numbers.Rational path
+        # an exact Fraction is kept without a call: Fraction(e) would rebuild
+        # it through the numbers.Rational path
         object.__setattr__(
             self,
             "entries",
-            tuple(e if type(e) is Fraction else Fraction(e) for e in entries),
+            tuple(e if type(e) is Fraction else as_fraction(e) for e in entries),
         )
         if not self.entries:
             raise ValueError("RationalVector needs at least one entry")
@@ -303,7 +324,7 @@ class BiPoly:
         if coeffs:
             for (eb, ec), q in coeffs.items():
                 if not isinstance(q, Fraction):
-                    q = Fraction(q)
+                    q = as_fraction(q)
                 eb, ec = operator.index(eb), operator.index(ec)
                 if eb < 0 or ec < 0:
                     raise ValueError("exponents must be nonnegative")
@@ -411,6 +432,12 @@ class BiPoly:
         )
         return Fraction(total, den * bd**deg_b * cd**deg_c)
 
+    def cleared_value(self, b: int, c: int) -> int:
+        """D * p(b, c) at integers b and c, D the least common denominator
+        of the coefficients: the integer sum a * b^eb * c^ec over the
+        integer form, zero exactly where p vanishes."""
+        return sum([a * b**eb * c**ec for eb, ec, a in self._integer_form[3]])
+
     def substitute(self, var: str, value: Fraction | int) -> "BiPoly":
         """Substitute a rational value for one parameter."""
         value = Fraction(value)
@@ -423,23 +450,6 @@ class BiPoly:
             k = (exps[0], exps[1])
             d[k] = d.get(k, Fraction(0)) + q
         return BiPoly(d)
-
-    def coefficients_in(self, var: str) -> list["BiPoly"]:
-        """Coefficient list w.r.t. one parameter, ascending, as polynomials
-        in the other parameter.  Empty list for the zero polynomial."""
-        if self.is_zero():
-            return []
-        idx = _VARS.index(var)
-        deg = self.degree(var)
-        buckets: list[dict[tuple[int, int], Fraction]] = [
-            {} for _ in range(deg + 1)
-        ]
-        for (eb, ec), q in self.coeffs:
-            exps = [eb, ec]
-            power = exps[idx]
-            exps[idx] = 0
-            buckets[power][(exps[0], exps[1])] = q
-        return [BiPoly(d) for d in buckets]
 
     # -- canonical string form ----------------------------------------------
 
@@ -482,71 +492,114 @@ def _parse_term(term: str, context: str) -> tuple[Fraction, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Univariate helpers (coefficient lists over Fraction)
+# Univariate helpers (integer coefficient lists, ascending)
 # ---------------------------------------------------------------------------
 
 
-def _univariate_coeffs(p: BiPoly, var: str) -> list[Fraction]:
-    other = "c" if var == "b" else "b"
-    if p.uses(other):
-        raise ValueError(f"polynomial {p} is not univariate in {var}")
-    out = [Fraction(0)] * (max(p.degree(var), 0) + 1)
+def _integer_coeffs(p: BiPoly, var: str) -> list[int]:
+    """The ascending coefficients in `var` of D * p, D the least common
+    denominator of p's coefficients, trimmed: empty for the zero polynomial.
+    p must be free of the other parameter."""
+    _, deg_b, deg_c, terms = p._integer_form
     idx = _VARS.index(var)
-    for k, q in p.coeffs:
-        out[k[idx]] = q
-    return out
+    if (deg_c, deg_b)[idx]:
+        raise ValueError(f"polynomial {p} is not univariate in {var}")
+    out = [0] * ((deg_b, deg_c)[idx] + 1)
+    for term in terms:
+        out[term[idx]] = term[2]
+    return _poly_trim(out)
 
 
-def _poly_trim(cs: list[Fraction]) -> list[Fraction]:
+def _poly_trim(cs: list) -> list:
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
 
 
-def _poly_divmod(
-    num: list[Fraction], den: list[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    num = num[:]
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    while len(num) >= len(den) and num:
-        f = num[-1] / den[-1]
-        shift = len(num) - len(den)
-        q[shift] = f
-        for i, d in enumerate(den):
-            num[shift + i] -= f * d
-        _poly_trim(num)
-    return q, num
+def _poly_mul(f: list[int], g: list[int]) -> list[int]:
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
 
 
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd of univariate polynomials (coefficient lists, ascending)."""
-    a, b = _poly_trim(a[:]), _poly_trim(b[:])
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
+def _poly_sub(f: list[int], g: list[int]) -> list[int]:
+    out = f + [0] * (len(g) - len(f))
+    for i, b in enumerate(g):
+        out[i] -= b
+    return _poly_trim(out)
+
+
+def _poly_exact_div(f: list[int], g: list[int]) -> list[int]:
+    """f / g for a nonzero g that divides f in Z[x]: each quotient
+    coefficient is an exact integer division by g's leading one."""
+    if g == [1]:
+        return f
+    f = f[:]
+    q = [0] * (len(f) - len(g) + 1)
+    lead, top = g[-1], len(g) - 1
+    for shift in range(len(q) - 1, -1, -1):
+        k = q[shift] = f[shift + top] // lead
+        if k:
+            for i, b in enumerate(g):
+                f[shift + i] -= k * b
+    return q
+
+
+def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
+    """The remainder of f by a nonzero g over Z, up to a power of g's
+    leading coefficient: each step scales f by that coefficient and cancels
+    f's leading term."""
+    lead, n = g[-1], len(g)
+    while len(f) >= n:
+        k, shift = f[-1], len(f) - n
+        f = _poly_trim(
+            [lead * a for a in f[:shift]]
+            + [lead * a - k * b for a, b in zip(f[shift:], g)]
+        )
+    return f
+
+
+def _primitive(cs: list[int]) -> list[int]:
+    g = math.gcd(*cs)
+    return [a // g for a in cs]
 
 
 def gcd_univariate(polys: Sequence[BiPoly], var: str) -> BiPoly:
     """Monic gcd of polynomials univariate in `var`; zero inputs are ignored.
 
-    Returns the zero polynomial when every input is zero.
+    Returns the zero polynomial when every input is zero.  The first nonzero
+    input is returned as given, not made monic, when it is the only one or
+    a constant.  The gcd is taken over Z by the primitive pseudo-remainder
+    sequence (Collins) on the integer coefficients `_integer_coeffs`, each
+    remainder divided by its content, and made monic once.
     """
-    acc: list[Fraction] = []
+    acc: list[int] = []
+    first: Optional[BiPoly] = None  # the first nonzero input, while alone
     for p in polys:
-        if p.is_zero():
+        cs = _integer_coeffs(p, var)
+        if not cs:
             continue
-        cs = _univariate_coeffs(p, var)
-        acc = _poly_gcd(acc, cs) if acc else _poly_trim(cs)
+        if acc:
+            first, cs = None, _primitive(cs)
+            while cs:
+                acc, cs = cs, _pseudo_remainder(acc, cs)
+                if cs:
+                    cs = _primitive(cs)
+        else:
+            acc, first = cs, p
         if len(acc) == 1:  # constant gcd: cannot shrink further
             break
     if not acc:
         return BiPoly.zero()
+    if first is not None:
+        return first
     key = (lambda i: (i, 0)) if var == "b" else (lambda i: (0, i))
-    return BiPoly({key(i): q for i, q in enumerate(acc)})
+    return BiPoly({key(i): Fraction(a, acc[-1]) for i, a in enumerate(acc)})
 
 
 def _divisors(n: int) -> list[int]:
@@ -576,14 +629,20 @@ def rational_roots(p: BiPoly, var: str) -> tuple[list[Fraction], bool]:
     A candidate passing those tests is tried by the homogeneous Horner sum
     d^deg f(n/d), and each root found is divided out exactly.  The search
     gives up (not split) when f(0) or f's leading coefficient is past
-    _ROOT_SEARCH_LIMIT.
+    _ROOT_SEARCH_LIMIT.  The search is `_integer_roots` on the integer
+    coefficients `_integer_coeffs`.
     """
-    cs = _poly_trim(_univariate_coeffs(p, var))
-    if not cs:
+    ints = _integer_coeffs(p, var)
+    if not ints:
         raise ValueError("zero polynomial has every value as a root")
-    if len(cs) == 1:
+    return _integer_roots(ints)
+
+
+def _integer_roots(ints: list[int]) -> tuple[list[Fraction], bool]:
+    """`rational_roots` of the polynomial with the ascending integer
+    coefficients `ints`, trimmed and not all zero."""
+    if len(ints) == 1:
         return [], True
-    (ints,), _ = clear_denominators([cs])
     roots: list[Fraction] = []
     # factor out powers of the variable
     k = 0
@@ -655,53 +714,66 @@ def resultant(p: BiPoly, q: BiPoly, eliminate: str) -> BiPoly:
     Convention: determinant of the Sylvester matrix with the p-coefficient
     rows first, then the q rows, coefficients in descending order.  If one
     argument is free of the eliminated parameter it is returned unchanged.
+
+    The determinant is taken over Z[x], x the kept parameter: the matrix is
+    built from the integer forms D_p * p and D_q * q, its entries dense
+    integer polynomials in x, and reduced by `_integer_det`.  With m and n
+    the degrees of p and q, that is D_p^n * D_q^m times the resultant, so
+    the result is divided by it once.
     """
     if not p.uses(eliminate):
         return p
     if not q.uses(eliminate):
         return q
-    pc = list(reversed(p.coefficients_in(eliminate)))
-    qc = list(reversed(q.coefficients_in(eliminate)))
+    idx = _VARS.index(eliminate)
+    dp, pc = _coefficient_rows(p, idx)
+    dq, qc = _coefficient_rows(q, idx)
     m, n = len(pc) - 1, len(qc) - 1  # degrees
-    size = m + n
-    rows: list[list[BiPoly]] = []
-    for i in range(n):
-        row = [BiPoly.zero()] * size
-        for j, coef in enumerate(pc):
-            row[i + j] = coef
-        rows.append(row)
-    for i in range(m):
-        row = [BiPoly.zero()] * size
-        for j, coef in enumerate(qc):
-            row[i + j] = coef
-        rows.append(row)
-    return _det_poly(rows)
+    rows = [[[]] * i + pc + [[]] * (n - 1 - i) for i in range(n)]
+    rows += [[[]] * i + qc + [[]] * (m - 1 - i) for i in range(m)]
+    den = dp**n * dq**m
+    key = (lambda i: (0, i)) if eliminate == "b" else (lambda i: (i, 0))
+    return BiPoly({key(i): Fraction(a, den) for i, a in enumerate(_integer_det(rows))})
 
 
-def _det_poly(rows: list[list[BiPoly]]) -> BiPoly:
+def _coefficient_rows(p: BiPoly, idx: int) -> tuple[int, list[list[int]]]:
+    """(D, cs): D from p's integer form and cs the coefficients of D * p in
+    the parameter _VARS[idx], in descending order, each a trimmed ascending
+    integer list in the other parameter."""
+    den, *degrees, terms = p._integer_form
+    top, width = degrees[idx], degrees[1 - idx] + 1
+    cs = [[0] * width for _ in range(top + 1)]
+    for term in terms:
+        cs[top - term[idx]][term[1 - idx]] = term[2]
+    return den, [_poly_trim(c) for c in cs]
+
+
+def _integer_det(rows: list[list[list[int]]]) -> list[int]:
+    """The determinant of a square matrix of integer polynomials (ascending
+    lists, [] for zero) by Bareiss's fraction-free elimination: after step
+    k each entry right of and below the pivot is a (k+2)-minor, pivot times
+    entry minus the products across, divided exactly by the previous pivot.
+    The rows are reduced in place."""
     n = len(rows)
-    if n == 0:
-        return BiPoly.const(1)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    # expand along the row with the most zeros
-    best = max(range(n), key=lambda i: sum(1 for e in rows[i] if e.is_zero()))
-    total = BiPoly.zero()
-    for j, entry in enumerate(rows[best]):
-        if entry.is_zero():
-            continue
-        minor = [
-            [row[k] for k in range(n) if k != j]
-            for i, row in enumerate(rows)
-            if i != best
-        ]
-        term = entry * _det_poly(minor)
-        if (best + j) % 2:
-            term = -term
-        total = total + term
-    return total
+    sign, prev = 1, [1]
+    for k in range(n - 1):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            return []
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        top = rows[k]
+        piv = top[k]
+        for row in rows[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [
+                _poly_exact_div(_poly_sub(_poly_mul(piv, v), _poly_mul(f, t)), prev)
+                for v, t in zip(row[k + 1 :], top[k + 1 :])
+            ]
+        prev = piv
+    det = rows[-1][-1]
+    return det if sign > 0 else [-a for a in det]
 
 
 # ---------------------------------------------------------------------------
@@ -856,18 +928,28 @@ def _lines_info(system: list[BiPoly], var: str) -> ZeroSetInfo:
 def _curve_points(
     p: BiPoly, fibres: Iterable[int]
 ) -> list[tuple[Fraction, Fraction]]:
-    """The rational points of the curve p = 0 on the fibres b = b0."""
+    """The rational points of the curve p = 0 on the fibres b = b0: each
+    fibre is the integer polynomial `_fibre` in c, searched by
+    `_integer_roots`."""
     pts = []
     for b0 in fibres:
-        fibre = p.substitute("b", Fraction(b0))
-        if fibre.is_zero():
+        cs = _fibre(p, b0)
+        if not cs:
             pts.append((Fraction(b0), Fraction(0)))
-            continue
-        if fibre.is_constant():
-            continue
-        roots, _ = rational_roots(fibre, "c")
-        pts.extend((Fraction(b0), r) for r in roots)
+        elif len(cs) > 1:
+            roots, _ = _integer_roots(cs)
+            pts.extend((Fraction(b0), r) for r in roots)
     return pts
+
+
+def _fibre(p: BiPoly, b0: int) -> list[int]:
+    """The ascending coefficients in c of D * p(b0, c) at an integer b0, D
+    from p's integer form, trimmed: empty where the fibre vanishes."""
+    _, _, deg_c, terms = p._integer_form
+    cs = [0] * (deg_c + 1)
+    for eb, ec, a in terms:
+        cs[ec] += a * b0**eb
+    return _poly_trim(cs)
 
 
 def _grid_witnesses(
@@ -876,7 +958,7 @@ def _grid_witnesses(
     pts = []
     for b0 in range(-bound, bound + 1):
         for c0 in range(-bound, bound + 1):
-            if all(p.eval_at(b0, c0) == 0 for p in system):
+            if not any(p.cleared_value(b0, c0) for p in system):
                 pts.append((Fraction(b0), Fraction(c0)))
     return pts
 
@@ -897,18 +979,18 @@ def nonvanishing_point(
 
     Exists whenever no input is identically zero: a polynomial of degree
     (d_b, d_c) cannot vanish on a (d_b+1) x (d_c+1) grid, so trying the grid
-    for the product of the inputs always terminates.
+    for the product of the inputs always terminates.  The product is not
+    formed: its degrees are the sums of the inputs' degrees, and it is
+    nonzero where every input's `cleared_value` is.
     """
     live = [p for p in polys if not p.is_zero()]
     if len(live) != len(list(polys)):
         raise ValueError("an identically zero polynomial vanishes everywhere")
-    prod = BiPoly.const(1)
-    for p in live:
-        prod = prod * p
-    db, dc = max(prod.degree("b"), 0), max(prod.degree("c"), 0)
+    db = sum(p.degree("b") for p in live)
+    dc = sum(p.degree("c") for p in live)
     for b0 in range(db + 1):
         for c0 in range(dc + 1):
-            if prod.eval_at(b0, c0) != 0:
+            if all(p.cleared_value(b0, c0) for p in live):
                 return (Fraction(b0), Fraction(c0))
     raise AssertionError("unreachable: a nonzero polynomial misses some grid point")
 

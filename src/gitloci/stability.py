@@ -562,7 +562,7 @@ def _achievable(
     for b0 in range(-span, span + 1):
         for c0 in range(-span, span + 1):
             key = frozenset(
-                i for i in range(a.num_coords) if local[i].eval_at(b0, c0) != 0
+                i for i in range(a.num_coords) if local[i].cleared_value(b0, c0)
             )
             grid_found.setdefault(key, (Fraction(b0), Fraction(c0)))
 

@@ -27,7 +27,15 @@ are kept here as written then, the reference for `qpoly.common_zero_exists`
 and `qpoly.common_zero_avoiding`.  Their elimination finds roots and curve
 points with `rational_roots` and `_curve_points` as they stood before
 `qpoly.rational_roots` moved to integers: a `Fraction` Horner test of every
-candidate p/q and synthetic division, the reference for the integer search.
+candidate p/q and synthetic division, the reference for the integer search;
+its curve fibres come from `BiPoly.substitute`, the reference for
+`qpoly._curve_points`' integer fibres.  It eliminates with `resultant`, the
+cofactor expansion `_det_poly` of the Sylvester matrix of `BiPoly`
+coefficients (`coefficients_in`), and `gcd_univariate`, Euclid's algorithm
+over `Fraction`s (`_poly_gcd`, `_poly_divmod`): the references for
+`qpoly.resultant` and `qpoly.gcd_univariate`, which work over Z.  Its
+`_grid_witnesses` and `nonvanishing_point` test zeros by `BiPoly.eval_at`,
+the latter on the product of its inputs.
 `chamber_decomposition_2d_fraction` is the 2D arrangement decomposition as
 it stood with its crossings, their dedupe and sort and its cell midpoints on
 `Fraction`s, the reference for `polytope.chamber_decomposition_2d`, which
@@ -68,13 +76,7 @@ from gitloci.qpoly import (
     InnerProduct,
     RationalVector,
     _divisors,
-    _grid_witnesses,
-    _poly_trim,
-    _univariate_coeffs,
     clear_denominators,
-    gcd_univariate,
-    nonvanishing_point,
-    resultant,
 )
 from gitloci.strata import BetaIndex, StratificationReport
 
@@ -414,6 +416,165 @@ class _ZeroSetInfo:
     lines_complete: bool = False
     curve: Optional[BiPoly] = None
     has_nonrational: bool = False
+
+
+def _univariate_coeffs(p: BiPoly, var: str) -> list[Fraction]:
+    other = "c" if var == "b" else "b"
+    if p.uses(other):
+        raise ValueError(f"polynomial {p} is not univariate in {var}")
+    out = [Fraction(0)] * (max(p.degree(var), 0) + 1)
+    idx = ("b", "c").index(var)
+    for k, q in p.coeffs:
+        out[k[idx]] = q
+    return out
+
+
+def _poly_trim(cs: list[Fraction]) -> list[Fraction]:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _poly_divmod(
+    num: list[Fraction], den: list[Fraction]
+) -> tuple[list[Fraction], list[Fraction]]:
+    num = num[:]
+    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    while len(num) >= len(den) and num:
+        f = num[-1] / den[-1]
+        shift = len(num) - len(den)
+        q[shift] = f
+        for i, d in enumerate(den):
+            num[shift + i] -= f * d
+        _poly_trim(num)
+    return q, num
+
+
+def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Monic gcd of univariate polynomials (coefficient lists, ascending)."""
+    a, b = _poly_trim(a[:]), _poly_trim(b[:])
+    while b:
+        _, r = _poly_divmod(a, b)
+        a, b = b, r
+    if a:
+        lead = a[-1]
+        a = [x / lead for x in a]
+    return a
+
+
+def gcd_univariate(polys: Sequence[BiPoly], var: str) -> BiPoly:
+    """Monic gcd of polynomials univariate in `var` by Euclid over Q; zero
+    inputs are ignored, and every input zero gives zero."""
+    acc: list[Fraction] = []
+    for p in polys:
+        if p.is_zero():
+            continue
+        cs = _univariate_coeffs(p, var)
+        acc = _poly_gcd(acc, cs) if acc else _poly_trim(cs)
+        if len(acc) == 1:  # constant gcd: cannot shrink further
+            break
+    if not acc:
+        return BiPoly.zero()
+    key = (lambda i: (i, 0)) if var == "b" else (lambda i: (0, i))
+    return BiPoly({key(i): q for i, q in enumerate(acc)})
+
+
+def coefficients_in(p: BiPoly, var: str) -> list[BiPoly]:
+    """Coefficient list w.r.t. one parameter, ascending, as polynomials
+    in the other parameter.  Empty list for the zero polynomial."""
+    if p.is_zero():
+        return []
+    idx = ("b", "c").index(var)
+    buckets: list[dict[tuple[int, int], Fraction]] = [
+        {} for _ in range(p.degree(var) + 1)
+    ]
+    for (eb, ec), q in p.coeffs:
+        exps = [eb, ec]
+        power = exps[idx]
+        exps[idx] = 0
+        buckets[power][(exps[0], exps[1])] = q
+    return [BiPoly(d) for d in buckets]
+
+
+def resultant(p: BiPoly, q: BiPoly, eliminate: str) -> BiPoly:
+    """Sylvester resultant eliminating one parameter: the determinant of the
+    Sylvester matrix with the p-coefficient rows first, then the q rows,
+    coefficients in descending order, by cofactor expansion.  If one
+    argument is free of the eliminated parameter it is returned unchanged."""
+    if not p.uses(eliminate):
+        return p
+    if not q.uses(eliminate):
+        return q
+    pc = list(reversed(coefficients_in(p, eliminate)))
+    qc = list(reversed(coefficients_in(q, eliminate)))
+    m, n = len(pc) - 1, len(qc) - 1  # degrees
+    size = m + n
+    rows: list[list[BiPoly]] = []
+    for i in range(n):
+        row = [BiPoly.zero()] * size
+        for j, coef in enumerate(pc):
+            row[i + j] = coef
+        rows.append(row)
+    for i in range(m):
+        row = [BiPoly.zero()] * size
+        for j, coef in enumerate(qc):
+            row[i + j] = coef
+        rows.append(row)
+    return _det_poly(rows)
+
+
+def _det_poly(rows: list[list[BiPoly]]) -> BiPoly:
+    n = len(rows)
+    if n == 0:
+        return BiPoly.const(1)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    # expand along the row with the most zeros
+    best = max(range(n), key=lambda i: sum(1 for e in rows[i] if e.is_zero()))
+    total = BiPoly.zero()
+    for j, entry in enumerate(rows[best]):
+        if entry.is_zero():
+            continue
+        minor = [
+            [row[k] for k in range(n) if k != j]
+            for i, row in enumerate(rows)
+            if i != best
+        ]
+        term = entry * _det_poly(minor)
+        if (best + j) % 2:
+            term = -term
+        total = total + term
+    return total
+
+
+def _grid_witnesses(
+    system: list[BiPoly], bound: int
+) -> list[tuple[Fraction, Fraction]]:
+    pts = []
+    for b0 in range(-bound, bound + 1):
+        for c0 in range(-bound, bound + 1):
+            if all(p.eval_at(b0, c0) == 0 for p in system):
+                pts.append((Fraction(b0), Fraction(c0)))
+    return pts
+
+
+def nonvanishing_point(polys: Sequence[BiPoly]) -> tuple[Fraction, Fraction]:
+    """A point of the (d_b+1) x (d_c+1) grid off the zeros of the product of
+    the inputs, (d_b, d_c) the product's degrees."""
+    live = [p for p in polys if not p.is_zero()]
+    if len(live) != len(list(polys)):
+        raise ValueError("an identically zero polynomial vanishes everywhere")
+    prod = BiPoly.const(1)
+    for p in live:
+        prod = prod * p
+    db, dc = max(prod.degree("b"), 0), max(prod.degree("c"), 0)
+    for b0 in range(db + 1):
+        for c0 in range(dc + 1):
+            if prod.eval_at(b0, c0) != 0:
+                return (Fraction(b0), Fraction(c0))
+    raise AssertionError("unreachable: a nonzero polynomial misses some grid point")
 
 
 def rational_roots(p: BiPoly, var: str) -> tuple[list[Fraction], bool]:

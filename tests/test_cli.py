@@ -1108,6 +1108,55 @@ def test_sweep_reports_on_the_bench_specs_are_pinned(capsys):
     assert digest == "856b682835d2ac4bd5567f541a9977c586d6ca9798dde5ebe239457373bfd55b"
 
 
+def test_sweep_eliminations_work_on_integer_lists(capsys, monkeypatch):
+    # resultant, gcd_univariate and _curve_points work on integer coefficient
+    # lists: no BiPoly product or substitution runs inside them.  Outside
+    # them the sweeps form no product either; substitutions remain where
+    # analyze_common_zeros back-substitutes a rational root of its eliminant
+    # and where common_zero_avoiding restricts to a line.
+    import gitloci.qpoly as qpoly
+
+    depth = [0]
+    inside = dict.fromkeys(("__mul__", "substitute"), 0)
+    outside = dict(inside)
+    kinds = set()
+
+    def counted(name, method):
+        def spy(self, *args):
+            (inside if depth[0] else outside)[name] += 1
+            return method(self, *args)
+
+        return spy
+
+    def kernel(fn):
+        def spy(*args):
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+
+        return spy
+
+    def kind_of(fn):
+        def spy(polys):
+            info = fn(polys)
+            kinds.add(info.kind)
+            return info
+
+        return spy
+
+    for name in inside:
+        monkeypatch.setattr(BiPoly, name, counted(name, getattr(BiPoly, name)))
+    for name in ("resultant", "gcd_univariate", "_curve_points"):
+        monkeypatch.setattr(qpoly, name, kernel(getattr(qpoly, name)))
+    monkeypatch.setattr(qpoly, "analyze_common_zeros", kind_of(qpoly.analyze_common_zeros))
+    _sweep_stdout(capsys)
+    assert kinds == {"empty", "everything", "finite", "lines", "curve", "unknown"}
+    assert inside == {"__mul__": 0, "substitute": 0}
+    assert outside["__mul__"] == 0 and outside["substitute"] > 0
+
+
 class _Recorder:
     """A stdout that keeps each write."""
 

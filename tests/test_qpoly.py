@@ -1,11 +1,15 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gitloci import qpoly
+from gitloci.action import ExplicitPoint, orbit_point
+from gitloci.cli import load_spec
 from gitloci.qpoly import (
     BiPoly,
     CommonZeroResult,
@@ -25,12 +29,15 @@ from gitloci.qpoly import (
     resultant,
 )
 
+import oracles
 from oracles import (
     common_zero_avoiding_oracle,
     common_zero_exists_oracle,
     rational_roots as rational_roots_oracle,
     row_reduce,
 )
+
+SPECS = Path(__file__).resolve().parent / "specs"
 
 B = BiPoly.var("b")
 C = BiPoly.var("c")
@@ -122,6 +129,149 @@ def test_resultant_vanishes_iff_common_factor():
         res = resultant(p, q, "c")
         gcd = gcd_univariate([p, q], "c")
         assert res.is_zero() == (gcd.degree("c") > 0)
+
+
+def _random_bipoly(rng: random.Random, deg_b: int, deg_c: int) -> BiPoly:
+    """Up to five terms of bidegree at most (deg_b, deg_c), their
+    coefficients rationals with small denominators: often zero, constant or
+    free of one parameter, with zero coefficients in either parameter."""
+    return BiPoly(
+        {
+            (rng.randint(0, deg_b), rng.randint(0, deg_c)): Fraction(
+                rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 5, 7])
+            )
+            for _ in range(rng.randint(0, 5))
+        }
+    )
+
+
+def test_resultant_matches_cofactor_reference():
+    rng = random.Random(31)
+    seen = {
+        "zero input": 0,
+        "constant input": 0,
+        "one-sided": 0,
+        "zero coefficient": 0,
+        "rational": 0,
+        "vanishes": 0,
+    }
+    for _ in range(600):
+        var = rng.choice(["b", "c"])
+        p, q = (_random_bipoly(rng, rng.randint(0, 3), rng.randint(0, 3)) for _ in "pq")
+        res = resultant(p, q, var)
+        assert res == oracles.resultant(p, q, var)
+        seen["zero input"] += p.is_zero() or q.is_zero()
+        seen["constant input"] += p.is_constant() or q.is_constant()
+        seen["one-sided"] += p.uses(var) != q.uses(var)
+        if p.uses(var) and q.uses(var):
+            m, n = p.degree(var), q.degree(var)
+            # swapping the arguments swaps m row blocks past n: sign (-1)^(mn)
+            assert resultant(q, p, var) == res.scale((-1) ** (m * n))
+            coefficients = oracles.coefficients_in(p, var) + oracles.coefficients_in(q, var)
+            seen["zero coefficient"] += any(c.is_zero() for c in coefficients)
+            seen["rational"] += any(v.denominator > 1 for _, v in p.coeffs + q.coeffs)
+            seen["vanishes"] += res.is_zero()
+    assert min(seen.values()) >= 20, seen
+    # p's rows first, coefficients descending: det [[1/2, -b], [3, 1/3]]
+    p, q = C.scale(Fraction(1, 2)) - B, C.scale(3) + BiPoly.const(Fraction(1, 3))
+    assert resultant(p, q, "c") == B.scale(3) + BiPoly.const(Fraction(1, 6))
+    assert resultant(q, p, "c") == -resultant(p, q, "c")
+    # degrees 1 and 2 in c: two p rows, one q row, each row shifted by one
+    q = C * C.scale(3) + B.scale(Fraction(1, 3))
+    assert resultant(p, q, "c") == (B * B).scale(3) + B.scale(Fraction(1, 12))
+
+
+def _univariate(cs: list[int], var: str, scale: Fraction) -> BiPoly:
+    key = (lambda i: (i, 0)) if var == "b" else (lambda i: (0, i))
+    return BiPoly({key(i): scale * a for i, a in enumerate(cs)})
+
+
+def test_gcd_univariate_matches_euclid_reference(monkeypatch):
+    rng = random.Random(32)
+    prem = qpoly._pseudo_remainder
+
+    def primitive_divisor(f, g):
+        # each remainder is divided by its content before it divides
+        assert math.gcd(*g) == 1
+        return prem(f, g)
+
+    monkeypatch.setattr(qpoly, "_pseudo_remainder", primitive_divisor)
+    seen = {"coprime": 0, "constant": 0, "repeated": 0, "rational": 0, "zero": 0}
+    for _ in range(400):
+        var = rng.choice(["b", "c"])
+        shared, repeated = [1], False
+        for _ in range(rng.randint(0, 2)):
+            factor = rng.choice([[-rng.randint(-4, 4), rng.randint(1, 3)], [rng.randint(1, 5), 0, 1]])
+            power = rng.choice([1, 1, 2, 3])
+            repeated |= power > 1
+            for _ in range(power):
+                shared = _poly_times(shared, factor)
+        polys = []
+        for _ in range(rng.randint(1, 3)):
+            shape = rng.random()
+            if shape < 0.1:
+                polys.append(BiPoly.zero())
+                continue
+            cofactor = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]
+            if shape < 0.2:
+                cofactor, cs = [rng.randint(1, 9)], [rng.randint(1, 9)]
+            else:
+                cs = _poly_times(shared, cofactor)
+            scale = Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 1, 2, 5, 9]))
+            polys.append(_univariate(cs, var, scale))
+        g = gcd_univariate(polys, var)
+        assert g == oracles.gcd_univariate(polys, var)
+        live = [p for p in polys if not p.is_zero()]
+        seen["zero"] += len(live) < len(polys)
+        seen["constant"] += any(p.is_constant() for p in live)
+        seen["coprime"] += g.is_constant() and all(p.uses(var) for p in live)
+        seen["repeated"] += repeated and g.degree(var) > 1
+        seen["rational"] += any(v.denominator > 1 for p in live for _, v in p.coeffs)
+    assert min(seen.values()) >= 20, seen
+    assert gcd_univariate([BiPoly.zero()], "b").is_zero()
+    # (b - 1/2)^2 (b + 3) against (b - 1/2)(2b + 5): the monic b - 1/2
+    half = B - BiPoly.const(Fraction(1, 2))
+    r = gcd_univariate([half * half * (B + BiPoly.const(3)), half * (B.scale(2) + BiPoly.const(5))], "b")
+    assert r == half
+
+
+def _orbit_coordinates(spec) -> list[BiPoly]:
+    groups = [spec.group, *spec.variants.values()]
+    return [
+        e
+        for x in spec.points.values()
+        if isinstance(x, ExplicitPoint)
+        for g in groups
+        if g is not None
+        for block in orbit_point(x, g).coords
+        for e in block
+    ]
+
+
+def test_integer_grid_and_fibres_match_eval_at(sec7_1):
+    # the orbit coordinates that the sweeps of the corpus and the pinned
+    # sweep specs test: the 9 x 9 grid around 0 and seeded integer points
+    # further out
+    rng = random.Random(33)
+    specs = [sec7_1, *(load_spec(str(path)) for path in sorted(SPECS.glob("*.json")))]
+    polys = [p for spec in specs for p in _orbit_coordinates(spec)]
+    assert len(polys) >= 100
+    # and some over a common denominator D > 1
+    polys += [p.scale(Fraction(rng.randint(1, 9), rng.randint(2, 9))) for p in polys[::3]]
+    grid = [(b0, c0) for b0 in range(-4, 5) for c0 in range(-4, 5)]
+    zeros = 0
+    for p in polys:
+        den = p._integer_form[0]
+        for b0, c0 in grid + [(rng.randint(-60, 60), rng.randint(-60, 60)) for _ in range(20)]:
+            value = p.cleared_value(b0, c0)
+            assert type(value) is int and value == den * p.eval_at(b0, c0)
+            zeros += value == 0
+        for b0 in range(-10, 11):
+            fibre = p.substitute("b", b0)
+            # D * p(b0, c), D taken before the substitution
+            expected = [den * q for q in oracles._univariate_coeffs(fibre, "c")]
+            assert qpoly._fibre(p, b0) == oracles._poly_trim(expected)
+    assert zeros > 100
 
 
 def test_common_zero_examples():
@@ -317,19 +467,19 @@ def test_rational_roots_matches_fraction_reference():
 
 def test_wider_curve_scan_skips_the_listed_fibres(monkeypatch):
     # b*c = 1 with every point over |b| <= 6 avoided: the wider scan adds the
-    # 8 fibres 7 <= |b| <= 10 to the 13 already scanned, 21 substitutions
+    # 8 fibres 7 <= |b| <= 10 to the 13 already scanned, 21 fibres in all
     curve = B * C - ONE
     avoid = [B * B - BiPoly.const(k * k) for k in range(1, 7)]
     calls = []
-    substitute = BiPoly.substitute
+    fibre = qpoly._fibre
 
-    def counted(self, var, value):
-        calls.append((var, value))
-        return substitute(self, var, value)
+    def counted(p, b0):
+        calls.append(b0)
+        return fibre(p, b0)
 
-    monkeypatch.setattr(BiPoly, "substitute", counted)
+    monkeypatch.setattr(qpoly, "_fibre", counted)
     assert common_zero_avoiding([curve], avoid).status is CZStatus.YES
-    assert sorted(v for _, v in calls) == list(range(-10, 11))
+    assert sorted(calls) == list(range(-10, 11))
 
 
 def _random_system(rng: random.Random) -> list[BiPoly]:
@@ -412,6 +562,21 @@ def test_bipoly_rejects_non_integer_exponents(exponent):
         BiPoly({(exponent, 0): 1})
     with pytest.raises(TypeError):
         BiPoly({(0, 0): 1, (1, exponent): 2})
+
+
+@pytest.mark.parametrize("entry", [0.1, 2.0, -0.5, 0.0])
+def test_rational_constructors_reject_floats(entry):
+    # Fraction(0.1) would hold 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError):
+        RationalVector([1, entry])
+    with pytest.raises(TypeError):
+        BiPoly({(1, 0): 1, (0, 0): entry})
+    with pytest.raises(TypeError):
+        ExplicitPoint([[1, 0], [entry, 1]])
+    exact = Fraction(str(entry))
+    assert RationalVector([1, exact]).entries[1] == exact
+    assert BiPoly({(0, 0): exact}).eval_at(0, 0) == exact
+    assert ExplicitPoint([[1, 0], [exact, 1]]).coords[1][0] == exact
 
 
 def test_vector_primitive_integral():
