@@ -23,7 +23,7 @@ Polynomials are restricted to at most two parameters, named ``b`` and ``c``.
 That is enough for the bundled two-dimensional unipotent groups.
 Elimination runs on the integer forms D * p that `BiPoly` keeps, with no
 intermediate `Fraction` or `BiPoly`: zero tests at integer points by
-`BiPoly.cleared_value`, curve fibres b = b0 as integer coefficient lists
+`BiPoly.cleared_values`, curve fibres b = b0 as integer coefficient lists
 (`_fibre`) searched by `_integer_roots`, resultants as Sylvester
 determinants over Z[x] by Bareiss's fraction-free elimination, and gcds by
 the primitive pseudo-remainder sequence over Z.  Each builds a `Fraction`
@@ -41,6 +41,7 @@ avoids.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -432,11 +433,20 @@ class BiPoly:
         )
         return Fraction(total, den * bd**deg_b * cd**deg_c)
 
-    def cleared_value(self, b: int, c: int) -> int:
-        """D * p(b, c) at integers b and c, D the least common denominator
-        of the coefficients: the integer sum a * b^eb * c^ec over the
-        integer form, zero exactly where p vanishes."""
-        return sum([a * b**eb * c**ec for eb, ec, a in self._integer_form[3]])
+    def cleared_values(self, bs: Iterable[int], cs: Sequence[int]) -> list[int]:
+        """D * p(b0, c0) at the integer points of bs x cs, b0 major, D the
+        least common denominator of the coefficients: zero exactly where p
+        vanishes.  Each fibre b = b0 of the integer form (`_fibre`) is
+        summed at every c0 by Horner's rule."""
+        out = []
+        for b0 in bs:
+            fibre = _fibre(self, b0)[::-1]
+            for c0 in cs:
+                acc = 0
+                for a in fibre:
+                    acc = acc * c0 + a
+                out.append(acc)
+        return out
 
     def substitute(self, var: str, value: Fraction | int) -> "BiPoly":
         """Substitute a rational value for one parameter."""
@@ -955,12 +965,13 @@ def _fibre(p: BiPoly, b0: int) -> list[int]:
 def _grid_witnesses(
     system: list[BiPoly], bound: int
 ) -> list[tuple[Fraction, Fraction]]:
-    pts = []
-    for b0 in range(-bound, bound + 1):
-        for c0 in range(-bound, bound + 1):
-            if not any(p.cleared_value(b0, c0) for p in system):
-                pts.append((Fraction(b0), Fraction(c0)))
-    return pts
+    grid = range(-bound, bound + 1)
+    values = [p.cleared_values(grid, grid) for p in system]
+    return [
+        (Fraction(b0), Fraction(c0))
+        for k, (b0, c0) in enumerate(itertools.product(grid, grid))
+        if not any(v[k] for v in values)
+    ]
 
 
 def common_zero_exists(polys: Iterable[BiPoly]) -> CommonZeroResult:
@@ -981,16 +992,17 @@ def nonvanishing_point(
     (d_b, d_c) cannot vanish on a (d_b+1) x (d_c+1) grid, so trying the grid
     for the product of the inputs always terminates.  The product is not
     formed: its degrees are the sums of the inputs' degrees, and it is
-    nonzero where every input's `cleared_value` is.
+    nonzero where every input's `cleared_values` are, taken a row b = b0
+    at a time.
     """
     live = [p for p in polys if not p.is_zero()]
     if len(live) != len(list(polys)):
         raise ValueError("an identically zero polynomial vanishes everywhere")
-    db = sum(p.degree("b") for p in live)
-    dc = sum(p.degree("c") for p in live)
-    for b0 in range(db + 1):
-        for c0 in range(dc + 1):
-            if all(p.cleared_value(b0, c0) for p in live):
+    cs = range(sum(p.degree("c") for p in live) + 1)
+    for b0 in range(sum(p.degree("b") for p in live) + 1):
+        row = [p.cleared_values([b0], cs) for p in live]
+        for c0 in cs:
+            if all(v[c0] for v in row):
                 return (Fraction(b0), Fraction(c0))
     raise AssertionError("unreachable: a nonzero polynomial misses some grid point")
 

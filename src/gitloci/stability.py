@@ -558,13 +558,12 @@ def _achievable(
     gen = generic_support(orbit, a)
 
     grid_found: dict[frozenset[int], tuple[Fraction, Fraction]] = {}
-    span = 3
-    for b0 in range(-span, span + 1):
-        for c0 in range(-span, span + 1):
-            key = frozenset(
-                i for i in range(a.num_coords) if local[i].cleared_value(b0, c0)
-            )
-            grid_found.setdefault(key, (Fraction(b0), Fraction(c0)))
+    grid = range(-3, 4)
+    values = [local[i].cleared_values(grid, grid) for i in range(a.num_coords)]
+    for k, (b0, c0) in enumerate(itertools.product(grid, grid)):
+        key = frozenset(i for i, v in enumerate(values) if v[k])
+        if key not in grid_found:
+            grid_found[key] = (Fraction(b0), Fraction(c0))
 
     per_factor_options = []
     for blk in a.factor_partition:
