@@ -526,37 +526,30 @@ def _poly_trim(cs: list) -> list:
     return cs
 
 
-def _poly_mul(f: list[int], g: list[int]) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return out
-
-
-def _poly_sub(f: list[int], g: list[int]) -> list[int]:
-    out = f + [0] * (len(g) - len(f))
-    for i, b in enumerate(g):
-        out[i] -= b
-    return _poly_trim(out)
-
-
-def _poly_exact_div(f: list[int], g: list[int]) -> list[int]:
-    """f / g for a nonzero g that divides f in Z[x]: each quotient
-    coefficient is an exact integer division by g's leading one."""
-    if g == [1]:
-        return f
-    f = f[:]
-    q = [0] * (len(f) - len(g) + 1)
-    lead, top = g[-1], len(g) - 1
+def _bareiss_entry(
+    piv: list[int], v: list[int], f: list[int], t: list[int], prev: list[int]
+) -> list[int]:
+    """(piv * v - f * t) / prev for integer polynomials (ascending lists),
+    the division exact: one entry of a fraction-free elimination step.  Each
+    quotient coefficient is an exact integer division by prev's leading
+    one."""
+    out = [0] * max(len(piv) + len(v), len(f) + len(t))
+    for g, h, sign in ((piv, v, 1), (f, t, -1)):
+        for i, x in enumerate(g):
+            if x:
+                x *= sign
+                for j, y in enumerate(h):
+                    out[i + j] += x * y
+    _poly_trim(out)
+    if prev == [1]:
+        return out
+    q = [0] * (len(out) - len(prev) + 1)
+    lead, top = prev[-1], len(prev) - 1
     for shift in range(len(q) - 1, -1, -1):
-        k = q[shift] = f[shift + top] // lead
+        k = q[shift] = out[shift + top] // lead
         if k:
-            for i, b in enumerate(g):
-                f[shift + i] -= k * b
+            for i, y in enumerate(prev):
+                out[shift + i] -= k * y
     return q
 
 
@@ -572,11 +565,6 @@ def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
             + [lead * a - k * b for a, b in zip(f[shift:], g)]
         )
     return f
-
-
-def _primitive(cs: list[int]) -> list[int]:
-    g = math.gcd(*cs)
-    return [a // g for a in cs]
 
 
 def gcd_univariate(polys: Sequence[BiPoly], var: str) -> BiPoly:
@@ -595,11 +583,11 @@ def gcd_univariate(polys: Sequence[BiPoly], var: str) -> BiPoly:
         if not cs:
             continue
         if acc:
-            first, cs = None, _primitive(cs)
+            first = None
             while cs:
+                g = math.gcd(*cs)
+                cs = [a // g for a in cs]
                 acc, cs = cs, _pseudo_remainder(acc, cs)
-                if cs:
-                    cs = _primitive(cs)
         else:
             acc, first = cs, p
         if len(acc) == 1:  # constant gcd: cannot shrink further
@@ -736,26 +724,24 @@ def resultant(p: BiPoly, q: BiPoly, eliminate: str) -> BiPoly:
     if not q.uses(eliminate):
         return q
     idx = _VARS.index(eliminate)
-    dp, pc = _coefficient_rows(p, idx)
-    dq, qc = _coefficient_rows(q, idx)
+    dens, coefficients = [], []
+    for f in (p, q):
+        # D * f's coefficients in the eliminated parameter, descending, each
+        # a trimmed ascending integer list in the kept one
+        den, *degrees, terms = f._integer_form
+        top, width = degrees[idx], degrees[1 - idx] + 1
+        cs = [[0] * width for _ in range(top + 1)]
+        for term in terms:
+            cs[top - term[idx]][term[1 - idx]] = term[2]
+        dens.append(den)
+        coefficients.append([_poly_trim(c) for c in cs])
+    pc, qc = coefficients
     m, n = len(pc) - 1, len(qc) - 1  # degrees
     rows = [[[]] * i + pc + [[]] * (n - 1 - i) for i in range(n)]
     rows += [[[]] * i + qc + [[]] * (m - 1 - i) for i in range(m)]
-    den = dp**n * dq**m
+    den = dens[0] ** n * dens[1] ** m
     key = (lambda i: (0, i)) if eliminate == "b" else (lambda i: (i, 0))
     return BiPoly({key(i): Fraction(a, den) for i, a in enumerate(_integer_det(rows))})
-
-
-def _coefficient_rows(p: BiPoly, idx: int) -> tuple[int, list[list[int]]]:
-    """(D, cs): D from p's integer form and cs the coefficients of D * p in
-    the parameter _VARS[idx], in descending order, each a trimmed ascending
-    integer list in the other parameter."""
-    den, *degrees, terms = p._integer_form
-    top, width = degrees[idx], degrees[1 - idx] + 1
-    cs = [[0] * width for _ in range(top + 1)]
-    for term in terms:
-        cs[top - term[idx]][term[1 - idx]] = term[2]
-    return den, [_poly_trim(c) for c in cs]
 
 
 def _integer_det(rows: list[list[list[int]]]) -> list[int]:
@@ -778,7 +764,7 @@ def _integer_det(rows: list[list[list[int]]]) -> list[int]:
         for row in rows[k + 1 :]:
             f = row[k]
             row[k + 1 :] = [
-                _poly_exact_div(_poly_sub(_poly_mul(piv, v), _poly_mul(f, t)), prev)
+                _bareiss_entry(piv, v, f, t, prev)
                 for v, t in zip(row[k + 1 :], top[k + 1 :])
             ]
         prev = piv
@@ -877,8 +863,15 @@ def analyze_common_zeros(polys: Iterable[BiPoly]) -> ZeroSetInfo:
             elim.append(resultant(c_polys[i], c_polys[j], "c"))
     nonzero_elim = [p for p in elim if not p.is_zero()]
     if not nonzero_elim:
-        # every pairwise resultant vanished: shared factors; fall back to search
-        pts = _grid_witnesses(system, bound=4)
+        # every pairwise resultant vanished: shared factors; fall back to
+        # the integer grid |b|, |c| <= 4
+        grid = range(-4, 5)
+        values = [p.cleared_values(grid, grid) for p in system]
+        pts = (
+            (Fraction(b0), Fraction(c0))
+            for (b0, c0), column in zip(itertools.product(grid, grid), zip(*values))
+            if not any(column)
+        )
         return ZeroSetInfo(kind="unknown", points=tuple(pts))
     g = gcd_univariate(nonzero_elim, "b")
     if g.is_constant():
@@ -960,18 +953,6 @@ def _fibre(p: BiPoly, b0: int) -> list[int]:
     for eb, ec, a in terms:
         cs[ec] += a * b0**eb
     return _poly_trim(cs)
-
-
-def _grid_witnesses(
-    system: list[BiPoly], bound: int
-) -> list[tuple[Fraction, Fraction]]:
-    grid = range(-bound, bound + 1)
-    values = [p.cleared_values(grid, grid) for p in system]
-    return [
-        (Fraction(b0), Fraction(c0))
-        for k, (b0, c0) in enumerate(itertools.product(grid, grid))
-        if not any(v[k] for v in values)
-    ]
 
 
 def common_zero_exists(polys: Iterable[BiPoly]) -> CommonZeroResult:

@@ -560,8 +560,8 @@ def _achievable(
     grid_found: dict[frozenset[int], tuple[Fraction, Fraction]] = {}
     grid = range(-3, 4)
     values = [local[i].cleared_values(grid, grid) for i in range(a.num_coords)]
-    for k, (b0, c0) in enumerate(itertools.product(grid, grid)):
-        key = frozenset(i for i, v in enumerate(values) if v[k])
+    for (b0, c0), column in zip(itertools.product(grid, grid), zip(*values)):
+        key = frozenset(itertools.compress(range(a.num_coords), column))
         if key not in grid_found:
             grid_found[key] = (Fraction(b0), Fraction(c0))
 
