@@ -1047,31 +1047,47 @@ def _p4_input():
     return {**_P3G_INPUT, "name": "p4", "factors": sec71["factors"] + sec71["factors"][:1]}
 
 
-def _chambers_digest(spec, tmp_path):
+def _p4g_input():
+    # p3g and a fourth generic factor: 45 distinct weights, 2,401 supports
+    # and 95 wall lines, the largest arrangement of the pinned reports
+    fourth = {"name": "f3", "weights": [[1, 1], [0, -1], [-2, 1]]}
+    return {**_P3G_INPUT, "name": "p4g", "factors": [*_P3G_INPUT["factors"], fourth]}
+
+
+def _report_digest(spec, tmp_path, command="chambers"):
     path = tmp_path / f"{spec['name']}.json"
     path.write_text(json.dumps(spec))
-    out = tmp_path / f"{spec['name']}_chambers.json"
-    assert run(["chambers", "--input", str(path), "--output", str(out)]) == 0
+    out = tmp_path / f"{spec['name']}_{command}.json"
+    assert run([command, "--input", str(path), "--output", str(out)]) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def test_chambers_report_on_p3g_is_pinned(tmp_path):
-    digest = _chambers_digest(_P3G_INPUT, tmp_path)
+    digest = _report_digest(_P3G_INPUT, tmp_path)
     assert digest == "1b5f4afa1cb4d799fbc712039b05b1e7198767b964f94143441f1a090ce570ab"
 
 
 def test_chambers_report_on_p4_is_pinned(tmp_path):
-    digest = _chambers_digest(_p4_input(), tmp_path)
+    digest = _report_digest(_p4_input(), tmp_path)
     assert digest == "fa59437fdfabbda279c9e200c280d54c559e63df8c18ee882465891825b5bd1a"
 
 
 def test_chambers_report_on_p4g_is_pinned(tmp_path):
-    # p3g and a fourth generic factor: 45 distinct weights, 2,401 supports
-    # and 95 wall lines, the largest arrangement of the pinned reports
-    fourth = {"name": "f3", "weights": [[1, 1], [0, -1], [-2, 1]]}
-    p4g = {**_P3G_INPUT, "name": "p4g", "factors": [*_P3G_INPUT["factors"], fourth]}
-    digest = _chambers_digest(p4g, tmp_path)
+    digest = _report_digest(_p4g_input(), tmp_path)
     assert digest == "2f8eda71eb7553b02017e387db28f58d95ef076ef2ec505ca220b60403fb69ab"
+
+
+@pytest.mark.parametrize(
+    "spec, pinned",
+    [
+        (_P3G_INPUT, "bab9245b8017ee9305351fe40ac3e43cb909b15792b260bdd9e408e8e570f5a5"),
+        (_p4g_input(), "f9a38338e43ced97243847e6dc162d2fe518e18b86d31f2a3b8647d8d7fc607a"),
+    ],
+    ids=["p3g", "p4g"],
+)
+def test_strata_report_is_pinned(spec, pinned, tmp_path):
+    # the minimum-norm strata of 343 and 2,401 supports, byte for byte
+    assert _report_digest(spec, tmp_path, "strata") == pinned
 
 
 # five specs of the sweeps benchmark at seed 1, with each one's four flows:
