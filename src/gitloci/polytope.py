@@ -13,12 +13,17 @@ By Caratheodory every minimum-norm point of a subset is one of these, so
 the enumeration (polynomial, O(n^dim) subsets) serves both as the test
 oracle for Wolfe and as the stratum index set.
 
-Both run on one integer kernel.  The points' denominators (and the
-twist's) are cleared once and the integer Gram matrix <p_i, p_j>_G is built
-once per point set.  Each affine minimum-norm point solves the bordered KKT
-system [[M_T, 1], [1^T, 0]] by the integer elimination of `qpoly`, which
-gives integer coefficient numerators over one denominator, so the sign tests
-are integer tests; a Fraction is built only for each output coordinate.
+Both run on one integer frame, a `GramFrame`: integer points p_i over one
+denominator d (the twist's, or the points' common one) and their integer
+Gram table <p_i, p_j>_G, built once.  Wolfe takes a list of indices into
+the frame, so one table serves every hull of a stratification.  Each
+affine minimum-norm point solves the bordered KKT system
+[[M_T, 1], [1^T, 0]] by the integer elimination of `qpoly`, which gives
+integer coefficient numerators over one denominator, so the sign tests are
+integer tests.  A minimum-norm point comes back as reduced integer
+numerators over one positive denominator, so equal points are equal integer
+pairs; `hull_min_norm`, `min_norm_point` and `corral_points` build their
+own frame and a Fraction per output coordinate.
 
 Membership of one hull runs in one integer kernel, `hull_position`:
 integer points against a rational query, translated so that the query is
@@ -35,9 +40,10 @@ region and the strata's support hulls are keyed by them.
 The 2D arrangement is integer at its interface too: `Line2D`s and the
 region's planes are integer triples, and `chamber_decomposition_2d` builds
 `Fraction`s only for what its faces carry.  `PointSet`, `hull_membership`,
-`min_norm_point`, `min_norm_point_oracle` and `convex_hull_2d` are
-`Fraction` entry points over the kernels above that no path of the package
-calls; they stay as the tests' and the benchmark's names for them.
+`min_norm_point`, `min_norm_point_oracle`, `corral_points` and
+`convex_hull_2d` are `Fraction` entry points over the kernels above that no
+path of the package calls; they stay as the tests' and the benchmark's
+names for them.
 """
 
 from __future__ import annotations
@@ -288,13 +294,16 @@ def _combination(
     subset: Sequence[int],
     weights: Sequence[int],
     d: int,
-) -> RationalVector:
-    """sum_i w_i p_i / (d * sum_i w_i): one Fraction per coordinate."""
-    den = d * sum(weights)
-    return RationalVector(
-        Fraction(sum(w * points[i][c] for w, i in zip(weights, subset)), den)
+) -> tuple[tuple[int, ...], int]:
+    """sum_i w_i p_i / (d * sum_i w_i), as reduced integer numerators over
+    one positive denominator."""
+    num = [
+        sum(w * points[i][c] for w, i in zip(weights, subset))
         for c in range(len(points[0]))
-    )
+    ]
+    den = d * sum(weights)
+    g = math.gcd(*num, den)
+    return tuple(v // g for v in num), den // g
 
 
 def _positive(
@@ -306,100 +315,135 @@ def _positive(
     return [i for i, _ in keep], [w // g for _, w in keep]
 
 
-def _wolfe(
-    points: Sequence[tuple[int, ...]], d: int, ip: InnerProduct
-) -> RationalVector:
-    """Wolfe's minimum-norm point of the hull of the distinct points p / d.
+def _vector(num: Sequence[int], den: int) -> RationalVector:
+    return RationalVector(Fraction(n, den) for n in num)
 
-    The iterate x = sum u_i p_i / sum(u) is held as positive integer weights
-    u on the corral, so with s_j = sum(u) * <x, p_j> from the integer Gram
-    matrix the optimality test <x, p> >= |x|^2 reads s_j * sum(u) >=
-    sum_i u_i s_i.  The corral stays affinely independent throughout (a
-    point strictly below the current level cannot lie in the corral's affine
-    hull), so the KKT systems are nonsingular and termination follows from
-    strict norm decrease over finitely many corrals.
+
+class GramFrame:
+    """Integer points p_i / d on one integer Gram table <p_i, p_j>_G, built
+    once; the minimum-norm points of their subsets come back as integer
+    numerators N over one denominator D > 0, reduced, so that equal points
+    are equal pairs (N, D).  The origin is (0, ..., 0), 1.
     """
-    gram = _gram(points, ip)
-    n = len(points)
-    corral = [min(range(n), key=lambda i: (gram[i][i], points[i]))]
-    u = [1]
-    while True:
-        s = [sum(w * gram[i][j] for w, i in zip(u, corral)) for j in range(n)]
-        best = min(range(n), key=s.__getitem__)  # the first least pairing
-        if s[best] * sum(u) >= sum(w * s[i] for w, i in zip(u, corral)):
-            return _combination(points, corral, u, d)
-        corral.append(best)
-        u.append(0)
+
+    def __init__(self, rows: Sequence[tuple[int, ...]], d: int, ip: InnerProduct):
+        self.rows = rows
+        self.d = d
+        self.gram = _gram(rows, ip)
+
+    @staticmethod
+    def shifted(
+        points: Iterable[Sequence[int]], q: RationalVector, ip: InnerProduct
+    ) -> "GramFrame":
+        """The frame of conv(points) - q, for integer points: the distinct
+        d*p - d*q in sorted order (the order of the distinct points), d the
+        denominator of q."""
+        diffs, d = _integer_frame(points, q)
+        return GramFrame(sorted(diffs), d, ip)
+
+    def min_norm(self, subset: Sequence[int]) -> tuple[tuple[int, ...], int]:
+        """Wolfe's minimum-norm point of the hull of the points indexed by
+        `subset`, distinct indices (their order steers the path, not the
+        point).
+
+        The iterate x = sum u_i p_i / sum(u) is held as positive integer
+        weights u on the corral, so with s_j = sum(u) * <x, p_j> from the
+        subset's block of the Gram table the optimality test
+        <x, p> >= |x|^2 reads s_j * sum(u) >= sum_i u_i s_i.  The corral
+        stays affinely independent throughout (a point strictly below the
+        current level cannot lie in the corral's affine hull), so the KKT
+        systems are nonsingular and termination follows from strict norm
+        decrease over finitely many corrals.
+        """
+        gram = [[self.gram[i][j] for j in subset] for i in subset]
+        n = len(subset)
+        rows = self.rows
+        corral = [min(range(n), key=lambda k: (gram[k][k], rows[subset[k]]))]
+        u = [1]
         while True:
-            coeffs = _bordered_solve(gram, corral)
-            if min(coeffs) >= 0:
-                # drop zero coefficients: the affine minimiser of the rest is
-                # the same point, now an interior convex combination
-                corral, u = _positive(corral, coeffs)
-                break
-            # move x toward the affine minimiser y until a weight reaches 0:
-            # over the common denominator sum(u) * sum(coeffs), x has weights
-            # c and y has e, and the step is theta = min c_i / (c_i - e_i)
-            # over e_i < 0, taken as p / q by cross-multiplication
-            total, den = sum(u), sum(coeffs)
-            c = [w * den for w in u]
-            e = [v * total for v in coeffs]
-            p, q = 1, 0
-            for ci, ei in zip(c, e):
-                if ei < 0 and ci * q < p * (ci - ei):
-                    p, q = ci, ci - ei
-            corral, u = _positive(
-                corral, [(q - p) * ci + p * ei for ci, ei in zip(c, e)]
-            )
+            cols = zip(*(gram[i] for i in corral))
+            s = [sum(map(operator.mul, u, col)) for col in cols]
+            best = min(range(n), key=s.__getitem__)  # the first least pairing
+            level = sum(map(operator.mul, u, map(s.__getitem__, corral)))
+            if s[best] * sum(u) >= level:
+                return _combination(rows, [subset[i] for i in corral], u, self.d)
+            corral.append(best)
+            u.append(0)
+            while True:
+                coeffs = _bordered_solve(gram, corral)
+                if min(coeffs) >= 0:
+                    # drop zero coefficients: the affine minimiser of the rest
+                    # is the same point, now an interior convex combination
+                    corral, u = _positive(corral, coeffs)
+                    break
+                # move x toward the affine minimiser y until a weight reaches
+                # 0: over the common denominator sum(u) * sum(coeffs), x has
+                # weights c and y has e, and the step is
+                # theta = min c_i / (c_i - e_i) over e_i < 0, taken as p / q
+                # by cross-multiplication
+                total, den = sum(u), sum(coeffs)
+                c = [w * den for w in u]
+                e = [v * total for v in coeffs]
+                p, q = 1, 0
+                for ci, ei in zip(c, e):
+                    if ei < 0 and ci * q < p * (ci - ei):
+                        p, q = ci, ci - ei
+                corral, u = _positive(
+                    corral, [(q - p) * ci + p * ei for ci, ei in zip(c, e)]
+                )
+
+    def corral_points(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        """The affine minimum-norm point of every affinely independent subset
+        of at most dim of the (distinct) points whose KKT coefficients are
+        all nonnegative, smaller subsets first, each size in combinations
+        order; then the origin, once, when it lies in the points' hull.
+
+        Each yield is the minimum-norm point of its subset's hull;
+        conversely the minimum-norm point of any subset lies in the relative
+        interior of a face, hence (Caratheodory) of such a subset or of
+        dim + 1 affinely independent points.  Those span the space, so
+        theirs is the origin, the minimum-norm point of some subset exactly
+        when it lies in the hull: one `hull_position` stands for that tier.
+        So these are exactly the minimum-norm points of all nonempty
+        subsets, from O(n^dim) small solves, each one fraction-free bordered
+        solve on the Gram table.
+        """
+        rows = self.rows
+        dim = len(rows[0])
+        for size in range(1, min(len(rows), dim) + 1):
+            for subset in itertools.combinations(range(len(rows)), size):
+                coeffs = _bordered_solve(self.gram, subset)
+                if coeffs is not None and min(coeffs) >= 0:
+                    yield _combination(rows, subset, coeffs, self.d)
+        origin = RationalVector.zero(dim)
+        if hull_position(rows, origin) is not HullPosition.OUTSIDE:
+            yield (0,) * dim, 1
 
 
 def min_norm_point(S: PointSet, ip: InnerProduct) -> RationalVector:
     """The unique point of conv(S) closest to the origin, by Wolfe's
-    minimum-norm-point algorithm on the integer kernel: the points' common
-    denominator is cleared once."""
-    return _wolfe(*clear_denominators(p.entries for p in S.deduplicated()), ip)
+    minimum-norm-point algorithm (`GramFrame.min_norm`) on a frame of the
+    points with their common denominator cleared."""
+    frame = GramFrame(*clear_denominators(p.entries for p in S.deduplicated()), ip)
+    return _vector(*frame.min_norm(range(len(frame.rows))))
 
 
 def hull_min_norm(
     points: Iterable[Sequence[int]], q: RationalVector, ip: InnerProduct
 ) -> RationalVector:
     """The point of conv(points) - q closest to the origin, for integer
-    points: Wolfe on the distinct integer points d*p - d*q in sorted order,
-    d the denominator of q."""
-    diffs, d = _integer_frame(points, q)
-    return _wolfe(sorted(diffs), d, ip)
+    points: Wolfe on the frame `GramFrame.shifted` of the points."""
+    frame = GramFrame.shifted(points, q, ip)
+    return _vector(*frame.min_norm(range(len(frame.rows))))
 
 
 def corral_points(
     points: Sequence[RationalVector], ip: InnerProduct
 ) -> Iterator[RationalVector]:
-    """The affine minimum-norm point of every affinely independent subset of
-    at most dim of the (distinct) points whose KKT coefficients are all
-    nonnegative, smaller subsets first, each size in combinations order;
-    then the origin, once, when it lies in the points' hull.
-
-    Each yield is the minimum-norm point of its subset's hull; conversely
-    the minimum-norm point of any subset lies in the relative interior of a
-    face, hence (Caratheodory) of such a subset or of dim + 1 affinely
-    independent points.  Those span the space, so theirs is the origin, the
-    minimum-norm point of some subset exactly when it lies in the hull: one
-    `hull_position` stands for that tier.  So these are exactly the
-    minimum-norm points of all nonempty subsets, from O(n^dim) small
-    solves.  They run on the integer kernel: the common denominator is
-    cleared and the Gram matrix built once, and each subset is one
-    fraction-free bordered solve.
-    """
-    ints, d = clear_denominators(p.entries for p in points)
-    gram = _gram(ints, ip)
-    dim = len(ints[0])
-    for size in range(1, min(len(ints), dim) + 1):
-        for subset in itertools.combinations(range(len(ints)), size):
-            coeffs = _bordered_solve(gram, subset)
-            if coeffs is not None and min(coeffs) >= 0:
-                yield _combination(ints, subset, coeffs, d)
-    origin = RationalVector.zero(dim)
-    if hull_position(ints, origin) is not HullPosition.OUTSIDE:
-        yield origin
+    """`GramFrame.corral_points` of distinct rational points, on a frame of
+    the points with their common denominator cleared."""
+    frame = GramFrame(*clear_denominators(p.entries for p in points), ip)
+    return (_vector(*beta) for beta in frame.corral_points())
 
 
 def min_norm_point_oracle(S: PointSet, ip: InnerProduct) -> RationalVector:

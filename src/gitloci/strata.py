@@ -21,23 +21,29 @@ per factor as well, and its retraction keeps each factor's first level.
 without forming a support's weights or comparing all pairs.  beta is the
 minimum-norm point of a support's weight hull, the Minkowski sum of its
 factors' hulls, so Wolfe runs once per distinct hull, on vertices summed
-from per-factor tables of each coordinate subset's hull vertices.  The
-closure order is checked on immediate sub-supports, since every valid
-sub-support is reached from its support through valid supports one
-coordinate at a time: norm-squares are ranked as integers in support order,
-where each immediate sub-support sits at a fixed offset.  All pairs are
-compared only to list violations once an immediate pair fails.  A stratum's
-Y-members are enumerated rather than searched for: the least Segre value is
-a sum of per-factor minima, so a depth-first search over the factors, cut
-only where the remaining factors' minima cannot reach the level, yields
-every member by its flat position in support order, with its retraction's.
-Z-semistability is then one test per retraction hull and beta, on its vertices.
+from per-factor tables of each coordinate subset's hull vertices.  Those
+vertices are indexed in one `GramFrame` of twisted weights, whose integer
+Gram table is built once per call; Wolfe returns each beta as reduced
+integer numerators over one denominator, which key the betas, and each
+distinct beta's `BetaIndex` is built once from them
+(`BetaIndex.from_integers`).  The closure order is checked on immediate
+sub-supports, since every valid sub-support is reached from its support
+through valid supports one coordinate at a time: norm-squares are ranked as
+integers in support order, where each immediate sub-support sits at a fixed
+offset.  All pairs are compared only to list violations once an immediate
+pair fails.  A stratum's Y-members are enumerated rather than searched for:
+the least Segre value is a sum of per-factor minima, so a depth-first search
+over the factors, cut only where the remaining factors' minima cannot reach
+the level, yields every member by its flat position in support order, with
+its retraction's.  Z-semistability is then one test per retraction hull and
+beta, on its vertices.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,13 +51,13 @@ from typing import Iterator, Optional, Sequence
 
 from .action import SupportPoint, TorusAction
 from .polytope import (
+    GramFrame,
     HullPosition,
-    corral_points,
     hull_min_norm,
     hull_position,
     hull_vertices,
 )
-from .qpoly import RationalVector
+from .qpoly import RationalVector, clear_denominators
 from .stability import OneParamSubgroup, TorusStatus, torus_status
 
 
@@ -73,8 +79,21 @@ class BetaIndex:
 
     @staticmethod
     def from_beta(a: TorusAction, beta: RationalVector) -> "BetaIndex":
-        lam = None if beta.is_zero() else OneParamSubgroup.dual_to(beta, a.ip)
-        return BetaIndex(beta, a.ip.norm_sq(beta), lam)
+        (num,), den = clear_denominators([beta.entries])
+        return BetaIndex.from_integers(a, num, den)
+
+    @staticmethod
+    def from_integers(
+        a: TorusAction, num: Sequence[int], den: int
+    ) -> "BetaIndex":
+        """The index of beta = num / den, den > 0: lambda_beta is the
+        primitive G num, |beta|^2 is num . G num / den^2, and only the
+        reported beta is made of Fractions."""
+        gn = [sum(map(operator.mul, row, num)) for row in a.ip.gram]
+        g = math.gcd(*gn)  # zero exactly for beta = 0: G is positive definite
+        lam = OneParamSubgroup([v // g for v in gn]) if g else None
+        norm_sq = Fraction(sum(map(operator.mul, num, gn)), den * den)
+        return BetaIndex(RationalVector(Fraction(v, den) for v in num), norm_sq, lam)
 
 
 def beta_index_set(a: TorusAction) -> list[BetaIndex]:
@@ -86,11 +105,13 @@ def beta_index_set(a: TorusAction) -> list[BetaIndex]:
     minimum-norm points of affinely independent subsets of at most rank
     weights that lie in their subset's hull, O(n^rank) small solves, and
     the origin when one hull test puts it in the hull of all the weights.
+    They come from one `GramFrame` of the weights as reduced integer pairs,
+    so a beta is deduplicated without building it.
     """
-    shift = a.twist.entries
-    weights = [RationalVector(map(operator.sub, w, shift)) for w in a.support_weights()]
-    found = {beta.entries: beta for beta in corral_points(weights, a.ip)}
-    return [BetaIndex.from_beta(a, found[k]) for k in sorted(found)]
+    frame = GramFrame.shifted(a.support_weights(), a.twist, a.ip)
+    found = dict.fromkeys(frame.corral_points())
+    betas = [BetaIndex.from_integers(a, num, den) for num, den in found]
+    return sorted(betas, key=lambda bi: bi.beta.entries)
 
 
 @dataclass(frozen=True)
@@ -202,37 +223,51 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
 
     (i) runs Wolfe once per distinct weight hull, on the hull's vertices
     from `_support_hulls`: beta is the hull's minimum-norm point, so no
-    support's full sumset is formed.  (ii) compares each support with its
-    immediate sub-supports, those with one coordinate removed from a factor
-    that keeps one: a valid sub-support is reached from its support through
-    valid supports one coordinate at a time, and a norm-square lower at the
-    end of that chain is lower at some step.  `_closure_order_holds` makes
-    these comparisons on integer norm ranks by flat index.  Only when an
-    immediate pair fails are all pairs compared, which lists every
-    violation.  (iii) takes the flat indices of each beta's Y-members and
-    of their retractions from `_y_members`, without testing every support,
-    and reads a member's beta from its hull and the retraction's
-    Z-semistability from one hull test per retraction hull and beta.
+    support's full sumset is formed.  The vertices of all the hulls make one
+    `GramFrame`, one integer Gram table, and each hull goes to Wolfe as the
+    sorted indices of its vertices there.  Each beta comes back as reduced
+    integers, is numbered by them, and gets one `BetaIndex`; the stratum
+    sizes and the support labels are gathered by those numbers.  (ii)
+    compares each support with its immediate sub-supports, those with one
+    coordinate removed from a factor that keeps one: a valid sub-support is
+    reached from its support through valid supports one coordinate at a
+    time, and a norm-square lower at the end of that chain is lower at some
+    step.  `_closure_order_holds` makes these comparisons on integer norm
+    ranks by flat index.  Only when an immediate pair fails are all pairs
+    compared, which lists every violation.  (iii) takes the flat indices of
+    each beta's Y-members and of their retractions from `_y_members`,
+    without testing every support, and reads a member's beta from its hull
+    and the retraction's Z-semistability from one hull test per retraction
+    hull and beta.
     """
     subsets = a.factor_subsets()
     sets = list(a.support_sets())
     hulls, vertices = _support_hulls(a, subsets)
-    # beta depends on a support only through its weight hull
-    betas: dict[tuple[Fraction, ...], BetaIndex] = {}
-    by_hull: dict[int, BetaIndex] = {}
-    for h in dict.fromkeys(hulls):
-        beta = hull_min_norm(vertices[h], a.twist, a.ip)
-        bi = betas.get(beta.entries)
-        if bi is None:
-            bi = betas[beta.entries] = BetaIndex.from_beta(a, beta)
-        by_hull[h] = bi
-    rank = {v: r for r, v in enumerate(sorted({bi.norm_sq for bi in betas.values()}))}
-    hull_rank = {h: rank[bi.norm_sq] for h, bi in by_hull.items()}
-    norms = [hull_rank[h] for h in hulls]
-    sizes: dict[tuple[Fraction, ...], int] = {}
+    distinct = list(dict.fromkeys(hulls))
+    # one frame of the weights that are vertices of some support's hull;
+    # beta depends on a support only through its hull, so Wolfe runs once
+    # per distinct hull, and each distinct beta is numbered once
+    weights = sorted({w for h in distinct for w in vertices[h]})
+    index = {w: i for i, w in enumerate(weights)}
+    frame = GramFrame.shifted(weights, a.twist, a.ip)
+    numbers: dict[tuple[tuple[int, ...], int], int] = {}
+    hull_beta = {
+        h: numbers.setdefault(
+            frame.min_norm(sorted(map(index.__getitem__, vertices[h]))),
+            len(numbers),
+        )
+        for h in distinct
+    }
+    betas = [BetaIndex.from_integers(a, *k) for k in numbers]
+    entries = [bi.beta.entries for bi in betas]
+    order = sorted(range(len(betas)), key=entries.__getitem__)
+    rank = {v: r for r, v in enumerate(sorted({bi.norm_sq for bi in betas}))}
+    beta_rank = [rank[bi.norm_sq] for bi in betas]
+    norms = [beta_rank[hull_beta[h]] for h in hulls]
+    counts = [0] * len(betas)
     for h, count in collections.Counter(hulls).items():
-        key = by_hull[h].beta.entries
-        sizes[key] = sizes.get(key, 0) + count
+        counts[hull_beta[h]] += count
+    sizes = {entries[j]: counts[j] for j in order}
     violations: list[dict] = []
 
     # (ii) closure order under sub-supports
@@ -250,7 +285,8 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
                     )
 
     # (iii) Yss = p^{-1}(Zss) for every nonzero index
-    for key, bi in sorted(betas.items()):
+    for j in order:
+        bi = betas[j]
         if bi.lambda_beta is None:
             continue
         untwisted = bi.beta + a.twist  # beta against the untwisted weights
@@ -265,20 +301,20 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
             if h not in z_ss:
                 pos = hull_position(vertices[h], untwisted)
                 z_ss[h] = pos is not HullPosition.OUTSIDE
-            # its own beta is this one (one BetaIndex per beta): lambda_beta
-            # is adapted to it
-            if (by_hull[hulls[idx]] is bi) != z_ss[h]:
+            # its own beta is this one (one number per beta): lambda_beta is
+            # adapted to it
+            if (hull_beta[hulls[idx]] == j) != z_ss[h]:
                 violations.append(
                     {
                         "kind": "retraction-semistability",
                         "support": sorted(sets[idx]),
-                        "beta": [str(v) for v in bi.beta.entries],
+                        "beta": [str(v) for v in entries[j]],
                     }
                 )
 
-    ordered = [betas[k] for k in sorted(betas)]
-    labels = {s: by_hull[h].beta.entries for s, h in zip(sets, hulls)}
-    return StratificationReport(tuple(ordered), sizes, labels, tuple(violations))
+    labels = {s: entries[hull_beta[h]] for s, h in zip(sets, hulls)}
+    ordered = tuple(betas[j] for j in order)
+    return StratificationReport(ordered, sizes, labels, tuple(violations))
 
 
 _Points = tuple[tuple[int, ...], ...]

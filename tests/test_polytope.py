@@ -219,7 +219,9 @@ def test_bordered_solve_matches_rational_kkt_reference():
                     continue
                 assert sum(coeffs) > 0  # the sign tests read the numerators
                 assert [Fraction(c, sum(coeffs)) for c in coeffs] == want[1]
-                assert _combination(ints, subset, coeffs, d) == want[0]
+                num, den = _combination(ints, subset, coeffs, d)
+                assert den > 0 and math.gcd(*num, den) == 1
+                assert V([Fraction(v, den) for v in num]) == want[0]
     assert dependent > 100  # the dependent subsets are exercised
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,9 +13,14 @@ from gitloci.action import (
     build_external_extension,
     build_product_action,
 )
-from gitloci.polytope import PointSet, convex_hull_2d_int, min_norm_point
+from gitloci.polytope import GramFrame, PointSet, convex_hull_2d_int, min_norm_point
 from gitloci.qpoly import InnerProduct, RationalVector
-from gitloci.stability import TorusStatus, destabilising_beta, torus_status
+from gitloci.stability import (
+    OneParamSubgroup,
+    TorusStatus,
+    destabilising_beta,
+    torus_status,
+)
 from gitloci.strata import (
     NotInY,
     NotInZ,
@@ -224,6 +230,32 @@ def test_z_ss_check_examples():
     assert in_Z(a2, SupportPoint([1, 2]), beta) is False  # pairings 4, 6
     b_high, _ = destabilising_beta(a2, SupportPoint([1]))
     assert z_ss_check(a2, SupportPoint([1]), BetaIndex.from_beta(a2, b_high))
+
+
+def test_beta_index_from_integers_matches_rational_reference():
+    # the integer constructor against the Fraction paths, on seeded rational
+    # betas (numerators not always reduced) and beta = 0: |beta|^2 by the
+    # form's pairing and lambda_beta by `OneParamSubgroup.dual_to`
+    from gitloci.strata import BetaIndex
+
+    rng = random.Random(1729)
+    for ip in (IP2, InnerProduct([[2, 1], [1, 3]])):
+        a = TorusAction(2, [V([0, 0])], ip)
+        cases = [((0, 0), 1), ((0, 0), 6)]
+        cases += [
+            ((rng.randint(-9, 9), rng.randint(-9, 9)), rng.randint(1, 12))
+            for _ in range(200)
+        ]
+        for num, den in cases:
+            beta = V([Fraction(v, den) for v in num])
+            bi = BetaIndex.from_integers(a, num, den)
+            assert bi.beta == beta
+            assert bi.norm_sq == ip.norm_sq(beta)
+            if beta.is_zero():
+                assert bi.lambda_beta is None
+            else:
+                assert bi.lambda_beta == OneParamSubgroup.dual_to(beta, ip)
+            assert bi == BetaIndex.from_beta(a, beta)
 
 
 def test_z_ss_check_matches_twisted_hull_oracle():
@@ -448,20 +480,31 @@ def test_verify_stratification_reads_no_support_sumset(monkeypatch, sec7_1):
 
     monkeypatch.setattr(TorusAction, "support_weights", counted_weights)
     wolfe = []
-    inner_wolfe = strata.hull_min_norm
+    inner_wolfe = GramFrame.min_norm
 
-    def counted_wolfe(points, q, ip):
-        wolfe.append(tuple(points))
-        return inner_wolfe(points, q, ip)
+    def counted_wolfe(self, subset):
+        wolfe.append(tuple(self.rows[i] for i in subset))
+        return inner_wolfe(self, subset)
 
-    monkeypatch.setattr(strata, "hull_min_norm", counted_wolfe)
+    monkeypatch.setattr(GramFrame, "min_norm", counted_wolfe)
+    grams = []
+    inner_gram = polytope._gram
+
+    def counted_gram(points, ip):
+        grams.append(len(points))
+        return inner_gram(points, ip)
+
+    monkeypatch.setattr(polytope, "_gram", counted_gram)
     lines = _lines(*TWO_LINES)
     for a in (sec7_1.action, lines):
         log.clear()
         wolfe.clear()
+        grams.clear()
         assert verify_stratification(a).ok
         assert log == []
         assert len(set(wolfe)) == len(wolfe)
+        # one Gram table per call, served to every Wolfe run by index
+        assert len(grams) == 1
     hulls = {
         (min(ws), max(ws))
         for ws in (inner_weights(lines, sp) for sp in lines.iter_supports())
@@ -579,14 +622,17 @@ def test_wrong_wolfe_violations_match_oracle(monkeypatch, sec7_1):
     # sub-supports drop below their supports, and Y-members lose or change
     # their label.  The size is read from the hull, not from the point
     # count: the oracle passes Wolfe a support's sumset, the check its
-    # hull's vertices.
-    real = strata.hull_min_norm
+    # hull's vertices.  Both run Wolfe on a frame of their own, so the
+    # frame's Wolfe is patched and plants the same betas in both.
+    real = GramFrame.min_norm
 
-    def wrong(weights, q, ip):
-        beta = real(weights, q, ip)
-        return beta.scale({2: 0, 3: 2, 4: 2}.get(_hull_size(weights), 1))
+    def wrong(self, subset):
+        num, den = real(self, subset)
+        k = {2: 0, 3: 2, 4: 2}.get(_hull_size([self.rows[i] for i in subset]), 1)
+        g = math.gcd(*(k * v for v in num), den)
+        return tuple(k * v // g for v in num), den // g
 
-    monkeypatch.setattr(strata, "hull_min_norm", wrong)
+    monkeypatch.setattr(GramFrame, "min_norm", wrong)
     full_scans = _count_closure_full_scans(monkeypatch)
     # P1 x P1 with twisted weights 5..8: every factor has two coordinates,
     # so the failing immediate pairs empty a two-coordinate factor part
