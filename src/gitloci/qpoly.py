@@ -568,11 +568,11 @@ def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
 
 
 def gcd_univariate(polys: Sequence[BiPoly], var: str) -> BiPoly:
-    """Monic gcd of polynomials univariate in `var`; zero inputs are ignored.
+    """Gcd of polynomials univariate in `var`; zero inputs are ignored.
 
     Returns the zero polynomial when every input is zero.  The first nonzero
     input is returned as given, not made monic, when it is the only one or
-    a constant.  The gcd is taken over Z by the primitive pseudo-remainder
+    a constant; any other gcd is monic.  The gcd is taken over Z by the primitive pseudo-remainder
     sequence (Collins) on the integer coefficients `_integer_coeffs`, each
     remainder divided by its content, and made monic once.
     """
