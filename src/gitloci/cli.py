@@ -40,7 +40,7 @@ from .stability import (
 )
 from .strata import beta_index_set, verify_stratification
 from .svg import svg_weight_diagram
-from .vgit import verify_external_change, wall_chamber_decomposition
+from .vgit import masked, verify_external_change, wall_chamber_decomposition
 
 
 class SpecError(ValueError):
@@ -285,15 +285,52 @@ def _support_texts(indent: str) -> _Memo:
     return _Memo(lambda key: _flat(map(str, map(ord, key)), indent) if key else "[]")
 
 
+class _MaskTexts:
+    """The texts of one complex's support families, by bitmask.
+
+    Bit i is the support `rows[i]`, its sorted indices, and the rows
+    ascend, so a family's text is the join of its set bits' texts in bit
+    order, with no sort.  Each support's text is built once per indent, on
+    the first family written there, and each family's once per (mask,
+    indent).
+    """
+
+    def __init__(self, rows: Sequence[tuple[int, ...]]) -> None:
+        self._rows = _Memo(lambda indent: [_flat(map(str, r), indent) for r in rows])
+        self._texts: dict[tuple[int, str], str] = {}
+
+    def __call__(self, mask: int) -> "_MaskFamily":
+        return _MaskFamily(mask, self)
+
+    def text(self, mask: int, indent: str) -> str:
+        """The text of a family whose lines break at `indent`."""
+        text = self._texts.get((mask, indent))
+        if text is None:
+            rows = self._rows[indent + "  "]
+            text = _flat(masked(rows, mask), indent) if mask else "[]"
+            self._texts[mask, indent] = text
+        return text
+
+
+class _MaskFamily:
+    """A report value: a support family as its bitmask over `texts`."""
+
+    __slots__ = ("mask", "texts")
+
+    def __init__(self, mask: int, texts: _MaskTexts) -> None:
+        self.mask = mask
+        self.texts = texts
+
+
 class _Writer:
     """The text pieces of one report, appended to one list so that no text
     is copied again at each nesting level.
 
-    A support family, a frozenset of frozensets of indices, is written as
-    the sorted list of its sorted supports.  Reports list a few distinct
-    supports and families many times over, so each support is sorted once,
-    and each support's text is built once per indent.  So is the text of
-    each family met again at the same indent, keyed by the family itself.
+    A support family is written as the sorted list of its sorted supports.
+    A `_MaskFamily` has its text from its `_MaskTexts`.  A frozenset of
+    frozensets of indices is sorted here: each support once, and each
+    support's text is built once per indent.  So is the text of each
+    family met again at the same indent, keyed by the family itself.
     """
 
     def __init__(self) -> None:
@@ -315,14 +352,17 @@ class _Writer:
     def emit(self, value: Any, indent: str, head: str = "") -> None:
         """Append `head` and then the text of a report value whose lines
         break at `indent`: dicts with string keys, lists (or tuples),
-        support families, strings, ints, bools and None.  A key and its
-        value's first text are one piece, unless the value is a family,
-        whose text is shared."""
+        support families (masks or frozensets), strings, ints, bools and
+        None.  A key and its value's first text are one piece, unless the
+        value is a family, whose text is shared."""
         if type(value) is str:  # most leaves
             self.pieces.append(head + _escape(value))
             return
         put = self.pieces.append
-        if isinstance(value, dict):
+        if type(value) is _MaskFamily:
+            put(head)  # a piece of its own: the family's text is shared
+            put(value.texts.text(value.mask, indent))
+        elif isinstance(value, dict):
             if not value:
                 put(head + "{}")
                 return
@@ -493,11 +533,12 @@ def _cmd_beta(spec: LoadedSpec, args) -> dict:
 def _cmd_chambers(spec: LoadedSpec, args) -> dict:
     action = spec.action
     cc = wall_chamber_decomposition(action)
+    family = _MaskTexts(cc.labels.rows)
     if cc.rank == 1:
         walls = [
             {
                 "at": _jq(w.cells[0].sample.entries[0]),
-                "family": w.cells[0].family,
+                "family": family(w.cells[0].mask),
             }
             for w in cc.walls
         ]
@@ -505,7 +546,7 @@ def _cmd_chambers(spec: LoadedSpec, args) -> dict:
             {
                 "interval": [_jq(ch.interval[0]), _jq(ch.interval[1])],
                 "sample": _jvec(ch.sample),
-                "family": ch.family,
+                "family": family(ch.mask),
             }
             for ch in cc.chambers
         ]
@@ -521,7 +562,7 @@ def _cmd_chambers(spec: LoadedSpec, args) -> dict:
                 "cells": [
                     {
                         "sample": _jvec(cell.sample),
-                        "family": cell.family,
+                        "family": family(cell.mask),
                         "signs": list(cell.signs),
                     }
                     for cell in w.cells
@@ -531,13 +572,13 @@ def _cmd_chambers(spec: LoadedSpec, args) -> dict:
     chambers = [
         {
             "sample": _jvec(ch.sample),
-            "family": ch.family,
+            "family": family(ch.mask),
             "signs": list(ch.signs),
         }
         for ch in cc.chambers
     ]
     vertices = [
-        {"point": _jvec(v.point), "family": v.family}
+        {"point": _jvec(v.point), "family": family(v.mask)}
         for v in cc.vertices
     ]
     return {

@@ -38,9 +38,11 @@ CCW hull in dimension 2, every distinct point above that; the effective
 region and the strata's support hulls are keyed by them.
 
 The 2D arrangement is integer at its interface too: `Line2D`s and the
-region's planes are integer triples, and `chamber_decomposition_2d` builds
-`Fraction`s only for what its faces carry.  `PointSet`, `hull_membership`,
-`min_norm_point`, `min_norm_point_oracle`, `corral_points` and
+region's planes are integer triples, and each face of
+`chamber_decomposition_2d` keeps its sample as integers, sorted on exact
+integer keys, until a caller reads it as `Fraction`s.  `PointSet`,
+`hull_membership`, `min_norm_point`, `min_norm_point_oracle`,
+`corral_points` and
 `convex_hull_2d` are `Fraction` entry points over the kernels above that no
 path of the package calls; they stay as the tests' and the benchmark's
 names for them.
@@ -586,15 +588,67 @@ class Arrangement2D:
         object.__setattr__(self, "region", tuple(region))
 
 
-@dataclass(frozen=True)
 class Face:
     """One face of the decomposition: a certified sample point, its sign
-    vector over the lines and, for a cell, the index of its line."""
+    vector over the lines and, for a cell, the index of its line.
 
-    kind: str  # "chamber" | "cell" | "vertex"
-    sample: RationalVector
-    signs: tuple[int, ...]
-    line_index: Optional[int] = None
+    The sample is given as a `RationalVector`, or as the kernel gives it:
+    integers `point` = (x, y, den), den > 0, whose `RationalVector` is built
+    when `sample` is first read.  Faces compare by kind, sample value, signs
+    and line index.
+    """
+
+    __slots__ = ("kind", "signs", "line_index", "point", "_sample")
+
+    def __init__(
+        self,
+        kind: str,  # "chamber" | "cell" | "vertex"
+        sample: RationalVector | tuple[int, int, int],
+        signs: tuple[int, ...],
+        line_index: Optional[int] = None,
+    ):
+        self.kind = kind
+        self.signs = signs
+        self.line_index = line_index
+        if type(sample) is tuple:
+            self.point, self._sample = sample, None
+        else:
+            self.point, self._sample = None, sample
+
+    @property
+    def sample(self) -> RationalVector:
+        if self._sample is None:
+            x, y, den = self.point
+            self._sample = RationalVector([Fraction(x, den), Fraction(y, den)])
+        return self._sample
+
+    def _key(self) -> tuple:
+        return self.kind, self.sample, self.signs, self.line_index
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Face:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "Face({!r}, {!r}, {!r}, {!r})".format(*self._key())
+
+
+def faces_by_sample(faces: Iterable[Face]) -> list[Face]:
+    """The kernel's faces sorted by sample, on exact integer keys: the
+    numerators of each `point` scaled to one common denominator, the lcm of
+    the faces' denominators."""
+    faces = list(faces)
+    lcm = math.lcm(*(f.point[2] for f in faces))
+
+    def key(face: Face) -> tuple[int, int]:
+        x, y, den = face.point
+        return x * (lcm // den), y * (lcm // den)
+
+    return sorted(faces, key=key)
 
 
 @dataclass(frozen=True)
@@ -654,9 +708,11 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
     P = T_lo + T_hi, at P = 2 * T_hi - Q or 2 * T_lo + Q (t one past its cut)
     where unbounded on one side, and at P = 0 on a line with no ends.  Q
     scales the reduced denominator by a positive integer, which changes no
-    sign of w_j and no ratio between them.  `Fraction`s are built only for
-    what a face carries: each sample coordinate as one numerator over its
-    denominator.
+    sign of w_j and no ratio between them.  Each face keeps its sample as
+    those integers (x, y, den), and the chambers are sorted on them scaled to
+    one common denominator (`faces_by_sample`), so no `Fraction` is built
+    here: a face builds its `RationalVector` when a caller reads its
+    `sample`.
     """
     lines = arr.lines
     n_lines = len(lines)
@@ -664,7 +720,7 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
     planes = [(ln.a, ln.b, ln.c) for ln in lines] + list(arr.region)
     vertices: list[Face] = []
     cells: list[Face] = []
-    chambers: dict[tuple[int, ...], RationalVector] = {}
+    chambers: dict[tuple[int, ...], tuple[int, int, int]] = {}
     for idx in range(n_lines):
         a, b, c = planes[idx]
         m = a or b  # positive: a canonical line leads with a positive entry
@@ -697,7 +753,7 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
             if jdx > idx:
                 mP = 2 * m * t
                 signs = _signs(e * Q + mP * s for e, s in zip(E[:n_lines], S))
-                sample = _point(bx - 2 * b * t, by + 2 * a * t, Q)
+                sample = (bx - 2 * b * t, by + 2 * a * t, Q)
                 vertices.append(Face("vertex", sample, signs))
         edges: list[Optional[int]] = [lo, *sorted(crossings), hi]
         for seg_lo, seg_hi in zip(edges, edges[1:]):
@@ -709,7 +765,7 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
             w = [e * Q + mP * s for e, s in zip(E, S)]
             signs = _signs(w[:n_lines])
             x, y = bx - b * P, by + a * P
-            cells.append(Face("cell", _point(x, y, Q), signs, idx))
+            cells.append(Face("cell", (x, y, Q), signs, idx))
             for side in (1, -1):
                 sv = signs[:idx] + (side,) + signs[idx + 1 :]
                 if sv in chambers:
@@ -724,20 +780,16 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
                 # a step of side * (v / (Q * k)) * n: v / (2 * m * Q * r) or 1
                 v, k = (best[0], 2 * m * best[1]) if best else (Q, 1)
                 dx, dy = side * a * v, side * b * v
-                chambers[sv] = _point(x * k + dx, y * k + dy, Q * k)
+                chambers[sv] = (x * k + dx, y * k + dy, Q * k)
     if not cells:
         sample = region_interior_point(arr.region, 2)
         if sample is None:
             raise EmptyRegion("region has no interior point")
         x, y = sample.entries
-        chambers[_signs(a * x + b * y - c for a, b, c in planes[:n_lines])] = sample
-    ordered = sorted(chambers.items(), key=lambda kv: kv[1].entries)
-    faces = vertices + cells + [Face("chamber", sample, sv) for sv, sample in ordered]
-    return Decomposition(lines, tuple(faces))
-
-
-def _point(x: int, y: int, den: int) -> RationalVector:
-    return RationalVector([Fraction(x, den), Fraction(y, den)])
+        sv = _signs(a * x + b * y - c for a, b, c in planes[:n_lines])
+        return Decomposition(lines, (Face("chamber", sample, sv),))
+    ordered = faces_by_sample(Face("chamber", p, sv) for sv, p in chambers.items())
+    return Decomposition(lines, tuple(vertices + cells + ordered))
 
 
 def _signs(values: Iterable[int]) -> tuple[int, ...]:

@@ -163,9 +163,6 @@ class RationalVector:
         g = math.gcd(*ints)
         return RationalVector(v // g for v in ints)
 
-    def sort_key(self) -> tuple[Fraction, ...]:
-        return self.entries
-
     def _check_dim(self, other: "RationalVector") -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")

@@ -22,6 +22,13 @@ A chamber is one GIT-equivalence class: the chamber faces with one support
 family form one chamber, sampled at the least of their samples.  GIT
 classes are convex [DH98, Tha96], so faces with one family are always
 joined through cells on which the family does not change.
+
+A family is a bitmask over the action's supports from the arrangement to
+the report.  Bit i is the i-th support in the order in which reports list
+a family's supports, that of their sorted index lists, so a writer renders
+a mask by its set bits with no sort.  The complex's faces carry their
+masks, and crossings diff them with `&` and `& ~`; `family` renders one as
+a frozenset for library callers, once per distinct mask.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .action import (
     TorusAction,
@@ -44,6 +51,7 @@ from .polytope import (
     Line2D,
     RationalVector,
     chamber_decomposition_2d,
+    faces_by_sample,
     hull_position,
     hull_vertices,
 )
@@ -99,14 +107,27 @@ def _family_at(a: TorusAction, chi: RationalVector) -> frozenset[frozenset[int]]
     )
 
 
+_T = TypeVar("_T")
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def masked(items: Sequence[_T], mask: int) -> Iterator[_T]:
+    """The items at the set bits of a mask, bit i item i, in item order."""
+    return itertools.compress(items, bin(mask)[:1:-1].encode().translate(_BITS))
+
+
 class _SignFamilies:
     """Support families as a function of a face's sign vector.
 
     Each support is a few conditions (index, forbidden sign): it is
     semistable on a face exactly when no condition's index carries its
     forbidden sign there.  Per index and sign, the supports forbidding it
-    form one bitmask, so a family costs one OR per index.  Families stay
-    bitmasks, which compare as families do, until `supports` renders one.
+    form one bitmask, so a family costs one OR per index.  Bit i is the
+    support `rows[i]`, the rows being the supports' sorted index tuples in
+    ascending order, so bit order is the order in which reports list a
+    family.  Families stay bitmasks, which compare as families do, through
+    the complex and its report; `supports` renders one as a frozenset for
+    library callers.
     """
 
     def __init__(
@@ -115,10 +136,13 @@ class _SignFamilies:
         conditions: Sequence[Sequence[tuple[int, int]]],
         width: int,
     ):
-        self._keys = tuple(keys)
+        rows = [tuple(sorted(k)) for k in keys]
+        order = sorted(range(len(rows)), key=rows.__getitem__)
+        self.rows = tuple(rows[i] for i in order)
+        self._keys = tuple(keys[i] for i in order)
         self._forbid = [[0, 0, 0] for _ in range(width)]  # by sign + 1
-        for bit, conds in enumerate(conditions):
-            for k, sign in conds:
+        for bit, i in enumerate(order):
+            for k, sign in conditions[i]:
                 self._forbid[k][sign + 1] |= 1 << bit
         self._full = (1 << len(self._keys)) - 1
         self._rendered: dict[int, frozenset[frozenset[int]]] = {}
@@ -134,9 +158,7 @@ class _SignFamilies:
         """The family of a bitmask, built once per distinct mask."""
         family = self._rendered.get(mask)
         if family is None:
-            bits = bin(mask)[:1:-1]  # bit i at position i
-            family = frozenset(k for k, b in zip(self._keys, bits) if b == "1")
-            self._rendered[mask] = family
+            family = self._rendered[mask] = frozenset(masked(self._keys, mask))
         return family
 
 
@@ -207,11 +229,22 @@ def _rank2_walls(a: TorusAction) -> tuple[list[Line2D], _SignFamilies]:
 # ---------------------------------------------------------------------------
 
 
+class _Labelled:
+    """A face of a complex, whose support family is its bitmask `mask` over
+    the supports of `labels`, the complex's."""
+
+    @property
+    def family(self) -> frozenset[frozenset[int]]:
+        """The family as a frozenset of supports, one per distinct mask."""
+        return self.labels.supports(self.mask)
+
+
 @dataclass(frozen=True)
-class WallCell:
+class WallCell(_Labelled):
     sample: RationalVector
-    family: frozenset[frozenset[int]]
+    mask: int
     signs: tuple[int, ...]
+    labels: _SignFamilies = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -221,18 +254,20 @@ class Wall:
 
 
 @dataclass(frozen=True)
-class Chamber:
+class Chamber(_Labelled):
     sample: RationalVector
-    family: frozenset[frozenset[int]]
+    mask: int
     signs: tuple[int, ...]
+    labels: _SignFamilies = field(repr=False, compare=False)
     interval: Optional[tuple[Fraction, Fraction]] = None  # rank 1 only
 
 
 @dataclass(frozen=True)
-class VertexFace:
+class VertexFace(_Labelled):
     point: RationalVector
-    family: frozenset[frozenset[int]]
+    mask: int
     signs: tuple[int, ...]
+    labels: _SignFamilies = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -272,22 +307,21 @@ def _rank1_complex(a: TorusAction) -> ChamberComplex:
     def signs(q: Fraction) -> tuple[int, ...]:
         return tuple((q > v) - (q < v) for v in values)
 
-    def family(q: Fraction) -> frozenset[frozenset[int]]:
-        return labels.supports(labels.family(signs(q)))
-
     # every value is a wall, as the point support there is semistable only
-    # there, and every twist between values is effective
+    # there, and every twist between values is effective, so no mask is None
     walls = tuple(
         Wall(
             Line2D(1, 0, v),
-            (WallCell(RationalVector([v]), family(v), signs(v)),),
+            (WallCell(RationalVector([v]), labels.family(sv), sv, labels),),
         )
         for v in values
+        for sv in [signs(v)]
     )
     chambers = tuple(
-        Chamber(RationalVector([q]), family(q), signs(q), (lo, hi))
+        Chamber(RationalVector([q]), labels.family(sv), sv, labels, (lo, hi))
         for lo, hi in zip(values, values[1:])
         for q in [Fraction(lo + hi, 2)]
+        for sv in [signs(q)]
     )
     return ChamberComplex(1, walls, chambers, (), eff, labels)
 
@@ -347,10 +381,6 @@ def _assemble(
     # a cell is a true wall piece only where crossing it or standing on it
     # changes the family; cells equal to both neighbours carry no strict
     # semistability and lie inside one chamber
-
-    def family(signs: tuple[int, ...]) -> frozenset[frozenset[int]]:
-        return labels.supports(families[signs])
-
     walls = []
     surviving_by_line: dict[int, list[tuple[int, ...]]] = {}
     # the decomposition emits the cells line by line in ascending index
@@ -365,10 +395,11 @@ def _assemble(
             if not families.get(left) == families.get(right) == fam:
                 surviving.append(face)
         if surviving:
-            surviving.sort(key=lambda c: c.sample.sort_key())
+            surviving = faces_by_sample(surviving)
             surviving_by_line[idx] = [c.signs for c in surviving]
             cells_out = [
-                WallCell(c.sample, family(c.signs), c.signs) for c in surviving
+                WallCell(c.sample, families[c.signs], c.signs, labels)
+                for c in surviving
             ]
             walls.append(Wall(dec.lines[idx], tuple(cells_out)))
 
@@ -378,19 +409,26 @@ def _assemble(
     for face in dec.chambers():
         if families[face.signs] is not None:
             least.setdefault(families[face.signs], face)
-    chambers = [Chamber(f.sample, family(f.signs), f.signs) for f in least.values()]
+    chambers = [
+        Chamber(f.sample, mask, f.signs, labels) for mask, f in least.items()
+    ]
 
-    vertices = []
-    for face in dec.vertices():
-        # an incident cell lies on a line through the vertex
-        if families[face.signs] is not None and any(
+    # an incident cell lies on a line through the vertex
+    vertex_faces = [
+        face
+        for face in dec.vertices()
+        if families[face.signs] is not None
+        and any(
             _incident(cell, face.signs)
             for idx, s in enumerate(face.signs)
             if not s
             for cell in surviving_by_line.get(idx, ())
-        ):
-            vertices.append(VertexFace(face.sample, family(face.signs), face.signs))
-    vertices.sort(key=lambda v: v.point.sort_key())
+        )
+    ]
+    vertices = [
+        VertexFace(f.sample, families[f.signs], f.signs, labels)
+        for f in faces_by_sample(vertex_faces)
+    ]
     return ChamberComplex(
         2, tuple(walls), tuple(chambers), tuple(vertices), eff, labels
     )
@@ -413,18 +451,6 @@ class FlipReport:
     degenerate: bool
 
 
-def _flip_families(
-    left: frozenset[frozenset[int]],
-    right: frozenset[frozenset[int]],
-    wall: frozenset[frozenset[int]],
-    cell: WallCell,
-) -> FlipReport:
-    gained = right - left
-    lost = left - right
-    wall_only = wall - (left | right)
-    return FlipReport(cell, gained, lost, wall_only, not gained and not lost)
-
-
 def crossing_report(complex_: ChamberComplex, wall_cell: WallCell) -> FlipReport:
     """Support-family diff across one wall cell of the complex, from the
     side where its line is negative (rank 1: below the wall value) to the
@@ -437,14 +463,20 @@ def crossing_report(complex_: ChamberComplex, wall_cell: WallCell) -> FlipReport
     """
     if not any(wall_cell in wall.cells for wall in complex_.walls):
         raise NotAdjacent("not a wall cell of this complex")
+    labels = complex_.labels
     signs = wall_cell.signs
     idx = signs.index(0)
-    # an ineffective side has no mask (None); mask 0 renders the empty family
-    left, right = (
-        complex_.labels.supports(complex_.labels.family(_flip(signs, idx, side)) or 0)
-        for side in (-1, 1)
+    # an ineffective side has no mask (None), and is the empty family
+    left, right = (labels.family(_flip(signs, idx, side)) or 0 for side in (-1, 1))
+    gained, lost = right & ~left, left & ~right
+    wall_only = wall_cell.mask & ~(left | right)
+    return FlipReport(
+        wall_cell,
+        labels.supports(gained),
+        labels.supports(lost),
+        labels.supports(wall_only),
+        not (gained or lost),
     )
-    return _flip_families(left, right, wall_cell.family, wall_cell)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,9 @@ the latter on the product of its inputs.
 `chamber_decomposition_2d_fraction` is the 2D arrangement decomposition as
 it stood with its crossings, their dedupe and sort and its cell midpoints on
 `Fraction`s, the reference for `polytope.chamber_decomposition_2d`, which
-works on one integer scale per line.  `plane`, `line_through` and `line_side`
+works on one integer scale per line.  `flip_families` diffs a crossing's
+families as frozensets, the reference for `vgit.crossing_report`, which
+diffs their masks.  `plane`, `line_through` and `line_side`
 state rational planes, lines through points and signs at points in the
 arrangement's integer terms.
 """
@@ -79,6 +81,7 @@ from gitloci.qpoly import (
     clear_denominators,
 )
 from gitloci.strata import BetaIndex, StratificationReport
+from gitloci.vgit import FlipReport, WallCell
 
 
 def row_reduce(
@@ -946,3 +949,17 @@ def chamber_decomposition_2d_fraction(arr: Arrangement2D) -> Decomposition:
     ordered = sorted(chambers.items(), key=lambda kv: kv[1].entries)
     faces = vertices + cells + [Face("chamber", sample, sv) for sv, sample in ordered]
     return Decomposition(lines, tuple(faces))
+
+
+def flip_families(
+    left: frozenset[frozenset[int]],
+    right: frozenset[frozenset[int]],
+    wall: frozenset[frozenset[int]],
+    cell: WallCell,
+) -> FlipReport:
+    """The crossing report of a wall cell from its sides' and its own
+    families, diffed as sets."""
+    gained = right - left
+    lost = left - right
+    wall_only = wall - (left | right)
+    return FlipReport(cell, gained, lost, wall_only, not gained and not lost)

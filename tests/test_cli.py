@@ -2,6 +2,7 @@ import argparse
 import ast
 import hashlib
 import importlib
+import importlib.util
 import json
 import os
 import random
@@ -17,9 +18,10 @@ from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
 from gitloci.action import TorusAction, build_product_action
-from gitloci.cli import _render, _Writer, load_spec, run
+from gitloci.cli import _MaskTexts, _render, _Writer, load_spec, run
 from gitloci.qpoly import BiPoly, InnerProduct, RationalVector
 from gitloci.strata import beta_index_set
+from gitloci.vgit import masked, wall_chamber_decomposition
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -853,17 +855,83 @@ def _rows(family):
     return sorted(sorted(s) for s in family)
 
 
+# a seeded support table as a complex numbers its supports: distinct
+# nonempty sorted index tuples, ascending, bit i the i-th
+_TABLE_RNG = random.Random(4093)
+_TABLE = tuple(
+    sorted(
+        {
+            tuple(sorted(_TABLE_RNG.sample(range(60), _TABLE_RNG.randint(1, 6))))
+            for _ in range(24)
+        }
+    )
+)
+_MASKS = st.integers(min_value=0, max_value=2 ** len(_TABLE) - 1)
+
+
 @settings(deadline=None)
-@given(_FAMILIES, st.integers(min_value=0, max_value=6))
-@example(frozenset(), 0)
-@example(frozenset({frozenset()}), 3)
-def test_family_writer_matches_json_dumps(family, depth):
-    # one writer, two indents, each asked twice: the memo keeps them apart
+@given(_FAMILIES, st.integers(min_value=0, max_value=6), _MASKS)
+@example(frozenset(), 0, 0)
+@example(frozenset({frozenset()}), 3, 0)
+@example(frozenset(), 1, 2 ** len(_TABLE) - 1)
+def test_family_writer_matches_json_dumps(family, depth, mask):
+    # one writer, two indents, each asked twice: the memo keeps them apart;
+    # so does a mask family's, the empty mask included
     writer = _Writer()
+    texts = _MaskTexts(_TABLE)
+    chosen = sorted(list(row) for k, row in enumerate(_TABLE) if mask >> k & 1)
     for d in (depth, depth + 2, depth):
         indent = "\n" + "  " * d
         expected = _dumps(_rows(family)).replace("\n", indent)
         assert writer.family(family, indent) == expected
+        assert texts.text(mask, indent) == _dumps(chosen).replace("\n", indent)
+    report = {"family": texts(mask), "families": [texts(mask), family]}
+    plain = {"family": chosen, "families": [chosen, _rows(family)]}
+    assert "".join(_render(report)) == _dumps(plain)
+
+
+def _complex_faces(cc):
+    """The faces of a complex in report order."""
+    cells = [c for w in cc.walls for c in w.cells]
+    return cells + list(cc.chambers) + list(cc.vertices)
+
+
+def _bit_rows(cc):
+    """Each face's family as its mask's support rows in bit order."""
+    return [[list(r) for r in masked(cc.labels.rows, f.mask)] for f in _complex_faces(cc)]
+
+
+def _assert_bits_in_report_order(action, cc):
+    assert list(cc.labels.rows) == sorted(tuple(sorted(s)) for s in action.support_sets())
+    assert _bit_rows(cc) == [_rows(f.family) for f in _complex_faces(cc)]
+
+
+def test_bit_order_is_report_order_on_golden_complexes():
+    goldens = sorted((REPO / "tests" / "golden").glob("chambers_*.json"))
+    assert len(goldens) == 3
+    for path in goldens:
+        action = load_spec(str(CORPUS / f"{path.stem[len('chambers_'):]}.json")).action
+        cc = wall_chamber_decomposition(action)
+        _assert_bits_in_report_order(action, cc)
+        # the set bits of each face's mask are its family as reported
+        result = json.loads(path.read_text())["result"]
+        cells = [c for w in result["walls"] for c in w.get("cells", [w])]
+        faces = cells + result["chambers"] + result.get("vertices", [])
+        assert _bit_rows(cc) == [f["family"] for f in faces], path.name
+
+
+def test_bit_order_is_report_order_on_chamber_workload_bases():
+    spec = importlib.util.spec_from_file_location("gen", REPO / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rng = random.Random(1306)
+    ip = InnerProduct.identity(2)
+    for base in gen.CHAMBER_BASES:
+        for factors in [base, *(gen.rank2_chamber_input(rng, base) for _ in range(2))]:
+            action = build_product_action(
+                [TorusAction(2, [RationalVector(w) for w in f], ip) for f in factors]
+            )
+            _assert_bits_in_report_order(action, wall_chamber_decomposition(action))
 
 
 def test_one_family_at_wall_cell_and_chamber_depth():

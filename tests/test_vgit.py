@@ -9,6 +9,7 @@ import pytest
 from gitloci.action import TorusAction, build_external_extension, build_product_action
 from gitloci.polytope import (
     Arrangement2D,
+    Line2D,
     chamber_decomposition_2d,
     convex_hull_2d,
     convex_hull_2d_int,
@@ -16,14 +17,16 @@ from gitloci.polytope import (
 from gitloci.qpoly import InnerProduct, RationalVector
 from gitloci.vgit import (
     Chamber,
+    ChamberComplex,
     DegenerateWeights,
     IneffectiveTwist,
     NotAdjacent,
+    Wall,
+    WallCell,
     _assemble,
     _expanded_region,
     _family_at,
     _flip,
-    _flip_families,
     _rank2_walls,
     _SignFamilies,
     crossing_report,
@@ -34,6 +37,7 @@ from gitloci.vgit import (
 )
 from oracles import (
     chamber_decomposition_2d_fraction,
+    flip_families,
     line_side,
     line_through,
 )
@@ -165,7 +169,7 @@ def test_rank1_cells_sign_the_wall_values(ex1_7):
             (cell,) = wall.cells
             lo, hi = _family_or_empty(a, mids[k]), _family_or_empty(a, mids[k + 1])
             rep = crossing_report(cc, cell)
-            assert rep == _flip_families(lo, hi, cell.family, cell), (a.weights, k)
+            assert rep == flip_families(lo, hi, cell.family, cell), (a.weights, k)
 
 
 def test_crossing_report_rank2_sec71():
@@ -236,10 +240,16 @@ def test_crossing_report_every_sec71_wall_cell():
 
 
 def test_flip_report_degenerate_flag():
+    # one wall value: {0} is semistable everywhere, {1} only on the wall
     fam = frozenset({frozenset({0})})
     wall = frozenset({frozenset({0}), frozenset({1})})
-    cell = wall_chamber_decomposition(_a1()).walls[0].cells[0]
-    rep = _flip_families(fam, fam, wall, cell)
+    labels = _SignFamilies(sorted(wall, key=sorted), [[], [(0, 1), (0, -1)]], 1)
+    cell = WallCell(V([0]), labels.family((0,)), (0,), labels)
+    cc = ChamberComplex(
+        1, (Wall(Line2D(1, 0, 0), (cell,)),), (), (), effective_cone(_a1()), labels
+    )
+    rep = crossing_report(cc, cell)
+    assert rep == flip_families(fam, fam, wall, cell)
     assert rep.degenerate
     assert rep.wall_only == frozenset({frozenset({1})})
 
@@ -829,6 +839,26 @@ def test_complex_arrangements_decompose_as_the_fraction_kernel():
         assert indices == sorted(indices)
 
 
+def test_assembled_order_is_the_fraction_order():
+    # `_assemble` sorts each line's wall cells and the vertices on integer
+    # keys over one common denominator: the order of their Fraction samples
+    rng = random.Random(6007)
+    actions = [_sec71(), _p3g(), *(_p2xp2_image(rng) for _ in range(8))]
+    denominators = set()
+    for a in actions:
+        if len(convex_hull_2d_int(a.support_weights())) < 3:
+            continue
+        cc = wall_chamber_decomposition(a)
+        for wall in cc.walls:
+            samples = [c.sample.entries for c in wall.cells]
+            assert samples == sorted(samples), a.weights
+        points = [v.point.entries for v in cc.vertices]
+        assert points == sorted(points), a.weights
+        denominators |= {q.denominator for p in points for q in p}
+    # vertices on lines of different scales are compared
+    assert len(denominators) > 2
+
+
 # ---------------------------------------------------------------------------
 # One chamber per GIT class against the union-find over cells
 # ---------------------------------------------------------------------------
@@ -859,10 +889,9 @@ def _union_find_chambers(dec, families, labels):
     chambers = []
     for members in groups.values():
         assert len({families[f.signs] for f in members}) == 1
-        rep = min(members, key=lambda f: f.sample.sort_key())
-        family = labels.supports(families[rep.signs])
-        chambers.append(Chamber(rep.sample, family, rep.signs))
-    return sorted(chambers, key=lambda c: c.sample.sort_key())
+        rep = min(members, key=lambda f: f.sample.entries)
+        chambers.append(Chamber(rep.sample, families[rep.signs], rep.signs, labels))
+    return sorted(chambers, key=lambda c: c.sample.entries)
 
 
 def test_chambers_are_the_union_find_git_classes():
