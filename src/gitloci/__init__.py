@@ -7,7 +7,6 @@ from .qpoly import (
     CommonZeroResult,
     CZStatus,
     InnerProduct,
-    Rational,
     RationalVector,
     common_zero_exists,
     resultant,
@@ -33,7 +32,6 @@ from .action import (
     build_double_extension,
     build_external_extension,
     build_product_action,
-    forget_extension_axis,
     generic_support,
     orbit_point,
 )

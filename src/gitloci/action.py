@@ -495,19 +495,6 @@ def build_external_extension(
     )
 
 
-def forget_extension_axis(a: TorusAction) -> TorusAction:
-    """Drop the last factor (a projective line) and the last character axis,
-    recovering the action that was extended."""
-    if len(a.factor_partition) < 2 or len(a.factor_partition[-1]) != 2:
-        raise ValueError("last factor is not an extension line")
-    keep = [i for blk in a.factor_partition[:-1] for i in blk]
-    weights = [a.weights[i][:-1] for i in sorted(keep)]
-    gram = [row[: a.rank - 1] for row in a.ip.gram[: a.rank - 1]]
-    partition = [list(blk) for blk in a.factor_partition[:-1]]
-    twist = RationalVector(a.twist.entries[:-1])
-    return TorusAction(a.rank - 1, weights, InnerProduct(gram), twist, partition)
-
-
 def build_double_extension(
     a: TorusAction,
     m_lambda: Sequence[int],

@@ -274,17 +274,6 @@ class _Memo(dict):
         return value
 
 
-def _support_key(support: frozenset) -> str:
-    """A support's sorted indices as the code points of a string: keys
-    compare as the index lists do, by C string comparison."""
-    return "".join(map(chr, sorted(support)))
-
-
-def _support_texts(indent: str) -> _Memo:
-    """The texts of supports whose lines break at `indent`, by key."""
-    return _Memo(lambda key: _flat(map(str, map(ord, key)), indent) if key else "[]")
-
-
 class _MaskTexts:
     """The texts of one complex's support families, by bitmask.
 
@@ -326,35 +315,19 @@ class _Writer:
     """The text pieces of one report, appended to one list so that no text
     is copied again at each nesting level.
 
-    A support family is written as the sorted list of its sorted supports.
-    A `_MaskFamily` has its text from its `_MaskTexts`.  A frozenset of
-    frozensets of indices is sorted here: each support once, and each
-    support's text is built once per indent.  So is the text of each
-    family met again at the same indent, keyed by the family itself.
+    A support family comes as a `_MaskFamily` and is written as the sorted
+    list of its sorted supports, with its text from its `_MaskTexts`.
     """
 
     def __init__(self) -> None:
         self.pieces: list[str] = []
-        self._keys = _Memo(_support_key)
-        self._rows = _Memo(_support_texts)  # by indent
-        self._families: dict[tuple[frozenset, str], str] = {}
-
-    def family(self, family: frozenset, indent: str) -> str:
-        """The text of a support family whose lines break at `indent`."""
-        text = self._families.get((family, indent))
-        if text is None:
-            keys = sorted(map(self._keys.__getitem__, family))
-            rows = self._rows[indent + "  "]
-            text = _flat(map(rows.__getitem__, keys), indent) if keys else "[]"
-            self._families[family, indent] = text
-        return text
 
     def emit(self, value: Any, indent: str, head: str = "") -> None:
         """Append `head` and then the text of a report value whose lines
         break at `indent`: dicts with string keys, lists (or tuples),
-        support families (masks or frozensets), strings, ints, bools and
-        None.  A key and its value's first text are one piece, unless the
-        value is a family, whose text is shared."""
+        support families as masks, strings, ints, bools and None.  A key
+        and its value's first text are one piece, unless the value is a
+        family, whose text is shared."""
         if type(value) is str:  # most leaves
             self.pieces.append(head + _escape(value))
             return
@@ -388,9 +361,6 @@ class _Writer:
                     self.emit(v, inner, sep)
                     sep = "," + inner
                 put(indent + "]")
-        elif isinstance(value, frozenset):
-            put(head)  # a piece of its own: the family's text is shared
-            put(self.family(value, indent))
         else:
             put(head + _scalar(value))
 
@@ -431,12 +401,8 @@ def _write(pieces: list[str], fh) -> None:
         fh.write("".join(chunk))
 
 
-def _jq(q: Fraction) -> str:
-    return str(q)
-
-
 def _jvec(v: RationalVector) -> list[str]:
-    return [_jq(e) for e in v.entries]
+    return list(map(str, v.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +485,7 @@ def _cmd_beta(spec: LoadedSpec, args) -> dict:
         out.append(
             {
                 "beta": _jvec(bi.beta),
-                "norm_sq": _jq(bi.norm_sq),
+                "norm_sq": str(bi.norm_sq),
                 "lambda": (
                     list(map(str, bi.lambda_beta.cochar))
                     if bi.lambda_beta
@@ -537,14 +503,14 @@ def _cmd_chambers(spec: LoadedSpec, args) -> dict:
     if cc.rank == 1:
         walls = [
             {
-                "at": _jq(w.cells[0].sample.entries[0]),
+                "at": str(w.cells[0].sample.entries[0]),
                 "family": family(w.cells[0].mask),
             }
             for w in cc.walls
         ]
         chambers = [
             {
-                "interval": [_jq(ch.interval[0]), _jq(ch.interval[1])],
+                "interval": [str(ch.interval[0]), str(ch.interval[1])],
                 "sample": _jvec(ch.sample),
                 "family": family(ch.mask),
             }
@@ -600,14 +566,14 @@ def _cmd_strata(spec: LoadedSpec, args) -> dict:
     supports = {}
     for s, beta in rep.support_beta.items():
         if id(beta) not in text:
-            text[id(beta)] = [_jq(v) for v in beta]
+            text[id(beta)] = [str(v) for v in beta]
         supports[",".join(str(i) for i in sorted(s))] = text[id(beta)]
     return {
         "betas": [
-            {"beta": _jvec(b.beta), "norm_sq": _jq(b.norm_sq)} for b in rep.betas
+            {"beta": _jvec(b.beta), "norm_sq": str(b.norm_sq)} for b in rep.betas
         ],
         "stratum_sizes": {
-            ",".join(_jq(v) for v in key): size
+            ",".join(str(v) for v in key): size
             for key, size in sorted(rep.stratum_sizes.items())
         },
         "supports": supports,
@@ -635,10 +601,10 @@ def _cmd_adapted(spec: LoadedSpec, args) -> dict:
     t = lam.pairing(action.twist)
     return {
         "lambda": list(map(str, lam.cochar)),
-        "adapted_interval": [_jq(region.lower), _jq(region.upper)],
-        "well_adapted_interval": [_jq(v) for v in region.well_adapted_interval()],
-        "epsilon": _jq(region.epsilon),
-        "current_t": _jq(t),
+        "adapted_interval": [str(region.lower), str(region.upper)],
+        "well_adapted_interval": [str(v) for v in region.well_adapted_interval()],
+        "epsilon": str(region.epsilon),
+        "current_t": str(t),
         "current_adapted": region.is_adapted(t),
         "current_well_adapted": region.is_well_adapted(t),
     }
@@ -666,7 +632,7 @@ def _jverdict(name: str, verdict: SweepVerdict) -> dict:
     return {
         "point": name,
         "status": verdict.status.value,
-        "witness": [_jq(v) for v in verdict.witness] if verdict.witness else None,
+        "witness": [str(v) for v in verdict.witness] if verdict.witness else None,
     }
 
 
@@ -709,8 +675,8 @@ def _cmd_external_equiv(spec: LoadedSpec, args) -> dict:
         "lambda_check": rep.lambda_check,
         "mu_check": rep.mu_check,
         "passed": rep.passed,
-        "single_lambda_family": rep.single_lambda_family,
-        "single_mu_family": rep.single_mu_family,
+        "single_lambda_family": sorted(map(sorted, rep.single_lambda_family)),
+        "single_mu_family": sorted(map(sorted, rep.single_mu_family)),
     }
 
 

@@ -22,8 +22,8 @@ affine minimum-norm point solves the bordered KKT system
 integer coefficient numerators over one denominator, so the sign tests are
 integer tests.  A minimum-norm point comes back as reduced integer
 numerators over one positive denominator, so equal points are equal integer
-pairs; `hull_min_norm`, `min_norm_point` and `corral_points` build their
-own frame and a Fraction per output coordinate.
+pairs; `min_norm_point` and `min_norm_point_oracle` build their own frame
+and a Fraction per output coordinate.
 
 Membership of one hull runs in one integer kernel, `hull_position`:
 integer points against a rational query, translated so that the query is
@@ -41,8 +41,7 @@ The 2D arrangement is integer at its interface too: `Line2D`s and the
 region's planes are integer triples, and each face of
 `chamber_decomposition_2d` keeps its sample as integers, sorted on exact
 integer keys, until a caller reads it as `Fraction`s.  `PointSet`,
-`hull_membership`, `min_norm_point`, `min_norm_point_oracle`,
-`corral_points` and
+`hull_membership`, `min_norm_point`, `min_norm_point_oracle` and
 `convex_hull_2d` are `Fraction` entry points over the kernels above that no
 path of the package calls; they stay as the tests' and the benchmark's
 names for them.
@@ -430,27 +429,12 @@ def min_norm_point(S: PointSet, ip: InnerProduct) -> RationalVector:
     return _vector(*frame.min_norm(range(len(frame.rows))))
 
 
-def hull_min_norm(
-    points: Iterable[Sequence[int]], q: RationalVector, ip: InnerProduct
-) -> RationalVector:
-    """The point of conv(points) - q closest to the origin, for integer
-    points: Wolfe on the frame `GramFrame.shifted` of the points."""
-    frame = GramFrame.shifted(points, q, ip)
-    return _vector(*frame.min_norm(range(len(frame.rows))))
-
-
-def corral_points(
-    points: Sequence[RationalVector], ip: InnerProduct
-) -> Iterator[RationalVector]:
-    """`GramFrame.corral_points` of distinct rational points, on a frame of
-    the points with their common denominator cleared."""
-    frame = GramFrame(*clear_denominators(p.entries for p in points), ip)
-    return (_vector(*beta) for beta in frame.corral_points())
-
-
 def min_norm_point_oracle(S: PointSet, ip: InnerProduct) -> RationalVector:
-    """Independent test oracle for Wolfe: the least-norm corral point."""
-    return min(corral_points(S.deduplicated(), ip), key=ip.norm_sq)
+    """Independent test oracle for Wolfe: the least-norm corral point
+    (`GramFrame.corral_points`) of a frame of the points with their common
+    denominator cleared."""
+    frame = GramFrame(*clear_denominators(p.entries for p in S.deduplicated()), ip)
+    return min((_vector(*beta) for beta in frame.corral_points()), key=ip.norm_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +576,8 @@ class Face:
     """One face of the decomposition: a certified sample point, its sign
     vector over the lines and, for a cell, the index of its line.
 
-    The sample is given as a `RationalVector`, or as the kernel gives it:
-    integers `point` = (x, y, den), den > 0, whose `RationalVector` is built
+    The sample is held as the kernel gives it: integers
+    `point` = (*numerators, den), den > 0, whose `RationalVector` is built
     when `sample` is first read.  Faces compare by kind, sample value, signs
     and line index.
     """
@@ -603,23 +587,20 @@ class Face:
     def __init__(
         self,
         kind: str,  # "chamber" | "cell" | "vertex"
-        sample: RationalVector | tuple[int, int, int],
+        point: tuple[int, ...],
         signs: tuple[int, ...],
         line_index: Optional[int] = None,
     ):
         self.kind = kind
+        self.point = point
         self.signs = signs
         self.line_index = line_index
-        if type(sample) is tuple:
-            self.point, self._sample = sample, None
-        else:
-            self.point, self._sample = None, sample
+        self._sample: Optional[RationalVector] = None
 
     @property
     def sample(self) -> RationalVector:
         if self._sample is None:
-            x, y, den = self.point
-            self._sample = RationalVector([Fraction(x, den), Fraction(y, den)])
+            self._sample = _vector(self.point[:-1], self.point[-1])
         return self._sample
 
     def _key(self) -> tuple:
@@ -785,9 +766,9 @@ def chamber_decomposition_2d(arr: Arrangement2D) -> Decomposition:
         sample = region_interior_point(arr.region, 2)
         if sample is None:
             raise EmptyRegion("region has no interior point")
-        x, y = sample.entries
-        sv = _signs(a * x + b * y - c for a, b, c in planes[:n_lines])
-        return Decomposition(lines, (Face("chamber", sample, sv),))
+        ((x, y),), den = clear_denominators([sample.entries])
+        sv = _signs(a * x + b * y - c * den for a, b, c in planes[:n_lines])
+        return Decomposition(lines, (Face("chamber", (x, y, den), sv),))
     ordered = faces_by_sample(Face("chamber", p, sv) for sv, p in chambers.items())
     return Decomposition(lines, tuple(vertices + cells + ordered))
 

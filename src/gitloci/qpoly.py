@@ -51,8 +51,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-Rational = Fraction
-
 # numerator and denominator, the denominator without a leading zero and so
 # nonzero, as in `action.schema.json`
 _RATIONAL = r"(-?\d+)(?:/([1-9]\d*))?"
@@ -90,11 +88,6 @@ def as_fraction(e: Fraction | int | str) -> Fraction:
     if isinstance(e, float):
         raise TypeError(f"a float is not an exact rational: {e!r}")
     return Fraction(e)
-
-
-def format_rational(q: Fraction) -> str:
-    """Canonical string form ``num`` or ``num/den`` (denominator > 0)."""
-    return str(Fraction(q))
 
 
 @dataclass(frozen=True)
@@ -168,7 +161,7 @@ class RationalVector:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def __repr__(self) -> str:
-        return "(" + ", ".join(format_rational(e) for e in self.entries) + ")"
+        return "(" + ", ".join(map(str, self.entries)) + ")"
 
 
 @dataclass(frozen=True)
@@ -465,7 +458,7 @@ class BiPoly:
             return "0"
         terms = []
         for (eb, ec), q in self.coeffs:  # already descending lex in (eb, ec)
-            terms.append(f"{format_rational(q)}*b^{eb}*c^{ec}")
+            terms.append(f"{q!s}*b^{eb}*c^{ec}")
         return "+".join(terms)
 
     @staticmethod

@@ -44,11 +44,11 @@ from .polytope import (
     Cone,
     EmptyRegion,
     Face,
+    GramFrame,
     HullPosition,
     Line2D,
     chamber_decomposition_2d,
     cone_has_interior_point,
-    hull_min_norm,
     hull_position,
     primitive_line,
     primitive_normal,
@@ -73,10 +73,6 @@ class NoAdaptedTwist(ValueError):
 
 
 class RankUnsupported(ValueError):
-    pass
-
-
-class ZeroBeta(ValueError):
     pass
 
 
@@ -260,19 +256,20 @@ def support_positions(
 
 
 def destabilising_beta(
-    a: TorusAction, x: SupportPoint, *, require_unstable: bool = False
+    a: TorusAction, x: SupportPoint
 ) -> tuple[RationalVector, Optional[OneParamSubgroup]]:
     """Minimum-norm point of the twisted support weights, with lambda_beta,
     the smallest integral positive multiple of G beta, as the associated
     one-parameter subgroup.
 
-    beta = 0 exactly when x is semistable; then there is no distinguished
-    subgroup and `require_unstable` turns that case into an error.
+    beta is Wolfe's point (`GramFrame.min_norm`) on the frame of the support
+    weights shifted by the twist.  beta = 0 exactly when x is semistable;
+    then there is no distinguished subgroup, and None stands for it.
     """
-    beta = hull_min_norm(a.support_weights(x), a.twist, a.ip)
+    frame = GramFrame.shifted(a.support_weights(x), a.twist, a.ip)
+    num, den = frame.min_norm(range(len(frame.rows)))
+    beta = RationalVector(Fraction(n, den) for n in num)
     if beta.is_zero():
-        if require_unstable:
-            raise ZeroBeta("x is semistable; no destabilising 1PS")
         return beta, None
     return beta, OneParamSubgroup.dual_to(beta, a.ip)
 
@@ -404,7 +401,7 @@ def cocharacter_fan(a: TorusAction, cone: Cone) -> CocharacterFan:
         if sample is None:
             raise EmptyCone("cone has no interior cocharacter")
         lam = OneParamSubgroup(sample)
-        face = Face("chamber", sample, ())
+        face = Face("chamber", (*lam.cochar, 1), ())
         return CocharacterFan((FanPiece(face, lam, x_min(a, lam)),))
     if a.rank != 2:
         raise RankUnsupported("exact fan enumeration is limited to rank <= 2")

@@ -53,12 +53,11 @@ from .action import SupportPoint, TorusAction
 from .polytope import (
     GramFrame,
     HullPosition,
-    hull_min_norm,
     hull_position,
     hull_vertices,
 )
 from .qpoly import RationalVector, clear_denominators
-from .stability import OneParamSubgroup, TorusStatus, torus_status
+from .stability import OneParamSubgroup, TorusStatus, destabilising_beta, torus_status
 
 
 class NotInY(ValueError):
@@ -163,12 +162,13 @@ def in_Z(a: TorusAction, x: SupportPoint, beta: RationalVector) -> bool:
 def stratum_of(a: TorusAction, x: SupportPoint) -> StratumLabel:
     """The stratum of a support, with its hyperplane-membership flags.
 
-    beta is the support's own minimum-norm destabiliser, so semistable
+    beta is the support's own minimum-norm destabiliser
+    (`destabilising_beta`), so semistable
     supports land in the open stratum (beta = 0) and unstable ones satisfy
     the Y-membership conditions by the supporting-hyperplane property of the
     closest point.
     """
-    beta = hull_min_norm(a.support_weights(x), a.twist, a.ip)
+    beta, _ = destabilising_beta(a, x)
     bi = BetaIndex.from_beta(a, beta)
     if beta.is_zero():
         return StratumLabel(bi, in_Z(a, x, beta), True, True)

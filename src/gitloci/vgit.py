@@ -515,9 +515,6 @@ def verify_external_change(
     m_mu: Sequence[int],
     N: int,
     epsilon: Fraction,
-    *,
-    twist_lambda_override: Optional[RationalVector] = None,
-    twist_mu_override: Optional[RationalVector] = None,
 ) -> ExternalChangeReport:
     """Check that switching the external one-parameter group is a change of
     linearisation, at the level of semistable support families.
@@ -526,7 +523,6 @@ def verify_external_change(
     character twists; the double family under the lambda twist, restricted
     along the mu line's nonvanishing-at-0 coordinate and projected back,
     must equal the single lambda-extension family; symmetrically for mu.
-    Twist overrides exist for negative controls.
     """
     epsilon = Fraction(epsilon)
     ext_l = build_external_extension(a, m_lambda, N)
@@ -534,10 +530,6 @@ def verify_external_change(
     double, twist_l, twist_m = build_double_extension(
         a, m_lambda, m_mu, N, epsilon
     )
-    if twist_lambda_override is not None:
-        twist_l = twist_lambda_override
-    if twist_mu_override is not None:
-        twist_m = twist_mu_override
 
     fam_single_l = _family_at(ext_l, ext_l.twist)
     fam_single_m = _family_at(ext_m, ext_m.twist)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from gitloci import vgit
 from gitloci.cli import LoadedSpec, load_spec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -23,3 +24,20 @@ def sec7_1() -> LoadedSpec:
 @pytest.fixture(scope="session")
 def external_toy() -> LoadedSpec:
     return load_spec(str(CORPUS / "external_toy.json"))
+
+
+@pytest.fixture
+def mistwist_lambda(monkeypatch):
+    """A setter of the lambda twist that `vgit.verify_external_change`
+    reads from `build_double_extension`: a mis-twisted negative control."""
+
+    def plant(twist_lambda):
+        real = vgit.build_double_extension
+
+        def build(*args):
+            double, _, twist_mu = real(*args)
+            return double, twist_lambda, twist_mu
+
+        monkeypatch.setattr(vgit, "build_double_extension", build)
+
+    return plant

@@ -327,8 +327,9 @@ def verify_stratification_oracle(a: TorusAction) -> StratificationReport:
     support with every valid sub-support, and (iii) takes every support's
     least Segre value against every nonzero beta.
 
-    `hull_min_norm` and `_functional` are looked up on `gitloci.strata` at
-    call time, so a test that patches them there reaches this reference too.
+    `destabilising_beta` and `_functional` are looked up on `gitloci.strata`
+    at call time, so a test that patches them there reaches this reference
+    too.
     """
     supports = list(a.iter_supports())
     betas: dict[tuple[Fraction, ...], BetaIndex] = {}
@@ -342,7 +343,7 @@ def verify_stratification_oracle(a: TorusAction) -> StratificationReport:
     for sp in supports:
         weights = a.support_weights(sp)
         if weights not in by_weights:
-            beta = strata.hull_min_norm(weights, a.twist, a.ip)
+            beta, _ = strata.destabilising_beta(a, sp)
             by_weights[weights] = beta, a.ip.norm_sq(beta)
         beta, norms[sp.support] = by_weights[weights]
         by_support[sp.support] = beta
@@ -876,6 +877,13 @@ def _mid(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
     return (lo + hi) / 2
 
 
+def _point(*coords: Fraction | int) -> tuple[int, ...]:
+    """A `Face` point: the coordinates' numerators over their common
+    denominator, then that denominator."""
+    (nums,), den = clear_denominators([coords])
+    return (*nums, den)
+
+
 def chamber_decomposition_2d_fraction(arr: Arrangement2D) -> Decomposition:
     """`chamber_decomposition_2d` as it stood before each line moved to one
     integer scale: every crossing a `Fraction`, deduped in a set of them and
@@ -918,8 +926,7 @@ def chamber_decomposition_2d_fraction(arr: Arrangement2D) -> Decomposition:
             if jdx > idx:
                 Q, mP = t.denominator, m * t.numerator
                 signs = _signs(e * Q + mP * s for e, s in zip(E[:n_lines], S))
-                sample = RationalVector([bx - b * t, by + a * t])
-                vertices.append(Face("vertex", sample, signs))
+                vertices.append(Face("vertex", _point(bx - b * t, by + a * t), signs))
         edges: list[Optional[Fraction]] = [lo, *sorted(crossings), hi]
         for seg_lo, seg_hi in zip(edges, edges[1:]):
             t = _mid(seg_lo, seg_hi)
@@ -927,7 +934,7 @@ def chamber_decomposition_2d_fraction(arr: Arrangement2D) -> Decomposition:
             w = [e * Q + mP * s for e, s in zip(E, S)]
             signs = _signs(w[:n_lines])
             x, y = bx - b * t, by + a * t
-            cells.append(Face("cell", RationalVector([x, y]), signs, idx))
+            cells.append(Face("cell", _point(x, y), signs, idx))
             for side in (1, -1):
                 sv = signs[:idx] + (side,) + signs[idx + 1 :]
                 if sv in chambers:
@@ -947,7 +954,8 @@ def chamber_decomposition_2d_fraction(arr: Arrangement2D) -> Decomposition:
             raise EmptyRegion("region has no interior point")
         chambers[tuple(line_side(ln, sample) for ln in lines)] = sample
     ordered = sorted(chambers.items(), key=lambda kv: kv[1].entries)
-    faces = vertices + cells + [Face("chamber", sample, sv) for sv, sample in ordered]
+    faces = vertices + cells
+    faces += [Face("chamber", _point(*sample.entries), sv) for sv, sample in ordered]
     return Decomposition(lines, tuple(faces))
 
 

@@ -181,7 +181,7 @@ def test_criterion_07_stratification_shadow(ex1_7, sec7_1, external_toy):
     _report(7, "zero stratification violations; rank-1 partition is 5/1/1")
 
 
-def test_criterion_08_external_change_equivalence(external_toy):
+def test_criterion_08_external_change_equivalence(external_toy, mistwist_lambda):
     t0 = time.monotonic()
     ext = external_toy.external
     rep = verify_external_change(
@@ -192,13 +192,13 @@ def test_criterion_08_external_change_equivalence(external_toy):
         Fraction(ext["epsilon"]),
     )
     assert rep.lambda_check and rep.mu_check
+    mistwist_lambda(V([0, 0, Fraction(ext["N"] + 1)]))
     control = verify_external_change(
         external_toy.action,
         ext["m_lambda"],
         ext["m_mu"],
         ext["N"],
         Fraction(ext["epsilon"]),
-        twist_lambda_override=V([0, 0, Fraction(ext["N"] + 1)]),
     )
     assert not control.lambda_check
     elapsed = time.monotonic() - t0

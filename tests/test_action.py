@@ -16,7 +16,6 @@ from gitloci.action import (
     build_external_extension,
     build_product_action,
     evaluate_point,
-    forget_extension_axis,
     generic_support,
     orbit_point,
 )
@@ -368,10 +367,6 @@ def test_external_extension_examples():
     assert sorted(tuple(w.entries) for w in ext.segre_weights()) == [
         (-1, 1), (-1, 6), (2, 0), (2, 5),
     ]
-    # extending then forgetting the new axis recovers the action
-    back = forget_extension_axis(ext)
-    assert back.weights == a.weights
-    assert back.factor_partition == a.factor_partition
     with pytest.raises(LengthMismatch):
         build_external_extension(a, [1], 5)
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
 from gitloci.action import TorusAction, build_product_action
-from gitloci.cli import _MaskTexts, _render, _Writer, load_spec, run
+from gitloci.cli import _MaskTexts, _render, load_spec, run
 from gitloci.qpoly import BiPoly, InnerProduct, RationalVector
 from gitloci.strata import beta_index_set
 from gitloci.vgit import masked, wall_chamber_decomposition
@@ -842,9 +842,8 @@ def test_writer_matches_json_dumps(value):
     assert "".join(_render(value)) == _dumps(value)
 
 
-# support families: frozensets of frozensets of indices, possibly empty;
-# the writer sorts supports by string keys with one code point per index,
-# surrogates and the largest included
+# support families: frozensets of frozensets of indices, possibly empty,
+# which a report holds as their sorted lists of sorted supports
 _INDICES = st.integers(min_value=0, max_value=40) | st.integers(
     min_value=0, max_value=0x10FFFF
 )
@@ -875,17 +874,14 @@ _MASKS = st.integers(min_value=0, max_value=2 ** len(_TABLE) - 1)
 @example(frozenset({frozenset()}), 3, 0)
 @example(frozenset(), 1, 2 ** len(_TABLE) - 1)
 def test_family_writer_matches_json_dumps(family, depth, mask):
-    # one writer, two indents, each asked twice: the memo keeps them apart;
-    # so does a mask family's, the empty mask included
-    writer = _Writer()
+    # one table, two indents, each asked twice: the memo keeps a mask
+    # family's texts apart, the empty mask included
     texts = _MaskTexts(_TABLE)
     chosen = sorted(list(row) for k, row in enumerate(_TABLE) if mask >> k & 1)
     for d in (depth, depth + 2, depth):
         indent = "\n" + "  " * d
-        expected = _dumps(_rows(family)).replace("\n", indent)
-        assert writer.family(family, indent) == expected
         assert texts.text(mask, indent) == _dumps(chosen).replace("\n", indent)
-    report = {"family": texts(mask), "families": [texts(mask), family]}
+    report = {"family": texts(mask), "families": [texts(mask), _rows(family)]}
     plain = {"family": chosen, "families": [chosen, _rows(family)]}
     assert "".join(_render(report)) == _dumps(plain)
 
@@ -935,19 +931,19 @@ def test_bit_order_is_report_order_on_chamber_workload_bases():
 
 
 def test_one_family_at_wall_cell_and_chamber_depth():
-    family = frozenset(
-        {frozenset({0, 3, 7}), frozenset({1, 3}), frozenset({0, 4}), frozenset({10, 2})}
-    )
-    other = frozenset({frozenset({5}), frozenset({1, 3})})  # shares a support
+    texts = _MaskTexts(((0, 3, 7), (0, 4), (1, 3), (2, 10), (5,)))
+    family, other = texts(0b01111), texts(0b10100)  # both hold (1, 3)
     report = {
         "walls": [{"cells": [{"family": family}, {"family": other}]}],
-        "chambers": [{"family": family}, {"family": frozenset()}],
+        "chambers": [{"family": family}, {"family": texts(0)}],
         "vertices": [{"family": other}],
     }
+    rows = [[0, 3, 7], [0, 4], [1, 3], [2, 10]]
+    other_rows = [[1, 3], [5]]
     plain = {
-        "walls": [{"cells": [{"family": _rows(family)}, {"family": _rows(other)}]}],
-        "chambers": [{"family": _rows(family)}, {"family": []}],
-        "vertices": [{"family": _rows(other)}],
+        "walls": [{"cells": [{"family": rows}, {"family": other_rows}]}],
+        "chambers": [{"family": rows}, {"family": []}],
+        "vertices": [{"family": other_rows}],
     }
     assert "".join(_render(report)) == _dumps(plain)
 

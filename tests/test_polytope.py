@@ -10,6 +10,7 @@ from gitloci.polytope import (
     Cone,
     DimensionMismatch,
     EmptyRegion,
+    GramFrame,
     HullPosition,
     Line2D,
     PointSet,
@@ -19,9 +20,7 @@ from gitloci.polytope import (
     chamber_decomposition_2d,
     convex_hull_2d,
     convex_hull_2d_int,
-    corral_points,
     hull_membership,
-    hull_min_norm,
     hull_position,
     hull_vertices,
     min_norm_point,
@@ -225,10 +224,25 @@ def test_bordered_solve_matches_rational_kkt_reference():
     assert dependent > 100  # the dependent subsets are exercised
 
 
+def _corral_points(points, ip):
+    """`GramFrame.corral_points` of distinct rational points, on a frame of
+    the points with their common denominator cleared."""
+    frame = GramFrame(*clear_denominators(p.entries for p in points), ip)
+    return [V([Fraction(n, den) for n in num]) for num, den in frame.corral_points()]
+
+
+def _shifted_min_norm(points, q, ip):
+    """Wolfe's point of conv(points) - q, for integer points, on the frame
+    `GramFrame.shifted` of the points."""
+    frame = GramFrame.shifted(points, q, ip)
+    num, den = frame.min_norm(range(len(frame.rows)))
+    return V([Fraction(n, den) for n in num])
+
+
 def test_corral_points_match_rational_reference_in_order():
     for S, ip in _rational_cases(3141, 150):
         pts = S.deduplicated()
-        assert list(corral_points(pts, ip)) == list(_reference_corral_points(pts, ip))
+        assert _corral_points(pts, ip) == list(_reference_corral_points(pts, ip))
 
 
 def _integer_cases(seed, count):
@@ -251,7 +265,7 @@ def test_corral_points_are_the_full_enumeration_as_a_set():
     for S, ip in [*_rational_cases(3141, 150), *_integer_cases(4242, 150)]:
         pts = S.deduplicated()
         full = {y.entries for y in _reference_corrals(pts, ip, S.dim + 1)}
-        assert {y.entries for y in corral_points(pts, ip)} == full, (pts, ip.gram)
+        assert {y.entries for y in _corral_points(pts, ip)} == full, (pts, ip.gram)
         origin = RationalVector.zero(S.dim).entries
         low = {y.entries for y in _reference_corrals(pts, ip, S.dim)}
         seen["origin"] += origin in full
@@ -278,7 +292,7 @@ def test_hull_min_norm_is_wolfe_on_shifted_points():
             [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7])) for _ in range(S.dim)]
         )
         shifted = PointSet(V(p) - q for p in ints)
-        assert hull_min_norm(ints, q, ip) == min_norm_point(shifted, ip)
+        assert _shifted_min_norm(ints, q, ip) == min_norm_point(shifted, ip)
 
 
 def test_facet_normal_candidates_certify_membership():
@@ -526,7 +540,7 @@ def test_rank_three_and_four_membership_matches_independent_oracles():
                 diffs, _ = clear_denominators(
                     [x - y for x, y in zip(p, q.entries)] for p in set(pts)
                 )
-                outside = not hull_min_norm(pts, q, ip).is_zero()
+                outside = not _shifted_min_norm(pts, q, ip).is_zero()
                 for relative in (False, True):
                     got = hull_position(pts, q, relative=relative)
                     assert got == hull_membership_two_lp(diffs, dim, relative), (

@@ -28,7 +28,6 @@ from gitloci.stability import (
     StabDimension,
     SweepStatus,
     TorusStatus,
-    ZeroBeta,
     adapted_region,
     admissible_cone,
     cocharacter_fan,
@@ -274,8 +273,6 @@ def test_destabilising_beta_examples():
     a = _a1()
     beta, lam = destabilising_beta(a, SupportPoint([0, 2]))
     assert beta.is_zero() and lam is None
-    with pytest.raises(ZeroBeta):
-        destabilising_beta(a, SupportPoint([0, 2]), require_unstable=True)
     beta, lam = destabilising_beta(
         TorusAction(2, [V([2, 0])], IP2), SupportPoint([0])
     )
@@ -403,6 +400,9 @@ def test_cocharacter_fan_rank1_single_piece():
     cone = Cone([(V([1]), True)])
     fan = cocharacter_fan(a, cone)
     assert len(fan.pieces) == 1
+    # its face carries the cocharacter as integers over denominator 1
+    face = fan.pieces[0].face
+    assert face.point == (1, 1) and face.sample == V([1])
     # the one rank-1 piece is a chamber, so the fan is universal
     assert fan.chamber_pieces() == list(fan.pieces) and fan.is_universal
     assert universal_1ps(a, cone).unique

@@ -376,7 +376,7 @@ def test_sec71_chamber_count_matches_sign_oracle():
                 assert sides[0] != sides[1]
 
 
-def test_external_change_toy_passes_and_control_fails(external_toy):
+def test_external_change_toy_passes_and_control_fails(external_toy, mistwist_lambda):
     spec = external_toy
     ext = spec.external
     rep = verify_external_change(
@@ -388,19 +388,18 @@ def test_external_change_toy_passes_and_control_fails(external_toy):
     )
     assert rep.lambda_check and rep.mu_check and rep.passed
     # deliberately mis-twisted control: (0, N + r_lambda + 1)
-    bad = V([0, 0, Fraction(11)])
+    mistwist_lambda(V([0, 0, Fraction(11)]))
     rep_bad = verify_external_change(
         spec.action,
         ext["m_lambda"],
         ext["m_mu"],
         ext["N"],
         Fraction(ext["epsilon"]),
-        twist_lambda_override=bad,
     )
     assert not rep_bad.lambda_check
 
 
-def test_external_change_on_a_rank3_base():
+def test_external_change_on_a_rank3_base(mistwist_lambda):
     # sec7_1 with one external axis: the four families come off the
     # per-factor tables, exact at every rank
     base = build_external_extension(_sec71(), [i % 3 for i in range(9)], 10)
@@ -410,10 +409,8 @@ def test_external_change_on_a_rank3_base():
     rep = verify_external_change(base, m_lambda, m_mu, 10, Fraction(1, 2))
     assert rep.passed
     assert (len(rep.single_lambda_family), len(rep.single_mu_family)) == (72, 84)
-    bad = V([0, 0, 0, 0, Fraction(21, 2)])
-    control = verify_external_change(
-        base, m_lambda, m_mu, 10, Fraction(1, 2), twist_lambda_override=bad
-    )
+    mistwist_lambda(V([0, 0, 0, 0, Fraction(21, 2)]))
+    control = verify_external_change(base, m_lambda, m_mu, 10, Fraction(1, 2))
     assert not control.lambda_check
 
 
