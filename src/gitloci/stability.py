@@ -13,7 +13,10 @@ one-parameter subgroup lambda_beta is the primitive integral multiple of
 G beta, the form dual of beta (G the inner product's Gram matrix): it pairs
 with weights as <., beta> does, up to a positive factor, so its least
 weight on the support is attained on beta's face and mu(x, lambda_beta) < 0.
-Under the identity form G beta = beta.
+Under the identity form G beta = beta.  A `BetaIndex` holds beta, |beta|^2
+and lambda_beta, built once from Wolfe's reduced integers; it is what
+`destabilising_beta` returns for a support and what every stratum predicate
+reads.
 
 A support's torus status is its weight hull's position against the twist:
 `torus_status` places one hull, and `support_positions` every support at
@@ -56,7 +59,6 @@ from .polytope import (
 from .qpoly import (
     BiPoly,
     CZStatus,
-    InnerProduct,
     RationalVector,
     analyze_common_zeros,
     clear_denominators,
@@ -93,20 +95,34 @@ class OneParamSubgroup:
         """The smallest integral positive multiple of a rational direction."""
         return OneParamSubgroup(v.primitive_integral())
 
-    @staticmethod
-    def dual_to(beta: RationalVector, ip: InnerProduct) -> "OneParamSubgroup":
-        """lambda_beta: the smallest integral positive multiple of G beta, so
-        that <lambda_beta, alpha> is a positive multiple of <alpha, beta>.
-        With d the denominator of beta, G (d beta) is an integer vector on
-        that ray, divided by the gcd of its entries."""
-        (db,), _ = clear_denominators([beta.entries])
-        gb = [sum(map(operator.mul, row, db)) for row in ip.gram]
-        g = math.gcd(*gb) or 1  # beta = 0 is refused by the constructor
-        return OneParamSubgroup([v // g for v in gb])
-
     def pairing(self, w: Iterable[Fraction | int]) -> Fraction:
         """<cochar, w> for a rational vector w of the same dimension."""
         return sum((c * e for c, e in zip(self.cochar, w, strict=True)), Fraction(0))
+
+
+@dataclass(frozen=True)
+class BetaIndex:
+    """One stratum index: a minimum-norm point beta of twisted weights,
+    |beta|^2, and lambda_beta, the smallest integral positive multiple of
+    G beta (None at beta = 0), so that <lambda_beta, alpha> is a positive
+    multiple of <alpha, beta>."""
+
+    beta: RationalVector
+    norm_sq: Fraction
+    lambda_beta: Optional[OneParamSubgroup]
+
+    @staticmethod
+    def from_integers(
+        a: TorusAction, num: Sequence[int], den: int
+    ) -> "BetaIndex":
+        """The index of beta = num / den, den > 0: lambda_beta is the
+        primitive G num, |beta|^2 is num . G num / den^2, and only the
+        reported beta is made of Fractions."""
+        gn = [sum(map(operator.mul, row, num)) for row in a.ip.gram]
+        g = math.gcd(*gn)  # zero exactly for beta = 0: G is positive definite
+        lam = OneParamSubgroup([v // g for v in gn]) if g else None
+        norm_sq = Fraction(sum(map(operator.mul, num, gn)), den * den)
+        return BetaIndex(RationalVector(Fraction(v, den) for v in num), norm_sq, lam)
 
 
 @dataclass(frozen=True, order=True)
@@ -255,23 +271,17 @@ def support_positions(
         yield s, pos
 
 
-def destabilising_beta(
-    a: TorusAction, x: SupportPoint
-) -> tuple[RationalVector, Optional[OneParamSubgroup]]:
-    """Minimum-norm point of the twisted support weights, with lambda_beta,
-    the smallest integral positive multiple of G beta, as the associated
+def destabilising_beta(a: TorusAction, x: SupportPoint) -> BetaIndex:
+    """The index of the support's stratum: beta, the minimum-norm point of
+    the twisted support weights, with its lambda_beta as the associated
     one-parameter subgroup.
 
     beta is Wolfe's point (`GramFrame.min_norm`) on the frame of the support
     weights shifted by the twist.  beta = 0 exactly when x is semistable;
-    then there is no distinguished subgroup, and None stands for it.
+    then there is no distinguished subgroup, and lambda_beta is None.
     """
     frame = GramFrame.shifted(a.support_weights(x), a.twist, a.ip)
-    num, den = frame.min_norm(range(len(frame.rows)))
-    beta = RationalVector(Fraction(n, den) for n in num)
-    if beta.is_zero():
-        return beta, None
-    return beta, OneParamSubgroup.dual_to(beta, a.ip)
+    return BetaIndex.from_integers(a, *frame.min_norm(range(len(frame.rows))))
 
 
 def admissible_cone(g: GroupSpec, rank: int) -> Cone:

@@ -12,10 +12,13 @@ least one exactly, retract onto the exact-pairing face by flowing along the
 associated one-parameter subgroup.
 
 That pairing is the functional <alpha, G beta>, and lambda_beta is its
-primitive integral multiple.  So every hyperplane test reads the support's
-levels of lambda_beta (`TorusAction.levels`): a support is in Y when its
-first levels sum to <lambda_beta, beta + chi>, in Z when it has one level
-per factor as well, and its retraction keeps each factor's first level.
+primitive integral multiple.  An index is one `stability.BetaIndex`, which
+holds beta, |beta|^2 and lambda_beta, built once from Wolfe's integers
+(`destabilising_beta` returns a support's own).  Every predicate takes that
+record and reads the support's levels of its lambda_beta
+(`TorusAction.levels`): a support is in Y when its first levels sum to
+<lambda_beta, beta + chi>, in Z when it has one level per factor as well,
+and its retraction keeps each factor's first level.
 
 `verify_stratification` decides each property for every valid support
 without forming a support's weights or comparing all pairs.  beta is the
@@ -43,11 +46,10 @@ from __future__ import annotations
 
 import collections
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .action import SupportPoint, TorusAction
 from .polytope import (
@@ -56,8 +58,7 @@ from .polytope import (
     hull_position,
     hull_vertices,
 )
-from .qpoly import RationalVector, clear_denominators
-from .stability import OneParamSubgroup, TorusStatus, destabilising_beta, torus_status
+from .stability import BetaIndex, TorusStatus, destabilising_beta, torus_status
 
 
 class NotInY(ValueError):
@@ -66,33 +67,6 @@ class NotInY(ValueError):
 
 class NotInZ(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class BetaIndex:
-    """One stratum index: the minimum-norm point of some weight subset."""
-
-    beta: RationalVector
-    norm_sq: Fraction
-    lambda_beta: Optional[OneParamSubgroup]
-
-    @staticmethod
-    def from_beta(a: TorusAction, beta: RationalVector) -> "BetaIndex":
-        (num,), den = clear_denominators([beta.entries])
-        return BetaIndex.from_integers(a, num, den)
-
-    @staticmethod
-    def from_integers(
-        a: TorusAction, num: Sequence[int], den: int
-    ) -> "BetaIndex":
-        """The index of beta = num / den, den > 0: lambda_beta is the
-        primitive G num, |beta|^2 is num . G num / den^2, and only the
-        reported beta is made of Fractions."""
-        gn = [sum(map(operator.mul, row, num)) for row in a.ip.gram]
-        g = math.gcd(*gn)  # zero exactly for beta = 0: G is positive definite
-        lam = OneParamSubgroup([v // g for v in gn]) if g else None
-        norm_sq = Fraction(sum(map(operator.mul, num, gn)), den * den)
-        return BetaIndex(RationalVector(Fraction(v, den) for v in num), norm_sq, lam)
 
 
 def beta_index_set(a: TorusAction) -> list[BetaIndex]:
@@ -127,52 +101,46 @@ class StratumLabel:
             raise ValueError("Yss membership implies Y membership")
 
 
-def _functional(
-    a: TorusAction, beta: RationalVector
-) -> tuple[tuple[int, ...], Fraction]:
-    """lambda_beta's cocharacter, and the least Segre value of a Y-member:
+def _y_level(a: TorusAction, b: BetaIndex) -> Fraction:
+    """The least Segre value of a Y-member of a nonzero index:
     <lambda_beta, beta + chi>, a positive multiple of
     |beta|^2 + <chi, beta>."""
-    lam = OneParamSubgroup.dual_to(beta, a.ip)
-    return lam.cochar, lam.pairing(beta + a.twist)
+    return b.lambda_beta.pairing(b.beta + a.twist)
 
 
-def in_Y(a: TorusAction, x: SupportPoint, beta: RationalVector) -> bool:
+def in_Y(a: TorusAction, x: SupportPoint, b: BetaIndex) -> bool:
     """All support weights on the far side of the perpendicular hyperplane
     through beta, at least one exactly on it; equivalently the minimal
     pairing over the support equals |beta|^2."""
-    if beta.is_zero():
+    if b.lambda_beta is None:
         return torus_status(a, x) is not TorusStatus.UNSTABLE
-    cochar, level = _functional(a, beta)
-    return sum(f[0][0] for f in a.levels(cochar, x)) == level
+    levels = a.levels(b.lambda_beta.cochar, x)
+    return sum(f[0][0] for f in levels) == _y_level(a, b)
 
 
-def in_Z(a: TorusAction, x: SupportPoint, beta: RationalVector) -> bool:
+def in_Z(a: TorusAction, x: SupportPoint, b: BetaIndex) -> bool:
     """All support weights exactly on the perpendicular hyperplane: the
     minimal pairing is |beta|^2 and every support coordinate attains its
     factor's minimum."""
-    if beta.is_zero():
+    if b.lambda_beta is None:
         # degenerate reading: every twisted support weight is zero
         return all(w == a.twist.entries for w in a.support_weights(x))
-    cochar, level = _functional(a, beta)
-    levels = a.levels(cochar, x)
-    return all(len(f) == 1 for f in levels) and sum(f[0][0] for f in levels) == level
+    levels = a.levels(b.lambda_beta.cochar, x)
+    least = sum(f[0][0] for f in levels)
+    return all(len(f) == 1 for f in levels) and least == _y_level(a, b)
 
 
 def stratum_of(a: TorusAction, x: SupportPoint) -> StratumLabel:
     """The stratum of a support, with its hyperplane-membership flags.
 
-    beta is the support's own minimum-norm destabiliser
-    (`destabilising_beta`), so semistable
+    The index is the support's own (`destabilising_beta`), so semistable
     supports land in the open stratum (beta = 0) and unstable ones satisfy
     the Y-membership conditions by the supporting-hyperplane property of the
-    closest point.
+    closest point.  Both predicates read that one index's lambda_beta.
     """
-    beta, _ = destabilising_beta(a, x)
-    bi = BetaIndex.from_beta(a, beta)
-    if beta.is_zero():
-        return StratumLabel(bi, in_Z(a, x, beta), True, True)
-    return StratumLabel(bi, in_Z(a, x, beta), in_Y(a, x, beta), True)
+    bi = destabilising_beta(a, x)
+    in_y = bi.lambda_beta is None or in_Y(a, x, bi)
+    return StratumLabel(bi, in_Z(a, x, bi), in_y, True)
 
 
 def p_beta(a: TorusAction, x: SupportPoint, b: BetaIndex) -> SupportPoint:
@@ -181,19 +149,19 @@ def p_beta(a: TorusAction, x: SupportPoint, b: BetaIndex) -> SupportPoint:
     minimal pairing with beta.  For a Y-member the minimal Segre pairing is
     exactly |beta|^2, so this is the exact-pairing face (the twist shifts
     all Segre pairings equally and never moves the argmin)."""
-    if not in_Y(a, x, b.beta):
+    if not in_Y(a, x, b):
         raise NotInY("support is not in the Y-stratum of this index")
-    if b.beta.is_zero():
+    if b.lambda_beta is None:
         return x
-    cochar, _ = _functional(a, b.beta)
-    return SupportPoint(itertools.chain(*(f[0][1] for f in a.levels(cochar, x))))
+    levels = a.levels(b.lambda_beta.cochar, x)
+    return SupportPoint(itertools.chain(*(f[0][1] for f in levels)))
 
 
 def z_ss_check(a: TorusAction, x: SupportPoint, b: BetaIndex) -> bool:
     """Semistability on the perpendicular stratum core: after shifting by
     beta, the support must contain beta in its twisted weight hull, that is
     beta + chi in its untwisted one."""
-    if not in_Z(a, x, b.beta):
+    if not in_Z(a, x, b):
         raise NotInZ("support is not in the Z-stratum of this index")
     pos = hull_position(a.support_weights(x), b.beta + a.twist)
     return pos is not HullPosition.OUTSIDE
@@ -290,7 +258,7 @@ def verify_stratification(a: TorusAction) -> StratificationReport:
         if bi.lambda_beta is None:
             continue
         untwisted = bi.beta + a.twist  # beta against the untwisted weights
-        level = bi.lambda_beta.pairing(untwisted)
+        level = _y_level(a, bi)
         if level.denominator != 1:
             continue  # Segre values are integers: no Y-members
         values = a.coordinate_values(bi.lambda_beta.cochar)

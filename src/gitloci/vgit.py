@@ -365,13 +365,6 @@ def _flip(signs: tuple[int, ...], idx: int, side: int) -> tuple[int, ...]:
     return signs[:idx] + (side,) + signs[idx + 1 :]
 
 
-def _incident(cell: tuple[int, ...], vertex: tuple[int, ...]) -> bool:
-    """Whether a vertex is an end of a cell: they agree wherever the vertex
-    is off a line (so the vertex is on the cell's line, and no line crosses
-    between them)."""
-    return all(v == 0 or v == c for c, v in zip(cell, vertex))
-
-
 def _assemble(
     dec: Decomposition,
     families: _Families,
@@ -382,21 +375,23 @@ def _assemble(
     # changes the family; cells equal to both neighbours carry no strict
     # semistability and lie inside one chamber
     walls = []
-    surviving_by_line: dict[int, list[tuple[int, ...]]] = {}
-    # the decomposition emits the cells line by line in ascending index
-    for idx, cells in itertools.groupby(dec.cells(), lambda c: c.line_index):
-        surviving = []
+    ends: set[tuple[int, ...]] = set()  # the vertices that end a kept cell
+    # the decomposition emits the cells line by line in ascending index,
+    # each line's in order along it
+    for idx, group in itertools.groupby(dec.cells(), lambda c: c.line_index):
+        cells = list(group)
+        kept = []
         for face in cells:
             fam = families[face.signs]
-            if fam is None:
-                continue
-            left = _flip(face.signs, idx, 1)
-            right = _flip(face.signs, idx, -1)
-            if not families.get(left) == families.get(right) == fam:
-                surviving.append(face)
+            sides = (families.get(_flip(face.signs, idx, s)) for s in (1, -1))
+            kept.append(fam is not None and set(sides) != {fam})
+        # neighbouring cells meet at the vertex whose signs are theirs with
+        # 0 where they differ: on the lines that cross theirs there
+        for p, q, kp, kq in zip(cells, cells[1:], kept, kept[1:]):
+            if kp or kq:
+                ends.add(tuple(s if s == t else 0 for s, t in zip(p.signs, q.signs)))
+        surviving = faces_by_sample(itertools.compress(cells, kept))
         if surviving:
-            surviving = faces_by_sample(surviving)
-            surviving_by_line[idx] = [c.signs for c in surviving]
             cells_out = [
                 WallCell(c.sample, families[c.signs], c.signs, labels)
                 for c in surviving
@@ -413,17 +408,10 @@ def _assemble(
         Chamber(f.sample, mask, f.signs, labels) for mask, f in least.items()
     ]
 
-    # an incident cell lies on a line through the vertex
     vertex_faces = [
         face
         for face in dec.vertices()
-        if families[face.signs] is not None
-        and any(
-            _incident(cell, face.signs)
-            for idx, s in enumerate(face.signs)
-            if not s
-            for cell in surviving_by_line.get(idx, ())
-        )
+        if families[face.signs] is not None and face.signs in ends
     ]
     vertices = [
         VertexFace(f.sample, families[f.signs], f.signs, labels)

@@ -9,7 +9,7 @@ reference for `polytope._hull_membership_lp`.  `facet_normal_candidates` is
 a finite certificate set for the semistability of a rank <= 2 support, the
 reference for hull membership and for the Hilbert-Mumford minimisers.
 `dual_to_oracle` is lambda_beta as the primitive multiple of the `Fraction`
-vector G beta, the reference for `stability.OneParamSubgroup.dual_to`, which
+vector G beta, the reference for `stability.BetaIndex.from_integers`, which
 works on the integers.  `support_positions_scan` places every support's
 weight hull by one `hull_position` call each, the reference for
 `stability.support_positions`.
@@ -325,32 +325,31 @@ def h_stable_explicit_oracle(
 def verify_stratification_oracle(a: TorusAction) -> StratificationReport:
     """The stratification report by full scans: (ii) compares every valid
     support with every valid sub-support, and (iii) takes every support's
-    least Segre value against every nonzero beta.
+    least Segre value against every nonzero beta, read off each beta's
+    `BetaIndex`.
 
-    `destabilising_beta` and `_functional` are looked up on `gitloci.strata`
-    at call time, so a test that patches them there reaches this reference
-    too.
+    `destabilising_beta` is looked up on `gitloci.strata` at call time, so a
+    test that patches it there reaches this reference too.
     """
     supports = list(a.iter_supports())
     betas: dict[tuple[Fraction, ...], BetaIndex] = {}
-    by_support: dict[frozenset[int], RationalVector] = {}
+    by_support: dict[frozenset[int], BetaIndex] = {}
     sizes: dict[tuple[Fraction, ...], int] = {}
     violations: list[dict] = []
 
     norms: dict[frozenset[int], Fraction] = {}
     # beta depends on a support only through its distinct weights
-    by_weights: dict[tuple[tuple[int, ...], ...], tuple[RationalVector, Fraction]] = {}
+    by_weights: dict[tuple[tuple[int, ...], ...], tuple[BetaIndex, Fraction]] = {}
     for sp in supports:
         weights = a.support_weights(sp)
         if weights not in by_weights:
-            beta, _ = strata.destabilising_beta(a, sp)
-            by_weights[weights] = beta, a.ip.norm_sq(beta)
-        beta, norms[sp.support] = by_weights[weights]
-        by_support[sp.support] = beta
-        key = beta.entries
+            bi = strata.destabilising_beta(a, sp)
+            by_weights[weights] = bi, a.ip.norm_sq(bi.beta)
+        bi, norms[sp.support] = by_weights[weights]
+        by_support[sp.support] = bi
+        key = bi.beta.entries
         sizes[key] = sizes.get(key, 0) + 1
-        if key not in betas:
-            betas[key] = BetaIndex.from_beta(a, beta)
+        betas.setdefault(key, bi)
 
     # (ii) closure order under sub-supports
     for sp in supports:
@@ -367,11 +366,11 @@ def verify_stratification_oracle(a: TorusAction) -> StratificationReport:
 
     # (iii) Yss = p^{-1}(Zss) for every nonzero index
     for key, bi in sorted(betas.items()):
-        if bi.beta.is_zero():
+        if bi.lambda_beta is None:
             continue
-        cochar, level = strata._functional(a, bi.beta)
-        values = a.coordinate_values(cochar)
         untwisted = bi.beta + a.twist  # beta against the untwisted weights
+        level = bi.lambda_beta.pairing(untwisted)
+        values = a.coordinate_values(bi.lambda_beta.cochar)
         for sp in supports:
             # per factor, the least value over the support and its argmin
             blocks = [[i for i in blk if i in sp] for blk in a.factor_partition]
@@ -381,7 +380,7 @@ def verify_stratification_oracle(a: TorusAction) -> StratificationReport:
             retracted = SupportPoint(
                 i for blk, lo in zip(blocks, lows) for i in blk if values[i] == lo
             )
-            lhs = by_support[sp.support] == bi.beta  # lambda_beta adapted to sp
+            lhs = by_support[sp.support] == bi  # lambda_beta adapted to sp
             pos = hull_position(a.support_weights(retracted), untwisted)
             rhs = pos is not HullPosition.OUTSIDE
             if lhs != rhs:
@@ -394,7 +393,7 @@ def verify_stratification_oracle(a: TorusAction) -> StratificationReport:
                 )
 
     ordered = [betas[k] for k in sorted(betas)]
-    labels = {s: beta.entries for s, beta in by_support.items()}
+    labels = {s: own.beta.entries for s, own in by_support.items()}
     return StratificationReport(tuple(ordered), sizes, labels, tuple(violations))
 
 

@@ -18,9 +18,10 @@ from gitloci.action import (
 )
 from gitloci.cli import load_spec
 from gitloci.polytope import Cone, convex_hull_2d_int
-from gitloci.qpoly import BiPoly, InnerProduct, RationalVector
+from gitloci.qpoly import BiPoly, InnerProduct, RationalVector, clear_denominators
 from gitloci.stability import (
     AdaptedRegion,
+    BetaIndex,
     EmptyCone,
     HMValue,
     NoAdaptedTwist,
@@ -267,16 +268,14 @@ def test_support_positions_match_scan_on_extensions():
 
 def test_destabilising_beta_examples():
     a2 = TorusAction(2, [V([1, 2]), V([2, 1])], IP2)
-    beta, lam = destabilising_beta(a2, SupportPoint([0, 1]))
-    assert beta == V([Fraction(3, 2), Fraction(3, 2)])
-    assert lam.cochar == (1, 1)
+    bi = destabilising_beta(a2, SupportPoint([0, 1]))
+    assert bi.beta == V([Fraction(3, 2), Fraction(3, 2)])
+    assert bi.lambda_beta.cochar == (1, 1)
     a = _a1()
-    beta, lam = destabilising_beta(a, SupportPoint([0, 2]))
-    assert beta.is_zero() and lam is None
-    beta, lam = destabilising_beta(
-        TorusAction(2, [V([2, 0])], IP2), SupportPoint([0])
-    )
-    assert beta == V([2, 0]) and lam.cochar == (1, 0)
+    bi = destabilising_beta(a, SupportPoint([0, 2]))
+    assert bi.beta.is_zero() and bi.lambda_beta is None
+    bi = destabilising_beta(TorusAction(2, [V([2, 0])], IP2), SupportPoint([0]))
+    assert bi.beta == V([2, 0]) and bi.lambda_beta.cochar == (1, 0)
 
 
 def test_beta_deterministic_under_permutation():
@@ -287,12 +286,11 @@ def test_beta_deterministic_under_permutation():
             for _ in range(4)
         ]
         a = TorusAction(2, wts, IP2)
-        beta, _ = destabilising_beta(a, SupportPoint([0, 1, 2, 3]))
+        bi = destabilising_beta(a, SupportPoint([0, 1, 2, 3]))
         perm = list(range(4))
         rng.shuffle(perm)
         b = TorusAction(2, [wts[i] for i in perm], IP2)
-        beta2, _ = destabilising_beta(b, SupportPoint([0, 1, 2, 3]))
-        assert beta == beta2
+        assert bi == destabilising_beta(b, SupportPoint([0, 1, 2, 3]))
 
 
 def test_admissible_cone_examples():
@@ -685,7 +683,7 @@ def test_semistability_iff_mu_nonnegative_exhaustive():
                 hm_mu(a, sp, OneParamSubgroup.from_vector(d)) >= 0
                 for d in facet_normal_candidates(wts)
             )
-            beta, _ = destabilising_beta(a, sp)
+            beta = destabilising_beta(a, sp).beta
             assert semistable == mu_ok == beta.is_zero()
 
 
@@ -702,7 +700,8 @@ def test_md1ps_minimises_M_over_facet_candidates():
             ]
             a = TorusAction(2, wts, ip)
             sp = SupportPoint(range(len(wts)))
-            beta, lam = destabilising_beta(a, sp)
+            bi = destabilising_beta(a, sp)
+            beta, lam = bi.beta, bi.lambda_beta
             if beta.is_zero():
                 continue
             m_beta = hm_M(a, sp, lam)
@@ -718,16 +717,15 @@ def test_md1ps_minimises_M_over_facet_candidates():
 def test_lambda_beta_destabilises_under_any_form():
     # lambda_beta is the primitive multiple of G beta, the form dual of
     # beta: the multiple of beta itself need not destabilise
-    from gitloci.strata import BetaIndex
-
     G = InnerProduct([[2, 1], [1, 1]])
     a = TorusAction(2, [V([-2, 1]), V([3, 3]), V([3, -3])], G)
     sp = SupportPoint([0, 2])
-    beta, lam = destabilising_beta(a, sp)
+    bi = destabilising_beta(a, sp)
+    beta, lam = bi.beta, bi.lambda_beta
     assert beta == V([Fraction(3, 26), Fraction(-9, 13)])
     assert lam.cochar == (-4, -5)
     assert hm_mu(a, sp, lam) == -3
-    assert BetaIndex.from_beta(a, beta).lambda_beta == lam
+    assert lam == dual_to_oracle(beta, G)
 
     rng = random.Random(808)
     checked = 0
@@ -741,14 +739,15 @@ def test_lambda_beta_destabilises_under_any_form():
         twist = V([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2)])
         a = TorusAction(2, weights, ip, twist)
         for sp in a.iter_supports():
-            beta, lam = destabilising_beta(a, sp)
+            bi = destabilising_beta(a, sp)
+            beta, lam = bi.beta, bi.lambda_beta
             if beta.is_zero():
                 continue
             dual = RationalVector([ip.pairing(e, beta) for e in (V([1, 0]), V([0, 1]))])
             assert lam.cochar == tuple(dual.primitive_integral())
             # the least pairing over the support is attained on beta's face
             assert hm_mu(a, sp, lam) == -lam.pairing(beta) < 0
-            assert BetaIndex.from_beta(a, beta).lambda_beta == lam
+            assert lam == dual_to_oracle(beta, ip)
             checked += 1
 
 
@@ -767,10 +766,12 @@ def test_dual_to_matches_fraction_oracle():
             beta = V(
                 [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(ip.rank)]
             )
+            (num,), den = clear_denominators([beta.entries])
+            a = TorusAction(ip.rank, [V([0] * ip.rank)], ip)
+            lam = BetaIndex.from_integers(a, num, den).lambda_beta
             if beta.is_zero():
-                with pytest.raises(ValueError):
-                    OneParamSubgroup.dual_to(beta, ip)
+                assert lam is None
                 continue
-            assert OneParamSubgroup.dual_to(beta, ip) == dual_to_oracle(beta, ip)
+            assert lam == dual_to_oracle(beta, ip)
             checked += 1
     assert checked > 150

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import verify_stratification_oracle
+from oracles import dual_to_oracle, verify_stratification_oracle
 
 from gitloci import polytope, strata
 from gitloci.action import (
@@ -14,7 +14,7 @@ from gitloci.action import (
     build_product_action,
 )
 from gitloci.polytope import GramFrame, PointSet, convex_hull_2d_int, min_norm_point
-from gitloci.qpoly import InnerProduct, RationalVector
+from gitloci.qpoly import InnerProduct, RationalVector, clear_denominators
 from gitloci.stability import (
     OneParamSubgroup,
     TorusStatus,
@@ -22,6 +22,7 @@ from gitloci.stability import (
     torus_status,
 )
 from gitloci.strata import (
+    BetaIndex,
     NotInY,
     NotInZ,
     beta_index_set,
@@ -164,7 +165,7 @@ def test_stratum_of_examples():
 
 def test_stratum_membership_predicates():
     a = _a1()
-    two = V([2])
+    two = BetaIndex.from_integers(a, [2], 1)
     assert in_Y(a, SupportPoint([2]), two)
     assert in_Z(a, SupportPoint([2]), two)
     assert not in_Y(a, SupportPoint([0, 2]), two)
@@ -181,36 +182,20 @@ def test_p_beta_examples():
     # a mixed support retracting onto the perpendicular face: weights 0 and 2
     # pair exactly |beta|^2 with beta, weight 1 strictly more
     a2 = TorusAction(2, [V([0, 1]), V([1, 2]), V([3, 1])], IP2)
-    beta, _ = destabilising_beta(a2, SupportPoint([0, 1, 2]))
-    assert beta == V([0, 1])
-    from gitloci.strata import BetaIndex
-
-    bi = BetaIndex.from_beta(a2, beta)
+    bi = destabilising_beta(a2, SupportPoint([0, 1, 2]))
+    assert bi.beta == V([0, 1])
     assert p_beta(a2, SupportPoint([0, 1, 2]), bi).support == {0, 2}
 
 
 def test_p_beta_idempotent_and_lands_in_Z():
     a = _sec71()
-    report_betas = {b.beta.entries: b for b in _realized_betas(a)}
     for sp in a.iter_supports():
-        beta, _ = destabilising_beta(a, sp)
-        if beta.is_zero():
+        bi = destabilising_beta(a, sp)
+        if bi.beta.is_zero():
             continue
-        bi = report_betas[beta.entries]
         retracted = p_beta(a, sp, bi)
-        assert in_Z(a, retracted, bi.beta)
+        assert in_Z(a, retracted, bi)
         assert p_beta(a, retracted, bi).support == retracted.support
-
-
-def _realized_betas(a):
-    from gitloci.strata import BetaIndex
-
-    seen = {}
-    for sp in a.iter_supports():
-        beta, _ = destabilising_beta(a, sp)
-        if beta.entries not in seen:
-            seen[beta.entries] = BetaIndex.from_beta(a, beta)
-    return list(seen.values())
 
 
 def test_z_ss_check_examples():
@@ -221,23 +206,19 @@ def test_z_ss_check_examples():
         z_ss_check(a, SupportPoint([0, 2]), betas[2])
     # two weights on the perpendicular line, both strictly to one side of beta
     a2 = TorusAction(2, [V([1, 1]), V([1, 3]), V([1, 5])], IP2)
-    beta, _ = destabilising_beta(a2, SupportPoint([0]))
-    assert beta == V([1, 1])
-    from gitloci.strata import BetaIndex
-
-    bi = BetaIndex.from_beta(a2, beta)
+    bi = destabilising_beta(a2, SupportPoint([0]))
+    assert bi.beta == V([1, 1])
     # support {1, 2} lies on the line <v, beta> = 2 but its hull misses beta
-    assert in_Z(a2, SupportPoint([1, 2]), beta) is False  # pairings 4, 6
-    b_high, _ = destabilising_beta(a2, SupportPoint([1]))
-    assert z_ss_check(a2, SupportPoint([1]), BetaIndex.from_beta(a2, b_high))
+    assert in_Z(a2, SupportPoint([1, 2]), bi) is False  # pairings 4, 6
+    b_high = destabilising_beta(a2, SupportPoint([1]))
+    assert z_ss_check(a2, SupportPoint([1]), b_high)
 
 
 def test_beta_index_from_integers_matches_rational_reference():
     # the integer constructor against the Fraction paths, on seeded rational
     # betas (numerators not always reduced) and beta = 0: |beta|^2 by the
-    # form's pairing and lambda_beta by `OneParamSubgroup.dual_to`
-    from gitloci.strata import BetaIndex
-
+    # form's pairing and lambda_beta by `dual_to_oracle`; the reduced
+    # numerators give the same index
     rng = random.Random(1729)
     for ip in (IP2, InnerProduct([[2, 1], [1, 3]])):
         a = TorusAction(2, [V([0, 0])], ip)
@@ -254,15 +235,14 @@ def test_beta_index_from_integers_matches_rational_reference():
             if beta.is_zero():
                 assert bi.lambda_beta is None
             else:
-                assert bi.lambda_beta == OneParamSubgroup.dual_to(beta, ip)
-            assert bi == BetaIndex.from_beta(a, beta)
+                assert bi.lambda_beta == dual_to_oracle(beta, ip)
+            (reduced,), d = clear_denominators([beta.entries])
+            assert bi == BetaIndex.from_integers(a, reduced, d)
 
 
-def test_z_ss_check_matches_twisted_hull_oracle():
-    # beta against the twisted weights, as defined, under nonzero twists
-    from gitloci.polytope import HullPosition, hull_membership
-    from gitloci.strata import BetaIndex
-
+def _twisted_products():
+    """Seeded rank-1 and rank-2 products of two twisted factors, each also
+    twisted onto its first Segre weight."""
     rng = random.Random(4242)
     actions = []
     for rank, ip in ((1, IP1), (2, IP2)):
@@ -284,15 +264,22 @@ def test_z_ss_check_matches_twisted_hull_oracle():
             a = build_product_action(factors)
             # a twist on a Segre weight puts a support in the zero Z-stratum
             actions += [a, a.with_twist(V(a.support_weights()[0]))]
+    return actions
+
+
+def test_z_ss_check_matches_twisted_hull_oracle():
+    # beta against the twisted weights, as defined, under nonzero twists
+    from gitloci.polytope import HullPosition, hull_membership
+
     checked = 0
-    for a in actions:
-        zero = BetaIndex.from_beta(a, V([0] * a.rank))
+    for a in _twisted_products():
+        zero = BetaIndex.from_integers(a, [0] * a.rank, 1)
         for sp in a.iter_supports():
             at_twist = all(w.is_zero() for w in a.segre_weights(sp, twisted=True))
-            assert in_Z(a, sp, zero.beta) == at_twist
+            assert in_Z(a, sp, zero) == at_twist
         for bi in beta_index_set(a) + [zero]:
             for sp in a.iter_supports():
-                if not in_Z(a, sp, bi.beta):
+                if not in_Z(a, sp, bi):
                     continue
                 pts = PointSet(a.segre_weights(sp, twisted=True))
                 want = hull_membership(pts, bi.beta) is not HullPosition.OUTSIDE
@@ -311,6 +298,50 @@ def test_verify_stratification_rank1():
     assert len(rep.support_beta) == 7
     assert rep.support_beta[frozenset({2})] == (Fraction(2),)
     assert rep.support_beta[frozenset({0, 2})] == (Fraction(0),)
+
+
+def test_stratum_predicates_match_the_bulk_report(sec7_1):
+    # the per-support path against `verify_stratification`: each support's
+    # own beta is its label there, and for every nonzero beta of the report
+    # each Y-member retracts into Z, where the retraction is Z-semistable
+    # exactly when the member's own beta is that beta (check (iii))
+    retractions = []
+    for a in [_a1(), sec7_1.action, *_twisted_products()]:
+        rep = verify_stratification(a)
+        retractions.append(0)
+        own = {}
+        for sp in a.iter_supports():
+            own[sp] = stratum_of(a, sp).beta
+            assert own[sp].beta.entries == rep.support_beta[sp.support]
+        for bi in rep.betas:
+            if bi.lambda_beta is None:
+                continue
+            for sp in a.iter_supports():
+                if not in_Y(a, sp, bi):
+                    continue
+                retracted = p_beta(a, sp, bi)
+                assert in_Z(a, retracted, bi), (a, sp, bi.beta)
+                assert z_ss_check(a, retracted, bi) == (own[sp] == bi), (a, sp)
+                retractions[-1] += 1
+    assert retractions[:2] == [2, 454] and all(retractions[2:])
+
+
+def test_stratum_of_builds_one_subgroup_per_unstable_support(monkeypatch, sec7_1):
+    # lambda_beta is built once, with the support's index, and every
+    # predicate reads it from there
+    built = []
+    inner = OneParamSubgroup.__init__
+
+    def counted(self, cochar):
+        built.append(cochar)
+        inner(self, cochar)
+
+    monkeypatch.setattr(OneParamSubgroup, "__init__", counted)
+    a = sec7_1.action
+    labels = [stratum_of(a, sp) for sp in a.iter_supports()]
+    unstable = [lab for lab in labels if lab.beta.lambda_beta is not None]
+    assert len(labels) == 343 and len(unstable) == 228
+    assert len(built) == 228
 
 
 def test_verify_stratification_single_weight():
@@ -341,9 +372,8 @@ def test_verify_stratification_sec71():
 def test_zero_beta_iff_semistable():
     for a in (_a1(), _sec71()):
         for sp in a.iter_supports():
-            beta, _ = destabilising_beta(a, sp)
             semistable = torus_status(a, sp) is not TorusStatus.UNSTABLE
-            assert beta.is_zero() == semistable
+            assert destabilising_beta(a, sp).beta.is_zero() == semistable
 
 
 def test_stratification_invariant_under_permutation():
